@@ -16,19 +16,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import spd_manifold as spd
-from .chol_map import cholesky_factor, reconstruct
+from .chol_map import _factor, cholesky_factor, reconstruct
 from .tri import (
     CholeskyFactor,
     DomainError,
     EigFailureError,
     EmptyInputError,
+    LowerTriangular,
     NoConvergenceError,
     NotSpdError,
     SpdMatrix,
     SymMatrix,
     SymTangent,
     _require_same_dim,
-    pack_lower,
 )
 
 # ---------------------------------------------------------------------------
@@ -70,11 +70,11 @@ def _sym(a: np.ndarray) -> np.ndarray:
 
 
 def _wrap_spd(a: np.ndarray) -> SpdMatrix:
-    return SpdMatrix(a.shape[0], pack_lower(_sym(a)))
+    return SpdMatrix(_sym(a))
 
 
 def _wrap_sym(a: np.ndarray) -> SymMatrix:
-    return SymMatrix(a.shape[0], pack_lower(_sym(a)))
+    return SymMatrix(_sym(a))
 
 
 # ---------------------------------------------------------------------------
@@ -84,27 +84,27 @@ def _wrap_sym(a: np.ndarray) -> SymMatrix:
 
 def euclid_dist(P: SymMatrix, Q: SymMatrix) -> float:
     _require_same_dim(P, Q)
-    return float(np.linalg.norm(P.dense() - Q.dense()))
+    return float(np.linalg.norm(P.data - Q.data))
 
 
 def euclid_interpolate(P: SymMatrix, Q: SymMatrix, t: float) -> SymMatrix:
     """Linear interpolation ``(1 - t) P + t Q``; exhibits determinant swelling."""
     _require_same_dim(P, Q)
-    return _wrap_sym((1.0 - t) * P.dense() + t * Q.dense())
+    return _wrap_sym((1.0 - t) * P.data + t * Q.data)
 
 
 def euclid_mean(Ps: Sequence[SymMatrix]) -> SymMatrix:
     if len(Ps) == 0:
         raise EmptyInputError("euclid_mean requires at least one matrix")
-    return _wrap_sym(np.mean([P.dense() for P in Ps], axis=0))
+    return _wrap_sym(np.mean([P.data for P in Ps], axis=0))
 
 
 def euclid_exp(P: SymMatrix, W: SymTangent) -> SymMatrix:
-    return _wrap_sym(P.dense() + W.dense())
+    return _wrap_sym(P.data + W.data)
 
 
 def euclid_log(P: SymMatrix, Q: SymMatrix) -> SymTangent:
-    return _wrap_sym(Q.dense() - P.dense())
+    return _wrap_sym(Q.data - P.data)
 
 
 # ---------------------------------------------------------------------------
@@ -114,37 +114,31 @@ def euclid_log(P: SymMatrix, Q: SymMatrix) -> SymTangent:
 
 def cholesky_distance(P: SpdMatrix, Q: SpdMatrix) -> float:
     _require_same_dim(P, Q)
-    l1 = cholesky_factor(P)
-    l2 = cholesky_factor(Q)
-    return float(np.linalg.norm(l1.data - l2.data))
+    return float(np.linalg.norm(_factor(P.data) - _factor(Q.data)))
 
 
 def cholesky_interpolate(P: SpdMatrix, Q: SpdMatrix, t: float) -> SpdMatrix:
     """Convex combination of the factors, reconstructed."""
     _require_same_dim(P, Q)
-    l1 = cholesky_factor(P)
-    l2 = cholesky_factor(Q)
-    f = (1.0 - t) * l1.data + t * l2.data
-    return reconstruct(CholeskyFactor(P.dim, f))
+    f = (1.0 - t) * _factor(P.data) + t * _factor(Q.data)
+    return reconstruct(CholeskyFactor(f))
 
 
 def cholesky_mean(Ps: Sequence[SpdMatrix]) -> SpdMatrix:
     if len(Ps) == 0:
         raise EmptyInputError("cholesky_mean requires at least one matrix")
     f = np.mean([cholesky_factor(P).data for P in Ps], axis=0)
-    return reconstruct(CholeskyFactor(Ps[0].dim, f))
+    return reconstruct(CholeskyFactor(f))
 
 
-def cholesky_exp(P: SpdMatrix, X_packed_gap: SymTangent) -> SpdMatrix:
-    # Factor-space translation; the "tangent" is a symmetric carrier for the
-    # packed factor gap so all metrics share one exp/log signature.
-    f = cholesky_factor(P).data + X_packed_gap.data
-    return reconstruct(CholeskyFactor(P.dim, f))
+def cholesky_exp(P: SpdMatrix, X: LowerTriangular) -> SpdMatrix:
+    """Factor-space translation: the factor of ``P`` plus the factor gap ``X``."""
+    return reconstruct(CholeskyFactor(_factor(P.data) + X.data))
 
 
-def cholesky_log(P: SpdMatrix, Q: SpdMatrix) -> SymTangent:
-    gap = cholesky_factor(Q).data - cholesky_factor(P).data
-    return SymMatrix(P.dim, gap)
+def cholesky_log(P: SpdMatrix, Q: SpdMatrix) -> LowerTriangular:
+    """The factor gap ``chol(Q) - chol(P)``."""
+    return LowerTriangular(_factor(Q.data) - _factor(P.data))
 
 
 # ---------------------------------------------------------------------------
@@ -209,34 +203,34 @@ def dlog_spd(p: np.ndarray, w: np.ndarray, tol: float = DLOG_SERIES_TOL,
 
 def logeuclid_dist(P: SpdMatrix, Q: SpdMatrix) -> float:
     _require_same_dim(P, Q)
-    return float(np.linalg.norm(spd_logm(P.dense()) - spd_logm(Q.dense())))
+    return float(np.linalg.norm(spd_logm(P.data) - spd_logm(Q.data)))
 
 
 def logeuclid_interpolate(P: SpdMatrix, Q: SpdMatrix, t: float) -> SpdMatrix:
     _require_same_dim(P, Q)
-    lp = spd_logm(P.dense())
-    lq = spd_logm(Q.dense())
+    lp = spd_logm(P.data)
+    lq = spd_logm(Q.data)
     return _wrap_spd(sym_expm((1.0 - t) * lp + t * lq))
 
 
 def logeuclid_mean(Ps: Sequence[SpdMatrix]) -> SpdMatrix:
     if len(Ps) == 0:
         raise EmptyInputError("logeuclid_mean requires at least one matrix")
-    return _wrap_spd(sym_expm(np.mean([spd_logm(P.dense()) for P in Ps], axis=0)))
+    return _wrap_spd(sym_expm(np.mean([spd_logm(P.data) for P in Ps], axis=0)))
 
 
 def logeuclid_exp(P: SpdMatrix, W: SymTangent, tol: float = DLOG_SERIES_TOL,
                   max_terms: int = DLOG_SERIES_MAX_TERMS) -> SpdMatrix:
     """Riemannian exponential: push the tangent into log space and exponentiate."""
-    p = P.dense()
-    return _wrap_spd(sym_expm(spd_logm(p) + dlog_spd(p, W.dense(), tol, max_terms)))
+    p = P.data
+    return _wrap_spd(sym_expm(spd_logm(p) + dlog_spd(p, W.data, tol, max_terms)))
 
 
 def logeuclid_log(P: SpdMatrix, Q: SpdMatrix, tol: float = DLOG_SERIES_TOL,
                   max_terms: int = DLOG_SERIES_MAX_TERMS) -> SymTangent:
     """Riemannian logarithm: log-space difference pulled back to the tangent at P."""
-    lp = spd_logm(P.dense())
-    lq = spd_logm(Q.dense())
+    lp = spd_logm(P.data)
+    lq = spd_logm(Q.data)
     return _wrap_sym(dexp_sym(lp, lq - lp, tol, max_terms))
 
 
@@ -245,8 +239,8 @@ def logeuclid_transport(P: SpdMatrix, Q: SpdMatrix, W: SymTangent,
                         max_terms: int = DLOG_SERIES_MAX_TERMS) -> SymTangent:
     """Parallel transport: flatten at ``P`` via d(log), restore at ``Q`` via d(exp)."""
     _require_same_dim(P, Q)
-    flat = dlog_spd(P.dense(), W.dense(), tol, max_terms)
-    return _wrap_sym(dexp_sym(spd_logm(Q.dense()), flat, tol, max_terms))
+    flat = dlog_spd(P.data, W.data, tol, max_terms)
+    return _wrap_sym(dexp_sym(spd_logm(Q.data), flat, tol, max_terms))
 
 
 # ---------------------------------------------------------------------------
@@ -267,40 +261,40 @@ def _sqrt_pair(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def affine_dist(P: SpdMatrix, Q: SpdMatrix) -> float:
     _require_same_dim(P, Q)
-    _, pis = _sqrt_pair(P.dense())
-    return float(np.linalg.norm(spd_logm(_sym(pis @ Q.dense() @ pis))))
+    _, pis = _sqrt_pair(P.data)
+    return float(np.linalg.norm(spd_logm(_sym(pis @ Q.data @ pis))))
 
 
 def affine_interpolate(P: SpdMatrix, Q: SpdMatrix, t: float) -> SpdMatrix:
     _require_same_dim(P, Q)
-    ps, pis = _sqrt_pair(P.dense())
-    mid = spd_powm(_sym(pis @ Q.dense() @ pis), t)
+    ps, pis = _sqrt_pair(P.data)
+    mid = spd_powm(_sym(pis @ Q.data @ pis), t)
     return _wrap_spd(ps @ mid @ ps)
 
 
 def affine_exp(P: SpdMatrix, W: SymTangent) -> SpdMatrix:
-    ps, pis = _sqrt_pair(P.dense())
-    return _wrap_spd(ps @ sym_expm(_sym(pis @ W.dense() @ pis)) @ ps)
+    ps, pis = _sqrt_pair(P.data)
+    return _wrap_spd(ps @ sym_expm(_sym(pis @ W.data @ pis)) @ ps)
 
 
 def affine_log(P: SpdMatrix, Q: SpdMatrix) -> SymTangent:
-    ps, pis = _sqrt_pair(P.dense())
-    return _wrap_sym(ps @ spd_logm(_sym(pis @ Q.dense() @ pis)) @ ps)
+    ps, pis = _sqrt_pair(P.data)
+    return _wrap_sym(ps @ spd_logm(_sym(pis @ Q.data @ pis)) @ ps)
 
 
 def affine_transport(P: SpdMatrix, Q: SpdMatrix, W: SymTangent) -> SymTangent:
     """Closed-form transport ``E W E^T`` with ``E = (Q P^-1)^(1/2)``."""
     _require_same_dim(P, Q)
-    ps, pis = _sqrt_pair(P.dense())
-    inner = spd_powm(_sym(pis @ Q.dense() @ pis), 0.5)
+    ps, pis = _sqrt_pair(P.data)
+    inner = spd_powm(_sym(pis @ Q.data @ pis), 0.5)
     e = ps @ inner @ pis
-    return _wrap_sym(e @ W.dense() @ e.T)
+    return _wrap_sym(e @ W.data @ e.T)
 
 
 def affine_inner(P: SpdMatrix, W: SymTangent, V: SymTangent) -> float:
     """Affine-invariant inner product ``tr(P^-1 W P^-1 V)``."""
-    pinv = np.linalg.inv(P.dense())
-    return float(np.trace(pinv @ W.dense() @ pinv @ V.dense()))
+    pinv = np.linalg.inv(P.data)
+    return float(np.trace(pinv @ W.data @ pinv @ V.data))
 
 
 def affine_karcher_mean(
@@ -320,11 +314,11 @@ def affine_karcher_mean(
         raise EmptyInputError("affine_karcher_mean requires at least one matrix")
     if len(Ps) == 1:
         return Ps[0]
-    s = euclid_mean(Ps).dense()
+    s = euclid_mean(Ps).data
     mean = _wrap_spd(s)
     for _ in range(max_iter):
-        grad = np.mean([affine_log(mean, P).dense() for P in Ps], axis=0)
-        if np.linalg.norm(grad) <= tol * (1.0 + np.linalg.norm(mean.dense())):
+        grad = np.mean([affine_log(mean, P).data for P in Ps], axis=0)
+        if np.linalg.norm(grad) <= tol * (1.0 + np.linalg.norm(mean.data)):
             return mean
         mean = affine_exp(mean, _wrap_sym(grad))
     raise NoConvergenceError(
@@ -345,8 +339,8 @@ class MetricOps:
     distance: Callable[[SpdMatrix, SpdMatrix], float]
     interpolate: Callable[[SpdMatrix, SpdMatrix, float], SymMatrix]
     mean: Callable[[Sequence[SpdMatrix]], SymMatrix]
-    exp: Callable[[SpdMatrix, SymTangent], SymMatrix]
-    log: Callable[[SpdMatrix, SpdMatrix], SymTangent]
+    exp: Callable[[SpdMatrix, SymTangent | LowerTriangular], SymMatrix]
+    log: Callable[[SpdMatrix, SpdMatrix], SymTangent | LowerTriangular]
     transport: Callable[[SpdMatrix, SpdMatrix, SymTangent], SymTangent] | None = None
 
 

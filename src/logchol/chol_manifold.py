@@ -5,7 +5,8 @@ metric that is Frobenius on the strict lower triangle and scaled by the
 inverse squared diagonal on the diagonal.  All operations below are smooth
 closed forms: the manifold is flat and complete, so geodesics, exponential
 and logarithmic maps, parallel transport and Frechet means are globally
-defined.
+defined.  Each operation is a private kernel on dense arrays behind a typed
+public function.
 """
 from __future__ import annotations
 
@@ -19,8 +20,14 @@ from .tri import (
     EmptyInputError,
     LowerTriangular,
     _require_same_dim,
-    diag_indices,
 )
+
+
+def _metric(l: np.ndarray, x: np.ndarray, y: np.ndarray) -> float:
+    prod = x * y
+    diag = prod.diagonal() / l.diagonal() ** 2
+    np.fill_diagonal(prod, 0.0)  # zeroed, not subtracted: avoids cancellation for large diagonals
+    return float(prod.sum() + diag.sum())
 
 
 def metric_chol(L: CholeskyFactor, X: LowerTriangular, Y: LowerTriangular) -> float:
@@ -29,17 +36,19 @@ def metric_chol(L: CholeskyFactor, X: LowerTriangular, Y: LowerTriangular) -> fl
     Frobenius on the strict lower triangle plus diagonal products weighted
     by ``L_jj^-2``.
     """
-    _require_same_dim(L, X)
-    _require_same_dim(L, Y)
-    di = diag_indices(L.dim)
-    prod = X.data * Y.data
-    diag_prod = prod[di].copy()
-    prod[di] = 0.0  # zeroed, not subtracted: avoids cancellation for large diagonals
-    return float(prod.sum() + (diag_prod / L.data[di] ** 2).sum())
+    _require_same_dim(L, X, Y)
+    return _metric(L.data, X.data, Y.data)
 
 
 def norm_chol(L: CholeskyFactor, X: LowerTriangular) -> float:
     return float(np.sqrt(metric_chol(L, X, X)))
+
+
+def _geodesic(l: np.ndarray, x: np.ndarray, t: float) -> np.ndarray:
+    out = l + t * x
+    d = l.diagonal()
+    np.fill_diagonal(out, d * np.exp(t * x.diagonal() / d))
+    return out
 
 
 def geodesic_chol(L: CholeskyFactor, X: LowerTriangular, t: float) -> CholeskyFactor:
@@ -49,10 +58,7 @@ def geodesic_chol(L: CholeskyFactor, X: LowerTriangular, t: float) -> CholeskyFa
     Defined for all real ``t``.
     """
     _require_same_dim(L, X)
-    di = diag_indices(L.dim)
-    out = L.data + t * X.data
-    out[di] = L.data[di] * np.exp(t * X.data[di] / L.data[di])
-    return CholeskyFactor(L.dim, out)
+    return CholeskyFactor(_geodesic(L.data, X.data, t))
 
 
 def exp_chol(L: CholeskyFactor, X: LowerTriangular) -> CholeskyFactor:
@@ -60,23 +66,36 @@ def exp_chol(L: CholeskyFactor, X: LowerTriangular) -> CholeskyFactor:
     return geodesic_chol(L, X, 1.0)
 
 
+def _log(l: np.ndarray, k: np.ndarray) -> np.ndarray:
+    out = k - l
+    d = l.diagonal()
+    np.fill_diagonal(out, d * np.log(k.diagonal() / d))
+    return out
+
+
 def log_chol(L: CholeskyFactor, K: CholeskyFactor) -> LowerTriangular:
     """Riemannian logarithm: the tangent at ``L`` pointing to ``K``."""
     _require_same_dim(L, K)
-    di = diag_indices(L.dim)
-    out = K.data - L.data
-    out[di] = L.data[di] * np.log(K.data[di] / L.data[di])
-    return LowerTriangular(L.dim, out)
+    return LowerTriangular(_log(L.data, K.data))
+
+
+def _dist(l: np.ndarray, k: np.ndarray) -> float:
+    gap = l - k
+    np.fill_diagonal(gap, 0.0)  # the diagonal enters through the log gap only
+    dlog = np.log(l.diagonal()) - np.log(k.diagonal())
+    return float(np.sqrt(np.vdot(gap, gap) + dlog @ dlog))
 
 
 def dist_chol(L: CholeskyFactor, K: CholeskyFactor) -> float:
     """Geodesic distance between two factors."""
     _require_same_dim(L, K)
-    di = diag_indices(L.dim)
-    gap = L.data - K.data
-    gap[di] = 0.0  # the diagonal enters through the log gap only
-    dlog = np.log(L.data[di]) - np.log(K.data[di])
-    return float(np.sqrt(gap @ gap + dlog @ dlog))
+    return _dist(L.data, K.data)
+
+
+def _group_op(l: np.ndarray, k: np.ndarray) -> np.ndarray:
+    out = l + k
+    np.fill_diagonal(out, l.diagonal() * k.diagonal())
+    return out
 
 
 def group_op(L: LowerTriangular, K: LowerTriangular) -> LowerTriangular:
@@ -85,25 +104,30 @@ def group_op(L: LowerTriangular, K: LowerTriangular) -> LowerTriangular:
     Returns a :class:`CholeskyFactor` when both operands are factors.
     """
     _require_same_dim(L, K)
-    di = diag_indices(L.dim)
-    out = L.data + K.data
-    out[di] = L.data[di] * K.data[di]
-    if isinstance(L, CholeskyFactor) and isinstance(K, CholeskyFactor):
-        return CholeskyFactor(L.dim, out)
-    return LowerTriangular(L.dim, out)
+    both = isinstance(L, CholeskyFactor) and isinstance(K, CholeskyFactor)
+    return (CholeskyFactor if both else LowerTriangular)(_group_op(L.data, K.data))
+
+
+def _group_inv(l: np.ndarray) -> np.ndarray:
+    out = -l
+    np.fill_diagonal(out, 1.0 / l.diagonal())
+    return out
 
 
 def group_inv(L: CholeskyFactor) -> CholeskyFactor:
     """Group inverse: negated strict lower part, reciprocal diagonal."""
-    di = diag_indices(L.dim)
-    out = -L.data
-    out[di] = 1.0 / L.data[di]
-    return CholeskyFactor(L.dim, out)
+    return CholeskyFactor(_group_inv(L.data))
 
 
 def group_identity(dim: int) -> CholeskyFactor:
     """The group identity: the identity matrix."""
     return CholeskyFactor.from_dense(np.eye(dim))
+
+
+def _transport(l: np.ndarray, k: np.ndarray, x: np.ndarray) -> np.ndarray:
+    out = x.copy()
+    np.fill_diagonal(out, x.diagonal() * (k.diagonal() / l.diagonal()))
+    return out
 
 
 def transport_chol(
@@ -115,12 +139,15 @@ def transport_chol(
     rescaled by ``K_jj / L_jj``.  Transport is path independent (the
     manifold is flat) and preserves the metric.
     """
-    _require_same_dim(L, K)
-    _require_same_dim(L, X)
-    di = diag_indices(L.dim)
-    out = X.data.copy()
-    out[di] *= K.data[di] / L.data[di]
-    return LowerTriangular(L.dim, out)
+    _require_same_dim(L, K, X)
+    return LowerTriangular(_transport(L.data, K.data, X.data))
+
+
+def _frechet_mean(ls: np.ndarray, w: np.ndarray) -> np.ndarray:
+    # ls stacks n factors along its first axis; w holds n convex weights.
+    out = np.tensordot(w, ls, axes=1)
+    np.fill_diagonal(out, np.exp(w @ np.log(ls.diagonal(axis1=1, axis2=2))))
+    return out
 
 
 def frechet_mean_chol(
@@ -134,15 +161,9 @@ def frechet_mean_chol(
     """
     if len(Ls) == 0:
         raise EmptyInputError("frechet_mean_chol requires at least one factor")
-    dim = Ls[0].dim
-    for L in Ls[1:]:
-        _require_same_dim(Ls[0], L)
+    _require_same_dim(*Ls)
     w = _convex_weights(weights, len(Ls))
-    di = diag_indices(dim)
-    stacked = np.stack([L.data for L in Ls])
-    out = w @ stacked
-    out[di] = np.exp(w @ np.log(stacked[:, di]))
-    return CholeskyFactor(dim, out)
+    return CholeskyFactor(_frechet_mean(np.stack([L.data for L in Ls]), w))
 
 
 def _convex_weights(weights, n: int) -> np.ndarray:

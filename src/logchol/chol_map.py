@@ -2,12 +2,16 @@
 
 These maps form the bridge between the space of lower triangular matrices
 with positive diagonal and the space of SPD matrices: factorization in one
-direction, ``L L^T`` in the other, and the linearizations of both.
+direction, ``L L^T`` in the other, and the linearizations of both.  Each
+map is an array kernel (``_factor``, ``_reconstruct``, ``_diff_S``,
+``_diff_S_inv``) behind a typed public function; other modules compose the
+kernels and wrap only their final result.
 """
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import solve_triangular
+from scipy.linalg.blas import dtrmm
+from scipy.linalg.lapack import dtrtrs
 
 from .tri import (
     CholeskyFactor,
@@ -17,8 +21,14 @@ from .tri import (
     SymMatrix,
     SymTangent,
     _require_same_dim,
-    pack_lower,
 )
+
+
+def _factor(p: np.ndarray) -> np.ndarray:
+    try:
+        return np.linalg.cholesky(p)
+    except np.linalg.LinAlgError as exc:
+        raise NotSpdError("Cholesky factorization failed: nonpositive pivot") from exc
 
 
 def cholesky_factor(P: SpdMatrix) -> CholeskyFactor:
@@ -29,44 +39,42 @@ def cholesky_factor(P: SpdMatrix) -> CholeskyFactor:
     NotSpdError
         If the factorization encounters a nonpositive or non-finite pivot.
     """
-    try:
-        f = np.linalg.cholesky(P.dense())
-    except np.linalg.LinAlgError as exc:
-        raise NotSpdError("Cholesky factorization failed: nonpositive pivot") from exc
-    return CholeskyFactor(P.dim, pack_lower(f))
+    return CholeskyFactor(_factor(P.data))
 
 
-def cholesky_factor_recursive(P: SpdMatrix) -> CholeskyFactor:
-    """Column-oriented evaluation of the factorization recurrences.
-
-    Reference route for :func:`cholesky_factor`, which delegates to LAPACK;
-    the two are cross-checked in the test suite.
-    """
-    a = P.dense()
-    m = P.dim
-    f = np.zeros((m, m))
-    for j in range(m):
-        pivot = a[j, j] - f[j, :j] @ f[j, :j]
-        if not np.isfinite(pivot) or pivot <= 0.0:
-            raise NotSpdError(f"nonpositive pivot {pivot!r} at column {j}")
-        f[j, j] = np.sqrt(pivot)
-        f[j + 1 :, j] = (a[j + 1 :, j] - f[j + 1 :, :j] @ f[j, :j]) / f[j, j]
-    return CholeskyFactor(m, pack_lower(f))
+def _reconstruct(l: np.ndarray) -> np.ndarray:
+    a = l @ l.T
+    return (a + a.T) / 2.0
 
 
 def reconstruct(L: CholeskyFactor) -> SpdMatrix:
     """The SPD matrix ``L L^T``."""
-    f = L.dense()
-    a = f @ f.T
-    a = (a + a.T) / 2.0
-    return SpdMatrix(L.dim, pack_lower(a))
+    return SpdMatrix(_reconstruct(L.data))
+
+
+def _diff_S(l: np.ndarray, x: np.ndarray) -> np.ndarray:
+    a = l @ x.T
+    return a + a.T
 
 
 def diff_S(L: CholeskyFactor, X: LowerTriangular) -> SymTangent:
     """Differential of ``L -> L L^T`` at ``L`` applied to ``X``: ``L X^T + X L^T``."""
     _require_same_dim(L, X)
-    m = L.dense() @ X.dense().T
-    return SymMatrix(L.dim, pack_lower(m + m.T))
+    return SymMatrix(_diff_S(L.data, X.data))
+
+
+def _diff_S_inv(l: np.ndarray, w: np.ndarray) -> np.ndarray:
+    # L^{-1} W L^{-T} by two solves, the second on the transpose of the
+    # first; W is symmetric, so the first solve may take W^T as well.
+    b = w
+    for _ in range(2):
+        b, info = dtrtrs(l, b.T, lower=1)
+        if info != 0:
+            raise NotSpdError("triangular solve failed")
+    h = (b + b.T) / 2.0
+    np.fill_diagonal(h, h.diagonal() / 2.0)
+    # L @ tril(h): trmm reads only the lower triangle of h.
+    return dtrmm(1.0, h, l, side=1, lower=1)
 
 
 def diff_S_inv(L: CholeskyFactor, W: SymTangent) -> LowerTriangular:
@@ -77,10 +85,4 @@ def diff_S_inv(L: CholeskyFactor, W: SymTangent) -> LowerTriangular:
     diagonal.
     """
     _require_same_dim(L, W)
-    f = L.dense()
-    b = solve_triangular(f, W.dense(), lower=True, check_finite=False)
-    b = solve_triangular(f, b.T, lower=True, check_finite=False)
-    b = (b + b.T) / 2.0
-    h = np.tril(b)
-    np.fill_diagonal(h, np.diagonal(b) / 2.0)
-    return LowerTriangular(L.dim, pack_lower(f @ h))
+    return LowerTriangular(_diff_S_inv(L.data, W.data))

@@ -27,7 +27,6 @@ from .tri import (
     LogCholError,
     NoConvergenceError,
     SpdMatrix,
-    pack_lower,
 )
 
 # Interpolation-study endpoints: the reference determinant pair (5.40 and
@@ -54,7 +53,7 @@ def _seeded_spd_with_det(rng: np.random.Generator, dim: int, det: float) -> SpdM
     d = rng.uniform(0.5, 2.0, dim)
     d *= (det / np.prod(d)) ** (1.0 / dim)
     p = (q * d) @ q.T
-    return SpdMatrix(dim, pack_lower((p + p.T) / 2.0))
+    return SpdMatrix((p + p.T) / 2.0)
 
 
 def run_interpolate(
@@ -72,9 +71,9 @@ def run_interpolate(
     p, q = endpoints
     ts = np.linspace(0.0, 1.0, steps)
     mats = [ops.interpolate(p, q, float(t)) for t in ts]
-    dets = [float(np.linalg.det(m.dense())) for m in mats]
+    dets = [float(np.linalg.det(m.data)) for m in mats]
     glyphs = [
-        GlyphRecord.from_spd_dense(m.dense(), 0, i) for i, m in enumerate(mats)
+        GlyphRecord.from_spd_dense(m.data, 0, i) for i, m in enumerate(mats)
     ]
     report = ExperimentReport(
         experiment="interpolate",
@@ -89,8 +88,8 @@ def run_interpolate(
             ResultRecord(
                 name="endpoint_dets",
                 values=[
-                    float(np.linalg.det(p.dense())),
-                    float(np.linalg.det(q.dense())),
+                    float(np.linalg.det(p.data)),
+                    float(np.linalg.det(q.data)),
                 ],
                 units="determinant",
             ),
@@ -107,8 +106,8 @@ def run_mean(
     """Mean study: mean matrix, its determinant, and the determinant-law gap."""
     ops = bl.get_metric(metric)
     mean = ops.mean(list(mats))
-    dets = np.array([np.linalg.det(m.dense()) for m in mats])
-    det_mean = float(np.linalg.det(mean.dense()))
+    dets = np.array([np.linalg.det(m.data) for m in mats])
+    det_mean = float(np.linalg.det(mean.data))
     geo = float(np.exp(np.mean(np.log(dets))))
     gap = abs(det_mean - geo) / geo
     return ExperimentReport(
@@ -119,7 +118,7 @@ def run_mean(
         results=[
             ResultRecord(
                 name="mean_matrix",
-                values=[float(x) for x in mean.dense().ravel()],
+                values=[float(x) for x in mean.data.ravel()],
                 units="matrix entries, row-major",
             ),
             ResultRecord(name="det_mean", value=det_mean, units="determinant"),
@@ -235,7 +234,7 @@ def _stability_base(rng: np.random.Generator, m: int) -> SpdMatrix:
     a = rng.standard_normal((m, m))
     s = a @ a.T
     p = np.eye(m) + 0.5 * s / np.linalg.eigvalsh(s)[-1]
-    return SpdMatrix(m, pack_lower((p + p.T) / 2.0))
+    return SpdMatrix((p + p.T) / 2.0)
 
 
 def _roundtrip_record(
@@ -247,8 +246,8 @@ def _roundtrip_record(
             back = bl.logeuclid_exp(base, w, tol=STABILITY_SERIES_TOL)
         else:
             back = ops.exp(base, ops.log(base, target))
-        err = np.linalg.norm(back.dense() - target.dense()) / np.linalg.norm(
-            target.dense()
+        err = np.linalg.norm(back.data - target.data) / np.linalg.norm(
+            target.data
         )
         return ResultRecord(
             name=f"{name}.roundtrip_rel_error", value=float(err), units="relative"
@@ -267,8 +266,8 @@ def _mean_records(
 ) -> list[ResultRecord]:
     try:
         mean = ops.mean(sample)
-        det_mean = float(np.linalg.det(mean.dense()))
-        log_dets = [float(np.log(np.linalg.det(p.dense()))) for p in sample]
+        det_mean = float(np.linalg.det(mean.data))
+        log_dets = [float(np.log(np.linalg.det(p.data))) for p in sample]
         geo = float(np.exp(np.mean(log_dets)))
         gap = abs(det_mean - geo) / geo
         return [
@@ -303,9 +302,9 @@ def run_mean_gap(n: int, m: int, trials: int, seed: int) -> ExperimentReport:
     failures = 0
     for _ in range(trials):
         sample = [random_spd_wishart(rng, m) for _ in range(n)]
-        lc = log_cholesky_mean(sample).dense()
+        lc = log_cholesky_mean(sample).data
         try:
-            ai = bl.affine_karcher_mean(sample).dense()
+            ai = bl.affine_karcher_mean(sample).data
         except NoConvergenceError:
             failures += 1
             continue

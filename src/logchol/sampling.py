@@ -3,14 +3,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from .tri import CholeskyFactor, LowerTriangular, SpdMatrix, SymMatrix, pack_lower
+from .tri import CholeskyFactor, LowerTriangular, SpdMatrix, SymMatrix
 
 
 def random_spd(rng: np.random.Generator, dim: int, jitter: float = 1e-3) -> SpdMatrix:
     """Random SPD matrix ``A A^T + jitter * I`` with ``A`` standard normal."""
     a = rng.standard_normal((dim, dim))
     p = a @ a.T + jitter * np.eye(dim)
-    return SpdMatrix(dim, pack_lower((p + p.T) / 2.0))
+    return SpdMatrix((p + p.T) / 2.0)
 
 
 def random_spd_wishart(
@@ -22,7 +22,7 @@ def random_spd_wishart(
         dof = 2 * dim
     a = rng.standard_normal((dim, dof))
     p = a @ a.T / dof + jitter * np.eye(dim)
-    return SpdMatrix(dim, pack_lower((p + p.T) / 2.0))
+    return SpdMatrix((p + p.T) / 2.0)
 
 
 def random_orthogonal(rng: np.random.Generator, dim: int) -> np.ndarray:
@@ -38,13 +38,13 @@ def random_spd_with_condition(
     d = np.logspace(0.0, -np.log10(kappa), dim) if kappa > 1.0 else np.ones(dim)
     r = random_orthogonal(rng, dim)
     p = (r * d) @ r.T
-    return SpdMatrix(dim, pack_lower((p + p.T) / 2.0))
+    return SpdMatrix((p + p.T) / 2.0)
 
 
 def random_sym(rng: np.random.Generator, dim: int, scale: float = 1.0) -> SymMatrix:
     """Random symmetric matrix with independent normal entries."""
     g = rng.standard_normal((dim, dim)) * scale
-    return SymMatrix(dim, pack_lower((g + g.T) / 2.0))
+    return SymMatrix((g + g.T) / 2.0)
 
 
 def random_factor(rng: np.random.Generator, dim: int) -> CholeskyFactor:
@@ -52,9 +52,9 @@ def random_factor(rng: np.random.Generator, dim: int) -> CholeskyFactor:
     log-uniform diagonal in ``[e^-1, e]``."""
     f = np.tril(rng.standard_normal((dim, dim)), -1)
     np.fill_diagonal(f, np.exp(rng.uniform(-1.0, 1.0, dim)))
-    return CholeskyFactor(dim, pack_lower(f))
+    return CholeskyFactor(f)
 
 
 def random_tangent(rng: np.random.Generator, dim: int) -> LowerTriangular:
     """Random lower triangular tangent vector."""
-    return LowerTriangular(dim, pack_lower(np.tril(rng.standard_normal((dim, dim)))))
+    return LowerTriangular(np.tril(rng.standard_normal((dim, dim))))

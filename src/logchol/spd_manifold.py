@@ -4,32 +4,31 @@ Every operation is the push-forward of its Cholesky-space counterpart
 through ``S(L) = L L^T``: factor the base points, work in factor space,
 reconstruct.  The map is an isometry, so the SPD manifold inherits
 flatness, completeness, closed-form geodesics and a closed-form Frechet
-mean.
+mean.  Each operation composes the array kernels of :mod:`.chol_map` and
+:mod:`.chol_manifold` and wraps only its result in a typed value.
 """
 from __future__ import annotations
 
 from collections.abc import Sequence
 
 import numpy as np
-from scipy.linalg.lapack import dtrtrs
 
 from . import chol_manifold as cm
-from .chol_map import cholesky_factor, diff_S, diff_S_inv, reconstruct
+from .chol_map import _diff_S, _diff_S_inv, _factor, _reconstruct
 from .tri import (
     EmptyInputError,
-    NotSpdError,
     SpdMatrix,
     SymMatrix,
     SymTangent,
     _require_same_dim,
-    pack_lower,
 )
 
 
 def metric_spd(P: SpdMatrix, W: SymTangent, V: SymTangent) -> float:
     """Inner product of symmetric tangents at ``P``, pulled back to factor space."""
-    L = cholesky_factor(P)
-    return cm.metric_chol(L, diff_S_inv(L, W), diff_S_inv(L, V))
+    _require_same_dim(P, W, V)
+    l = _factor(P.data)
+    return cm._metric(l, _diff_S_inv(l, W.data), _diff_S_inv(l, V.data))
 
 
 def norm_spd(P: SpdMatrix, W: SymTangent) -> float:
@@ -38,63 +37,49 @@ def norm_spd(P: SpdMatrix, W: SymTangent) -> float:
 
 def geodesic_spd(P: SpdMatrix, W: SymTangent, t: float) -> SpdMatrix:
     """Geodesic through ``P`` with initial velocity ``W``, evaluated at ``t``."""
-    L = cholesky_factor(P)
-    return reconstruct(cm.geodesic_chol(L, diff_S_inv(L, W), t))
+    _require_same_dim(P, W)
+    l = _factor(P.data)
+    return SpdMatrix(_reconstruct(cm._geodesic(l, _diff_S_inv(l, W.data), t)))
 
 
 def exp_spd(P: SpdMatrix, W: SymTangent) -> SpdMatrix:
-    """Riemannian exponential map at ``P``."""
-    L = cholesky_factor(P)
-    return reconstruct(cm.exp_chol(L, diff_S_inv(L, W)))
+    """Riemannian exponential map at ``P``: the geodesic at ``t = 1``."""
+    return geodesic_spd(P, W, 1.0)
 
 
 def log_spd(P: SpdMatrix, Q: SpdMatrix) -> SymTangent:
     """Riemannian logarithm: the tangent at ``P`` pointing to ``Q``."""
-    L = cholesky_factor(P)
-    return diff_S(L, cm.log_chol(L, cholesky_factor(Q)))
+    _require_same_dim(P, Q)
+    l = _factor(P.data)
+    return SymMatrix(_diff_S(l, cm._log(l, _factor(Q.data))))
 
 
 def dist_spd(P: SpdMatrix, Q: SpdMatrix) -> float:
     """Geodesic distance: the factor-space distance of the Cholesky factors."""
-    return cm.dist_chol(cholesky_factor(P), cholesky_factor(Q))
+    _require_same_dim(P, Q)
+    return cm._dist(_factor(P.data), _factor(Q.data))
 
 
 def group_op_spd(P: SpdMatrix, Q: SpdMatrix) -> SpdMatrix:
     """Abelian group operation, conjugated through the factorization."""
-    return reconstruct(cm.group_op(cholesky_factor(P), cholesky_factor(Q)))
+    _require_same_dim(P, Q)
+    return SpdMatrix(_reconstruct(cm._group_op(_factor(P.data), _factor(Q.data))))
 
 
 def group_inv_spd(P: SpdMatrix) -> SpdMatrix:
     """Group inverse under the factor-space group structure."""
-    return reconstruct(cm.group_inv(cholesky_factor(P)))
+    return SpdMatrix(_reconstruct(cm._group_inv(_factor(P.data))))
 
 
 def transport_spd(P: SpdMatrix, Q: SpdMatrix, W: SymTangent) -> SymTangent:
     """Parallel transport of ``W`` along the geodesic from ``P`` to ``Q``.
 
-    Runs on dense arrays with direct triangular solves; equivalent to
-    factoring both endpoints, pulling ``W`` back to factor space,
-    rescaling the tangent diagonal, and pushing forward at ``Q``.
+    Factors both endpoints, pulls ``W`` back to factor space at ``P``,
+    rescales the tangent diagonal, and pushes forward at ``Q``.
     """
-    _require_same_dim(P, Q)
-    _require_same_dim(P, W)
-    try:
-        l = np.linalg.cholesky(P.dense())
-        k = np.linalg.cholesky(Q.dense())
-    except np.linalg.LinAlgError as exc:
-        raise NotSpdError("Cholesky factorization failed: nonpositive pivot") from exc
-    b, info1 = dtrtrs(l, W.dense(), lower=1)
-    b, info2 = dtrtrs(l, b.T, lower=1)
-    if info1 or info2:
-        raise NotSpdError("triangular solve failed")
-    b = (b + b.T) / 2.0
-    h = np.tril(b)
-    diag = np.arange(P.dim)
-    h[diag, diag] /= 2.0
-    z = l @ h
-    z[diag, diag] *= np.diagonal(k) / np.diagonal(l)
-    m = k @ z.T
-    return SymMatrix(P.dim, pack_lower(m + m.T))
+    _require_same_dim(P, Q, W)
+    l, k = _factor(P.data), _factor(Q.data)
+    return SymMatrix(_diff_S(k, cm._transport(l, k, _diff_S_inv(l, W.data))))
 
 
 def log_cholesky_mean(
@@ -102,15 +87,16 @@ def log_cholesky_mean(
 ) -> SpdMatrix:
     """Closed-form Frechet mean of SPD matrices under this geometry.
 
-    The factors are averaged in a single pass (arithmetic strict-lower sum,
-    geometric diagonal mean) and the result reconstructed.  The mean's
-    determinant equals the (weighted) geometric mean of the input
-    determinants.
+    The stacked matrices are factored in one call, the factors averaged
+    (arithmetic strict-lower mean, geometric diagonal mean) and the result
+    reconstructed.  The mean's determinant equals the (weighted) geometric
+    mean of the input determinants.
     """
     if len(Ps) == 0:
         raise EmptyInputError("log_cholesky_mean requires at least one matrix")
-    factors = [cholesky_factor(P) for P in Ps]
-    return reconstruct(cm.frechet_mean_chol(factors, weights))
+    _require_same_dim(*Ps)
+    ls = _factor(np.stack([P.data for P in Ps]))
+    return SpdMatrix(_reconstruct(cm._frechet_mean(ls, cm._convex_weights(weights, len(Ps)))))
 
 
 def interpolate_spd(
@@ -118,6 +104,6 @@ def interpolate_spd(
 ) -> list[SpdMatrix]:
     """Geodesic interpolation: points of the geodesic with endpoints ``P, Q``."""
     _require_same_dim(P, Q)
-    L = cholesky_factor(P)
-    X = cm.log_chol(L, cholesky_factor(Q))
-    return [reconstruct(cm.geodesic_chol(L, X, float(t))) for t in ts]
+    l = _factor(P.data)
+    x = cm._log(l, _factor(Q.data))
+    return [SpdMatrix(_reconstruct(cm._geodesic(l, x, float(t)))) for t in ts]

@@ -1,13 +1,16 @@
-"""Packed triangular/symmetric matrix storage and elementwise operators.
+"""Triangular and symmetric matrix types and elementwise operators.
 
-Lower triangles are stored row-major in a flat array of length
-``m (m + 1) / 2``; entry ``(i, j)`` with ``j <= i`` lives at index
-``i (i + 1) / 2 + j``.  The packed form is canonical; dense ``m x m``
-conversions are provided for interop and testing.
+Each type holds its matrix dense, as an ``(m, m)`` float array in ``data``,
+and its constructor takes that array alone and checks the type's invariant:
+square and finite; exact zeros above the diagonal for lower triangular
+types and exact symmetry for symmetric ones; a positive diagonal for
+Cholesky factors and SPD matrices.  ``from_dense`` is the entry point for
+outside data: it symmetrizes input that is symmetric to a relative
+tolerance, and ``SpdMatrix.from_dense`` also factors it.  ``dense()``
+returns a copy.
 """
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,63 +44,6 @@ class EigFailureError(LogCholError, RuntimeError):
     """Symmetric eigendecomposition failed to converge."""
 
 
-def packed_size(dim: int) -> int:
-    """Number of stored entries of an ``dim x dim`` lower triangle."""
-    return dim * (dim + 1) // 2
-
-
-@functools.lru_cache(maxsize=None)
-def diag_indices(dim: int) -> np.ndarray:
-    """Positions of the diagonal entries inside the packed layout."""
-    i = np.arange(dim)
-    idx = i * (i + 3) // 2
-    idx.setflags(write=False)
-    return idx
-
-
-@functools.lru_cache(maxsize=None)
-def _tril_rc(dim: int) -> tuple[np.ndarray, np.ndarray]:
-    rows, cols = np.tril_indices(dim)
-    rows.setflags(write=False)
-    cols.setflags(write=False)
-    return rows, cols
-
-
-def pack_lower(dense: np.ndarray) -> np.ndarray:
-    """Pack the lower triangle (diagonal included) of a square matrix."""
-    a = np.asarray(dense, dtype=float)
-    rows, cols = _tril_rc(a.shape[0])
-    return a[rows, cols]
-
-
-def unpack_lower(data: np.ndarray, dim: int) -> np.ndarray:
-    """Expand packed data to a dense lower triangular matrix."""
-    out = np.zeros((dim, dim))
-    rows, cols = _tril_rc(dim)
-    out[rows, cols] = data
-    return out
-
-
-def unpack_sym(data: np.ndarray, dim: int) -> np.ndarray:
-    """Expand packed data to a dense symmetric matrix."""
-    lo = unpack_lower(data, dim)
-    out = lo + lo.T
-    np.fill_diagonal(out, np.diagonal(lo))
-    return out
-
-
-def _as_packed(data, dim: int) -> np.ndarray:
-    arr = np.ascontiguousarray(data, dtype=float)
-    if arr.shape != (packed_size(dim),):
-        raise DomainError(
-            f"packed data must have length {packed_size(dim)} for dim={dim}, "
-            f"got shape {arr.shape}"
-        )
-    if not np.all(np.isfinite(arr)):
-        raise DomainError("matrix entries must be finite")
-    return arr
-
-
 def _square_dense(dense) -> np.ndarray:
     a = np.asarray(dense, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
@@ -105,39 +51,65 @@ def _square_dense(dense) -> np.ndarray:
     return a
 
 
+def _square_finite(data) -> np.ndarray:
+    a = _square_dense(data)
+    if not np.isfinite(a).all():
+        raise DomainError("matrix entries must be finite")
+    return a
+
+
+def _symmetrized(dense, error: type[LogCholError]) -> np.ndarray:
+    """``(a + a^T) / 2``, once ``a`` is symmetric to within ``1e-8 max|a|``.
+
+    The tolerance is relative at every scale, so tiny matrices are held to
+    the same standard as unit-sized ones.  Raises ``error`` otherwise.
+    """
+    a = _square_dense(dense)
+    if not np.allclose(a, a.T, rtol=0.0, atol=1e-8 * np.abs(a).max()):
+        raise error("matrix is not symmetric")
+    return (a + a.T) / 2.0
+
+
 @dataclass(frozen=True, eq=False)
-class LowerTriangular:
-    """General lower triangular matrix in packed row-major storage."""
+class _Square:
+    """A square float matrix held dense in ``data``; ``dim`` is its size."""
 
-    dim: int
     data: np.ndarray
-
-    def __post_init__(self):
-        if not isinstance(self.dim, (int, np.integer)) or self.dim < 1:
-            raise DomainError(f"dim must be a positive integer, got {self.dim}")
-        object.__setattr__(self, "data", _as_packed(self.data, self.dim))
-        self._check()
 
     def _check(self) -> None:
         pass
 
     @property
-    def diag(self) -> np.ndarray:
-        """The diagonal entries, as a length-``dim`` vector."""
-        return self.data[diag_indices(self.dim)]
+    def dim(self) -> int:
+        return self.data.shape[0]
 
+    @property
+    def diag(self) -> np.ndarray:
+        """The diagonal entries, as a read-only length-``dim`` view."""
+        return self.data.diagonal()
+
+
+@dataclass(frozen=True, eq=False)
+class LowerTriangular(_Square):
+    """General lower triangular matrix: every entry above the diagonal is zero."""
+
+    def __post_init__(self):
+        a = _square_finite(self.data)
+        if np.triu(a, 1).any():
+            raise DomainError("matrix has nonzero entries above the diagonal")
+        object.__setattr__(self, "data", a)
+        self._check()
+
+    # Defined here and on SymMatrix rather than on _Square, so that the span
+    # names perfbench traces (tri.LowerTriangular.dense, tri.SymMatrix.dense)
+    # still resolve.
     def dense(self) -> np.ndarray:
-        return unpack_lower(self.data, self.dim)
+        """A copy of the matrix."""
+        return self.data.copy()
 
     @classmethod
     def from_dense(cls, dense) -> "LowerTriangular":
-        a = _square_dense(dense)
-        if np.any(np.triu(a, 1) != 0.0):
-            raise DomainError("matrix has nonzero entries above the diagonal")
-        return cls(a.shape[0], pack_lower(a))
-
-    def __repr__(self):
-        return f"{type(self).__name__}(dim={self.dim}, data={self.data!r})"
+        return cls(dense)
 
 
 @dataclass(frozen=True, eq=False)
@@ -150,38 +122,24 @@ class CholeskyFactor(LowerTriangular):
 
 
 @dataclass(frozen=True, eq=False)
-class SymMatrix:
-    """Symmetric matrix storing only its lower triangle (packed row-major)."""
-
-    dim: int
-    data: np.ndarray
+class SymMatrix(_Square):
+    """Symmetric matrix; the constructor requires exact symmetry and
+    :meth:`from_dense` symmetrizes input that is symmetric to tolerance."""
 
     def __post_init__(self):
-        if not isinstance(self.dim, (int, np.integer)) or self.dim < 1:
-            raise DomainError(f"dim must be a positive integer, got {self.dim}")
-        object.__setattr__(self, "data", _as_packed(self.data, self.dim))
+        a = _square_finite(self.data)
+        if not (a == a.T).all():
+            raise DomainError("matrix is not exactly symmetric")
+        object.__setattr__(self, "data", a)
         self._check()
 
-    def _check(self) -> None:
-        pass
-
-    @property
-    def diag(self) -> np.ndarray:
-        return self.data[diag_indices(self.dim)]
-
     def dense(self) -> np.ndarray:
-        return unpack_sym(self.data, self.dim)
+        """A copy of the matrix."""
+        return self.data.copy()
 
     @classmethod
     def from_dense(cls, dense) -> "SymMatrix":
-        a = _square_dense(dense)
-        scale = max(1.0, float(np.abs(a).max()))
-        if not np.allclose(a, a.T, rtol=0.0, atol=1e-8 * scale):
-            raise DomainError("matrix is not symmetric")
-        return cls(a.shape[0], pack_lower((a + a.T) / 2.0))
-
-    def __repr__(self):
-        return f"{type(self).__name__}(dim={self.dim}, data={self.data!r})"
+        return cls(_symmetrized(dense, DomainError))
 
 
 # Tangent vectors at an SPD point are symmetric matrices.
@@ -204,58 +162,46 @@ class SpdMatrix(SymMatrix):
 
     @classmethod
     def from_dense(cls, dense) -> "SpdMatrix":
-        a = _square_dense(dense)
-        scale = max(1.0, float(np.abs(a).max()))
-        if not np.allclose(a, a.T, rtol=0.0, atol=1e-8 * scale):
-            raise NotSpdError("matrix is not symmetric")
-        a = (a + a.T) / 2.0
+        a = _symmetrized(dense, NotSpdError)
         try:
             np.linalg.cholesky(a)
         except np.linalg.LinAlgError as exc:
             raise NotSpdError("matrix is not positive definite") from exc
-        return cls(a.shape[0], pack_lower(a))
+        return cls(a)
 
 
-def _require_same_dim(a, b) -> None:
-    if a.dim != b.dim:
-        raise DomainError(f"dimension mismatch: {a.dim} vs {b.dim}")
+def _require_same_dim(a, *others) -> None:
+    for b in others:
+        if a.dim != b.dim:
+            raise DomainError(f"dimension mismatch: {a.dim} vs {b.dim}")
 
 
 def strict_lower(a: LowerTriangular | SymMatrix) -> LowerTriangular:
     """Strictly lower triangular part: sub-diagonal entries, zero diagonal."""
-    out = a.data.copy()
-    out[diag_indices(a.dim)] = 0.0
-    return LowerTriangular(a.dim, out)
+    return LowerTriangular(np.tril(a.data, -1))
 
 
 def diag_part(a: LowerTriangular | SymMatrix) -> LowerTriangular:
     """Diagonal part, as a (diagonal) lower triangular matrix."""
-    out = np.zeros_like(a.data)
-    di = diag_indices(a.dim)
-    out[di] = a.data[di]
-    return LowerTriangular(a.dim, out)
+    return LowerTriangular(np.diag(a.diag))
 
 
 def half_lower(s: SymMatrix) -> LowerTriangular:
     """Lower triangular part of a symmetric matrix with the diagonal halved."""
-    out = s.data.copy()
-    out[diag_indices(s.dim)] *= 0.5
-    return LowerTriangular(s.dim, out)
+    out = np.tril(s.data)
+    np.fill_diagonal(out, s.diag * 0.5)
+    return LowerTriangular(out)
 
 
 def _require_diagonal(d: LowerTriangular) -> None:
-    off = np.delete(d.data, diag_indices(d.dim))
-    if np.any(off != 0.0):
+    if np.tril(d.data, -1).any():
         raise DomainError("expected a diagonal matrix")
 
 
 def diag_exp(d: LowerTriangular) -> LowerTriangular:
     """Elementwise exponential of a diagonal matrix."""
     _require_diagonal(d)
-    out = d.data.copy()
-    di = diag_indices(d.dim)
-    out[di] = np.exp(out[di])
-    return LowerTriangular(d.dim, out)
+    return LowerTriangular(np.diag(np.exp(d.diag)))
 
 
 def diag_log(d: LowerTriangular) -> LowerTriangular:
@@ -263,10 +209,7 @@ def diag_log(d: LowerTriangular) -> LowerTriangular:
     _require_diagonal(d)
     if np.any(d.diag <= 0.0):
         raise DomainError("diag_log requires a strictly positive diagonal")
-    out = d.data.copy()
-    di = diag_indices(d.dim)
-    out[di] = np.log(out[di])
-    return LowerTriangular(d.dim, out)
+    return LowerTriangular(np.diag(np.log(d.diag)))
 
 
 def tri_det(l: LowerTriangular) -> float:
@@ -338,6 +281,6 @@ def load_matrices(path, kind: str = "spd") -> list:
 
 def dump_matrices(mats, path) -> None:
     """Write matrices (wrapped or dense) to a fixture file."""
-    dense = [a.dense() if hasattr(a, "dense") else a for a in mats]
+    dense = [a.data if isinstance(a, _Square) else a for a in mats]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(format_matrix_text(dense))

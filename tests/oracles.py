@@ -1,8 +1,9 @@
 """Independent oracles used by the test suite.
 
 These deliberately avoid the closed forms they are checking: means are
-recomputed by Riemannian gradient descent on the Frechet functional, and
-differentials by central finite differences on dense arrays.
+recomputed by Riemannian gradient descent on the Frechet functional,
+differentials by central finite differences on dense arrays, and the
+Cholesky factor by its column recurrences.
 """
 from __future__ import annotations
 
@@ -10,7 +11,25 @@ import numpy as np
 
 from logchol import chol_manifold as cm
 from logchol import spd_manifold as sm
-from logchol.tri import CholeskyFactor, SpdMatrix, SymMatrix, pack_lower
+from logchol.tri import CholeskyFactor, LowerTriangular, NotSpdError, SpdMatrix, SymMatrix
+
+
+def cholesky_factor_recursive(P: SpdMatrix) -> CholeskyFactor:
+    """Column-oriented evaluation of the factorization recurrences.
+
+    Reference route for :func:`logchol.cholesky_factor`, which delegates to
+    LAPACK.
+    """
+    a = P.dense()
+    m = P.dim
+    f = np.zeros((m, m))
+    for j in range(m):
+        pivot = a[j, j] - f[j, :j] @ f[j, :j]
+        if not np.isfinite(pivot) or pivot <= 0.0:
+            raise NotSpdError(f"nonpositive pivot {pivot!r} at column {j}")
+        f[j, j] = np.sqrt(pivot)
+        f[j + 1 :, j] = (a[j + 1 :, j] - f[j + 1 :, :j] @ f[j, :j]) / f[j, j]
+    return CholeskyFactor(f)
 
 
 def descent_mean_spd(Ps, step=1.0, tol=1e-12, max_iter=200) -> SpdMatrix:
@@ -20,8 +39,8 @@ def descent_mean_spd(Ps, step=1.0, tol=1e-12, max_iter=200) -> SpdMatrix:
         grad = np.mean([sm.log_spd(s, p).dense() for p in Ps], axis=0)
         if np.linalg.norm(grad) < tol:
             break
-        w = SymMatrix(s.dim, pack_lower((grad + grad.T) / 2.0))
-        s = sm.exp_spd(s, SymMatrix(s.dim, step * w.data))
+        w = SymMatrix((grad + grad.T) / 2.0)
+        s = sm.exp_spd(s, SymMatrix(step * w.data))
     return s
 
 
@@ -31,9 +50,7 @@ def descent_mean_chol(Ls, step=1.0, tol=1e-12, max_iter=200) -> CholeskyFactor:
         grads = np.mean([cm.log_chol(s, l).data for l in Ls], axis=0)
         if np.linalg.norm(grads) < tol:
             break
-        from logchol.tri import LowerTriangular
-
-        s = cm.exp_chol(s, LowerTriangular(s.dim, step * grads))
+        s = cm.exp_chol(s, LowerTriangular(step * grads))
     return s
 
 

@@ -5,7 +5,7 @@ from numpy.testing import assert_allclose
 from logchol import baselines as bl
 from logchol.sampling import random_spd, random_sym
 from logchol.spd_manifold import log_cholesky_mean
-from logchol.tri import DomainError, EmptyInputError, SpdMatrix, SymMatrix
+from logchol.tri import DomainError, EmptyInputError, LowerTriangular, SpdMatrix, SymMatrix
 
 
 def spd(dense):
@@ -75,7 +75,9 @@ class TestCholeskyDistance:
     def test_exp_log_roundtrip(self, rng):
         p = random_spd(rng, 3)
         q = random_spd(rng, 3)
-        back = bl.cholesky_exp(p, bl.cholesky_log(p, q))
+        gap = bl.cholesky_log(p, q)
+        assert isinstance(gap, LowerTriangular)
+        back = bl.cholesky_exp(p, gap)
         assert_allclose(back.dense(), q.dense(), rtol=1e-12)
 
     def test_mean_matches_two_point_interpolation(self, rng):

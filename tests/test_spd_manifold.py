@@ -26,7 +26,6 @@ from logchol.tri import (
     NotSpdError,
     SpdMatrix,
     SymMatrix,
-    pack_lower,
 )
 
 
@@ -48,7 +47,7 @@ class TestMetric:
 
     def test_zero_tangent(self, rng):
         p = random_spd(rng, 3)
-        zero = SymMatrix(3, np.zeros(6))
+        zero = SymMatrix(np.zeros((3, 3)))
         assert metric_spd(p, zero, zero) == 0.0
 
     def test_pullback_isometry(self, rng):
@@ -84,7 +83,7 @@ class TestGeodesicExpLog:
         assert_allclose(log_spd(p, p).dense(), np.zeros((3, 3)), atol=1e-14)
 
     def test_exp_zero(self):
-        assert_array_equal(exp_spd(I2, SymMatrix(2, np.zeros(3))).dense(), np.eye(2))
+        assert_array_equal(exp_spd(I2, SymMatrix(np.zeros((2, 2)))).dense(), np.eye(2))
 
     def test_log_diagonal_chain(self):
         out = log_spd(I2, spd(np.diag([np.e**2, np.e**2])))
@@ -198,7 +197,7 @@ class TestTransport:
             assert_allclose(via_q.dense(), direct.dense(), rtol=1e-12, atol=1e-12)
 
     def test_rejects_indefinite_base(self):
-        bad = SpdMatrix(2, pack_lower(np.array([[1.0, 0.0], [2.0, 1.0]])))
+        bad = SpdMatrix(np.array([[1.0, 2.0], [2.0, 1.0]]))
         w = sym(np.eye(2))
         with pytest.raises(NotSpdError):
             transport_spd(bad, I2, w)
@@ -237,6 +236,13 @@ class TestMean:
             d = np.linalg.det(mean.dense())
             assert d == pytest.approx(geo, rel=1e-10)
             assert min(dets) - 1e-12 <= d <= max(dets) + 1e-12
+
+    def test_rejects_indefinite_member_and_mixed_sizes(self):
+        bad = SpdMatrix(np.array([[1.0, 2.0], [2.0, 1.0]]))
+        with pytest.raises(NotSpdError):
+            log_cholesky_mean([I2, bad, I2])
+        with pytest.raises(DomainError):
+            log_cholesky_mean([I2, spd(np.eye(3))])
 
     def test_weights(self, rng):
         ps = [random_spd(rng, 3) for _ in range(4)]
@@ -284,6 +290,30 @@ class TestInterpolate:
 def test_dim_mismatch():
     with pytest.raises(DomainError):
         dist_spd(I2, spd(np.eye(3)))
+
+
+P3 = spd(np.eye(3))
+W2, W3 = sym(np.eye(2)), sym(np.eye(3))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: metric_spd(I2, W2, W3),
+        lambda: geodesic_spd(I2, W3, 0.5),
+        lambda: exp_spd(I2, W3),
+        lambda: log_spd(I2, P3),
+        lambda: group_op_spd(I2, P3),
+        lambda: transport_spd(I2, P3, W2),
+        lambda: transport_spd(I2, I2, W3),
+        lambda: interpolate_spd(I2, P3, [0.5]),
+    ],
+    ids=["metric", "geodesic", "exp", "log", "group_op", "transport_q", "transport_w",
+         "interpolate"],
+)
+def test_every_operation_checks_dimensions(call):
+    with pytest.raises(DomainError):
+        call()
 
 
 def test_norm_spd_consistency(rng):

@@ -12,50 +12,20 @@ from logchol.tri import (
     SpdMatrix,
     SymMatrix,
     diag_exp,
-    diag_indices,
     diag_log,
     diag_part,
     dump_matrices,
     format_matrix_text,
     half_lower,
     load_matrices,
-    pack_lower,
-    packed_size,
     parse_matrix_text,
     strict_lower,
     tri_det,
-    unpack_lower,
-    unpack_sym,
 )
 
 
 def lower(dense):
     return LowerTriangular.from_dense(np.asarray(dense, dtype=float))
-
-
-def test_packed_size():
-    assert packed_size(1) == 1
-    assert packed_size(2) == 3
-    assert packed_size(5) == 15
-
-
-def test_diag_indices_positions():
-    # (i, i) lives at i(i+1)/2 + i in the row-major packed layout
-    for m in (1, 2, 3, 7):
-        idx = diag_indices(m)
-        expected = [i * (i + 1) // 2 + i for i in range(m)]
-        assert list(idx) == expected
-
-
-def test_pack_unpack_roundtrip(rng):
-    a = np.tril(rng.standard_normal((6, 6)))
-    assert_array_equal(unpack_lower(pack_lower(a), 6), a)
-
-
-def test_unpack_sym(rng):
-    g = rng.standard_normal((4, 4))
-    s = (g + g.T) / 2
-    assert_allclose(unpack_sym(pack_lower(s), 4), s, atol=0)
 
 
 def test_strict_lower_examples():
@@ -76,7 +46,7 @@ def test_diag_part_examples():
 
 def test_decomposition_exact(rng):
     # X == strict_lower(X) + diag_part(X), bitwise on the stored entries
-    x = LowerTriangular(5, rng.standard_normal(packed_size(5)))
+    x = LowerTriangular(np.tril(rng.standard_normal((5, 5))))
     recombined = strict_lower(x).data + diag_part(x).data
     assert_array_equal(recombined, x.data)
 
@@ -155,11 +125,11 @@ def test_diag_of_inverse(rng):
 
 def test_lower_triangular_validation():
     with pytest.raises(DomainError):
-        LowerTriangular(2, np.zeros(4))
+        LowerTriangular(np.zeros(4))
     with pytest.raises(DomainError):
-        LowerTriangular(2, np.array([1.0, np.nan, 2.0]))
+        LowerTriangular(np.array([[1.0, 0.0], [np.nan, 2.0]]))
     with pytest.raises(DomainError):
-        LowerTriangular(0, np.zeros(0))
+        LowerTriangular(np.zeros((0, 0)))
     with pytest.raises(DomainError):
         LowerTriangular.from_dense(np.array([[1.0, 5.0], [0.0, 1.0]]))
 
@@ -175,6 +145,8 @@ def test_cholesky_factor_validation():
 def test_sym_matrix_validation():
     with pytest.raises(DomainError):
         SymMatrix.from_dense(np.array([[1.0, 2.0], [3.0, 1.0]]))
+    with pytest.raises(DomainError):  # asymmetric at every scale, not rounded to zero
+        SymMatrix.from_dense(1e-9 * np.array([[0.0, 0.5], [-0.5, 0.0]]))
     s = SymMatrix.from_dense(np.array([[1.0, 2.0], [2.0, 1.0]]))
     assert_array_equal(s.dense(), s.dense().T)
 
@@ -184,10 +156,74 @@ def test_spd_matrix_validation():
         SpdMatrix.from_dense(np.array([[1.0, 2.0], [2.0, 1.0]]))  # indefinite
     with pytest.raises(NotSpdError):
         SpdMatrix.from_dense(np.array([[1.0, 2.0], [3.0, 1.0]]))  # asymmetric
+    with pytest.raises(NotSpdError):  # asymmetric, on a tiny scale
+        SpdMatrix.from_dense(np.array([[2e-150, 1e-150], [0.0, 2e-150]]))
     with pytest.raises(NotSpdError):
-        SpdMatrix(2, np.array([1.0, 0.0, -1.0]))  # nonpositive diagonal
+        SpdMatrix(np.diag([1.0, -1.0]))  # nonpositive diagonal
     p = SpdMatrix.from_dense(np.array([[4.0, 2.0], [2.0, 5.0]]))
     assert p.dim == 2
+
+
+def test_from_dense_symmetry_tolerance_is_relative():
+    # Roundoff-sized asymmetry is accepted and averaged away at any scale.
+    for scale in (1e-200, 1.0, 1e200):
+        a = scale * np.array([[2.0, 1.0], [1.0 + 1e-12, 2.0]])
+        s = SymMatrix.from_dense(a)
+        assert_array_equal(s.data, s.data.T)
+        assert_array_equal(SpdMatrix.from_dense(a).data, s.data)
+
+
+CONSTRUCTORS = [LowerTriangular, CholeskyFactor, SymMatrix, SpdMatrix]
+
+
+@pytest.mark.parametrize("cls", CONSTRUCTORS)
+@pytest.mark.parametrize(
+    "data",
+    [np.eye(2)[:, :1], np.ones((2, 3)), np.ones(4), np.ones((1, 2, 2)), np.zeros((0, 0))],
+    ids=["column", "wide", "vector", "stack", "empty"],
+)
+def test_constructors_reject_non_square(cls, data):
+    with pytest.raises(DomainError):
+        cls(data)
+
+
+@pytest.mark.parametrize("cls", CONSTRUCTORS)
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_constructors_reject_non_finite(cls, bad):
+    a = np.eye(3)
+    a[2, 0] = bad
+    a[0, 2] = 0.0 if cls in (LowerTriangular, CholeskyFactor) else bad
+    with pytest.raises(DomainError):
+        cls(a)
+
+
+@pytest.mark.parametrize("cls", [LowerTriangular, CholeskyFactor])
+def test_lower_constructors_reject_entries_above_diagonal(cls):
+    for value in (1.0, 1e-300, -5e-324):
+        a = np.eye(3)
+        a[0, 2] = value
+        with pytest.raises(DomainError):
+            cls(a)
+    cls(np.array([[1.0, -0.0], [2.0, 1.0]]))  # a signed zero is zero
+
+
+@pytest.mark.parametrize("cls", [SymMatrix, SpdMatrix])
+def test_sym_constructors_require_exact_symmetry(cls):
+    a = np.array([[2.0, 1.0], [1.0, 2.0]])
+    a[1, 0] = np.nextafter(1.0, 2.0)
+    with pytest.raises(DomainError):
+        cls(a)
+
+
+@pytest.mark.parametrize("cls", CONSTRUCTORS)
+def test_dense_returns_a_copy(cls):
+    x = cls(np.array([[2.0, 0.0], [0.0, 3.0]]))
+    before = x.dense()
+    d = x.dense()
+    d[:] = 7.0
+    assert_array_equal(x.data, before)
+    assert_array_equal(x.dense(), before)
+    assert x.dim == 2
 
 
 def test_immutability():
@@ -204,7 +240,7 @@ def test_immutability():
 def test_pack_roundtrip_property(dim, seed):
     rng = np.random.default_rng(seed)
     a = np.tril(rng.standard_normal((dim, dim)))
-    x = LowerTriangular(dim, pack_lower(a))
+    x = LowerTriangular(a)
     assert_array_equal(x.dense(), a)
     assert_array_equal(strict_lower(x).data + diag_part(x).data, x.data)
 
