@@ -4,9 +4,11 @@ affine-invariant.
 All four expose distance, geodesic interpolation and a mean; the two
 Riemannian baselines additionally expose exponential/logarithmic maps and
 parallel transport so they can be timed and stress-tested against the
-Log-Cholesky geometry.  A small registry keys every geometry (including
-Log-Cholesky) by its selector string for uniform iteration from the CLI
-and tests.
+Log-Cholesky geometry.  Every mean works on the ``(n, m, m)`` stack of its
+members from :func:`.tri._stack`: one batched factorization or matrix
+function per step, one typed wrap of the result.  A small registry keys
+every geometry (including Log-Cholesky) by its selector string for uniform
+iteration from the CLI and tests.
 """
 from __future__ import annotations
 
@@ -16,12 +18,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import spd_manifold as spd
-from .chol_map import _factor, cholesky_factor, reconstruct
+from .chol_map import _factor, _reconstruct, reconstruct
 from .tri import (
     CholeskyFactor,
     DomainError,
     EigFailureError,
-    EmptyInputError,
     LowerTriangular,
     NoConvergenceError,
     NotSpdError,
@@ -29,6 +30,7 @@ from .tri import (
     SymMatrix,
     SymTangent,
     _require_same_dim,
+    _stack,
 )
 
 # ---------------------------------------------------------------------------
@@ -36,37 +38,41 @@ from .tri import (
 # ---------------------------------------------------------------------------
 
 
-def _eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _eigh(a: np.ndarray, domain: str | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Eigendecomposition of a symmetric matrix or stack; with ``domain``
+    (a function of positive eigenvalues) given, all must be positive."""
     try:
-        return np.linalg.eigh(a)
+        w, u = np.linalg.eigh(a)
     except np.linalg.LinAlgError as exc:
         raise EigFailureError("symmetric eigendecomposition failed") from exc
+    if domain is not None and (lo := min(w[..., 0].flat)) <= 0.0:
+        raise NotSpdError(f"{domain} undefined: smallest eigenvalue {lo}")
+    return w, u
+
+
+def _spectral(a: np.ndarray, f, domain: str | None = None) -> np.ndarray:
+    """``U f(Lambda) U^T`` for symmetric ``a = U Lambda U^T``, a matrix or a stack."""
+    w, u = _eigh(a, domain)
+    return (u * f(w)[..., None, :]) @ u.swapaxes(-1, -2)
 
 
 def sym_expm(a: np.ndarray) -> np.ndarray:
-    """Matrix exponential of a symmetric matrix."""
-    w, u = _eigh(a)
-    return (u * np.exp(w)) @ u.T
+    """Matrix exponential of a symmetric matrix or stack."""
+    return _spectral(a, np.exp)
 
 
 def spd_logm(a: np.ndarray) -> np.ndarray:
-    """Matrix logarithm of an SPD matrix."""
-    w, u = _eigh(a)
-    if w[0] <= 0.0:
-        raise NotSpdError(f"matrix logarithm undefined: smallest eigenvalue {w[0]}")
-    return (u * np.log(w)) @ u.T
+    """Matrix logarithm of an SPD matrix or stack."""
+    return _spectral(a, np.log, "matrix logarithm")
 
 
 def spd_powm(a: np.ndarray, t: float) -> np.ndarray:
-    """Real matrix power of an SPD matrix."""
-    w, u = _eigh(a)
-    if w[0] <= 0.0:
-        raise NotSpdError(f"matrix power undefined: smallest eigenvalue {w[0]}")
-    return (u * w**t) @ u.T
+    """Real matrix power of an SPD matrix or stack."""
+    return _spectral(a, lambda w: w**t, "matrix power")
 
 
 def _sym(a: np.ndarray) -> np.ndarray:
-    return (a + a.T) / 2.0
+    return (a + a.swapaxes(-1, -2)) / 2.0
 
 
 def _wrap_spd(a: np.ndarray) -> SpdMatrix:
@@ -94,9 +100,7 @@ def euclid_interpolate(P: SymMatrix, Q: SymMatrix, t: float) -> SymMatrix:
 
 
 def euclid_mean(Ps: Sequence[SymMatrix]) -> SymMatrix:
-    if len(Ps) == 0:
-        raise EmptyInputError("euclid_mean requires at least one matrix")
-    return _wrap_sym(np.mean([P.data for P in Ps], axis=0))
+    return _wrap_sym(_stack(Ps).mean(axis=0))
 
 
 def euclid_exp(P: SymMatrix, W: SymTangent) -> SymMatrix:
@@ -125,10 +129,7 @@ def cholesky_interpolate(P: SpdMatrix, Q: SpdMatrix, t: float) -> SpdMatrix:
 
 
 def cholesky_mean(Ps: Sequence[SpdMatrix]) -> SpdMatrix:
-    if len(Ps) == 0:
-        raise EmptyInputError("cholesky_mean requires at least one matrix")
-    f = np.mean([cholesky_factor(P).data for P in Ps], axis=0)
-    return reconstruct(CholeskyFactor(f))
+    return SpdMatrix(_reconstruct(_factor(_stack(Ps)).mean(axis=0)))
 
 
 def cholesky_exp(P: SpdMatrix, X: LowerTriangular) -> SpdMatrix:
@@ -214,9 +215,7 @@ def logeuclid_interpolate(P: SpdMatrix, Q: SpdMatrix, t: float) -> SpdMatrix:
 
 
 def logeuclid_mean(Ps: Sequence[SpdMatrix]) -> SpdMatrix:
-    if len(Ps) == 0:
-        raise EmptyInputError("logeuclid_mean requires at least one matrix")
-    return _wrap_spd(sym_expm(np.mean([spd_logm(P.data) for P in Ps], axis=0)))
+    return _wrap_spd(sym_expm(spd_logm(_stack(Ps)).mean(axis=0)))
 
 
 def logeuclid_exp(P: SpdMatrix, W: SymTangent, tol: float = DLOG_SERIES_TOL,
@@ -252,9 +251,8 @@ KARCHER_MAX_ITER = 200
 
 
 def _sqrt_pair(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    w, u = _eigh(p)
-    if w[0] <= 0.0:
-        raise NotSpdError(f"matrix square root undefined: smallest eigenvalue {w[0]}")
+    """``(P^{1/2}, P^{-1/2})`` from one eigendecomposition of SPD ``p``."""
+    w, u = _eigh(p, "matrix square root")
     sq = np.sqrt(w)
     return (u * sq) @ u.T, (u / sq) @ u.T
 
@@ -297,32 +295,31 @@ def affine_inner(P: SpdMatrix, W: SymTangent, V: SymTangent) -> float:
     return float(np.trace(pinv @ W.data @ pinv @ V.data))
 
 
-def affine_karcher_mean(
-    Ps: Sequence[SpdMatrix],
-    tol: float = KARCHER_TOL,
-    max_iter: int = KARCHER_MAX_ITER,
-) -> SpdMatrix:
+def affine_karcher_mean(Ps: Sequence[SpdMatrix]) -> SpdMatrix:
     """Frechet mean by fixed-point iteration with unit step.
+
+    From the Euclidean mean, each step whitens the stack once by the
+    iterate ``P``: with ``g`` the mean of ``log(P^{-1/2} P_i P^{-1/2})``,
+    the gradient is ``P^{1/2} g P^{1/2}`` and the step ``P^{1/2} e^g P^{1/2}``.
 
     Raises
     ------
     NoConvergenceError
-        If the tangent-space gradient has not dropped below ``tol``
-        (relative to the iterate's norm) within ``max_iter`` iterations.
+        If the gradient has not dropped below ``KARCHER_TOL`` (relative to
+        the iterate's norm) within ``KARCHER_MAX_ITER`` iterations.
     """
-    if len(Ps) == 0:
-        raise EmptyInputError("affine_karcher_mean requires at least one matrix")
-    if len(Ps) == 1:
+    ps = _stack(Ps)
+    if len(ps) == 1:
         return Ps[0]
-    s = euclid_mean(Ps).data
-    mean = _wrap_spd(s)
-    for _ in range(max_iter):
-        grad = np.mean([affine_log(mean, P).data for P in Ps], axis=0)
-        if np.linalg.norm(grad) <= tol * (1.0 + np.linalg.norm(mean.data)):
+    mean = _wrap_spd(ps.mean(axis=0))
+    for _ in range(KARCHER_MAX_ITER):
+        half, ihalf = _sqrt_pair(mean.data)
+        g = spd_logm(_sym(ihalf @ ps @ ihalf)).mean(axis=0)
+        if np.linalg.norm(half @ g @ half) <= KARCHER_TOL * (1.0 + np.linalg.norm(mean.data)):
             return mean
-        mean = affine_exp(mean, _wrap_sym(grad))
+        mean = _wrap_spd(half @ sym_expm(_sym(g)) @ half)
     raise NoConvergenceError(
-        f"Karcher iteration did not converge in {max_iter} iterations"
+        f"Karcher iteration did not converge in {KARCHER_MAX_ITER} iterations"
     )
 
 

@@ -14,13 +14,7 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from .tri import (
-    CholeskyFactor,
-    DomainError,
-    EmptyInputError,
-    LowerTriangular,
-    _require_same_dim,
-)
+from .tri import CholeskyFactor, DomainError, LowerTriangular, _require_same_dim, _stack
 
 
 def _metric(l: np.ndarray, x: np.ndarray, y: np.ndarray) -> float:
@@ -159,11 +153,8 @@ def frechet_mean_chol(
     mean of the diagonals.  Optional convex weights generalize the uniform
     average; unweighted input follows the uniform closed form.
     """
-    if len(Ls) == 0:
-        raise EmptyInputError("frechet_mean_chol requires at least one factor")
-    _require_same_dim(*Ls)
-    w = _convex_weights(weights, len(Ls))
-    return CholeskyFactor(_frechet_mean(np.stack([L.data for L in Ls]), w))
+    ls = _stack(Ls)
+    return CholeskyFactor(_frechet_mean(ls, _convex_weights(weights, len(ls))))
 
 
 def _convex_weights(weights, n: int) -> np.ndarray:

@@ -131,7 +131,7 @@ def run_mean(
             ResultRecord(
                 name="det_within_bounds",
                 value=bool(
-                    dets.min() - 1e-12 <= det_mean <= dets.max() + 1e-12
+                    dets.min() * (1.0 - 1e-12) <= det_mean <= dets.max() * (1.0 + 1e-12)
                 ),
                 units="flag",
                 tolerance=1e-12,

@@ -15,13 +15,7 @@ import numpy as np
 
 from . import chol_manifold as cm
 from .chol_map import _diff_S, _diff_S_inv, _factor, _reconstruct
-from .tri import (
-    EmptyInputError,
-    SpdMatrix,
-    SymMatrix,
-    SymTangent,
-    _require_same_dim,
-)
+from .tri import SpdMatrix, SymMatrix, SymTangent, _require_same_dim, _stack
 
 
 def metric_spd(P: SpdMatrix, W: SymTangent, V: SymTangent) -> float:
@@ -92,11 +86,8 @@ def log_cholesky_mean(
     reconstructed.  The mean's determinant equals the (weighted) geometric
     mean of the input determinants.
     """
-    if len(Ps) == 0:
-        raise EmptyInputError("log_cholesky_mean requires at least one matrix")
-    _require_same_dim(*Ps)
-    ls = _factor(np.stack([P.data for P in Ps]))
-    return SpdMatrix(_reconstruct(cm._frechet_mean(ls, cm._convex_weights(weights, len(Ps)))))
+    ls = _factor(_stack(Ps))
+    return SpdMatrix(_reconstruct(cm._frechet_mean(ls, cm._convex_weights(weights, len(ls)))))
 
 
 def interpolate_spd(

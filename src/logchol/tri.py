@@ -176,6 +176,16 @@ def _require_same_dim(a, *others) -> None:
             raise DomainError(f"dimension mismatch: {a.dim} vs {b.dim}")
 
 
+def _stack(mats) -> np.ndarray:
+    """The members as one ``(n, m, m)`` array: the entry check of every mean."""
+    if len(mats) == 0:
+        raise EmptyInputError("a mean requires at least one matrix")
+    try:
+        return np.stack([a.data for a in mats])
+    except ValueError:
+        raise DomainError(f"dimension mismatch: sizes {sorted({a.dim for a in mats})}") from None
+
+
 def strict_lower(a: LowerTriangular | SymMatrix) -> LowerTriangular:
     """Strictly lower triangular part: sub-diagonal entries, zero diagonal."""
     return LowerTriangular(np.tril(a.data, -1))

@@ -2,16 +2,25 @@
 
 These deliberately avoid the closed forms they are checking: means are
 recomputed by Riemannian gradient descent on the Frechet functional,
-differentials by central finite differences on dense arrays, and the
-Cholesky factor by its column recurrences.
+differentials by central finite differences on dense arrays, the
+Cholesky factor by its column recurrences, and the affine-invariant Karcher
+mean by per-member logarithms and exponentials.
 """
 from __future__ import annotations
 
 import numpy as np
 
+from logchol import baselines as bl
 from logchol import chol_manifold as cm
 from logchol import spd_manifold as sm
-from logchol.tri import CholeskyFactor, LowerTriangular, NotSpdError, SpdMatrix, SymMatrix
+from logchol.tri import (
+    CholeskyFactor,
+    LowerTriangular,
+    NoConvergenceError,
+    NotSpdError,
+    SpdMatrix,
+    SymMatrix,
+)
 
 
 def cholesky_factor_recursive(P: SpdMatrix) -> CholeskyFactor:
@@ -42,6 +51,24 @@ def descent_mean_spd(Ps, step=1.0, tol=1e-12, max_iter=200) -> SpdMatrix:
         w = SymMatrix((grad + grad.T) / 2.0)
         s = sm.exp_spd(s, SymMatrix(step * w.data))
     return s
+
+
+def karcher_mean_per_member(Ps) -> SpdMatrix:
+    """Affine-invariant Karcher mean composed from the typed maps.
+
+    The same unit-step fixed point as :func:`logchol.affine_karcher_mean`
+    from the same start, but each step takes one ``affine_log`` per member
+    and one ``affine_exp``, each of which whitens by the iterate afresh.
+    """
+    if len(Ps) == 1:
+        return Ps[0]
+    mean = SpdMatrix(bl.euclid_mean(Ps).data)
+    for _ in range(bl.KARCHER_MAX_ITER):
+        grad = np.mean([bl.affine_log(mean, P).data for P in Ps], axis=0)
+        if np.linalg.norm(grad) <= bl.KARCHER_TOL * (1.0 + np.linalg.norm(mean.data)):
+            return mean
+        mean = bl.affine_exp(mean, SymMatrix((grad + grad.T) / 2.0))
+    raise NoConvergenceError("reference Karcher iteration did not converge")
 
 
 def descent_mean_chol(Ls, step=1.0, tol=1e-12, max_iter=200) -> CholeskyFactor:

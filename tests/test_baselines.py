@@ -2,10 +2,20 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from oracles import karcher_mean_per_member
+
 from logchol import baselines as bl
-from logchol.sampling import random_spd, random_sym
+from logchol.sampling import random_spd, random_spd_wishart, random_sym
 from logchol.spd_manifold import log_cholesky_mean
-from logchol.tri import DomainError, EmptyInputError, LowerTriangular, SpdMatrix, SymMatrix
+from logchol.tri import (
+    DomainError,
+    EmptyInputError,
+    LowerTriangular,
+    NoConvergenceError,
+    NotSpdError,
+    SpdMatrix,
+    SymMatrix,
+)
 
 
 def spd(dense):
@@ -159,10 +169,20 @@ class TestLogEuclidean:
     def test_logm_expm_examples(self, rng):
         p = random_spd(rng, 4)
         assert_allclose(bl.sym_expm(bl.spd_logm(p.dense())), p.dense(), rtol=1e-12)
-        from logchol.tri import NotSpdError
-
         with pytest.raises(NotSpdError):
             bl.spd_logm(np.diag([1.0, -1.0]))
+
+    def test_matrix_functions_on_stacks(self, rng):
+        ps = np.stack([random_spd(rng, 4).data for _ in range(6)])
+        logs = bl.spd_logm(ps)
+        for p, lg in zip(ps, logs):
+            assert_allclose(lg, bl.spd_logm(p), rtol=1e-14, atol=1e-14 * np.abs(lg).max())
+        exps = bl.sym_expm(logs)
+        for lg, ex in zip(logs, exps):
+            assert_allclose(ex, bl.sym_expm(lg), rtol=1e-14, atol=1e-14 * np.abs(ex).max())
+        ps[3] = np.diag([1.0, 2.0, -1.0, 3.0])
+        with pytest.raises(NotSpdError):
+            bl.spd_logm(ps)
 
 
 class TestAffineInvariant:
@@ -189,6 +209,19 @@ class TestAffineInvariant:
             mean = bl.affine_karcher_mean([p, q])
             mid = bl.affine_interpolate(p, q, 0.5)
             assert_allclose(mean.dense(), mid.dense(), rtol=1e-10)
+
+    def test_karcher_matches_per_member_reference(self):
+        rng = np.random.default_rng(7)
+        for n, m in ((2, 2), (3, 6), (5, 3), (7, 4), (10, 5), (4, 2), (10, 6), (6, 3)):
+            ps = [random_spd_wishart(rng, m) for _ in range(n)]
+            mean = bl.affine_karcher_mean(ps).data
+            ref = karcher_mean_per_member(ps).data
+            assert np.linalg.norm(mean - ref) <= 1e-10 * np.linalg.norm(ref), (n, m)
+
+    def test_karcher_budget_exhausted_raises(self, rng, monkeypatch):
+        monkeypatch.setattr(bl, "KARCHER_MAX_ITER", 1)
+        with pytest.raises(NoConvergenceError):
+            bl.affine_karcher_mean([random_spd(rng, 3), random_spd(rng, 3)])
 
     def test_interpolation_endpoints(self, rng):
         p = random_spd(rng, 3)
@@ -228,6 +261,14 @@ class TestAffineInvariant:
 
 
 class TestSharedStructure:
+    @pytest.mark.parametrize("name", bl.METRIC_NAMES)
+    def test_mean_entry_checks(self, name):
+        mean = bl.get_metric(name).mean
+        with pytest.raises(DomainError):
+            mean([spd(np.eye(2)), spd(np.eye(3))])
+        with pytest.raises(EmptyInputError):
+            mean([])
+
     def test_all_interpolations_endpoint_exact(self, rng):
         p = random_spd(rng, 3)
         q = random_spd(rng, 3)

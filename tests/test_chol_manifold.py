@@ -279,6 +279,10 @@ class TestMean:
         with pytest.raises(EmptyInputError):
             frechet_mean_chol([])
 
+    def test_mixed_sizes_raise(self):
+        with pytest.raises(DomainError):
+            frechet_mean_chol([I2, factor(np.eye(3))])
+
     def test_diagonal_geometric_mean(self):
         out = frechet_mean_chol([I2, factor(np.diag([np.e**2, np.e**2]))])
         assert_allclose(out.dense(), np.diag([np.e, np.e]), rtol=1e-15)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from logchol import experiments as ex
+from logchol.baselines import METRIC_NAMES
 from logchol.cli import main
 from logchol.report import ExperimentReport, GlyphRecord, ResultRecord
 from logchol.tri import NotSpdError, SpdMatrix, dump_matrices
@@ -132,6 +133,20 @@ class TestCli:
         assert main(["mean", "--input", str(fx)]) == 0
         rep = ExperimentReport.from_json(capsys.readouterr().out)
         assert rep.result("det_mean").value == pytest.approx(np.e**2, rel=1e-10)
+
+    def test_mean_of_one_matrix_is_within_bounds(self, capsys):
+        # Determinants far from 1: the bound must scale with them.
+        for seed in ("1", "2", "3"):
+            assert main(["mean", "--n", "1", "--m", "8", "--seed", seed]) == 0
+            rep = ExperimentReport.from_json(capsys.readouterr().out)
+            assert rep.result("det_within_bounds").value is True, seed
+
+    def test_mean_mixed_sizes_exit_3(self, tmp_path, capsys):
+        fx = tmp_path / "mixed.txt"
+        dump_matrices([np.eye(2), np.eye(3)], fx)
+        for metric in METRIC_NAMES:
+            assert main(["mean", "--metric", metric, "--input", str(fx)]) == 3, metric
+            assert "numerical failure" in capsys.readouterr().err
 
     def test_usage_errors_exit_2(self):
         for argv in (
