@@ -5,30 +5,26 @@ with positive diagonal and the space of SPD matrices: factorization in one
 direction, ``L L^T`` in the other, and the linearizations of both.  Each
 map is an array kernel (``_factor``, ``_reconstruct``, ``_diff_S``,
 ``_diff_S_inv``) behind a typed public function; other modules compose the
-kernels and wrap only their final result.
+kernels and wrap only their final result.  ``_factor`` is defined in
+:mod:`.tri`, whose ``SpdMatrix.from_dense`` runs it as its SPD test: one
+LAPACK ``dpotrf`` call on a matrix, one batched ``np.linalg.cholesky`` call
+on a stack.  ``_diff_S_inv`` forms ``L^{-1} W L^{-T}`` with two BLAS
+``dtrsm`` calls.
 """
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg.blas import dtrmm
-from scipy.linalg.lapack import dtrtrs
+from scipy.linalg.blas import dtrmm, dtrsm
 
 from .tri import (
     CholeskyFactor,
     LowerTriangular,
-    NotSpdError,
     SpdMatrix,
     SymMatrix,
     SymTangent,
+    _factor,
     _require_same_dim,
 )
-
-
-def _factor(p: np.ndarray) -> np.ndarray:
-    try:
-        return np.linalg.cholesky(p)
-    except np.linalg.LinAlgError as exc:
-        raise NotSpdError("Cholesky factorization failed: nonpositive pivot") from exc
 
 
 def cholesky_factor(P: SpdMatrix) -> CholeskyFactor:
@@ -64,14 +60,10 @@ def diff_S(L: CholeskyFactor, X: LowerTriangular) -> SymTangent:
 
 
 def _diff_S_inv(l: np.ndarray, w: np.ndarray) -> np.ndarray:
-    # L^{-1} W L^{-T} by two solves, the second on the transpose of the
-    # first; W is symmetric, so the first solve may take W^T as well.
-    b = w
-    for _ in range(2):
-        b, info = dtrtrs(l, b.T, lower=1)
-        if info != 0:
-            raise NotSpdError("triangular solve failed")
-    h = (b + b.T) / 2.0
+    # L^{-1} W L^{-T}: a solve from the left, then one from the right with
+    # L^T.  Only the lower triangle of the result is read below, so it needs
+    # no symmetrizing.
+    h = dtrsm(1.0, l, dtrsm(1.0, l, w, lower=1), side=1, lower=1, trans_a=1)
     np.fill_diagonal(h, h.diagonal() / 2.0)
     # L @ tril(h): trmm reads only the lower triangle of h.
     return dtrmm(1.0, h, l, side=1, lower=1)
@@ -80,9 +72,9 @@ def _diff_S_inv(l: np.ndarray, w: np.ndarray) -> np.ndarray:
 def diff_S_inv(L: CholeskyFactor, W: SymTangent) -> LowerTriangular:
     """Inverse differential: the lower triangular ``X`` with ``L X^T + X L^T = W``.
 
-    Computed as ``L (L^{-1} W L^{-T})_half`` via two triangular solves; the
-    inner product is symmetrized to absorb roundoff before halving the
-    diagonal.
+    Computed as ``L (L^{-1} W L^{-T})_half``: two triangular solves give
+    the congruence, the diagonal of its lower triangle is halved, and one
+    triangular product multiplies by ``L``.
     """
     _require_same_dim(L, W)
     return LowerTriangular(_diff_S_inv(L.data, W.data))

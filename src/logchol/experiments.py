@@ -27,6 +27,7 @@ from .tri import (
     LogCholError,
     NoConvergenceError,
     SpdMatrix,
+    _stack,
 )
 
 # Interpolation-study endpoints: the reference determinant pair (5.40 and
@@ -106,7 +107,7 @@ def run_mean(
     """Mean study: mean matrix, its determinant, and the determinant-law gap."""
     ops = bl.get_metric(metric)
     mean = ops.mean(list(mats))
-    dets = np.array([np.linalg.det(m.data) for m in mats])
+    dets = np.linalg.det(_stack(mats))
     det_mean = float(np.linalg.det(mean.data))
     geo = float(np.exp(np.mean(np.log(dets))))
     gap = abs(det_mean - geo) / geo

@@ -6,14 +6,17 @@ square and finite; exact zeros above the diagonal for lower triangular
 types and exact symmetry for symmetric ones; a positive diagonal for
 Cholesky factors and SPD matrices.  ``from_dense`` is the entry point for
 outside data: it symmetrizes input that is symmetric to a relative
-tolerance, and ``SpdMatrix.from_dense`` also factors it.  ``dense()``
+tolerance, and ``SpdMatrix.from_dense`` also runs the factor kernel
+``_factor`` on it, the one the Log-Cholesky operations use.  ``dense()``
 returns a copy.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
+from scipy.linalg.lapack import dpotrf
 
 # Positivity tolerance at type boundaries: any representable normal positive
 # diagonal is admitted.  Numerical-quality checks live in the operations.
@@ -59,15 +62,43 @@ def _square_finite(data) -> np.ndarray:
 
 
 def _symmetrized(dense, error: type[LogCholError]) -> np.ndarray:
-    """``(a + a^T) / 2``, once ``a`` is symmetric to within ``1e-8 max|a|``.
+    """``(a + a^T) / 2``, once ``a`` is finite and symmetric to within
+    ``1e-8 max|a|``.
 
     The tolerance is relative at every scale, so tiny matrices are held to
-    the same standard as unit-sized ones.  Raises ``error`` otherwise.
+    the same standard as unit-sized ones.  Raises ``DomainError`` on a
+    non-finite entry and ``error`` on asymmetry.
     """
-    a = _square_dense(dense)
-    if not np.allclose(a, a.T, rtol=0.0, atol=1e-8 * np.abs(a).max()):
+    a = _square_finite(dense)
+    if np.abs(a - a.T).max() > 1e-8 * np.abs(a).max():
         raise error("matrix is not symmetric")
     return (a + a.T) / 2.0
+
+
+@lru_cache(maxsize=None)
+def _strict_upper(m: int) -> np.ndarray:
+    """Read-only boolean mask of the entries above the diagonal, one per size."""
+    mask = np.triu(np.ones((m, m), dtype=bool), 1)
+    mask.flags.writeable = False
+    return mask
+
+
+def _factor(p: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factor of one ``(m, m)`` matrix or of an ``(n, m, m)`` stack.
+
+    One matrix goes to LAPACK ``dpotrf`` directly; a stack goes to one
+    batched ``np.linalg.cholesky`` call.  Raises ``NotSpdError`` on a
+    nonpositive pivot.
+    """
+    if p.ndim == 2:
+        l, info = dpotrf(p, lower=1, clean=1)
+        if info != 0:
+            raise NotSpdError("Cholesky factorization failed: nonpositive pivot")
+        return l
+    try:
+        return np.linalg.cholesky(p)
+    except np.linalg.LinAlgError as exc:
+        raise NotSpdError("Cholesky factorization failed: nonpositive pivot") from exc
 
 
 @dataclass(frozen=True, eq=False)
@@ -95,7 +126,7 @@ class LowerTriangular(_Square):
 
     def __post_init__(self):
         a = _square_finite(self.data)
-        if np.triu(a, 1).any():
+        if a[_strict_upper(a.shape[0])].any():
             raise DomainError("matrix has nonzero entries above the diagonal")
         object.__setattr__(self, "data", a)
         self._check()
@@ -163,10 +194,7 @@ class SpdMatrix(SymMatrix):
     @classmethod
     def from_dense(cls, dense) -> "SpdMatrix":
         a = _symmetrized(dense, NotSpdError)
-        try:
-            np.linalg.cholesky(a)
-        except np.linalg.LinAlgError as exc:
-            raise NotSpdError("matrix is not positive definite") from exc
+        _factor(a)
         return cls(a)
 
 

@@ -96,3 +96,26 @@ def central_difference_diff_S(L, X, h=1e-6) -> np.ndarray:
     fp = (ld + h * xd) @ (ld + h * xd).T
     fm = (ld - h * xd) @ (ld - h * xd).T
     return (fp - fm) / (2.0 * h)
+
+
+def diff_S_inv_mp(l: np.ndarray, w: np.ndarray, dps: int = 50) -> np.ndarray:
+    """The lower triangular ``X`` with ``L X^T + X L^T = W``, in extended precision.
+
+    Solves the equation entry by entry, column by column, by the recurrences
+    of the differentiated Cholesky factorization; no congruence is formed.
+    The float inputs are taken exactly and the result is rounded once.
+    """
+    import mpmath
+
+    m = l.shape[0]
+    with mpmath.workdps(dps):
+        L = [[mpmath.mpf(float(l[i, j])) for j in range(m)] for i in range(m)]
+        W = [[mpmath.mpf(float(w[i, j])) for j in range(m)] for i in range(m)]
+        X = [[mpmath.mpf(0) for _ in range(m)] for _ in range(m)]
+        for j in range(m):
+            s = sum((L[j][k] * X[j][k] for k in range(j)), mpmath.mpf(0))
+            X[j][j] = (W[j][j] / 2 - s) / L[j][j]
+            for i in range(j + 1, m):
+                s = sum((L[i][k] * X[j][k] + X[i][k] * L[j][k] for k in range(j)), mpmath.mpf(0))
+                X[i][j] = (W[i][j] - L[i][j] * X[j][j] - s) / L[j][j]
+        return np.array([[float(X[i][j]) for j in range(m)] for i in range(m)])

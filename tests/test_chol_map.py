@@ -2,15 +2,22 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from oracles import central_difference_diff_S, cholesky_factor_recursive
+from oracles import central_difference_diff_S, cholesky_factor_recursive, diff_S_inv_mp
 
 from logchol.chol_map import (
+    _factor,
     cholesky_factor,
     diff_S,
     diff_S_inv,
     reconstruct,
 )
-from logchol.sampling import random_factor, random_spd, random_sym, random_tangent
+from logchol.sampling import (
+    random_factor,
+    random_spd,
+    random_spd_with_condition,
+    random_sym,
+    random_tangent,
+)
 from logchol.tri import (
     CholeskyFactor,
     DomainError,
@@ -48,6 +55,35 @@ def test_factor_rejects_indefinite():
         cholesky_factor(p)
     with pytest.raises(NotSpdError):
         cholesky_factor_recursive(p)
+
+
+def test_factor_matrix_and_stack_agree(rng):
+    for m in (1, 2, 5, 12):
+        stack = np.stack([random_spd(rng, m).data for _ in range(8)])
+        ls = _factor(stack)
+        for p, l in zip(stack, ls):
+            one = _factor(p)
+            assert_array_equal(np.triu(one, 1), 0.0)
+            assert_allclose(one, l, rtol=1e-14, atol=1e-14 * np.abs(l).max())
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        [[-1.0]],
+        [[0.0]],
+        [[1.0, 2.0], [2.0, 1.0]],
+        [[1.0, 1.0], [1.0, 1.0]],
+        np.diag([1.0, 0.0, 2.0]),
+    ],
+    ids=["negative-1x1", "zero-1x1", "indefinite", "singular", "zero-pivot"],
+)
+def test_factor_rejects_non_spd_at_both_ranks(bad):
+    a = np.asarray(bad, dtype=float)
+    with pytest.raises(NotSpdError):
+        _factor(a)
+    with pytest.raises(NotSpdError):
+        _factor(np.stack([np.eye(a.shape[0]), a]))
 
 
 def test_recursive_matches_lapack(rng):
@@ -120,6 +156,18 @@ def test_diff_S_inv_examples():
     zero = SymMatrix(np.zeros((2, 2)))
     l = CholeskyFactor.from_dense(np.array([[2.0, 0.0], [1.0, 2.0]]))
     assert_array_equal(diff_S_inv(l, zero).dense(), np.zeros((2, 2)))
+
+
+@pytest.mark.parametrize("kappa", [1e2, 1e6, 1e10, 1e15])
+@pytest.mark.parametrize("m", [1, 2, 5, 12])
+def test_diff_S_inv_matches_extended_precision(rng, kappa, m):
+    pytest.importorskip("mpmath")
+    for _ in range(3):
+        l = cholesky_factor(random_spd_with_condition(rng, m, kappa))
+        w = random_sym(rng, m)
+        ref = diff_S_inv_mp(l.data, w.data)
+        err = np.linalg.norm(diff_S_inv(l, w).data - ref) / np.linalg.norm(ref)
+        assert err <= 1e-12
 
 
 def test_diff_roundtrips(rng):

@@ -7,6 +7,7 @@ from logchol import experiments as ex
 from logchol.baselines import METRIC_NAMES
 from logchol.cli import main
 from logchol.report import ExperimentReport, GlyphRecord, ResultRecord
+from logchol.sampling import random_spd_wishart
 from logchol.tri import NotSpdError, SpdMatrix, dump_matrices
 
 
@@ -81,6 +82,16 @@ class TestExperiments:
         p = SpdMatrix.from_dense(a @ a.T + np.eye(3))
         rep = ex.run_mean("log-cholesky", [p])
         assert rep.result("det_gap_rel").value == pytest.approx(0.0, abs=1e-12)
+
+    def test_mean_determinants_are_the_per_matrix_values(self, rng):
+        mats = [random_spd_wishart(rng, 5) for _ in range(200)]
+        rep = ex.run_mean("log-cholesky", mats)
+        dets = np.array([np.linalg.det(m.data) for m in mats])
+        det_mean = rep.result("det_mean").value
+        assert rep.result("det_geometric_mean").value == float(np.exp(np.mean(np.log(dets))))
+        assert rep.result("det_within_bounds").value == bool(
+            dets.min() * (1.0 - 1e-12) <= det_mean <= dets.max() * (1.0 + 1e-12)
+        )
 
     def test_stability_well_conditioned(self):
         rep = ex.run_stability(1.0, 3, 0)

@@ -5,7 +5,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 from oracles import descent_mean_spd, frechet_functional_spd
 
 from logchol import chol_manifold as cm
-from logchol.chol_map import cholesky_factor, diff_S, reconstruct
+from logchol.chol_map import cholesky_factor, diff_S, diff_S_inv, reconstruct
 from logchol.sampling import random_factor, random_spd, random_sym, random_tangent
 from logchol.spd_manifold import (
     dist_spd,
@@ -21,6 +21,7 @@ from logchol.spd_manifold import (
     transport_spd,
 )
 from logchol.tri import (
+    CholeskyFactor,
     DomainError,
     EmptyInputError,
     NotSpdError,
@@ -166,8 +167,6 @@ class TestTransport:
     def test_matches_factor_space_route(self, rng):
         # dense fast path must agree with the composed route through the
         # factor-space transport
-        from logchol.chol_map import diff_S_inv
-
         for _ in range(25):
             p = random_spd(rng, 5)
             q = random_spd(rng, 5)
@@ -314,6 +313,20 @@ W2, W3 = sym(np.eye(2)), sym(np.eye(3))
 def test_every_operation_checks_dimensions(call):
     with pytest.raises(DomainError):
         call()
+
+
+def test_inputs_left_unchanged(rng):
+    values = [random_spd(rng, 4).data, random_spd(rng, 4).data, random_sym(rng, 4).data]
+    values.append(cholesky_factor(SpdMatrix(values[0])).data)
+    outputs = {}
+    for order in ("C", "F"):
+        a, b, c, f = (np.array(x, order=order) for x in values)
+        p, q, w, l = SpdMatrix(a), SpdMatrix(b), SymMatrix(c), CholeskyFactor(f)
+        outputs[order] = [transport_spd(p, q, w).data, exp_spd(p, w).data, diff_S_inv(l, w).data]
+        for x, before in zip((a, b, c, f), values):
+            assert_array_equal(x, before)
+    for x, y in zip(outputs["C"], outputs["F"]):
+        assert_allclose(x, y, rtol=1e-13, atol=1e-13 * np.abs(x).max())
 
 
 def test_norm_spd_consistency(rng):

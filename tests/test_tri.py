@@ -197,6 +197,16 @@ def test_constructors_reject_non_finite(cls, bad):
         cls(a)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("cls", [SymMatrix, SpdMatrix])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_from_dense_rejects_non_finite(cls, bad):
+    a = np.eye(3)
+    a[2, 0] = a[0, 2] = bad
+    with pytest.raises(DomainError, match="must be finite"):
+        cls.from_dense(a)
+
+
 @pytest.mark.parametrize("cls", [LowerTriangular, CholeskyFactor])
 def test_lower_constructors_reject_entries_above_diagonal(cls):
     for value in (1.0, 1e-300, -5e-324):
