@@ -104,10 +104,12 @@ def euclid_mean(Ps: Sequence[SymMatrix]) -> SymMatrix:
 
 
 def euclid_exp(P: SymMatrix, W: SymTangent) -> SymMatrix:
+    _require_same_dim(P, W)
     return _wrap_sym(P.data + W.data)
 
 
 def euclid_log(P: SymMatrix, Q: SymMatrix) -> SymTangent:
+    _require_same_dim(P, Q)
     return _wrap_sym(Q.data - P.data)
 
 
@@ -134,11 +136,13 @@ def cholesky_mean(Ps: Sequence[SpdMatrix]) -> SpdMatrix:
 
 def cholesky_exp(P: SpdMatrix, X: LowerTriangular) -> SpdMatrix:
     """Factor-space translation: the factor of ``P`` plus the factor gap ``X``."""
+    _require_same_dim(P, X)
     return reconstruct(CholeskyFactor(_factor(P.data) + X.data))
 
 
 def cholesky_log(P: SpdMatrix, Q: SpdMatrix) -> LowerTriangular:
     """The factor gap ``chol(Q) - chol(P)``."""
+    _require_same_dim(P, Q)
     return LowerTriangular(_factor(Q.data) - _factor(P.data))
 
 
@@ -221,6 +225,7 @@ def logeuclid_mean(Ps: Sequence[SpdMatrix]) -> SpdMatrix:
 def logeuclid_exp(P: SpdMatrix, W: SymTangent, tol: float = DLOG_SERIES_TOL,
                   max_terms: int = DLOG_SERIES_MAX_TERMS) -> SpdMatrix:
     """Riemannian exponential: push the tangent into log space and exponentiate."""
+    _require_same_dim(P, W)
     p = P.data
     return _wrap_spd(sym_expm(spd_logm(p) + dlog_spd(p, W.data, tol, max_terms)))
 
@@ -228,6 +233,7 @@ def logeuclid_exp(P: SpdMatrix, W: SymTangent, tol: float = DLOG_SERIES_TOL,
 def logeuclid_log(P: SpdMatrix, Q: SpdMatrix, tol: float = DLOG_SERIES_TOL,
                   max_terms: int = DLOG_SERIES_MAX_TERMS) -> SymTangent:
     """Riemannian logarithm: log-space difference pulled back to the tangent at P."""
+    _require_same_dim(P, Q)
     lp = spd_logm(P.data)
     lq = spd_logm(Q.data)
     return _wrap_sym(dexp_sym(lp, lq - lp, tol, max_terms))
@@ -237,7 +243,7 @@ def logeuclid_transport(P: SpdMatrix, Q: SpdMatrix, W: SymTangent,
                         tol: float = DLOG_SERIES_TOL,
                         max_terms: int = DLOG_SERIES_MAX_TERMS) -> SymTangent:
     """Parallel transport: flatten at ``P`` via d(log), restore at ``Q`` via d(exp)."""
-    _require_same_dim(P, Q)
+    _require_same_dim(P, Q, W)
     flat = dlog_spd(P.data, W.data, tol, max_terms)
     return _wrap_sym(dexp_sym(spd_logm(Q.data), flat, tol, max_terms))
 
@@ -271,18 +277,20 @@ def affine_interpolate(P: SpdMatrix, Q: SpdMatrix, t: float) -> SpdMatrix:
 
 
 def affine_exp(P: SpdMatrix, W: SymTangent) -> SpdMatrix:
+    _require_same_dim(P, W)
     ps, pis = _sqrt_pair(P.data)
     return _wrap_spd(ps @ sym_expm(_sym(pis @ W.data @ pis)) @ ps)
 
 
 def affine_log(P: SpdMatrix, Q: SpdMatrix) -> SymTangent:
+    _require_same_dim(P, Q)
     ps, pis = _sqrt_pair(P.data)
     return _wrap_sym(ps @ spd_logm(_sym(pis @ Q.data @ pis)) @ ps)
 
 
 def affine_transport(P: SpdMatrix, Q: SpdMatrix, W: SymTangent) -> SymTangent:
     """Closed-form transport ``E W E^T`` with ``E = (Q P^-1)^(1/2)``."""
-    _require_same_dim(P, Q)
+    _require_same_dim(P, Q, W)
     ps, pis = _sqrt_pair(P.data)
     inner = spd_powm(_sym(pis @ Q.data @ pis), 0.5)
     e = ps @ inner @ pis
@@ -291,6 +299,7 @@ def affine_transport(P: SpdMatrix, Q: SpdMatrix, W: SymTangent) -> SymTangent:
 
 def affine_inner(P: SpdMatrix, W: SymTangent, V: SymTangent) -> float:
     """Affine-invariant inner product ``tr(P^-1 W P^-1 V)``."""
+    _require_same_dim(P, W, V)
     pinv = np.linalg.inv(P.data)
     return float(np.trace(pinv @ W.data @ pinv @ V.data))
 

@@ -92,14 +92,14 @@ def _group_op(l: np.ndarray, k: np.ndarray) -> np.ndarray:
     return out
 
 
-def group_op(L: LowerTriangular, K: LowerTriangular) -> LowerTriangular:
+def group_op(L: CholeskyFactor, K: CholeskyFactor) -> CholeskyFactor:
     """Commutative group operation: strict lower parts add, diagonals multiply.
 
-    Returns a :class:`CholeskyFactor` when both operands are factors.
+    The group is the space of factors, so a result that is not a factor
+    raises ``DomainError``.
     """
     _require_same_dim(L, K)
-    both = isinstance(L, CholeskyFactor) and isinstance(K, CholeskyFactor)
-    return (CholeskyFactor if both else LowerTriangular)(_group_op(L.data, K.data))
+    return CholeskyFactor(_group_op(L.data, K.data))
 
 
 def _group_inv(l: np.ndarray) -> np.ndarray:

@@ -95,12 +95,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.command == "interpolate":
-            if args.steps < 2:
-                parser.error("--steps must be >= 2")
             endpoints = None
             fixture = "builtin"
             if args.input:
-                mats = load_matrices(args.input, kind="spd")
+                mats = load_matrices(args.input)
                 if len(mats) < 2:
                     parser.error("--input fixture must contain two matrices")
                 endpoints = (mats[0], mats[1])
@@ -111,37 +109,29 @@ def main(argv=None) -> int:
             _emit(report, args, glyphs)
         elif args.command == "mean":
             if args.input:
-                mats = load_matrices(args.input, kind="spd")
+                mats = load_matrices(args.input)
+                if not mats:
+                    parser.error("--input fixture contains no matrices")
                 inputs = {"fixture": args.input}
             else:
-                if args.n < 1:
-                    parser.error("--n must be >= 1")
+                if args.n < 1 or args.m < 1:
+                    parser.error("--n and --m must be >= 1")
                 rng = np.random.default_rng(args.seed)
                 mats = [random_spd(rng, args.m) for _ in range(args.n)]
                 inputs = {
                     "seed": args.seed,
                     "spd_law": "A A^T + 1e-3 I, A standard normal",
                 }
-            if not mats:
-                parser.error("no input matrices")
             report = ex.run_mean(args.metric, mats, inputs)
             _emit(report, args)
         elif args.command == "bench-transport":
-            if args.reps < 100:
-                parser.error("--reps must be >= 100")
-            if args.m < 2:
-                parser.error("--m must be >= 2")
             _emit(ex.run_bench_transport(args.m, args.reps, args.seed), args)
         elif args.command == "stability":
-            if args.kappa < 1.0:
-                parser.error("--kappa must be >= 1")
             _emit(ex.run_stability(args.kappa, args.m, args.seed), args)
         elif args.command == "mean-gap":
-            if args.n < 1:
-                parser.error("--n must be >= 1")
-            if args.trials < 1:
-                parser.error("--trials must be >= 1")
             _emit(ex.run_mean_gap(args.n, args.m, args.trials, args.seed), args)
+    except ex.ParameterError as exc:
+        parser.error(str(exc))
     except LogCholError as exc:
         print(f"logchol: numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

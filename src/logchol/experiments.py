@@ -8,6 +8,7 @@ only nondeterministic outputs and live in the report's ``timings`` field.
 """
 from __future__ import annotations
 
+import math
 import time
 from collections.abc import Sequence
 
@@ -16,6 +17,7 @@ import numpy as np
 from . import baselines as bl
 from .report import ExperimentReport, GlyphRecord, ResultRecord
 from .sampling import (
+    random_orthogonal,
     random_spd,
     random_spd_wishart,
     random_spd_with_condition,
@@ -29,6 +31,12 @@ from .tri import (
     SpdMatrix,
     _stack,
 )
+
+
+class ParameterError(DomainError):
+    """An experiment parameter is out of range: a usage error, not a
+    numerical failure (the CLI exits 2 on it)."""
+
 
 # Interpolation-study endpoints: the reference determinant pair (5.40 and
 # 6.46 at display precision; the trailing digits keep every geometric
@@ -49,8 +57,7 @@ def interpolation_endpoints(seed: int = FIG_SEED) -> tuple[SpdMatrix, SpdMatrix]
 
 
 def _seeded_spd_with_det(rng: np.random.Generator, dim: int, det: float) -> SpdMatrix:
-    q, r = np.linalg.qr(rng.standard_normal((dim, dim)))
-    q = q * np.sign(np.diagonal(r))
+    q = random_orthogonal(rng, dim)
     d = rng.uniform(0.5, 2.0, dim)
     d *= (det / np.prod(d)) ** (1.0 / dim)
     p = (q * d) @ q.T
@@ -65,7 +72,7 @@ def run_interpolate(
 ) -> tuple[ExperimentReport, list[GlyphRecord]]:
     """Geodesic interpolation study: determinant sequence plus glyph stream."""
     if steps < 2:
-        raise DomainError(f"steps must be >= 2, got {steps}")
+        raise ParameterError(f"steps must be >= 2, got {steps}")
     ops = bl.get_metric(metric)
     if endpoints is None:
         endpoints = interpolation_endpoints()
@@ -154,9 +161,9 @@ def run_bench_transport(m: int, reps: int, seed: int) -> ExperimentReport:
     hardware-bound; only orderings and coarse ratios are meaningful.
     """
     if m < 2:
-        raise DomainError(f"m must be >= 2, got {m}")
+        raise ParameterError(f"m must be >= 2, got {m}")
     if reps < 100:
-        raise DomainError(f"reps must be >= 100, got {reps}")
+        raise ParameterError(f"reps must be >= 100, got {reps}")
     rng = np.random.default_rng(seed)
     cases = [
         (random_spd(rng, m), random_spd(rng, m), random_sym(rng, m))
@@ -202,8 +209,10 @@ def run_stability(kappa: float, m: int, seed: int) -> ExperimentReport:
     error at a well-conditioned base, mean-computation success, and the
     determinant-identity gap.  Failures are recorded, never raised.
     """
-    if kappa < 1.0:
-        raise DomainError(f"kappa must be >= 1, got {kappa}")
+    if not (math.isfinite(kappa) and kappa >= 1.0):
+        raise ParameterError(f"kappa must be finite and >= 1, got {kappa}")
+    if m < 1:
+        raise ParameterError(f"m must be >= 1, got {m}")
     rng = np.random.default_rng(seed)
     base = _stability_base(rng, m)
     target = random_spd_with_condition(rng, m, kappa)
@@ -295,9 +304,11 @@ def run_mean_gap(n: int, m: int, trials: int, seed: int) -> ExperimentReport:
     """Average relative squared-Frobenius gap between the Log-Cholesky and
     affine-invariant means of ``n`` random SPD matrices."""
     if n < 1:
-        raise DomainError(f"n must be >= 1, got {n}")
+        raise ParameterError(f"n must be >= 1, got {n}")
+    if m < 1:
+        raise ParameterError(f"m must be >= 1, got {m}")
     if trials < 1:
-        raise DomainError(f"trials must be >= 1, got {trials}")
+        raise ParameterError(f"trials must be >= 1, got {trials}")
     rng = np.random.default_rng(seed)
     gaps: list[float] = []
     failures = 0

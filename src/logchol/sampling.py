@@ -13,15 +13,12 @@ def random_spd(rng: np.random.Generator, dim: int, jitter: float = 1e-3) -> SpdM
     return SpdMatrix((p + p.T) / 2.0)
 
 
-def random_spd_wishart(
-    rng: np.random.Generator, dim: int, dof: int | None = None, jitter: float = 1e-3
-) -> SpdMatrix:
-    """Normalized Wishart-style SPD matrix ``A A^T / dof + jitter * I`` with
-    ``A`` of shape ``(dim, dof)``; moderate spread for ``dof >= 2 dim``."""
-    if dof is None:
-        dof = 2 * dim
-    a = rng.standard_normal((dim, dof))
-    p = a @ a.T / dof + jitter * np.eye(dim)
+def random_spd_wishart(rng: np.random.Generator, dim: int) -> SpdMatrix:
+    """Normalized Wishart-style SPD matrix ``A A^T / (2 dim) + 1e-3 I`` with
+    ``A`` standard normal of shape ``(dim, 2 dim)``: a moderate spread."""
+    n = 2 * dim
+    a = rng.standard_normal((dim, n))
+    p = a @ a.T / n + 1e-3 * np.eye(dim)
     return SpdMatrix((p + p.T) / 2.0)
 
 

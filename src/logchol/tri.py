@@ -1,4 +1,4 @@
-"""Triangular and symmetric matrix types and elementwise operators.
+"""Triangular and symmetric matrix types, the factor kernel and the fixture format.
 
 Each type holds its matrix dense, as an ``(m, m)`` float array in ``data``,
 and its constructor takes that array alone and checks the type's invariant:
@@ -12,6 +12,7 @@ returns a copy.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -88,17 +89,25 @@ def _factor(p: np.ndarray) -> np.ndarray:
 
     One matrix goes to LAPACK ``dpotrf`` directly; a stack goes to one
     batched ``np.linalg.cholesky`` call.  Raises ``NotSpdError`` on a
-    nonpositive pivot.
+    nonpositive pivot, and on a non-finite last diagonal entry: neither
+    routine flags a NaN pivot, and an overflowed entry of finite input makes
+    its row's pivot NaN, which every later row inherits, down to
+    ``L[-1, -1]``.
     """
     if p.ndim == 2:
         l, info = dpotrf(p, lower=1, clean=1)
         if info != 0:
             raise NotSpdError("Cholesky factorization failed: nonpositive pivot")
+        if not math.isfinite(l[-1, -1]):
+            raise NotSpdError("Cholesky factorization failed: non-finite pivot")
         return l
     try:
-        return np.linalg.cholesky(p)
+        l = np.linalg.cholesky(p)
     except np.linalg.LinAlgError as exc:
         raise NotSpdError("Cholesky factorization failed: nonpositive pivot") from exc
+    if not np.isfinite(l[:, -1, -1]).all():
+        raise NotSpdError("Cholesky factorization failed: non-finite pivot")
+    return l
 
 
 @dataclass(frozen=True, eq=False)
@@ -214,59 +223,11 @@ def _stack(mats) -> np.ndarray:
         raise DomainError(f"dimension mismatch: sizes {sorted({a.dim for a in mats})}") from None
 
 
-def strict_lower(a: LowerTriangular | SymMatrix) -> LowerTriangular:
-    """Strictly lower triangular part: sub-diagonal entries, zero diagonal."""
-    return LowerTriangular(np.tril(a.data, -1))
-
-
-def diag_part(a: LowerTriangular | SymMatrix) -> LowerTriangular:
-    """Diagonal part, as a (diagonal) lower triangular matrix."""
-    return LowerTriangular(np.diag(a.diag))
-
-
-def half_lower(s: SymMatrix) -> LowerTriangular:
-    """Lower triangular part of a symmetric matrix with the diagonal halved."""
-    out = np.tril(s.data)
-    np.fill_diagonal(out, s.diag * 0.5)
-    return LowerTriangular(out)
-
-
-def _require_diagonal(d: LowerTriangular) -> None:
-    if np.tril(d.data, -1).any():
-        raise DomainError("expected a diagonal matrix")
-
-
-def diag_exp(d: LowerTriangular) -> LowerTriangular:
-    """Elementwise exponential of a diagonal matrix."""
-    _require_diagonal(d)
-    return LowerTriangular(np.diag(np.exp(d.diag)))
-
-
-def diag_log(d: LowerTriangular) -> LowerTriangular:
-    """Elementwise logarithm of a diagonal matrix with positive diagonal."""
-    _require_diagonal(d)
-    if np.any(d.diag <= 0.0):
-        raise DomainError("diag_log requires a strictly positive diagonal")
-    return LowerTriangular(np.diag(np.log(d.diag)))
-
-
-def tri_det(l: LowerTriangular) -> float:
-    """Determinant of a triangular matrix: the product of its diagonal."""
-    return float(np.prod(l.diag))
-
-
 # ---------------------------------------------------------------------------
 # Matrix text format: one matrix per block, first line the dimension m, then
 # m whitespace-separated rows of the full dense matrix.  Blocks are separated
 # by blank lines.
 # ---------------------------------------------------------------------------
-
-_KINDS = {
-    "lower": LowerTriangular,
-    "cholesky": CholeskyFactor,
-    "sym": SymMatrix,
-    "spd": SpdMatrix,
-}
 
 
 def parse_matrix_text(text: str) -> list[np.ndarray]:
@@ -307,14 +268,11 @@ def format_matrix_text(mats) -> str:
     return "\n\n".join(blocks) + "\n"
 
 
-def load_matrices(path, kind: str = "spd") -> list:
-    """Load and validate matrices of the declared kind from a fixture file."""
-    if kind not in _KINDS:
-        raise DomainError(f"unknown matrix kind {kind!r}; expected one of {sorted(_KINDS)}")
-    cls = _KINDS[kind]
+def load_matrices(path) -> list[SpdMatrix]:
+    """Load the SPD matrices of a fixture file, each through ``SpdMatrix.from_dense``."""
     with open(path, "r", encoding="utf-8") as fh:
         dense = parse_matrix_text(fh.read())
-    return [cls.from_dense(a) for a in dense]
+    return [SpdMatrix.from_dense(a) for a in dense]
 
 
 def dump_matrices(mats, path) -> None:

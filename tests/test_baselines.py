@@ -310,3 +310,36 @@ class TestSharedStructure:
             bl.get_metric("riemann")
         assert bl.get_metric("euclidean").transport is None
         assert bl.get_metric("log-cholesky").transport is not None
+
+
+P3 = spd(2.0 * np.eye(3))
+DIM_CASES = [
+    (metric, op)
+    for metric in bl.METRIC_NAMES
+    for op in ("exp", "log", "transport_q", "transport_w")
+    if not op.startswith("transport") or bl.get_metric(metric).transport is not None
+]
+
+
+@pytest.mark.parametrize("metric, op", DIM_CASES)
+def test_ops_check_dimensions(metric, op):
+    # A 3x3 base point with one 1x1 operand of the type the op expects.
+    ops = bl.get_metric(metric)
+    p1 = SpdMatrix(np.eye(1))
+    w1 = LowerTriangular(np.eye(1)) if metric == "cholesky" else SymMatrix(np.full((1, 1), 0.5))
+    calls = {
+        "exp": lambda: ops.exp(P3, w1),
+        "log": lambda: ops.log(P3, p1),
+        "transport_q": lambda: ops.transport(P3, p1, SymMatrix(np.eye(3))),
+        "transport_w": lambda: ops.transport(P3, P3, w1),
+    }
+    with pytest.raises(DomainError, match="dimension mismatch"):
+        calls[op]()
+
+
+def test_affine_inner_checks_dimensions():
+    w3, w1 = SymMatrix(np.eye(3)), SymMatrix(np.eye(1))
+    with pytest.raises(DomainError, match="dimension mismatch"):
+        bl.affine_inner(P3, w3, w1)
+    with pytest.raises(DomainError, match="dimension mismatch"):
+        bl.affine_inner(P3, w1, w3)

@@ -75,6 +75,22 @@ class TestExperiments:
         assert np.allclose(dets, dets[0])
         assert len(glyphs) == 5
 
+    def test_parameters_checked_by_the_experiments(self):
+        for call in (
+            lambda: ex.run_interpolate("log-cholesky", 1),
+            lambda: ex.run_bench_transport(1, 100, 0),
+            lambda: ex.run_bench_transport(2, 99, 0),
+            lambda: ex.run_stability(0.5, 3, 0),
+            lambda: ex.run_stability(float("nan"), 3, 0),
+            lambda: ex.run_stability(float("inf"), 3, 0),
+            lambda: ex.run_stability(1e5, 0, 0),
+            lambda: ex.run_mean_gap(0, 3, 1, 0),
+            lambda: ex.run_mean_gap(1, 0, 1, 0),
+            lambda: ex.run_mean_gap(1, 3, 0, 0),
+        ):
+            with pytest.raises(ex.ParameterError):
+                call()
+
     def test_mean_gap_trivial_cases(self, rng):
         rep = ex.run_mean_gap(1, 3, 3, 0)
         assert rep.result("mean_gap").value == pytest.approx(0.0, abs=1e-12)
@@ -168,6 +184,14 @@ class TestCli:
             ["stability", "--kappa", "0.5"],
             ["mean-gap", "--trials", "0"],
             ["mean", "--n", "0"],
+            ["mean", "--m", "-1"],
+            ["mean", "--m", "0"],
+            ["mean-gap", "--m", "-1"],
+            ["mean-gap", "--n", "0"],
+            ["stability", "--m", "-1"],
+            ["stability", "--m", "0"],
+            ["stability", "--kappa", "nan"],
+            ["stability", "--kappa", "inf"],
             ["wat"],
             [],
         ):

@@ -4,6 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
+from logchol.chol_manifold import exp_chol, log_chol
+from logchol.chol_map import cholesky_factor, diff_S_inv
+from logchol.spd_manifold import dist_spd, log_cholesky_mean
 from logchol.tri import (
     CholeskyFactor,
     DomainError,
@@ -11,16 +14,11 @@ from logchol.tri import (
     NotSpdError,
     SpdMatrix,
     SymMatrix,
-    diag_exp,
-    diag_log,
-    diag_part,
+    _factor,
     dump_matrices,
     format_matrix_text,
-    half_lower,
     load_matrices,
     parse_matrix_text,
-    strict_lower,
-    tri_det,
 )
 
 
@@ -28,82 +26,44 @@ def lower(dense):
     return LowerTriangular.from_dense(np.asarray(dense, dtype=float))
 
 
-def test_strict_lower_examples():
-    assert_array_equal(
-        strict_lower(lower([[2, 0], [1, 2]])).dense(), [[0, 0], [1, 0]]
-    )
-    assert_array_equal(strict_lower(lower(np.eye(2))).dense(), np.zeros((2, 2)))
-    assert_array_equal(
-        strict_lower(lower([[3, 0], [5, 7]])).dense(), [[0, 0], [5, 0]]
-    )
-
-
-def test_diag_part_examples():
-    assert_array_equal(diag_part(lower([[2, 0], [1, 2]])).dense(), np.diag([2.0, 2.0]))
-    assert_array_equal(diag_part(lower(np.zeros((3, 3)))).dense(), np.zeros((3, 3)))
-    assert_array_equal(diag_part(lower(np.diag([1.0, 5.0]))).dense(), np.diag([1.0, 5.0]))
-
-
-def test_decomposition_exact(rng):
-    # X == strict_lower(X) + diag_part(X), bitwise on the stored entries
-    x = LowerTriangular(np.tril(rng.standard_normal((5, 5))))
-    recombined = strict_lower(x).data + diag_part(x).data
-    assert_array_equal(recombined, x.data)
-
-
 def test_half_lower_examples():
+    # At the identity factor the pullback is the paper's halved lower part:
+    # the lower triangle with the diagonal halved.
+    i2 = CholeskyFactor(np.eye(2))
     s = SymMatrix.from_dense(np.array([[2.0, 4.0], [4.0, 6.0]]))
-    assert_array_equal(half_lower(s).dense(), [[1, 0], [4, 3]])
+    assert_array_equal(diff_S_inv(i2, s).dense(), [[1, 0], [4, 3]])
     assert_array_equal(
-        half_lower(SymMatrix.from_dense(np.eye(2))).dense(), np.diag([0.5, 0.5])
+        diff_S_inv(i2, SymMatrix.from_dense(np.eye(2))).dense(), np.diag([0.5, 0.5])
     )
     assert_array_equal(
-        half_lower(SymMatrix.from_dense(np.zeros((2, 2)))).dense(), np.zeros((2, 2))
+        diff_S_inv(i2, SymMatrix.from_dense(np.zeros((2, 2)))).dense(), np.zeros((2, 2))
     )
 
 
 def test_half_lower_reconstructs(rng):
     g = rng.standard_normal((5, 5))
     s = SymMatrix.from_dense((g + g.T) / 2)
-    h = half_lower(s).dense()
+    h = diff_S_inv(CholeskyFactor(np.eye(5)), s).dense()
     assert_array_equal(h + h.T, s.dense())
 
 
 def test_diag_exp_log_examples():
-    assert_array_equal(diag_exp(lower(np.zeros((2, 2)))).dense(), np.eye(2))
+    # At the identity factor, exp and log act on the diagonal as the
+    # elementwise exponential and logarithm.
+    i2 = CholeskyFactor(np.eye(2))
+    assert_array_equal(exp_chol(i2, lower(np.zeros((2, 2)))).dense(), np.eye(2))
     assert_allclose(
-        diag_log(lower(np.diag([np.e, np.e**2]))).dense(),
+        log_chol(i2, CholeskyFactor(np.diag([np.e, np.e**2]))).dense(),
         np.diag([1.0, 2.0]),
         atol=1e-15,
     )
 
 
 def test_diag_exp_log_roundtrip():
+    i2 = CholeskyFactor(np.eye(2))
     d = lower(np.diag([-3.7, 0.2]))
-    back = diag_log(diag_exp(d))
+    back = log_chol(i2, exp_chol(i2, d))
     assert_allclose(back.dense(), d.dense(), atol=1e-14)
-
-
-def test_diag_log_domain_error():
-    with pytest.raises(DomainError):
-        diag_log(lower(np.diag([1.0, 0.0])))
-    with pytest.raises(DomainError):
-        diag_log(lower(np.diag([-1.0, 2.0])))
-
-
-def test_diag_ops_reject_nondiagonal():
-    x = lower([[1.0, 0.0], [2.0, 3.0]])
-    with pytest.raises(DomainError):
-        diag_exp(x)
-    with pytest.raises(DomainError):
-        diag_log(x)
-
-
-def test_tri_det_examples():
-    assert tri_det(lower([[2, 0], [1, 2]])) == 4.0
-    assert tri_det(lower(np.eye(4))) == 1.0
-    # ill-conditioned counterexample factor: det diag(eps, 1) = eps
-    assert tri_det(lower(np.diag([0.1, 1.0]))) == pytest.approx(0.1, abs=0)
 
 
 def test_diag_multiplicative(rng):
@@ -112,7 +72,7 @@ def test_diag_multiplicative(rng):
     y = np.tril(rng.standard_normal((5, 5)))
     prod = lower(x @ y)
     expected = np.diagonal(x) * np.diagonal(y)
-    assert_allclose(diag_part(prod).diag, expected, atol=1e-14)
+    assert_allclose(prod.diag, expected, atol=1e-14)
 
 
 def test_diag_of_inverse(rng):
@@ -252,7 +212,7 @@ def test_pack_roundtrip_property(dim, seed):
     a = np.tril(rng.standard_normal((dim, dim)))
     x = LowerTriangular(a)
     assert_array_equal(x.dense(), a)
-    assert_array_equal(strict_lower(x).data + diag_part(x).data, x.data)
+    assert_array_equal(np.tril(a, -1) + np.diag(np.diag(a)), x.data)
 
 
 def test_parse_format_roundtrip(rng):
@@ -276,17 +236,39 @@ def test_parse_errors():
 
 
 def test_load_matrices_kinds(tmp_path):
+    # Fixtures hold SPD matrices: a triangular or indefinite one is rejected.
     path = tmp_path / "fixture.txt"
     dump_matrices([np.array([[4.0, 2.0], [2.0, 5.0]]), np.eye(2)], path)
-    spds = load_matrices(path, kind="spd")
-    assert len(spds) == 2 and isinstance(spds[0], SpdMatrix)
+    spds = load_matrices(path)
+    assert len(spds) == 2 and all(type(p) is SpdMatrix for p in spds)
+    assert_array_equal(spds[0].data, [[4.0, 2.0], [2.0, 5.0]])
 
-    dump_matrices([np.array([[2.0, 0.0], [1.0, 2.0]])], path)
-    [l] = load_matrices(path, kind="cholesky")
-    assert isinstance(l, CholeskyFactor)
+    for bad in ([[2.0, 0.0], [1.0, 2.0]], [[1.0, 2.0], [2.0, 1.0]]):
+        dump_matrices([np.array(bad)], path)
+        with pytest.raises(NotSpdError):
+            load_matrices(path)
 
-    with pytest.raises(DomainError):
-        load_matrices(path, kind="nope")
+
+# An indefinite matrix (eigenvalues about -6.2e299, 0, 1.6e300) whose factor
+# overflows: row 2 comes out [inf, nan, nan] without a flagged pivot.
+OVERFLOWING = np.array([[1e-300, 0.0, 1e300], [0.0, 1.0, 0.0], [1e300, 0.0, 1e300]])
+
+
+@pytest.mark.filterwarnings("error")
+def test_factor_rejects_non_finite_pivot():
     with pytest.raises(NotSpdError):
-        dump_matrices([np.array([[1.0, 2.0], [2.0, 1.0]])], path)
-        load_matrices(path, kind="spd")
+        _factor(OVERFLOWING)
+    with pytest.raises(NotSpdError):
+        _factor(np.stack([np.eye(3), OVERFLOWING]))
+    with pytest.raises(NotSpdError):
+        SpdMatrix.from_dense(OVERFLOWING)
+
+
+def test_overflowing_factor_rejected_downstream():
+    p = SpdMatrix(OVERFLOWING.copy())  # the cheap constructor does not factor
+    with pytest.raises(NotSpdError):
+        cholesky_factor(p)
+    with pytest.raises(NotSpdError):
+        log_cholesky_mean([p])
+    with pytest.raises(NotSpdError):
+        dist_spd(p, p)
