@@ -154,36 +154,36 @@ DLOG_SERIES_TOL = 1e-12
 DLOG_SERIES_MAX_TERMS = 500
 
 
-def dexp_sym(s: np.ndarray, h: np.ndarray, tol: float = DLOG_SERIES_TOL,
-             max_terms: int = DLOG_SERIES_MAX_TERMS) -> np.ndarray:
+def dexp_sym(s: np.ndarray, h: np.ndarray) -> np.ndarray:
     """Directional derivative of the matrix exponential at ``s`` along ``h``.
 
     Evaluated from the power series of ``exp``; each term is accumulated
-    with its factorial folded in to avoid overflow.
+    with its factorial folded in to avoid overflow.  The series stops once
+    a term's norm drops below ``DLOG_SERIES_TOL`` or after
+    ``DLOG_SERIES_MAX_TERMS`` terms.
     """
     # term_k = (1/k!) sum_{i+j=k-1} s^i h s^j, via the recurrence
     # term_{k+1} = (s term_k + h s^k/k!) / (k+1).
     term = h.copy()
     out = h.copy()
     pk = np.eye(s.shape[0])  # s^k / k!
-    for k in range(1, max_terms):
+    for k in range(1, DLOG_SERIES_MAX_TERMS):
         pk = pk @ s / k
         term = (s @ term + h @ pk) / (k + 1)
         out += term
-        if np.linalg.norm(term) < tol:
+        if np.linalg.norm(term) < DLOG_SERIES_TOL:
             break
     return out
 
 
-def dlog_spd(p: np.ndarray, w: np.ndarray, tol: float = DLOG_SERIES_TOL,
-             max_terms: int = DLOG_SERIES_MAX_TERMS) -> np.ndarray:
+def dlog_spd(p: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Directional derivative of the matrix logarithm at SPD ``p`` along ``w``.
 
     Uses the alternating series of ``log(I + E)`` after the exact scalar
     rescaling ``log(p) = log(c) I + log(p / c)`` with ``c`` the midpoint of
     the spectrum, which keeps the spectral radius of ``E`` below one.  The
-    series is truncated adaptively once a term drops below ``tol`` or after
-    ``max_terms`` terms.
+    series stops once a term's norm drops below ``DLOG_SERIES_TOL`` or
+    after ``DLOG_SERIES_MAX_TERMS`` terms.
     """
     lam = np.linalg.eigvalsh(p)
     if lam[0] <= 0.0:
@@ -195,13 +195,13 @@ def dlog_spd(p: np.ndarray, w: np.ndarray, tol: float = DLOG_SERIES_TOL,
     ek = e.copy()
     out = v.copy()
     sign = 1.0
-    for k in range(2, max_terms + 1):
+    for k in range(2, DLOG_SERIES_MAX_TERMS + 1):
         term = e @ term + v @ ek
         ek = ek @ e
         sign = -sign
         contrib = sign * term / k
         out += contrib
-        if np.linalg.norm(contrib) < tol:
+        if np.linalg.norm(contrib) < DLOG_SERIES_TOL:
             break
     return out
 
@@ -222,30 +222,26 @@ def logeuclid_mean(Ps: Sequence[SpdMatrix]) -> SpdMatrix:
     return _wrap_spd(sym_expm(spd_logm(_stack(Ps)).mean(axis=0)))
 
 
-def logeuclid_exp(P: SpdMatrix, W: SymTangent, tol: float = DLOG_SERIES_TOL,
-                  max_terms: int = DLOG_SERIES_MAX_TERMS) -> SpdMatrix:
+def logeuclid_exp(P: SpdMatrix, W: SymTangent) -> SpdMatrix:
     """Riemannian exponential: push the tangent into log space and exponentiate."""
     _require_same_dim(P, W)
     p = P.data
-    return _wrap_spd(sym_expm(spd_logm(p) + dlog_spd(p, W.data, tol, max_terms)))
+    return _wrap_spd(sym_expm(spd_logm(p) + dlog_spd(p, W.data)))
 
 
-def logeuclid_log(P: SpdMatrix, Q: SpdMatrix, tol: float = DLOG_SERIES_TOL,
-                  max_terms: int = DLOG_SERIES_MAX_TERMS) -> SymTangent:
+def logeuclid_log(P: SpdMatrix, Q: SpdMatrix) -> SymTangent:
     """Riemannian logarithm: log-space difference pulled back to the tangent at P."""
     _require_same_dim(P, Q)
     lp = spd_logm(P.data)
     lq = spd_logm(Q.data)
-    return _wrap_sym(dexp_sym(lp, lq - lp, tol, max_terms))
+    return _wrap_sym(dexp_sym(lp, lq - lp))
 
 
-def logeuclid_transport(P: SpdMatrix, Q: SpdMatrix, W: SymTangent,
-                        tol: float = DLOG_SERIES_TOL,
-                        max_terms: int = DLOG_SERIES_MAX_TERMS) -> SymTangent:
+def logeuclid_transport(P: SpdMatrix, Q: SpdMatrix, W: SymTangent) -> SymTangent:
     """Parallel transport: flatten at ``P`` via d(log), restore at ``Q`` via d(exp)."""
     _require_same_dim(P, Q, W)
-    flat = dlog_spd(P.data, W.data, tol, max_terms)
-    return _wrap_sym(dexp_sym(spd_logm(Q.data), flat, tol, max_terms))
+    flat = dlog_spd(P.data, W.data)
+    return _wrap_sym(dexp_sym(spd_logm(Q.data), flat))
 
 
 # ---------------------------------------------------------------------------

@@ -14,8 +14,6 @@ from __future__ import annotations
 import argparse
 import sys
 
-import numpy as np
-
 from . import experiments as ex
 from .baselines import METRIC_NAMES
 from .report import ExperimentReport, GlyphRecord
@@ -99,8 +97,8 @@ def main(argv=None) -> int:
             fixture = "builtin"
             if args.input:
                 mats = load_matrices(args.input)
-                if len(mats) < 2:
-                    parser.error("--input fixture must contain two matrices")
+                if len(mats) != 2:
+                    parser.error("--input fixture must contain exactly two matrices")
                 endpoints = (mats[0], mats[1])
                 fixture = args.input
             report, glyphs = ex.run_interpolate(
@@ -116,7 +114,7 @@ def main(argv=None) -> int:
             else:
                 if args.n < 1 or args.m < 1:
                     parser.error("--n and --m must be >= 1")
-                rng = np.random.default_rng(args.seed)
+                rng = ex.seeded_rng(args.seed)
                 mats = [random_spd(rng, args.m) for _ in range(args.n)]
                 inputs = {
                     "seed": args.seed,

@@ -208,9 +208,10 @@ class SpdMatrix(SymMatrix):
 
 
 def _require_same_dim(a, *others) -> None:
+    m = a.data.shape[0]
     for b in others:
-        if a.dim != b.dim:
-            raise DomainError(f"dimension mismatch: {a.dim} vs {b.dim}")
+        if b.data.shape[0] != m:
+            raise DomainError(f"dimension mismatch: {m} vs {b.data.shape[0]}")
 
 
 def _stack(mats) -> np.ndarray:

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from logchol import experiments as ex
-from logchol.baselines import METRIC_NAMES
+from logchol.baselines import METRIC_NAMES, get_metric
 from logchol.cli import main
 from logchol.report import ExperimentReport, GlyphRecord, ResultRecord
-from logchol.sampling import random_spd_wishart
+from logchol.sampling import random_spd_with_condition, random_spd_wishart
 from logchol.tri import NotSpdError, SpdMatrix, dump_matrices
 
 
@@ -87,6 +87,9 @@ class TestExperiments:
             lambda: ex.run_mean_gap(0, 3, 1, 0),
             lambda: ex.run_mean_gap(1, 0, 1, 0),
             lambda: ex.run_mean_gap(1, 3, 0, 0),
+            lambda: ex.run_bench_transport(2, 100, -1),
+            lambda: ex.run_stability(1e5, 3, -1),
+            lambda: ex.run_mean_gap(1, 3, 1, -1),
         ):
             with pytest.raises(ex.ParameterError):
                 call()
@@ -108,6 +111,19 @@ class TestExperiments:
         assert rep.result("det_within_bounds").value == bool(
             dets.min() * (1.0 - 1e-12) <= det_mean <= dets.max() * (1.0 + 1e-12)
         )
+
+    @pytest.mark.parametrize("kappa", [1e5, 1e15])
+    @pytest.mark.parametrize("name", METRIC_NAMES)
+    def test_stability_roundtrip_is_the_registry_roundtrip(self, name, kappa):
+        # Same draws, in the same order, as run_stability at seed 0.
+        rng = np.random.default_rng(0)
+        base = ex._stability_base(rng, 3)
+        target = random_spd_with_condition(rng, 3, kappa)
+        ops = get_metric(name)
+        back = ops.exp(base, ops.log(base, target))
+        err = np.linalg.norm(back.data - target.data) / np.linalg.norm(target.data)
+        rep = ex.run_stability(kappa, 3, 0)
+        assert rep.result(f"{name}.roundtrip_rel_error").value == float(err)
 
     def test_stability_well_conditioned(self):
         rep = ex.run_stability(1.0, 3, 0)
@@ -148,6 +164,14 @@ class TestCli:
         assert rc == 0
         rep = ExperimentReport.from_json(out.read_text())
         assert rep.inputs["fixture"] == str(fx)
+
+    def test_interpolate_fixture_needs_exactly_two_matrices(self, tmp_path):
+        fx = tmp_path / "endpoints.txt"
+        for count in (1, 3):
+            dump_matrices([np.eye(2) * (k + 1) for k in range(count)], fx)
+            with pytest.raises(SystemExit) as exc:
+                main(["interpolate", "--input", str(fx)])
+            assert exc.value.code == 2, count
 
     def test_mean_csv_format(self, capsys):
         assert main(["mean", "--n", "4", "--m", "2", "--format", "csv"]) == 0
@@ -192,6 +216,10 @@ class TestCli:
             ["stability", "--m", "0"],
             ["stability", "--kappa", "nan"],
             ["stability", "--kappa", "inf"],
+            ["stability", "--seed", "-1"],
+            ["mean-gap", "--seed", "-1", "--trials", "1"],
+            ["bench-transport", "--seed", "-1"],
+            ["mean", "--seed", "-1"],
             ["wat"],
             [],
         ):
