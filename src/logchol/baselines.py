@@ -1,10 +1,11 @@
 """Baseline SPD geometries: Euclidean, Cholesky distance, Log-Euclidean,
 affine-invariant.
 
-All four expose distance, geodesic interpolation and a mean; the two
-Riemannian baselines additionally expose exponential/logarithmic maps and
-parallel transport so they can be timed and stress-tested against the
-Log-Cholesky geometry.  Every mean works on the ``(n, m, m)`` stack of its
+All four expose distance, interpolation and a mean; the two Riemannian
+baselines add exp/log maps and parallel transport so they can be timed and
+stress-tested against the Log-Cholesky geometry.  Every interpolation, like
+:func:`.spd_manifold.interpolate_spd`, takes the grid ``ts`` and works its
+endpoints once per call.  Every mean works on the ``(n, m, m)`` stack of its
 members from :func:`.tri._stack`: one batched factorization or matrix
 function per step, one typed wrap of the result.  A small registry keys
 every geometry (including Log-Cholesky) by its selector string for uniform
@@ -93,10 +94,12 @@ def euclid_dist(P: SymMatrix, Q: SymMatrix) -> float:
     return float(np.linalg.norm(P.data - Q.data))
 
 
-def euclid_interpolate(P: SymMatrix, Q: SymMatrix, t: float) -> SymMatrix:
+def euclid_interpolate(
+    P: SymMatrix, Q: SymMatrix, ts: Sequence[float]
+) -> list[SymMatrix]:
     """Linear interpolation ``(1 - t) P + t Q``; exhibits determinant swelling."""
     _require_same_dim(P, Q)
-    return _wrap_sym((1.0 - t) * P.data + t * Q.data)
+    return [_wrap_sym((1.0 - t) * P.data + t * Q.data) for t in ts]
 
 
 def euclid_mean(Ps: Sequence[SymMatrix]) -> SymMatrix:
@@ -123,11 +126,13 @@ def cholesky_distance(P: SpdMatrix, Q: SpdMatrix) -> float:
     return float(np.linalg.norm(_factor(P.data) - _factor(Q.data)))
 
 
-def cholesky_interpolate(P: SpdMatrix, Q: SpdMatrix, t: float) -> SpdMatrix:
-    """Convex combination of the factors, reconstructed."""
+def cholesky_interpolate(
+    P: SpdMatrix, Q: SpdMatrix, ts: Sequence[float]
+) -> list[SpdMatrix]:
+    """Convex combination of the factors, reconstructed; each factored once."""
     _require_same_dim(P, Q)
-    f = (1.0 - t) * _factor(P.data) + t * _factor(Q.data)
-    return reconstruct(CholeskyFactor(f))
+    l, k = _factor(P.data), _factor(Q.data)
+    return [reconstruct(CholeskyFactor((1.0 - t) * l + t * k)) for t in ts]
 
 
 def cholesky_mean(Ps: Sequence[SpdMatrix]) -> SpdMatrix:
@@ -211,11 +216,13 @@ def logeuclid_dist(P: SpdMatrix, Q: SpdMatrix) -> float:
     return float(np.linalg.norm(spd_logm(P.data) - spd_logm(Q.data)))
 
 
-def logeuclid_interpolate(P: SpdMatrix, Q: SpdMatrix, t: float) -> SpdMatrix:
+def logeuclid_interpolate(
+    P: SpdMatrix, Q: SpdMatrix, ts: Sequence[float]
+) -> list[SpdMatrix]:
+    """``exp((1 - t) log P + t log Q)``; each logarithm taken once."""
     _require_same_dim(P, Q)
-    lp = spd_logm(P.data)
-    lq = spd_logm(Q.data)
-    return _wrap_spd(sym_expm((1.0 - t) * lp + t * lq))
+    lp, lq = spd_logm(P.data), spd_logm(Q.data)
+    return [_wrap_spd(sym_expm((1.0 - t) * lp + t * lq)) for t in ts]
 
 
 def logeuclid_mean(Ps: Sequence[SpdMatrix]) -> SpdMatrix:
@@ -265,11 +272,14 @@ def affine_dist(P: SpdMatrix, Q: SpdMatrix) -> float:
     return float(np.linalg.norm(spd_logm(_sym(pis @ Q.data @ pis))))
 
 
-def affine_interpolate(P: SpdMatrix, Q: SpdMatrix, t: float) -> SpdMatrix:
+def affine_interpolate(
+    P: SpdMatrix, Q: SpdMatrix, ts: Sequence[float]
+) -> list[SpdMatrix]:
+    """``P^{1/2} (P^{-1/2} Q P^{-1/2})^t P^{1/2}``; ``Q`` whitened by ``P`` once."""
     _require_same_dim(P, Q)
     ps, pis = _sqrt_pair(P.data)
-    mid = spd_powm(_sym(pis @ Q.data @ pis), t)
-    return _wrap_spd(ps @ mid @ ps)
+    mid = _sym(pis @ Q.data @ pis)
+    return [_wrap_spd(ps @ spd_powm(mid, t) @ ps) for t in ts]
 
 
 def affine_exp(P: SpdMatrix, W: SymTangent) -> SpdMatrix:
@@ -339,15 +349,11 @@ class MetricOps:
 
     name: str
     distance: Callable[[SpdMatrix, SpdMatrix], float]
-    interpolate: Callable[[SpdMatrix, SpdMatrix, float], SymMatrix]
+    interpolate: Callable[[SpdMatrix, SpdMatrix, Sequence[float]], list[SymMatrix]]
     mean: Callable[[Sequence[SpdMatrix]], SymMatrix]
     exp: Callable[[SpdMatrix, SymTangent | LowerTriangular], SymMatrix]
     log: Callable[[SpdMatrix, SpdMatrix], SymTangent | LowerTriangular]
     transport: Callable[[SpdMatrix, SpdMatrix, SymTangent], SymTangent] | None = None
-
-
-def _lc_interpolate(P: SpdMatrix, Q: SpdMatrix, t: float) -> SpdMatrix:
-    return spd.interpolate_spd(P, Q, [t])[0]
 
 
 _METRICS = {
@@ -388,7 +394,7 @@ _METRICS = {
     "log-cholesky": MetricOps(
         name="log-cholesky",
         distance=spd.dist_spd,
-        interpolate=_lc_interpolate,
+        interpolate=spd.interpolate_spd,
         mean=spd.log_cholesky_mean,
         exp=spd.exp_spd,
         log=spd.log_spd,

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import nullcontext
 
 from . import experiments as ex
 from .baselines import METRIC_NAMES
@@ -74,18 +75,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _emit(report: ExperimentReport, args, glyphs: list[GlyphRecord] | None = None):
     text = report.to_json() if args.format == "json" else report.to_csv()
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + ("\n" if not text.endswith("\n") else ""))
-        if glyphs is not None:
-            with open(args.out + ".glyphs.jsonl", "w", encoding="utf-8") as fh:
-                for g in glyphs:
-                    fh.write(g.to_json() + "\n")
-    else:
-        sys.stdout.write(text + ("\n" if not text.endswith("\n") else ""))
-        if glyphs is not None:
-            for g in glyphs:
-                sys.stdout.write(g.to_json() + "\n")
+    parts = [(args.out, text + ("\n" if not text.endswith("\n") else ""))]
+    if glyphs is not None:
+        lines = "".join(g.to_json() + "\n" for g in glyphs)
+        parts.append((args.out and args.out + ".glyphs.jsonl", lines))
+    for path, body in parts:
+        with open(path, "w", encoding="utf-8") if path else nullcontext(sys.stdout) as fh:
+            fh.write(body)
 
 
 def main(argv=None) -> int:
@@ -128,7 +124,7 @@ def main(argv=None) -> int:
             _emit(ex.run_stability(args.kappa, args.m, args.seed), args)
         elif args.command == "mean-gap":
             _emit(ex.run_mean_gap(args.n, args.m, args.trials, args.seed), args)
-    except ex.ParameterError as exc:
+    except (ex.ParameterError, OSError) as exc:
         parser.error(str(exc))
     except LogCholError as exc:
         print(f"logchol: numerical failure: {exc}", file=sys.stderr)

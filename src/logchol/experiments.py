@@ -86,11 +86,9 @@ def run_interpolate(
         endpoints = interpolation_endpoints()
     p, q = endpoints
     ts = np.linspace(0.0, 1.0, steps)
-    mats = [ops.interpolate(p, q, float(t)) for t in ts]
-    dets = [float(np.linalg.det(m.data)) for m in mats]
-    glyphs = [
-        GlyphRecord.from_spd_dense(m.data, 0, i) for i, m in enumerate(mats)
-    ]
+    mats = ops.interpolate(p, q, ts)
+    glyphs = [GlyphRecord.from_spd_dense(m.data, 0, i) for i, m in enumerate(mats)]
+    dets = [g.determinant for g in glyphs]
     report = ExperimentReport(
         experiment="interpolate",
         metrics=[metric],
@@ -103,10 +101,7 @@ def run_interpolate(
             ),
             ResultRecord(
                 name="endpoint_dets",
-                values=[
-                    float(np.linalg.det(p.data)),
-                    float(np.linalg.det(q.data)),
-                ],
+                values=[float(np.linalg.det(a.data)) for a in (p, q)],
                 units="determinant",
             ),
         ],

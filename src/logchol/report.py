@@ -109,7 +109,7 @@ class GlyphRecord:
         )
 
     def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True)
+        return json.dumps(vars(self), sort_keys=True)
 
     @classmethod
     def from_json(cls, text: str) -> "GlyphRecord":

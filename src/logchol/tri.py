@@ -21,7 +21,7 @@ from scipy.linalg.lapack import dpotrf
 
 # Positivity tolerance at type boundaries: any representable normal positive
 # diagonal is admitted.  Numerical-quality checks live in the operations.
-TAU_POS = 1e-300
+TAU_POS = np.finfo(float).tiny
 
 
 class LogCholError(Exception):
@@ -250,7 +250,10 @@ def parse_matrix_text(text: str) -> list[np.ndarray]:
         for k in range(m):
             if i + 1 + k >= len(lines) or not lines[i + 1 + k]:
                 raise DomainError(f"matrix block truncated after {k} rows")
-            row = [float(tok) for tok in lines[i + 1 + k].split()]
+            try:
+                row = [float(tok) for tok in lines[i + 1 + k].split()]
+            except ValueError as exc:
+                raise DomainError(f"expected numbers, got {lines[i + 1 + k]!r}") from exc
             if len(row) != m:
                 raise DomainError(f"expected {m} entries per row, got {len(row)}")
             rows.append(row)

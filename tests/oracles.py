@@ -8,6 +8,7 @@ mean by per-member logarithms and exponentials.
 """
 from __future__ import annotations
 
+import mpmath
 import numpy as np
 
 from logchol import baselines as bl
@@ -105,8 +106,6 @@ def diff_S_inv_mp(l: np.ndarray, w: np.ndarray, dps: int = 50) -> np.ndarray:
     of the differentiated Cholesky factorization; no congruence is formed.
     The float inputs are taken exactly and the result is rounded once.
     """
-    import mpmath
-
     m = l.shape[0]
     with mpmath.workdps(dps):
         L = [[mpmath.mpf(float(l[i, j])) for j in range(m)] for i in range(m)]

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from oracles import karcher_mean_per_member
 
@@ -35,12 +35,11 @@ P2 = spd(np.diag([1.0, EPS**2]))
 class TestEuclidean:
     def test_interpolate_fixed_point(self, rng):
         p = random_spd(rng, 3)
-        assert_allclose(
-            bl.euclid_interpolate(p, p, 0.5).dense(), p.dense(), atol=0
-        )
+        [mid] = bl.euclid_interpolate(p, p, [0.5])
+        assert_allclose(mid.dense(), p.dense(), atol=0)
 
     def test_counterexample_midpoint(self):
-        mid = bl.euclid_interpolate(P1, P2, 0.5)
+        [mid] = bl.euclid_interpolate(P1, P2, [0.5])
         assert_allclose(mid.dense(), np.diag([0.505, 0.505]), atol=0)
 
     def test_mean_swells_on_interpolation_fixture(self):
@@ -67,7 +66,7 @@ class TestEuclidean:
 
 class TestCholeskyDistance:
     def test_counterexample_midpoint_determinant(self):
-        mid = bl.cholesky_interpolate(P1, P2, 0.5)
+        [mid] = bl.cholesky_interpolate(P1, P2, [0.5])
         expected = (1.0 + EPS) ** 4 / 16.0
         assert np.linalg.det(mid.dense()) == pytest.approx(expected, abs=1e-12)
         assert np.linalg.det(mid.dense()) > EPS**2  # exceeds both endpoint dets
@@ -75,7 +74,8 @@ class TestCholeskyDistance:
     def test_endpoint_exact(self, rng):
         p = random_spd(rng, 3)
         q = random_spd(rng, 3)
-        assert_allclose(bl.cholesky_interpolate(p, q, 0.0).dense(), p.dense(), rtol=1e-13)
+        [start] = bl.cholesky_interpolate(p, q, [0.0])
+        assert_allclose(start.dense(), p.dense(), rtol=1e-13)
 
     def test_distance_is_factor_gap(self):
         # factors diag(eps, 1) and diag(1, eps)
@@ -95,7 +95,7 @@ class TestCholeskyDistance:
         q = random_spd(rng, 3)
         assert_allclose(
             bl.cholesky_mean([p, q]).dense(),
-            bl.cholesky_interpolate(p, q, 0.5).dense(),
+            bl.cholesky_interpolate(p, q, [0.5])[0].dense(),
             rtol=1e-13,
         )
 
@@ -120,8 +120,7 @@ class TestLogEuclidean:
     def test_interpolation_endpoints(self, rng):
         p = random_spd(rng, 3)
         q = random_spd(rng, 3)
-        for t, ref in ((0.0, p), (1.0, q)):
-            out = bl.logeuclid_interpolate(p, q, t)
+        for out, ref in zip(bl.logeuclid_interpolate(p, q, [0.0, 1.0]), (p, q), strict=True):
             rel = np.linalg.norm(out.dense() - ref.dense()) / np.linalg.norm(ref.dense())
             assert rel < 1e-12
 
@@ -207,7 +206,7 @@ class TestAffineInvariant:
             p = random_spd(rng, 3)
             q = random_spd(rng, 3)
             mean = bl.affine_karcher_mean([p, q])
-            mid = bl.affine_interpolate(p, q, 0.5)
+            [mid] = bl.affine_interpolate(p, q, [0.5])
             assert_allclose(mean.dense(), mid.dense(), rtol=1e-10)
 
     def test_karcher_matches_per_member_reference(self):
@@ -223,11 +222,19 @@ class TestAffineInvariant:
         with pytest.raises(NoConvergenceError):
             bl.affine_karcher_mean([random_spd(rng, 3), random_spd(rng, 3)])
 
+    def test_interpolation_whitens_once(self, rng, monkeypatch):
+        calls = []
+        sqrt_pair = bl._sqrt_pair
+        monkeypatch.setattr(bl, "_sqrt_pair", lambda a: calls.append(a) or sqrt_pair(a))
+        p = random_spd(rng, 3)
+        q = random_spd(rng, 3)
+        assert len(bl.affine_interpolate(p, q, np.linspace(0, 1, 11))) == 11
+        assert len(calls) == 1
+
     def test_interpolation_endpoints(self, rng):
         p = random_spd(rng, 3)
         q = random_spd(rng, 3)
-        for t, ref in ((0.0, p), (1.0, q)):
-            out = bl.affine_interpolate(p, q, t)
+        for out, ref in zip(bl.affine_interpolate(p, q, [0.0, 1.0]), (p, q), strict=True):
             rel = np.linalg.norm(out.dense() - ref.dense()) / np.linalg.norm(ref.dense())
             assert rel < 1e-12
 
@@ -274,8 +281,7 @@ class TestSharedStructure:
         q = random_spd(rng, 3)
         for name in bl.METRIC_NAMES:
             ops = bl.get_metric(name)
-            for t, ref in ((0.0, p), (1.0, q)):
-                out = ops.interpolate(p, q, t)
+            for out, ref in zip(ops.interpolate(p, q, [0.0, 1.0]), (p, q), strict=True):
                 rel = np.linalg.norm(out.dense() - ref.dense()) / np.linalg.norm(
                     ref.dense()
                 )
@@ -288,12 +294,21 @@ class TestSharedStructure:
         seqs = {}
         for name in ("log-cholesky", "log-euclidean", "affine-invariant"):
             ops = bl.get_metric(name)
-            seqs[name] = [
-                np.linalg.det(ops.interpolate(p, q, float(t)).dense()) for t in ts
-            ]
+            seqs[name] = [np.linalg.det(m.dense()) for m in ops.interpolate(p, q, ts)]
         ref = seqs["log-cholesky"]
         for name in ("log-euclidean", "affine-invariant"):
             assert_allclose(seqs[name], ref, rtol=1e-8)
+
+    @pytest.mark.parametrize("name", bl.METRIC_NAMES)
+    def test_interpolation_takes_the_grid(self, rng, name):
+        p = random_spd(rng, 3)
+        q = random_spd(rng, 3)
+        interpolate = bl.get_metric(name).interpolate
+        ts = [0.0, 0.3, 0.5, 0.5, 1.0]
+        out = interpolate(p, q, ts)
+        assert len(out) == len(ts)
+        for t, m in zip(ts, out):
+            assert_array_equal(m.data, interpolate(p, q, [t])[0].data)
 
     def test_registry(self):
         assert set(bl.METRIC_NAMES) == {

@@ -161,7 +161,6 @@ def test_diff_S_inv_examples():
 @pytest.mark.parametrize("kappa", [1e2, 1e6, 1e10, 1e15])
 @pytest.mark.parametrize("m", [1, 2, 5, 12])
 def test_diff_S_inv_matches_extended_precision(rng, kappa, m):
-    pytest.importorskip("mpmath")
     for _ in range(3):
         l = cholesky_factor(random_spd_with_condition(rng, m, kappa))
         w = random_sym(rng, m)

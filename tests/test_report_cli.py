@@ -75,6 +75,11 @@ class TestExperiments:
         assert np.allclose(dets, dets[0])
         assert len(glyphs) == 5
 
+    @pytest.mark.parametrize("name", METRIC_NAMES)
+    def test_det_sequence_is_the_glyph_determinants(self, name):
+        rep, glyphs = ex.run_interpolate(name, 101)
+        assert rep.result("det_sequence").values == [g.determinant for g in glyphs]
+
     def test_parameters_checked_by_the_experiments(self):
         for call in (
             lambda: ex.run_interpolate("log-cholesky", 1),
@@ -199,8 +204,11 @@ class TestCli:
             assert main(["mean", "--metric", metric, "--input", str(fx)]) == 3, metric
             assert "numerical failure" in capsys.readouterr().err
 
-    def test_usage_errors_exit_2(self):
+    def test_usage_errors_exit_2(self, tmp_path):
         for argv in (
+            ["mean", "--input", str(tmp_path / "missing.txt")],
+            ["interpolate", "--input", str(tmp_path)],
+            ["stability", "--out", str(tmp_path / "missing" / "rep.json")],
             ["interpolate", "--steps", "1"],
             ["interpolate", "--metric", "riemann"],
             ["bench-transport", "--reps", "0"],
@@ -229,9 +237,10 @@ class TestCli:
 
     def test_numerical_failure_exit_3(self, tmp_path, capsys):
         fx = tmp_path / "bad.txt"
-        fx.write_text("2\n1.0 2.0\n2.0 1.0\n")
-        assert main(["mean", "--input", str(fx)]) == 3
-        assert "numerical failure" in capsys.readouterr().err
+        for text in ("2\n1.0 2.0\n2.0 1.0\n", "2\n1.0 0.0\n0 x\n"):
+            fx.write_text(text)
+            assert main(["mean", "--input", str(fx)]) == 3, text
+            assert "numerical failure" in capsys.readouterr().err
 
     def test_stability_cli(self, tmp_path):
         out = tmp_path / "stab.json"

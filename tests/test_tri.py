@@ -96,6 +96,12 @@ def test_lower_triangular_validation():
 
 def test_cholesky_factor_validation():
     CholeskyFactor.from_dense(np.diag([1e-200, 1.0]))
+    # Every normal positive diagonal is admitted, a subnormal one is not.
+    CholeskyFactor(np.diag([1e-305, 1.0]))
+    i2 = CholeskyFactor(np.eye(2))
+    exp_chol(i2, LowerTriangular(np.diag([np.log(1e-301), 0.0])))
+    with pytest.raises(DomainError):
+        CholeskyFactor(np.diag([5e-324, 1.0]))
     with pytest.raises(DomainError):
         CholeskyFactor.from_dense(np.diag([0.0, 1.0]))
     with pytest.raises(DomainError):
@@ -233,6 +239,8 @@ def test_parse_errors():
         parse_matrix_text("2\n1.0 0.0 3.0\n0.0 1.0 3.0\n")  # wrong row length
     with pytest.raises(DomainError):
         parse_matrix_text("0\n")
+    with pytest.raises(DomainError):
+        parse_matrix_text("2\n1.0 0.0\n0 x\n")  # not a number
 
 
 def test_load_matrices_kinds(tmp_path):
