@@ -3,7 +3,11 @@ affine-invariant.
 
 All four expose distance, interpolation and a mean; the two Riemannian
 baselines add exp/log maps and parallel transport so they can be timed and
-stress-tested against the Log-Cholesky geometry.  Every interpolation, like
+stress-tested against the Log-Cholesky geometry.  Every affine-invariant
+operation whitens by the Cholesky factor of its base point ``P = L L^T``,
+forming ``L^-1 X L^-T`` with :func:`.chol_map._congruence`, and maps back by
+``L f(.) L^T``; since ``L = P^{1/2} U`` with ``U`` orthogonal, that is
+``P^{1/2} f(P^{-1/2} X P^{-1/2}) P^{1/2}``.  Every interpolation, like
 :func:`.spd_manifold.interpolate_spd`, takes the grid ``ts`` and works its
 endpoints once per call.  Every mean works on the ``(n, m, m)`` stack of its
 members from :func:`.tri._stack`: one batched factorization or matrix
@@ -19,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import spd_manifold as spd
-from .chol_map import _factor, _reconstruct, reconstruct
+from .chol_map import _congruence, _factor, _reconstruct, reconstruct
 from .tri import (
     CholeskyFactor,
     DomainError,
@@ -65,11 +69,6 @@ def sym_expm(a: np.ndarray) -> np.ndarray:
 def spd_logm(a: np.ndarray) -> np.ndarray:
     """Matrix logarithm of an SPD matrix or stack."""
     return _spectral(a, np.log, "matrix logarithm")
-
-
-def spd_powm(a: np.ndarray, t: float) -> np.ndarray:
-    """Real matrix power of an SPD matrix or stack."""
-    return _spectral(a, lambda w: w**t, "matrix power")
 
 
 def _sym(a: np.ndarray) -> np.ndarray:
@@ -259,48 +258,44 @@ KARCHER_TOL = 1e-12
 KARCHER_MAX_ITER = 200
 
 
-def _sqrt_pair(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``(P^{1/2}, P^{-1/2})`` from one eigendecomposition of SPD ``p``."""
-    w, u = _eigh(p, "matrix square root")
-    sq = np.sqrt(w)
-    return (u * sq) @ u.T, (u / sq) @ u.T
-
-
 def affine_dist(P: SpdMatrix, Q: SpdMatrix) -> float:
+    """``|log(L^-1 Q L^-T)|_F`` with ``P = L L^T``."""
     _require_same_dim(P, Q)
-    _, pis = _sqrt_pair(P.data)
-    return float(np.linalg.norm(spd_logm(_sym(pis @ Q.data @ pis))))
+    return float(np.linalg.norm(spd_logm(_sym(_congruence(_factor(P.data), Q.data)))))
 
 
 def affine_interpolate(
     P: SpdMatrix, Q: SpdMatrix, ts: Sequence[float]
 ) -> list[SpdMatrix]:
-    """``P^{1/2} (P^{-1/2} Q P^{-1/2})^t P^{1/2}``; ``Q`` whitened by ``P`` once."""
+    """``L (L^-1 Q L^-T)^t L^T``; ``Q`` whitened by ``P`` and decomposed once."""
     _require_same_dim(P, Q)
-    ps, pis = _sqrt_pair(P.data)
-    mid = _sym(pis @ Q.data @ pis)
-    return [_wrap_spd(ps @ spd_powm(mid, t) @ ps) for t in ts]
+    l = _factor(P.data)
+    w, u = _eigh(_sym(_congruence(l, Q.data)), "matrix power")
+    lu = l @ u
+    return [_wrap_spd((lu * w**t) @ lu.T) for t in ts]
 
 
 def affine_exp(P: SpdMatrix, W: SymTangent) -> SpdMatrix:
+    """``L exp(L^-1 W L^-T) L^T`` with ``P = L L^T``."""
     _require_same_dim(P, W)
-    ps, pis = _sqrt_pair(P.data)
-    return _wrap_spd(ps @ sym_expm(_sym(pis @ W.data @ pis)) @ ps)
+    l = _factor(P.data)
+    return _wrap_spd(l @ sym_expm(_sym(_congruence(l, W.data))) @ l.T)
 
 
 def affine_log(P: SpdMatrix, Q: SpdMatrix) -> SymTangent:
+    """``L log(L^-1 Q L^-T) L^T`` with ``P = L L^T``."""
     _require_same_dim(P, Q)
-    ps, pis = _sqrt_pair(P.data)
-    return _wrap_sym(ps @ spd_logm(_sym(pis @ Q.data @ pis)) @ ps)
+    l = _factor(P.data)
+    return _wrap_sym(l @ spd_logm(_sym(_congruence(l, Q.data))) @ l.T)
 
 
 def affine_transport(P: SpdMatrix, Q: SpdMatrix, W: SymTangent) -> SymTangent:
-    """Closed-form transport ``E W E^T`` with ``E = (Q P^-1)^(1/2)``."""
+    """Closed-form transport ``E W E^T`` with ``E = (Q P^-1)^(1/2) = L S L^-1``,
+    where ``S = (L^-1 Q L^-T)^(1/2)``: so ``(L S) (L^-1 W L^-T) (L S)^T``."""
     _require_same_dim(P, Q, W)
-    ps, pis = _sqrt_pair(P.data)
-    inner = spd_powm(_sym(pis @ Q.data @ pis), 0.5)
-    e = ps @ inner @ pis
-    return _wrap_sym(e @ W.data @ e.T)
+    l = _factor(P.data)
+    ls = l @ _spectral(_sym(_congruence(l, Q.data)), np.sqrt, "matrix square root")
+    return _wrap_sym(ls @ _sym(_congruence(l, W.data)) @ ls.T)
 
 
 def affine_inner(P: SpdMatrix, W: SymTangent, V: SymTangent) -> float:
@@ -313,9 +308,10 @@ def affine_inner(P: SpdMatrix, W: SymTangent, V: SymTangent) -> float:
 def affine_karcher_mean(Ps: Sequence[SpdMatrix]) -> SpdMatrix:
     """Frechet mean by fixed-point iteration with unit step.
 
-    From the Euclidean mean, each step whitens the stack once by the
-    iterate ``P``: with ``g`` the mean of ``log(P^{-1/2} P_i P^{-1/2})``,
-    the gradient is ``P^{1/2} g P^{1/2}`` and the step ``P^{1/2} e^g P^{1/2}``.
+    From the Euclidean mean, each step factors the iterate ``P = L L^T``
+    and whitens the whole stack in one congruence: with ``g`` the mean of
+    ``log(L^-1 P_i L^-T)``, the gradient is ``L g L^T`` and the step
+    ``L e^g L^T``.
 
     Raises
     ------
@@ -324,15 +320,13 @@ def affine_karcher_mean(Ps: Sequence[SpdMatrix]) -> SpdMatrix:
         the iterate's norm) within ``KARCHER_MAX_ITER`` iterations.
     """
     ps = _stack(Ps)
-    if len(ps) == 1:
-        return Ps[0]
     mean = _wrap_spd(ps.mean(axis=0))
     for _ in range(KARCHER_MAX_ITER):
-        half, ihalf = _sqrt_pair(mean.data)
-        g = spd_logm(_sym(ihalf @ ps @ ihalf)).mean(axis=0)
-        if np.linalg.norm(half @ g @ half) <= KARCHER_TOL * (1.0 + np.linalg.norm(mean.data)):
+        l = _factor(mean.data)
+        g = spd_logm(_sym(_congruence(l, ps))).mean(axis=0)
+        if np.linalg.norm(l @ g @ l.T) <= KARCHER_TOL * (1.0 + np.linalg.norm(mean.data)):
             return mean
-        mean = _wrap_spd(half @ sym_expm(_sym(g)) @ half)
+        mean = _wrap_spd(l @ sym_expm(_sym(g)) @ l.T)
     raise NoConvergenceError(
         f"Karcher iteration did not converge in {KARCHER_MAX_ITER} iterations"
     )

@@ -14,7 +14,7 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from .tri import CholeskyFactor, DomainError, LowerTriangular, _require_same_dim, _stack
+from .tri import CholeskyFactor, LowerTriangular, _require_same_dim, _stack
 
 
 def _metric(l: np.ndarray, x: np.ndarray, y: np.ndarray) -> float:
@@ -137,32 +137,17 @@ def transport_chol(
     return LowerTriangular(_transport(L.data, K.data, X.data))
 
 
-def _frechet_mean(ls: np.ndarray, w: np.ndarray) -> np.ndarray:
-    # ls stacks n factors along its first axis; w holds n convex weights.
-    out = np.tensordot(w, ls, axes=1)
-    np.fill_diagonal(out, np.exp(w @ np.log(ls.diagonal(axis1=1, axis2=2))))
+def _frechet_mean(ls: np.ndarray) -> np.ndarray:
+    # ls stacks n factors along its first axis.
+    out = ls.mean(axis=0)
+    np.fill_diagonal(out, np.exp(np.log(ls.diagonal(axis1=1, axis2=2)).mean(axis=0)))
     return out
 
 
-def frechet_mean_chol(
-    Ls: Sequence[CholeskyFactor], weights: Sequence[float] | None = None
-) -> CholeskyFactor:
+def frechet_mean_chol(Ls: Sequence[CholeskyFactor]) -> CholeskyFactor:
     """Closed-form Frechet mean of factors.
 
     Arithmetic mean of the strict lower parts combined with the geometric
-    mean of the diagonals.  Optional convex weights generalize the uniform
-    average; unweighted input follows the uniform closed form.
+    mean of the diagonals.
     """
-    ls = _stack(Ls)
-    return CholeskyFactor(_frechet_mean(ls, _convex_weights(weights, len(ls))))
-
-
-def _convex_weights(weights, n: int) -> np.ndarray:
-    if weights is None:
-        return np.full(n, 1.0 / n)
-    w = np.asarray(weights, dtype=float)
-    if w.shape != (n,):
-        raise DomainError(f"expected {n} weights, got shape {w.shape}")
-    if np.any(w < 0.0) or abs(w.sum() - 1.0) > 1e-10:
-        raise DomainError("weights must be nonnegative and sum to one")
-    return w
+    return CholeskyFactor(_frechet_mean(_stack(Ls)))

@@ -8,8 +8,8 @@ map is an array kernel (``_factor``, ``_reconstruct``, ``_diff_S``,
 kernels and wrap only their final result.  ``_factor`` is defined in
 :mod:`.tri`, whose ``SpdMatrix.from_dense`` runs it as its SPD test: one
 LAPACK ``dpotrf`` call on a matrix, one batched ``np.linalg.cholesky`` call
-on a stack.  ``_diff_S_inv`` forms ``L^{-1} W L^{-T}`` with two BLAS
-``dtrsm`` calls.
+on a stack.  ``_congruence`` forms ``L^{-1} W L^{-T}`` of a matrix or a stack
+with two BLAS ``dtrsm`` calls, for ``_diff_S_inv`` and the affine-invariant ops.
 """
 from __future__ import annotations
 
@@ -59,11 +59,22 @@ def diff_S(L: CholeskyFactor, X: LowerTriangular) -> SymTangent:
     return SymMatrix(_diff_S(L.data, X.data))
 
 
+def _congruence(l: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """``L^{-1} W L^{-T}``, not symmetrized, for one ``(m, m)`` matrix or an
+    ``(n, m, m)`` stack: a solve from the left, then one from the right, a
+    stack laid out as one ``(m, n m)`` block row, then one ``(n m, m)`` column."""
+    if w.ndim == 2:
+        return dtrsm(1.0, l, dtrsm(1.0, l, w, lower=1), side=1, lower=1, trans_a=1)
+    n, m, _ = w.shape
+    row = dtrsm(1.0, l, w.transpose(1, 0, 2).reshape(m, n * m), lower=1)
+    col = row.reshape(m, n, m).transpose(1, 0, 2).reshape(n * m, m)
+    return dtrsm(1.0, l, col, side=1, lower=1, trans_a=1).reshape(n, m, m)
+
+
 def _diff_S_inv(l: np.ndarray, w: np.ndarray) -> np.ndarray:
-    # L^{-1} W L^{-T}: a solve from the left, then one from the right with
-    # L^T.  Only the lower triangle of the result is read below, so it needs
+    # Only the lower triangle of the congruence is read below, so it needs
     # no symmetrizing.
-    h = dtrsm(1.0, l, dtrsm(1.0, l, w, lower=1), side=1, lower=1, trans_a=1)
+    h = _congruence(l, w)
     np.fill_diagonal(h, h.diagonal() / 2.0)
     # L @ tril(h): trmm reads only the lower triangle of h.
     return dtrmm(1.0, h, l, side=1, lower=1)

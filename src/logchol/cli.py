@@ -89,6 +89,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.command == "interpolate":
+            if args.format == "csv" and not args.out:
+                parser.error("--format csv needs --out, for the glyphs' OUT.glyphs.jsonl")
             endpoints = None
             fixture = "builtin"
             if args.input:

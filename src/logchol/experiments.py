@@ -28,6 +28,7 @@ from .tri import (
     DomainError,
     LogCholError,
     NoConvergenceError,
+    NotSpdError,
     SpdMatrix,
     SymMatrix,
     _stack,
@@ -117,7 +118,7 @@ def run_mean(
     """Mean study: mean matrix, its determinant, and the determinant-law gap."""
     ops = bl.get_metric(metric)
     mean = ops.mean(list(mats))
-    dets, det_mean, geo, gap = _det_law(mean, mats)
+    det_mean, geo, gap, within = _det_law(mean, mats)
     return ExperimentReport(
         experiment="mean",
         metrics=[metric],
@@ -138,9 +139,7 @@ def run_mean(
             ),
             ResultRecord(
                 name="det_within_bounds",
-                value=bool(
-                    dets.min() * (1.0 - 1e-12) <= det_mean <= dets.max() * (1.0 + 1e-12)
-                ),
+                value=within,
                 units="flag",
                 tolerance=1e-12,
             ),
@@ -148,16 +147,22 @@ def run_mean(
     )
 
 
-def _det_law(
-    mean: SymMatrix, mats: Sequence[SpdMatrix]
-) -> tuple[np.ndarray, float, float, float]:
-    """The determinant law ``det(mean) = geometric mean of det(P_i)``:
-    the members' determinants (one stacked call), the mean's determinant,
-    their geometric mean and the relative gap between the two."""
-    dets = np.linalg.det(_stack(mats))
-    det_mean = float(np.linalg.det(mean.data))
-    geo = float(np.exp(np.mean(np.log(dets))))
-    return dets, det_mean, geo, abs(det_mean - geo) / geo
+def _det_law(mean: SymMatrix, mats: Sequence[SpdMatrix]) -> tuple[float, float, float, bool]:
+    """The determinant law ``det(mean) = geometric mean of det(P_i)``, in
+    log-determinants so that none under- or overflows: the mean's
+    determinant, the members' geometric mean, their relative gap, and
+    whether the mean's lies in the members' range (relative slack 1e-12).
+    Raises ``NotSpdError`` on a determinant that is not positive."""
+    signs, lds = np.linalg.slogdet(_stack(mats))
+    sign, ld_mean = np.linalg.slogdet(mean.data)
+    if sign != 1.0 or (signs != 1.0).any():
+        raise NotSpdError("determinant law undefined: a determinant is not positive")
+    ld_geo = lds.mean()
+    within = lds.min() + math.log1p(-1e-12) <= ld_mean <= lds.max() + math.log1p(1e-12)
+    with np.errstate(over="ignore"):  # a value beyond the float range reads inf
+        det_mean, geo = np.exp([ld_mean, ld_geo]).tolist()
+        gap = float(abs(np.expm1(ld_mean - ld_geo)))
+    return det_mean, geo, gap, bool(within)
 
 
 BENCH_METRICS = ("log-euclidean", "affine-invariant", "log-cholesky")
@@ -277,7 +282,7 @@ def _mean_records(
     name: str, ops: bl.MetricOps, sample: list[SpdMatrix]
 ) -> list[ResultRecord]:
     try:
-        _, _, _, gap = _det_law(ops.mean(sample), sample)
+        _, _, gap, _ = _det_law(ops.mean(sample), sample)
         return [
             ResultRecord(name=f"{name}.mean_success", value=True, units="flag"),
             ResultRecord(

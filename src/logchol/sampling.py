@@ -6,10 +6,10 @@ import numpy as np
 from .tri import CholeskyFactor, LowerTriangular, SpdMatrix, SymMatrix
 
 
-def random_spd(rng: np.random.Generator, dim: int, jitter: float = 1e-3) -> SpdMatrix:
-    """Random SPD matrix ``A A^T + jitter * I`` with ``A`` standard normal."""
+def random_spd(rng: np.random.Generator, dim: int) -> SpdMatrix:
+    """Random SPD matrix ``A A^T + 1e-3 I`` with ``A`` standard normal."""
     a = rng.standard_normal((dim, dim))
-    p = a @ a.T + jitter * np.eye(dim)
+    p = a @ a.T + 1e-3 * np.eye(dim)
     return SpdMatrix((p + p.T) / 2.0)
 
 
@@ -38,9 +38,9 @@ def random_spd_with_condition(
     return SpdMatrix((p + p.T) / 2.0)
 
 
-def random_sym(rng: np.random.Generator, dim: int, scale: float = 1.0) -> SymMatrix:
+def random_sym(rng: np.random.Generator, dim: int) -> SymMatrix:
     """Random symmetric matrix with independent normal entries."""
-    g = rng.standard_normal((dim, dim)) * scale
+    g = rng.standard_normal((dim, dim))
     return SymMatrix((g + g.T) / 2.0)
 
 

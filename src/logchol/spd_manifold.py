@@ -76,18 +76,15 @@ def transport_spd(P: SpdMatrix, Q: SpdMatrix, W: SymTangent) -> SymTangent:
     return SymMatrix(_diff_S(k, cm._transport(l, k, _diff_S_inv(l, W.data))))
 
 
-def log_cholesky_mean(
-    Ps: Sequence[SpdMatrix], weights: Sequence[float] | None = None
-) -> SpdMatrix:
+def log_cholesky_mean(Ps: Sequence[SpdMatrix]) -> SpdMatrix:
     """Closed-form Frechet mean of SPD matrices under this geometry.
 
     The stacked matrices are factored in one call, the factors averaged
     (arithmetic strict-lower mean, geometric diagonal mean) and the result
-    reconstructed.  The mean's determinant equals the (weighted) geometric
-    mean of the input determinants.
+    reconstructed.  The mean's determinant equals the geometric mean of the
+    input determinants.
     """
-    ls = _factor(_stack(Ps))
-    return SpdMatrix(_reconstruct(cm._frechet_mean(ls, cm._convex_weights(weights, len(ls)))))
+    return SpdMatrix(_reconstruct(cm._frechet_mean(_factor(_stack(Ps)))))
 
 
 def interpolate_spd(

@@ -4,7 +4,8 @@ These deliberately avoid the closed forms they are checking: means are
 recomputed by Riemannian gradient descent on the Frechet functional,
 differentials by central finite differences on dense arrays, the
 Cholesky factor by its column recurrences, and the affine-invariant Karcher
-mean by per-member logarithms and exponentials.
+mean by per-member logarithms and exponentials.  The extended-precision
+oracles take their float inputs exactly and round each result once.
 """
 from __future__ import annotations
 
@@ -118,3 +119,33 @@ def diff_S_inv_mp(l: np.ndarray, w: np.ndarray, dps: int = 50) -> np.ndarray:
                 s = sum((L[i][k] * X[j][k] + X[i][k] * L[j][k] for k in range(j)), mpmath.mpf(0))
                 X[i][j] = (W[i][j] - L[i][j] * X[j][j] - s) / L[j][j]
         return np.array([[float(X[i][j]) for j in range(m)] for i in range(m)])
+
+
+def affine_mp(p: np.ndarray, q: np.ndarray, w: np.ndarray, dps: int = 50):
+    """Affine-invariant distance, ``log_P Q`` and the transport of ``W`` from
+    ``P`` to ``Q``, in extended precision.
+
+    With ``P = L L^T`` (``mpmath.cholesky``) and ``L^{-1} Q L^{-T} = U diag(lam) U^T``
+    (``mpmath.eigsy``): the distance is ``|log lam|``, the logarithm is
+    ``L U diag(log lam) U^T L^T`` and the transport ``E W E^T`` with
+    ``E = (Q P^{-1})^{1/2} = L U diag(sqrt lam) U^T L^{-1}``.
+    """
+    m = p.shape[0]
+    with mpmath.workdps(dps):
+        P, Q, W = (mpmath.matrix(a.tolist()) for a in (p, q, w))
+        L = mpmath.cholesky(P)
+        Li = L**-1
+        lam, U = mpmath.eigsy(Li * Q * Li.T)
+
+        def spectral(f):
+            return U * mpmath.diag([f(lam[i]) for i in range(m)]) * U.T
+
+        dist = mpmath.sqrt(sum(mpmath.log(lam[i]) ** 2 for i in range(m)))
+        log = L * spectral(mpmath.log) * L.T
+        e = L * spectral(mpmath.sqrt) * Li
+        transport = e * W * e.T
+        return (
+            float(dist),
+            np.array(log.tolist(), dtype=float),
+            np.array(transport.tolist(), dtype=float),
+        )

@@ -2,10 +2,15 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from oracles import karcher_mean_per_member
+from oracles import affine_mp, karcher_mean_per_member
 
 from logchol import baselines as bl
-from logchol.sampling import random_spd, random_spd_wishart, random_sym
+from logchol.sampling import (
+    random_spd,
+    random_spd_wishart,
+    random_spd_with_condition,
+    random_sym,
+)
 from logchol.spd_manifold import log_cholesky_mean
 from logchol.tri import (
     DomainError,
@@ -24,6 +29,12 @@ def spd(dense):
 
 def sym(dense):
     return SymMatrix.from_dense(np.asarray(dense, dtype=float))
+
+
+def well_conditioned_spd(rng, m):
+    """``A A^T + I`` with ``A`` standard normal."""
+    a = rng.standard_normal((m, m))
+    return spd(a @ a.T + np.eye(m))
 
 
 EPS = 0.1
@@ -127,8 +138,8 @@ class TestLogEuclidean:
     def test_exp_log_inverse_pair(self, rng):
         # well-conditioned inputs so the series route reaches its tolerance
         for _ in range(5):
-            p = random_spd(rng, 3, jitter=1.0)
-            q = random_spd(rng, 3, jitter=1.0)
+            p = well_conditioned_spd(rng, 3)
+            q = well_conditioned_spd(rng, 3)
             back = bl.logeuclid_exp(p, bl.logeuclid_log(p, q))
             rel = np.linalg.norm(back.dense() - q.dense()) / np.linalg.norm(q.dense())
             assert rel < 1e-9
@@ -137,10 +148,10 @@ class TestLogEuclidean:
         # inner product of the flattened tangents; use well-conditioned
         # inputs so the series route converges to its tolerance
         for _ in range(5):
-            p = random_spd(rng, 3, jitter=1.0)
-            q = random_spd(rng, 3, jitter=1.0)
-            w = random_sym(rng, 3, scale=0.3)
-            v = random_sym(rng, 3, scale=0.3)
+            p = well_conditioned_spd(rng, 3)
+            q = well_conditioned_spd(rng, 3)
+            w = sym(0.3 * random_sym(rng, 3).data)
+            v = sym(0.3 * random_sym(rng, 3).data)
             before = np.sum(
                 bl.dlog_spd(p.dense(), w.dense()) * bl.dlog_spd(p.dense(), v.dense())
             )
@@ -152,16 +163,16 @@ class TestLogEuclidean:
             assert after == pytest.approx(before, rel=1e-8, abs=1e-10)
 
     def test_dexp_dlog_are_mutually_inverse(self, rng):
-        p = random_spd(rng, 3, jitter=1.0)
-        w = random_sym(rng, 3, scale=0.3)
+        p = well_conditioned_spd(rng, 3)
+        w = sym(0.3 * random_sym(rng, 3).data)
         s = bl.spd_logm(p.dense())
         back = bl.dexp_sym(s, bl.dlog_spd(p.dense(), w.dense()))
         assert_allclose(back, w.dense(), rtol=1e-10, atol=1e-12)
 
     def test_dexp_finite_difference(self, rng):
         h = 1e-6
-        s = random_sym(rng, 3, scale=0.5).dense()
-        d = random_sym(rng, 3, scale=0.5).dense()
+        s = 0.5 * random_sym(rng, 3).dense()
+        d = 0.5 * random_sym(rng, 3).dense()
         fd = (bl.sym_expm(s + h * d) - bl.sym_expm(s - h * d)) / (2 * h)
         assert_allclose(bl.dexp_sym(s, d), fd, rtol=1e-6, atol=1e-8)
 
@@ -223,13 +234,23 @@ class TestAffineInvariant:
             bl.affine_karcher_mean([random_spd(rng, 3), random_spd(rng, 3)])
 
     def test_interpolation_whitens_once(self, rng, monkeypatch):
-        calls = []
-        sqrt_pair = bl._sqrt_pair
-        monkeypatch.setattr(bl, "_sqrt_pair", lambda a: calls.append(a) or sqrt_pair(a))
+        # One factorization of P and one eigendecomposition of the whitened
+        # Q per call, however many points the grid holds.
+        calls = {"_factor": 0, "_eigh": 0}
+        for name in calls:
+            fn = getattr(bl, name)
+
+            def counted(*args, _fn=fn, _name=name):
+                calls[_name] += 1
+                return _fn(*args)
+
+            monkeypatch.setattr(bl, name, counted)
         p = random_spd(rng, 3)
         q = random_spd(rng, 3)
-        assert len(bl.affine_interpolate(p, q, np.linspace(0, 1, 11))) == 11
-        assert len(calls) == 1
+        for steps in (2, 11, 101):
+            calls.update(_factor=0, _eigh=0)
+            assert len(bl.affine_interpolate(p, q, np.linspace(0, 1, steps))) == steps
+            assert calls == {"_factor": 1, "_eigh": 1}, steps
 
     def test_interpolation_endpoints(self, rng):
         p = random_spd(rng, 3)
@@ -256,6 +277,24 @@ class TestAffineInvariant:
                 q, bl.affine_transport(p, q, w), bl.affine_transport(p, q, v)
             )
             assert after == pytest.approx(before, rel=1e-10, abs=1e-12)
+
+    @pytest.mark.parametrize("kappa", [1e2, 1e4, 1e6])
+    @pytest.mark.parametrize("m", [2, 5])
+    def test_matches_extended_precision(self, rng, m, kappa):
+        # P and Q both at condition kappa: the whitened Q then has condition
+        # up to kappa^2, which bounds how well its logarithm can be resolved;
+        # the transport takes its square root.
+        eps = np.finfo(float).eps
+        for _ in range(10):
+            p = random_spd_with_condition(rng, m, kappa)
+            q = random_spd_with_condition(rng, m, kappa)
+            w = random_sym(rng, m)
+            dist, log, transport = affine_mp(p.data, q.data, w.data)
+            assert abs(bl.affine_dist(p, q) - dist) <= eps * kappa**2 * dist
+            out = bl.affine_log(p, q).data
+            assert np.linalg.norm(out - log) <= eps * kappa**2 * np.linalg.norm(log)
+            out = bl.affine_transport(p, q, w).data
+            assert np.linalg.norm(out - transport) <= 10 * eps * kappa * np.linalg.norm(transport)
 
     def test_dist_congruence_invariance(self, rng):
         # the defining property of this baseline metric

@@ -299,23 +299,3 @@ class TestMean:
         mean = frechet_mean_chol(ls)
         geo = np.exp(np.mean([np.log(np.prod(l.diag)) for l in ls]))
         assert np.prod(mean.diag) == pytest.approx(geo, rel=1e-12)
-
-    def test_uniform_weights_match_unweighted(self, rng):
-        ls = [random_factor(rng, 3) for _ in range(5)]
-        a = frechet_mean_chol(ls)
-        b = frechet_mean_chol(ls, weights=[0.2] * 5)
-        assert_array_equal(a.data, b.data)
-
-    def test_weighted_two_points(self):
-        k = factor(np.diag([np.e**2, np.e**2]))
-        out = frechet_mean_chol([I2, k], weights=[0.25, 0.75])
-        assert_allclose(out.dense(), np.diag([np.e**1.5, np.e**1.5]), rtol=1e-14)
-
-    def test_invalid_weights(self, rng):
-        ls = [random_factor(rng, 3) for _ in range(2)]
-        with pytest.raises(DomainError):
-            frechet_mean_chol(ls, weights=[0.5, 0.6])
-        with pytest.raises(DomainError):
-            frechet_mean_chol(ls, weights=[1.5, -0.5])
-        with pytest.raises(DomainError):
-            frechet_mean_chol(ls, weights=[1.0])

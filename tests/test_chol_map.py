@@ -5,6 +5,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 from oracles import central_difference_diff_S, cholesky_factor_recursive, diff_S_inv_mp
 
 from logchol.chol_map import (
+    _congruence,
     _factor,
     cholesky_factor,
     diff_S,
@@ -167,6 +168,18 @@ def test_diff_S_inv_matches_extended_precision(rng, kappa, m):
         ref = diff_S_inv_mp(l.data, w.data)
         err = np.linalg.norm(diff_S_inv(l, w).data - ref) / np.linalg.norm(ref)
         assert err <= 1e-12
+
+
+@pytest.mark.parametrize("n", [1, 2, 20])
+@pytest.mark.parametrize("m", [1, 2, 5, 12])
+def test_congruence_of_a_stack_is_per_member(rng, m, n):
+    l = cholesky_factor(random_spd_with_condition(rng, m, 1e6)).data
+    ws = np.stack([random_sym(rng, m).data for _ in range(n)])
+    out = _congruence(l, ws)
+    assert out.shape == (n, m, m)
+    for w, h in zip(ws, out, strict=True):
+        ref = _congruence(l, w)
+        assert np.linalg.norm(h - ref) <= 1e-15 * np.linalg.norm(ref)
 
 
 def test_diff_roundtrips(rng):

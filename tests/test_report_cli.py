@@ -8,7 +8,7 @@ from logchol.baselines import METRIC_NAMES, get_metric
 from logchol.cli import main
 from logchol.report import ExperimentReport, GlyphRecord, ResultRecord
 from logchol.sampling import random_spd_with_condition, random_spd_wishart
-from logchol.tri import NotSpdError, SpdMatrix, dump_matrices
+from logchol.tri import NotSpdError, SpdMatrix, SymMatrix, dump_matrices
 
 
 class TestReport:
@@ -117,6 +117,11 @@ class TestExperiments:
             dets.min() * (1.0 - 1e-12) <= det_mean <= dets.max() * (1.0 + 1e-12)
         )
 
+    def test_determinant_law_needs_positive_determinants(self):
+        p = SpdMatrix.from_dense(np.eye(2))
+        with pytest.raises(NotSpdError):
+            ex._det_law(SymMatrix(np.diag([1.0, -1.0])), [p, p])
+
     @pytest.mark.parametrize("kappa", [1e5, 1e15])
     @pytest.mark.parametrize("name", METRIC_NAMES)
     def test_stability_roundtrip_is_the_registry_roundtrip(self, name, kappa):
@@ -159,6 +164,13 @@ class TestCli:
         lines = (tmp_path / "rep.json.glyphs.jsonl").read_text().splitlines()
         assert len(lines) == 4
 
+    def test_interpolate_csv_out_files(self, tmp_path):
+        out = tmp_path / "rep.csv"
+        assert main(["interpolate", "--steps", "3", "--format", "csv", "--out", str(out)]) == 0
+        assert out.read_text().startswith("name,index,value\nt_grid,0,")
+        lines = (tmp_path / "rep.csv.glyphs.jsonl").read_text().splitlines()
+        assert [GlyphRecord.from_json(ln).col for ln in lines] == [0, 1, 2]
+
     def test_interpolate_with_fixture(self, tmp_path, rng):
         fx = tmp_path / "endpoints.txt"
         a = rng.standard_normal((2, 2))
@@ -190,6 +202,20 @@ class TestCli:
         rep = ExperimentReport.from_json(capsys.readouterr().out)
         assert rep.result("det_mean").value == pytest.approx(np.e**2, rel=1e-10)
 
+    def test_determinant_law_beyond_the_float_range(self, tmp_path, capsys):
+        # det(1e-70 I_5) = 1e-350 underflows and det(1e70 I_5) overflows;
+        # the law is worked in log-determinants, so neither breaks it.
+        fx = tmp_path / "mats.txt"
+        for scale in (1e-70, 1e70):
+            dump_matrices([scale * np.eye(5), 2.0 * scale * np.eye(5)], fx)
+            assert main(["mean", "--input", str(fx)]) == 0, scale
+            rep = ExperimentReport.from_json(capsys.readouterr().out)
+            assert rep.result("det_gap_rel").value <= 1e-12, scale
+            assert rep.result("det_within_bounds").value is True, scale
+        assert main(["stability", "--m", "50", "--kappa", "1e15"]) == 0
+        rep = ExperimentReport.from_json(capsys.readouterr().out)
+        assert rep.result("log-cholesky.mean_success").value is True
+
     def test_mean_of_one_matrix_is_within_bounds(self, capsys):
         # Determinants far from 1: the bound must scale with them.
         for seed in ("1", "2", "3"):
@@ -211,6 +237,7 @@ class TestCli:
             ["stability", "--out", str(tmp_path / "missing" / "rep.json")],
             ["interpolate", "--steps", "1"],
             ["interpolate", "--metric", "riemann"],
+            ["interpolate", "--format", "csv"],
             ["bench-transport", "--reps", "0"],
             ["bench-transport", "--m", "1"],
             ["stability", "--kappa", "0.5"],
