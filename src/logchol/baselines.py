@@ -298,13 +298,6 @@ def affine_transport(P: SpdMatrix, Q: SpdMatrix, W: SymTangent) -> SymTangent:
     return _wrap_sym(ls @ _sym(_congruence(l, W.data)) @ ls.T)
 
 
-def affine_inner(P: SpdMatrix, W: SymTangent, V: SymTangent) -> float:
-    """Affine-invariant inner product ``tr(P^-1 W P^-1 V)``."""
-    _require_same_dim(P, W, V)
-    pinv = np.linalg.inv(P.data)
-    return float(np.trace(pinv @ W.data @ pinv @ V.data))
-
-
 def affine_karcher_mean(Ps: Sequence[SpdMatrix]) -> SpdMatrix:
     """Frechet mean by fixed-point iteration with unit step.
 

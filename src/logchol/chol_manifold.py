@@ -11,10 +11,11 @@ public function.
 from __future__ import annotations
 
 from collections.abc import Sequence
+from numbers import Integral
 
 import numpy as np
 
-from .tri import CholeskyFactor, LowerTriangular, _require_same_dim, _stack
+from .tri import CholeskyFactor, DomainError, LowerTriangular, _require_same_dim, _stack
 
 
 def _metric(l: np.ndarray, x: np.ndarray, y: np.ndarray) -> float:
@@ -32,10 +33,6 @@ def metric_chol(L: CholeskyFactor, X: LowerTriangular, Y: LowerTriangular) -> fl
     """
     _require_same_dim(L, X, Y)
     return _metric(L.data, X.data, Y.data)
-
-
-def norm_chol(L: CholeskyFactor, X: LowerTriangular) -> float:
-    return float(np.sqrt(metric_chol(L, X, X)))
 
 
 def _geodesic(l: np.ndarray, x: np.ndarray, t: float) -> np.ndarray:
@@ -114,8 +111,11 @@ def group_inv(L: CholeskyFactor) -> CholeskyFactor:
 
 
 def group_identity(dim: int) -> CholeskyFactor:
-    """The group identity: the identity matrix."""
-    return CholeskyFactor.from_dense(np.eye(dim))
+    """The group identity: the identity matrix.  Raises ``DomainError``
+    unless ``dim`` is a positive integer."""
+    if not isinstance(dim, Integral) or dim < 1:
+        raise DomainError(f"dimension must be a positive integer, got {dim!r}")
+    return CholeskyFactor(np.eye(int(dim)))
 
 
 def _transport(l: np.ndarray, k: np.ndarray, x: np.ndarray) -> np.ndarray:

@@ -79,7 +79,8 @@ def run_interpolate(
     endpoints: tuple[SpdMatrix, SpdMatrix] | None = None,
     fixture: str = "builtin",
 ) -> tuple[ExperimentReport, list[GlyphRecord]]:
-    """Geodesic interpolation study: determinant sequence plus glyph stream."""
+    """Geodesic interpolation study: (log-)determinant sequences, read from
+    glyph eigenvalues, plus glyph stream."""
     if steps < 2:
         raise ParameterError(f"steps must be >= 2, got {steps}")
     ops = bl.get_metric(metric)
@@ -89,6 +90,7 @@ def run_interpolate(
     ts = np.linspace(0.0, 1.0, steps)
     mats = ops.interpolate(p, q, ts)
     glyphs = [GlyphRecord.from_spd_dense(m.data, 0, i) for i, m in enumerate(mats)]
+    ends = [GlyphRecord.from_spd_dense(a.data, 0, 0) for a in (p, q)]
     dets = [g.determinant for g in glyphs]
     report = ExperimentReport(
         experiment="interpolate",
@@ -101,9 +103,17 @@ def run_interpolate(
                 name="det_sequence", values=dets, units="determinant", tolerance=5e-3
             ),
             ResultRecord(
-                name="endpoint_dets",
-                values=[float(np.linalg.det(a.data)) for a in (p, q)],
-                units="determinant",
+                name="endpoint_dets", values=[g.determinant for g in ends], units="determinant"
+            ),
+            ResultRecord(
+                name="log_det_sequence",
+                values=[g.log_determinant for g in glyphs],
+                units="log determinant",
+            ),
+            ResultRecord(
+                name="endpoint_log_dets",
+                values=[g.log_determinant for g in ends],
+                units="log determinant",
             ),
         ],
     )

@@ -3,8 +3,8 @@
 Reports are canonical JSON (sorted keys), with all wall-clock derived
 quantities quarantined under ``timings`` so that the remaining fields are
 byte-reproducible from ``(command, config, seed)``.  Glyph records
-serialize ellipsoid data (eigenvalues, eigenvectors, determinant) for
-external plotting, one JSON object per line.
+serialize ellipsoid data (eigenvalues, eigenvectors, determinant and its
+logarithm) for external plotting, one JSON object per line.
 """
 from __future__ import annotations
 
@@ -52,16 +52,6 @@ class ExperimentReport:
         d.pop("timings", None)
         return json.dumps(d, sort_keys=True, indent=2)
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "ExperimentReport":
-        d = dict(d)
-        d["results"] = [ResultRecord(**r) for r in d.get("results", [])]
-        return cls(**d)
-
-    @classmethod
-    def from_json(cls, text: str) -> "ExperimentReport":
-        return cls.from_dict(json.loads(text))
-
     def to_csv(self) -> str:
         """Per-record CSV export: name, index, value."""
         lines = ["name,index,value"]
@@ -73,12 +63,6 @@ class ExperimentReport:
                 lines.append(f"{rec.name},0,{rec.value!r}")
         return "\n".join(lines) + "\n"
 
-    def result(self, name: str) -> ResultRecord:
-        for rec in self.results:
-            if rec.name == name:
-                return rec
-        raise KeyError(name)
-
 
 @dataclass
 class GlyphRecord:
@@ -89,6 +73,7 @@ class GlyphRecord:
     eigenvalues: list[float]
     eigenvectors: list[float]  # orthonormal matrix, flattened row-major
     determinant: float
+    log_determinant: float
 
     @classmethod
     def from_spd_dense(cls, a: np.ndarray, row: int, col: int) -> "GlyphRecord":
@@ -100,17 +85,17 @@ class GlyphRecord:
         u = u[:, order]
         if np.abs(u.T @ u - np.eye(a.shape[0])).max() > 1e-10:
             raise DomainError("eigenvector matrix failed the orthonormality check")
+        log_det = float(np.log(w).sum())
+        with np.errstate(over="ignore", under="ignore"):  # beyond the float range: 0 or inf
+            det = float(np.exp(log_det))
         return cls(
             row=row,
             col=col,
             eigenvalues=[float(x) for x in w],
             eigenvectors=[float(x) for x in u.ravel(order="C")],
-            determinant=float(np.prod(w)),
+            determinant=det,
+            log_determinant=log_det,
         )
 
     def to_json(self) -> str:
         return json.dumps(vars(self), sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "GlyphRecord":
-        return cls(**json.loads(text))

@@ -1,9 +1,9 @@
-"""Seeded random generators for matrices used by tests and experiments."""
+"""Seeded random generators for the matrices the experiments and the CLI draw."""
 from __future__ import annotations
 
 import numpy as np
 
-from .tri import CholeskyFactor, LowerTriangular, SpdMatrix, SymMatrix
+from .tri import SpdMatrix, SymMatrix
 
 
 def random_spd(rng: np.random.Generator, dim: int) -> SpdMatrix:
@@ -43,15 +43,3 @@ def random_sym(rng: np.random.Generator, dim: int) -> SymMatrix:
     g = rng.standard_normal((dim, dim))
     return SymMatrix((g + g.T) / 2.0)
 
-
-def random_factor(rng: np.random.Generator, dim: int) -> CholeskyFactor:
-    """Random well-conditioned Cholesky factor: normal strict lower part,
-    log-uniform diagonal in ``[e^-1, e]``."""
-    f = np.tril(rng.standard_normal((dim, dim)), -1)
-    np.fill_diagonal(f, np.exp(rng.uniform(-1.0, 1.0, dim)))
-    return CholeskyFactor(f)
-
-
-def random_tangent(rng: np.random.Generator, dim: int) -> LowerTriangular:
-    """Random lower triangular tangent vector."""
-    return LowerTriangular(np.tril(rng.standard_normal((dim, dim))))

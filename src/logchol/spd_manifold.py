@@ -11,8 +11,6 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 
-import numpy as np
-
 from . import chol_manifold as cm
 from .chol_map import _diff_S, _diff_S_inv, _factor, _reconstruct
 from .tri import SpdMatrix, SymMatrix, SymTangent, _require_same_dim, _stack
@@ -23,10 +21,6 @@ def metric_spd(P: SpdMatrix, W: SymTangent, V: SymTangent) -> float:
     _require_same_dim(P, W, V)
     l = _factor(P.data)
     return cm._metric(l, _diff_S_inv(l, W.data), _diff_S_inv(l, V.data))
-
-
-def norm_spd(P: SpdMatrix, W: SymTangent) -> float:
-    return float(np.sqrt(metric_spd(P, W, W)))
 
 
 def geodesic_spd(P: SpdMatrix, W: SymTangent, t: float) -> SpdMatrix:

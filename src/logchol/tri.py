@@ -4,8 +4,8 @@ Each type holds its matrix dense, as an ``(m, m)`` float array in ``data``,
 and its constructor takes that array alone and checks the type's invariant:
 square and finite; exact zeros above the diagonal for lower triangular
 types and exact symmetry for symmetric ones; a positive diagonal for
-Cholesky factors and SPD matrices.  ``from_dense`` is the entry point for
-outside data: it symmetrizes input that is symmetric to a relative
+Cholesky factors and SPD matrices.  ``SymMatrix.from_dense`` is the entry
+point for outside data: it symmetrizes input that is symmetric to a relative
 tolerance, and ``SpdMatrix.from_dense`` also runs the factor kernel
 ``_factor`` on it, the one the Log-Cholesky operations use.  ``dense()``
 returns a copy.
@@ -48,15 +48,10 @@ class EigFailureError(LogCholError, RuntimeError):
     """Symmetric eigendecomposition failed to converge."""
 
 
-def _square_dense(dense) -> np.ndarray:
-    a = np.asarray(dense, dtype=float)
+def _square_finite(data) -> np.ndarray:
+    a = np.asarray(data, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
         raise DomainError(f"expected a square matrix, got shape {a.shape}")
-    return a
-
-
-def _square_finite(data) -> np.ndarray:
-    a = _square_dense(data)
     if not np.isfinite(a).all():
         raise DomainError("matrix entries must be finite")
     return a
@@ -146,10 +141,6 @@ class LowerTriangular(_Square):
     def dense(self) -> np.ndarray:
         """A copy of the matrix."""
         return self.data.copy()
-
-    @classmethod
-    def from_dense(cls, dense) -> "LowerTriangular":
-        return cls(dense)
 
 
 @dataclass(frozen=True, eq=False)
@@ -262,25 +253,9 @@ def parse_matrix_text(text: str) -> list[np.ndarray]:
     return mats
 
 
-def format_matrix_text(mats) -> str:
-    """Render dense matrices in the block text format."""
-    blocks = []
-    for a in mats:
-        a = _square_dense(a)
-        rows = [" ".join(repr(float(x)) for x in row) for row in a]
-        blocks.append("\n".join([str(a.shape[0])] + rows))
-    return "\n\n".join(blocks) + "\n"
-
-
 def load_matrices(path) -> list[SpdMatrix]:
     """Load the SPD matrices of a fixture file, each through ``SpdMatrix.from_dense``."""
     with open(path, "r", encoding="utf-8") as fh:
         dense = parse_matrix_text(fh.read())
     return [SpdMatrix.from_dense(a) for a in dense]
 
-
-def dump_matrices(mats, path) -> None:
-    """Write matrices (wrapped or dense) to a fixture file."""
-    dense = [a.data if isinstance(a, _Square) else a for a in mats]
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(format_matrix_text(dense))

@@ -3,8 +3,9 @@
 These deliberately avoid the closed forms they are checking: means are
 recomputed by Riemannian gradient descent on the Frechet functional,
 differentials by central finite differences on dense arrays, the
-Cholesky factor by its column recurrences, and the affine-invariant Karcher
-mean by per-member logarithms and exponentials.  The extended-precision
+Cholesky factor by its column recurrences, the affine-invariant Karcher
+mean by per-member logarithms and exponentials, and the affine-invariant
+inner product by an explicit inverse.  The extended-precision
 oracles take their float inputs exactly and round each result once.
 """
 from __future__ import annotations
@@ -71,6 +72,16 @@ def karcher_mean_per_member(Ps) -> SpdMatrix:
             return mean
         mean = bl.affine_exp(mean, SymMatrix((grad + grad.T) / 2.0))
     raise NoConvergenceError("reference Karcher iteration did not converge")
+
+
+def affine_inner(P: SpdMatrix, W: SymMatrix, V: SymMatrix) -> float:
+    """Affine-invariant inner product ``tr(P^-1 W P^-1 V)``.
+
+    Formed with an explicit inverse, so that it shares nothing with the
+    Cholesky whitening of the affine-invariant operations it checks.
+    """
+    pinv = np.linalg.inv(P.data)
+    return float(np.trace(pinv @ W.data @ pinv @ V.data))
 
 
 def descent_mean_chol(Ls, step=1.0, tol=1e-12, max_iter=200) -> CholeskyFactor:

@@ -1,0 +1,56 @@
+"""Helpers the test suite shares: random factors and tangents, the fixture
+writer, and readers for the reports and glyph records the CLI writes."""
+from __future__ import annotations
+
+import json
+
+import numpy as np
+
+from logchol.report import ExperimentReport, GlyphRecord, ResultRecord
+from logchol.tri import CholeskyFactor, LowerTriangular
+
+
+def random_factor(rng: np.random.Generator, dim: int) -> CholeskyFactor:
+    """Random well-conditioned Cholesky factor: normal strict lower part,
+    log-uniform diagonal in ``[e^-1, e]``."""
+    f = np.tril(rng.standard_normal((dim, dim)), -1)
+    np.fill_diagonal(f, np.exp(rng.uniform(-1.0, 1.0, dim)))
+    return CholeskyFactor(f)
+
+
+def random_tangent(rng: np.random.Generator, dim: int) -> LowerTriangular:
+    """Random lower triangular tangent vector."""
+    return LowerTriangular(np.tril(rng.standard_normal((dim, dim))))
+
+
+def format_matrix_text(mats) -> str:
+    """Render dense matrices in the block text format ``parse_matrix_text`` reads."""
+    blocks = []
+    for a in mats:
+        rows = [" ".join(repr(float(x)) for x in row) for row in np.asarray(a, dtype=float)]
+        blocks.append("\n".join([str(len(rows))] + rows))
+    return "\n\n".join(blocks) + "\n"
+
+
+def dump_matrices(mats, path) -> None:
+    """Write dense matrices to a fixture file."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(format_matrix_text(mats))
+
+
+def report_from_json(text: str) -> ExperimentReport:
+    d = json.loads(text)
+    d["results"] = [ResultRecord(**r) for r in d["results"]]
+    return ExperimentReport(**d)
+
+
+def glyph_from_json(text: str) -> GlyphRecord:
+    return GlyphRecord(**json.loads(text))
+
+
+def result(report: ExperimentReport, name: str) -> ResultRecord:
+    """The record called ``name``; ``KeyError`` if the report has none."""
+    for rec in report.results:
+        if rec.name == name:
+            return rec
+    raise KeyError(name)

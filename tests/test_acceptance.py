@@ -10,14 +10,14 @@ import numpy as np
 import pytest
 
 from oracles import central_difference_diff_S, descent_mean_spd
+from support import random_factor, random_tangent, report_from_json, result
 
 from logchol import baselines as bl
 from logchol import chol_manifold as cm
 from logchol import experiments as ex
 from logchol.chol_map import diff_S
 from logchol.cli import main
-from logchol.report import ExperimentReport
-from logchol.sampling import random_factor, random_spd, random_sym, random_tangent
+from logchol.sampling import random_spd, random_sym
 from logchol.spd_manifold import (
     dist_spd,
     log_cholesky_mean,
@@ -58,7 +58,7 @@ def test_01_swelling_counterexample_golden(capsys):
 def test_02_interpolation_det_sequence(capsys):
     for name in ("log-cholesky", "log-euclidean", "affine-invariant"):
         rep, _ = ex.run_interpolate(name, 11)
-        dets = rep.result("det_sequence").values
+        dets = result(rep, "det_sequence").values
         dev = max(abs(d - r) for d, r in zip(dets, REFERENCE_DET_SEQUENCE))
         assert dev <= 0.005, (name, dev)
     # reference Euclidean/Cholesky sequences are not reproducible without the
@@ -128,7 +128,7 @@ def test_05_isometry_structure_suite(capsys):
             cm.log_chol(l, cm.exp_chol(l, x)).data, x.data, rtol=1e-12, atol=1e-12
         )
         # constant-speed distance law (1e-10)
-        speed = cm.norm_chol(l, x)
+        speed = np.sqrt(cm.metric_chol(l, x, x))
         s, t = rng.uniform(-2, 2, 2)
         d = cm.dist_chol(cm.geodesic_chol(l, x, s), cm.geodesic_chol(l, x, t))
         assert d == pytest.approx(abs(t - s) * speed, rel=1e-10, abs=1e-12)
@@ -193,13 +193,13 @@ def test_07_transport_timing_ordering(capsys):
 
 def test_08_stability_under_ill_conditioning(capsys):
     rep10 = ex.run_stability(1e10, 3, 8)
-    lc10 = rep10.result("log-cholesky.roundtrip_rel_error").value
+    lc10 = result(rep10, "log-cholesky.roundtrip_rel_error").value
     assert lc10 is not None and lc10 < 1e-6
     rep15 = ex.run_stability(1e15, 3, 8)
-    lc15 = rep15.result("log-cholesky.roundtrip_rel_error").value
+    lc15 = result(rep15, "log-cholesky.roundtrip_rel_error").value
     assert lc15 is not None and lc15 < 1e-2
     # the Log-Euclidean behavior is recorded and reported, not asserted
-    le15 = rep15.result("log-euclidean.roundtrip_rel_error")
+    le15 = result(rep15, "log-euclidean.roundtrip_rel_error")
     le_desc = f"{le15.value:.2e}" if le15.value is not None else le15.note
     report(capsys, f"acceptance 08 ill-conditioning stability: pass "
                    f"(LC {lc10:.1e} at 1e10, {lc15:.1e} at 1e15; LE at 1e15: {le_desc})")
@@ -207,7 +207,7 @@ def test_08_stability_under_ill_conditioning(capsys):
 
 def test_09_mean_gap_statistic(capsys):
     rep = ex.run_mean_gap(20, 3, 100, 0)
-    gap = rep.result("mean_gap").value
+    gap = result(rep, "mean_gap").value
     assert gap is not None
     assert 0.005 <= gap <= 0.2
     report(capsys, f"acceptance 09 mean gap statistic: pass (gap {gap:.4f})")
@@ -225,7 +225,7 @@ def test_10_cli_determinism(capsys, tmp_path):
             out = tmp_path / f"run{i}.json"
             assert main(argv + ["--out", str(out)]) == 0
             texts.append(
-                ExperimentReport.from_json(out.read_text()).nontiming_json()
+                report_from_json(out.read_text()).nontiming_json()
             )
         assert texts[0] == texts[1], argv
     report(capsys, "acceptance 10 CLI determinism: pass "

@@ -3,6 +3,7 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from oracles import descent_mean_chol, frechet_functional_chol
+from support import random_factor, random_tangent
 
 from logchol.chol_manifold import (
     dist_chol,
@@ -14,10 +15,8 @@ from logchol.chol_manifold import (
     group_op,
     log_chol,
     metric_chol,
-    norm_chol,
     transport_chol,
 )
-from logchol.sampling import random_factor, random_tangent
 from logchol.tri import (
     CholeskyFactor,
     DomainError,
@@ -27,11 +26,11 @@ from logchol.tri import (
 
 
 def factor(dense):
-    return CholeskyFactor.from_dense(np.asarray(dense, dtype=float))
+    return CholeskyFactor(np.asarray(dense, dtype=float))
 
 
 def tangent(dense):
-    return LowerTriangular.from_dense(np.asarray(dense, dtype=float))
+    return LowerTriangular(np.asarray(dense, dtype=float))
 
 
 I2 = factor(np.eye(2))
@@ -91,7 +90,7 @@ class TestGeodesic:
         for _ in range(20):
             l = random_factor(rng, 4)
             x = random_tangent(rng, 4)
-            speed = norm_chol(l, x)
+            speed = np.sqrt(metric_chol(l, x, x))
             for s, t in [(-2.0, 1.3), (0.0, 2.0), (-1.1, -0.4), (0.25, 0.75)]:
                 d = dist_chol(geodesic_chol(l, x, s), geodesic_chol(l, x, t))
                 assert d == pytest.approx(abs(t - s) * speed, rel=1e-10)
@@ -151,7 +150,8 @@ class TestDistance:
             k = random_factor(rng, 4)
             d = dist_chol(l, k)
             assert d == pytest.approx(dist_chol(k, l), rel=1e-14)
-            assert d == pytest.approx(norm_chol(l, log_chol(l, k)), rel=1e-12)
+            v = log_chol(l, k)
+            assert d == pytest.approx(np.sqrt(metric_chol(l, v, v)), rel=1e-12)
 
     def test_triangle_inequality(self, rng):
         for _ in range(100):
@@ -166,6 +166,11 @@ class TestGroup:
         e = group_identity(3)
         assert_allclose(group_op(l, e).data, l.data, atol=0)
         assert_allclose(group_op(e, l).data, l.data, atol=0)
+
+    @pytest.mark.parametrize("dim", [-1, 0, 2.5])
+    def test_identity_rejects_a_bad_dimension(self, dim):
+        with pytest.raises(DomainError, match="positive integer"):
+            group_identity(dim)
 
     def test_diagonal_multiplication(self):
         out = group_op(factor(np.diag([2.0, 3.0])), factor(np.diag([5.0, 7.0])))

@@ -3,6 +3,7 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from oracles import central_difference_diff_S, cholesky_factor_recursive, diff_S_inv_mp
+from support import random_factor, random_tangent
 
 from logchol.chol_map import (
     _congruence,
@@ -12,13 +13,7 @@ from logchol.chol_map import (
     diff_S_inv,
     reconstruct,
 )
-from logchol.sampling import (
-    random_factor,
-    random_spd,
-    random_spd_with_condition,
-    random_sym,
-    random_tangent,
-)
+from logchol.sampling import random_spd, random_spd_with_condition, random_sym
 from logchol.tri import (
     CholeskyFactor,
     DomainError,
@@ -97,11 +92,11 @@ def test_recursive_matches_lapack(rng):
 
 
 def test_reconstruct_examples():
-    l = CholeskyFactor.from_dense(np.array([[2.0, 0.0], [1.0, 2.0]]))
+    l = CholeskyFactor(np.array([[2.0, 0.0], [1.0, 2.0]]))
     assert_allclose(reconstruct(l).dense(), [[4, 2], [2, 5]], atol=0)
-    assert_array_equal(reconstruct(CholeskyFactor.from_dense(np.eye(3))).dense(), np.eye(3))
+    assert_array_equal(reconstruct(CholeskyFactor(np.eye(3))).dense(), np.eye(3))
     eps = 0.1
-    l = CholeskyFactor.from_dense(np.diag([eps, 1.0]))
+    l = CholeskyFactor(np.diag([eps, 1.0]))
     assert_allclose(reconstruct(l).dense(), np.diag([eps**2, 1.0]), atol=0)
 
 
@@ -117,16 +112,16 @@ def test_bijection_both_ways(rng):
 
 
 def test_diff_S_examples():
-    i2 = CholeskyFactor.from_dense(np.eye(2))
-    x = LowerTriangular.from_dense(np.array([[1.0, 0.0], [2.0, 3.0]]))
+    i2 = CholeskyFactor(np.eye(2))
+    x = LowerTriangular(np.array([[1.0, 0.0], [2.0, 3.0]]))
     assert_allclose(diff_S(i2, x).dense(), [[2, 2], [2, 6]], atol=0)
 
     zero = LowerTriangular(np.zeros((2, 2)))
-    l = CholeskyFactor.from_dense(np.array([[1.3, 0.0], [0.4, 2.0]]))
+    l = CholeskyFactor(np.array([[1.3, 0.0], [0.4, 2.0]]))
     assert_array_equal(diff_S(l, zero).dense(), np.zeros((2, 2)))
 
-    l = CholeskyFactor.from_dense(np.diag([2.0, 2.0]))
-    x = LowerTriangular.from_dense(np.eye(2))
+    l = CholeskyFactor(np.diag([2.0, 2.0]))
+    x = LowerTriangular(np.eye(2))
     assert_allclose(diff_S(l, x).dense(), np.diag([4.0, 4.0]), atol=0)
 
 
@@ -150,12 +145,12 @@ def test_diff_S_linearity(rng):
 
 
 def test_diff_S_inv_examples():
-    i2 = CholeskyFactor.from_dense(np.eye(2))
+    i2 = CholeskyFactor(np.eye(2))
     w = SymMatrix.from_dense(np.array([[2.0, 2.0], [2.0, 6.0]]))
     assert_allclose(diff_S_inv(i2, w).dense(), [[1, 0], [2, 3]], atol=0)
 
     zero = SymMatrix(np.zeros((2, 2)))
-    l = CholeskyFactor.from_dense(np.array([[2.0, 0.0], [1.0, 2.0]]))
+    l = CholeskyFactor(np.array([[2.0, 0.0], [1.0, 2.0]]))
     assert_array_equal(diff_S_inv(l, zero).dense(), np.zeros((2, 2)))
 
 
@@ -204,7 +199,7 @@ def test_diff_S_finite_difference(rng):
 
 
 def test_dim_mismatch():
-    l = CholeskyFactor.from_dense(np.eye(2))
-    x = LowerTriangular.from_dense(np.eye(3))
+    l = CholeskyFactor(np.eye(2))
+    x = LowerTriangular(np.eye(3))
     with pytest.raises(DomainError):
         diff_S(l, x)

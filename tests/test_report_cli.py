@@ -3,12 +3,14 @@ import json
 import numpy as np
 import pytest
 
+from support import dump_matrices, glyph_from_json, report_from_json, result
+
 from logchol import experiments as ex
 from logchol.baselines import METRIC_NAMES, get_metric
 from logchol.cli import main
 from logchol.report import ExperimentReport, GlyphRecord, ResultRecord
 from logchol.sampling import random_spd_with_condition, random_spd_wishart
-from logchol.tri import NotSpdError, SpdMatrix, SymMatrix, dump_matrices
+from logchol.tri import NotSpdError, SpdMatrix, SymMatrix
 
 
 class TestReport:
@@ -27,12 +29,12 @@ class TestReport:
 
     def test_json_roundtrip(self):
         rep = self.make_report()
-        back = ExperimentReport.from_json(rep.to_json())
+        back = report_from_json(rep.to_json())
         assert back.to_json() == rep.to_json()
-        assert back.result("x").value == 1.5
-        assert back.result("seq").values == [1.0, 2.0]
+        assert result(back, "x").value == 1.5
+        assert result(back, "seq").values == [1.0, 2.0]
         with pytest.raises(KeyError):
-            back.result("nope")
+            result(back, "nope")
 
     def test_nontiming_json_drops_timings(self):
         rep = self.make_report()
@@ -58,7 +60,8 @@ class TestGlyph:
         u = np.array(g.eigenvectors).reshape(3, 3)
         assert np.abs(u.T @ u - np.eye(3)).max() < 1e-10
         assert g.determinant == pytest.approx(np.linalg.det(p), rel=1e-10)
-        back = GlyphRecord.from_json(g.to_json())
+        assert g.log_determinant == pytest.approx(np.log(np.linalg.det(p)), rel=1e-10)
+        back = glyph_from_json(g.to_json())
         assert back == g
 
     def test_rejects_non_spd(self):
@@ -71,14 +74,14 @@ class TestExperiments:
         a = rng.standard_normal((3, 3))
         p = SpdMatrix.from_dense(a @ a.T + np.eye(3))
         rep, glyphs = ex.run_interpolate("euclidean", 5, endpoints=(p, p))
-        dets = rep.result("det_sequence").values
+        dets = result(rep, "det_sequence").values
         assert np.allclose(dets, dets[0])
         assert len(glyphs) == 5
 
     @pytest.mark.parametrize("name", METRIC_NAMES)
     def test_det_sequence_is_the_glyph_determinants(self, name):
         rep, glyphs = ex.run_interpolate(name, 101)
-        assert rep.result("det_sequence").values == [g.determinant for g in glyphs]
+        assert result(rep, "det_sequence").values == [g.determinant for g in glyphs]
 
     def test_parameters_checked_by_the_experiments(self):
         for call in (
@@ -101,19 +104,19 @@ class TestExperiments:
 
     def test_mean_gap_trivial_cases(self, rng):
         rep = ex.run_mean_gap(1, 3, 3, 0)
-        assert rep.result("mean_gap").value == pytest.approx(0.0, abs=1e-12)
+        assert result(rep, "mean_gap").value == pytest.approx(0.0, abs=1e-12)
         a = rng.standard_normal((3, 3))
         p = SpdMatrix.from_dense(a @ a.T + np.eye(3))
         rep = ex.run_mean("log-cholesky", [p])
-        assert rep.result("det_gap_rel").value == pytest.approx(0.0, abs=1e-12)
+        assert result(rep, "det_gap_rel").value == pytest.approx(0.0, abs=1e-12)
 
     def test_mean_determinants_are_the_per_matrix_values(self, rng):
         mats = [random_spd_wishart(rng, 5) for _ in range(200)]
         rep = ex.run_mean("log-cholesky", mats)
         dets = np.array([np.linalg.det(m.data) for m in mats])
-        det_mean = rep.result("det_mean").value
-        assert rep.result("det_geometric_mean").value == float(np.exp(np.mean(np.log(dets))))
-        assert rep.result("det_within_bounds").value == bool(
+        det_mean = result(rep, "det_mean").value
+        assert result(rep, "det_geometric_mean").value == float(np.exp(np.mean(np.log(dets))))
+        assert result(rep, "det_within_bounds").value == bool(
             dets.min() * (1.0 - 1e-12) <= det_mean <= dets.max() * (1.0 + 1e-12)
         )
 
@@ -133,14 +136,14 @@ class TestExperiments:
         back = ops.exp(base, ops.log(base, target))
         err = np.linalg.norm(back.data - target.data) / np.linalg.norm(target.data)
         rep = ex.run_stability(kappa, 3, 0)
-        assert rep.result(f"{name}.roundtrip_rel_error").value == float(err)
+        assert result(rep, f"{name}.roundtrip_rel_error").value == float(err)
 
     def test_stability_well_conditioned(self):
         rep = ex.run_stability(1.0, 3, 0)
         for name in rep.metrics:
-            err = rep.result(f"{name}.roundtrip_rel_error").value
+            err = result(rep, f"{name}.roundtrip_rel_error").value
             assert err is not None and err < 1e-12
-            assert rep.result(f"{name}.mean_success").value is True
+            assert result(rep, f"{name}.mean_success").value is True
 
 
 class TestCli:
@@ -148,10 +151,10 @@ class TestCli:
         assert main(["interpolate", "--metric", "log-cholesky", "--steps", "3"]) == 0
         out = capsys.readouterr().out
         report_text, _, glyph_text = out.partition("\n{\"col\"")
-        rep = ExperimentReport.from_json(report_text)
+        rep = report_from_json(report_text)
         assert rep.experiment == "interpolate"
-        assert len(rep.result("det_sequence").values) == 3
-        glyphs = [GlyphRecord.from_json(ln) for ln in ("{\"col\"" + glyph_text).splitlines() if ln]
+        assert len(result(rep, "det_sequence").values) == 3
+        glyphs = [glyph_from_json(ln) for ln in ("{\"col\"" + glyph_text).splitlines() if ln]
         assert len(glyphs) == 3
         for g in glyphs:
             assert all(w > 0 for w in g.eigenvalues)
@@ -159,8 +162,8 @@ class TestCli:
     def test_interpolate_out_files(self, tmp_path):
         out = tmp_path / "rep.json"
         assert main(["interpolate", "--steps", "4", "--out", str(out)]) == 0
-        rep = ExperimentReport.from_json(out.read_text())
-        assert len(rep.result("t_grid").values) == 4
+        rep = report_from_json(out.read_text())
+        assert len(result(rep, "t_grid").values) == 4
         lines = (tmp_path / "rep.json.glyphs.jsonl").read_text().splitlines()
         assert len(lines) == 4
 
@@ -169,7 +172,7 @@ class TestCli:
         assert main(["interpolate", "--steps", "3", "--format", "csv", "--out", str(out)]) == 0
         assert out.read_text().startswith("name,index,value\nt_grid,0,")
         lines = (tmp_path / "rep.csv.glyphs.jsonl").read_text().splitlines()
-        assert [GlyphRecord.from_json(ln).col for ln in lines] == [0, 1, 2]
+        assert [glyph_from_json(ln).col for ln in lines] == [0, 1, 2]
 
     def test_interpolate_with_fixture(self, tmp_path, rng):
         fx = tmp_path / "endpoints.txt"
@@ -179,8 +182,31 @@ class TestCli:
         out = tmp_path / "rep.json"
         rc = main(["interpolate", "--input", str(fx), "--out", str(out)])
         assert rc == 0
-        rep = ExperimentReport.from_json(out.read_text())
+        rep = report_from_json(out.read_text())
         assert rep.inputs["fixture"] == str(fx)
+
+    def test_interpolate_log_determinants_beyond_the_float_range(self, tmp_path):
+        # det(1e-70 I_5) = 1e-350 underflows and det(1e200 I_3) overflows; the
+        # log-determinants, read from the glyph eigenvalues, hold in both.
+        fx = tmp_path / "endpoints.txt"
+        out = tmp_path / "rep.json"
+        for c, m in ((1e-70, 5), (1e200, 3)):
+            dump_matrices([c * np.eye(m), 2.0 * c * np.eye(m)], fx)
+            argv = ["interpolate", "--metric", "log-cholesky", "--input", str(fx)]
+            assert main([*argv, "--out", str(out)]) == 0, c
+            rep = report_from_json(out.read_text())
+            ts = np.array(result(rep, "t_grid").values)
+            log_dets = result(rep, "log_det_sequence").values
+            np.testing.assert_allclose(
+                result(rep, "endpoint_log_dets").values,
+                [m * np.log(c), m * np.log(2.0 * c)],
+                rtol=1e-12,
+            )
+            np.testing.assert_allclose(log_dets, m * (np.log(c) + ts * np.log(2.0)), rtol=1e-12)
+            lines = (tmp_path / "rep.json.glyphs.jsonl").read_text().splitlines()
+            glyphs = [glyph_from_json(ln) for ln in lines]
+            assert [g.log_determinant for g in glyphs] == log_dets
+            assert [g.determinant for g in glyphs] == result(rep, "det_sequence").values
 
     def test_interpolate_fixture_needs_exactly_two_matrices(self, tmp_path):
         fx = tmp_path / "endpoints.txt"
@@ -199,8 +225,8 @@ class TestCli:
         fx = tmp_path / "mats.txt"
         dump_matrices([np.eye(2), np.diag([np.e**2, np.e**2])], fx)
         assert main(["mean", "--input", str(fx)]) == 0
-        rep = ExperimentReport.from_json(capsys.readouterr().out)
-        assert rep.result("det_mean").value == pytest.approx(np.e**2, rel=1e-10)
+        rep = report_from_json(capsys.readouterr().out)
+        assert result(rep, "det_mean").value == pytest.approx(np.e**2, rel=1e-10)
 
     def test_determinant_law_beyond_the_float_range(self, tmp_path, capsys):
         # det(1e-70 I_5) = 1e-350 underflows and det(1e70 I_5) overflows;
@@ -209,19 +235,19 @@ class TestCli:
         for scale in (1e-70, 1e70):
             dump_matrices([scale * np.eye(5), 2.0 * scale * np.eye(5)], fx)
             assert main(["mean", "--input", str(fx)]) == 0, scale
-            rep = ExperimentReport.from_json(capsys.readouterr().out)
-            assert rep.result("det_gap_rel").value <= 1e-12, scale
-            assert rep.result("det_within_bounds").value is True, scale
+            rep = report_from_json(capsys.readouterr().out)
+            assert result(rep, "det_gap_rel").value <= 1e-12, scale
+            assert result(rep, "det_within_bounds").value is True, scale
         assert main(["stability", "--m", "50", "--kappa", "1e15"]) == 0
-        rep = ExperimentReport.from_json(capsys.readouterr().out)
-        assert rep.result("log-cholesky.mean_success").value is True
+        rep = report_from_json(capsys.readouterr().out)
+        assert result(rep, "log-cholesky.mean_success").value is True
 
     def test_mean_of_one_matrix_is_within_bounds(self, capsys):
         # Determinants far from 1: the bound must scale with them.
         for seed in ("1", "2", "3"):
             assert main(["mean", "--n", "1", "--m", "8", "--seed", seed]) == 0
-            rep = ExperimentReport.from_json(capsys.readouterr().out)
-            assert rep.result("det_within_bounds").value is True, seed
+            rep = report_from_json(capsys.readouterr().out)
+            assert result(rep, "det_within_bounds").value is True, seed
 
     def test_mean_mixed_sizes_exit_3(self, tmp_path, capsys):
         fx = tmp_path / "mixed.txt"
@@ -272,8 +298,8 @@ class TestCli:
     def test_stability_cli(self, tmp_path):
         out = tmp_path / "stab.json"
         assert main(["stability", "--kappa", "1e10", "--m", "3", "--out", str(out)]) == 0
-        rep = ExperimentReport.from_json(out.read_text())
-        lc = rep.result("log-cholesky.roundtrip_rel_error").value
+        rep = report_from_json(out.read_text())
+        lc = result(rep, "log-cholesky.roundtrip_rel_error").value
         assert lc is not None and lc < 1e-6
 
     def test_determinism_nontiming_bytes(self, tmp_path):
@@ -285,5 +311,5 @@ class TestCli:
                  "--seed", "42", "--out", str(out)]
             )
             assert rc == 0
-            outs.append(ExperimentReport.from_json(out.read_text()).nontiming_json())
+            outs.append(report_from_json(out.read_text()).nontiming_json())
         assert outs[0] == outs[1]

@@ -3,10 +3,11 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from oracles import descent_mean_spd, frechet_functional_spd
+from support import random_factor, random_tangent
 
 from logchol import chol_manifold as cm
 from logchol.chol_map import cholesky_factor, diff_S, diff_S_inv, reconstruct
-from logchol.sampling import random_factor, random_spd, random_sym, random_tangent
+from logchol.sampling import random_spd, random_sym
 from logchol.spd_manifold import (
     dist_spd,
     exp_spd,
@@ -17,7 +18,6 @@ from logchol.spd_manifold import (
     log_cholesky_mean,
     log_spd,
     metric_spd,
-    norm_spd,
     transport_spd,
 )
 from logchol.tri import (
@@ -322,8 +322,3 @@ def test_inputs_left_unchanged(rng):
     for x, y in zip(outputs["C"], outputs["F"]):
         assert_allclose(x, y, rtol=1e-13, atol=1e-13 * np.abs(x).max())
 
-
-def test_norm_spd_consistency(rng):
-    p = random_spd(rng, 3)
-    w = random_sym(rng, 3)
-    assert norm_spd(p, w) == pytest.approx(np.sqrt(metric_spd(p, w, w)), abs=0)

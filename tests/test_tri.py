@@ -4,6 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
+from support import dump_matrices, format_matrix_text
+
 from logchol.chol_manifold import exp_chol, log_chol
 from logchol.chol_map import cholesky_factor, diff_S_inv
 from logchol.spd_manifold import dist_spd, log_cholesky_mean
@@ -15,15 +17,13 @@ from logchol.tri import (
     SpdMatrix,
     SymMatrix,
     _factor,
-    dump_matrices,
-    format_matrix_text,
     load_matrices,
     parse_matrix_text,
 )
 
 
 def lower(dense):
-    return LowerTriangular.from_dense(np.asarray(dense, dtype=float))
+    return LowerTriangular(np.asarray(dense, dtype=float))
 
 
 def test_half_lower_examples():
@@ -91,11 +91,11 @@ def test_lower_triangular_validation():
     with pytest.raises(DomainError):
         LowerTriangular(np.zeros((0, 0)))
     with pytest.raises(DomainError):
-        LowerTriangular.from_dense(np.array([[1.0, 5.0], [0.0, 1.0]]))
+        LowerTriangular(np.array([[1.0, 5.0], [0.0, 1.0]]))
 
 
 def test_cholesky_factor_validation():
-    CholeskyFactor.from_dense(np.diag([1e-200, 1.0]))
+    CholeskyFactor(np.diag([1e-200, 1.0]))
     # Every normal positive diagonal is admitted, a subnormal one is not.
     CholeskyFactor(np.diag([1e-305, 1.0]))
     i2 = CholeskyFactor(np.eye(2))
@@ -103,9 +103,9 @@ def test_cholesky_factor_validation():
     with pytest.raises(DomainError):
         CholeskyFactor(np.diag([5e-324, 1.0]))
     with pytest.raises(DomainError):
-        CholeskyFactor.from_dense(np.diag([0.0, 1.0]))
+        CholeskyFactor(np.diag([0.0, 1.0]))
     with pytest.raises(DomainError):
-        CholeskyFactor.from_dense(np.diag([-2.0, 1.0]))
+        CholeskyFactor(np.diag([-2.0, 1.0]))
 
 
 def test_sym_matrix_validation():
