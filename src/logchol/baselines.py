@@ -11,9 +11,9 @@ forming ``L^-1 X L^-T`` with :func:`.chol_map._congruence`, and maps back by
 :func:`.spd_manifold.interpolate_spd`, takes the grid ``ts`` and works its
 endpoints once per call.  Every mean works on the ``(n, m, m)`` stack of its
 members from :func:`.tri._stack`: one batched factorization or matrix
-function per step, one typed wrap of the result.  A small registry keys
-every geometry (including Log-Cholesky) by its selector string for uniform
-iteration from the CLI and tests.
+function per step, one typed wrap of the result; ``_factor``, ``_eigh`` and
+``_sym`` come from :mod:`.tri`, and exactly symmetric results are wrapped as
+they are.  A registry keys every geometry by its selector string.
 """
 from __future__ import annotations
 
@@ -23,36 +23,26 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import spd_manifold as spd
-from .chol_map import _congruence, _factor, _reconstruct, reconstruct
+from .chol_map import _congruence, _reconstruct, reconstruct
 from .tri import (
     CholeskyFactor,
     DomainError,
-    EigFailureError,
     LowerTriangular,
     NoConvergenceError,
     NotSpdError,
     SpdMatrix,
     SymMatrix,
     SymTangent,
+    _eigh,
+    _factor,
     _require_same_dim,
     _stack,
+    _sym,
 )
 
 # ---------------------------------------------------------------------------
 # Matrix functions of symmetric matrices via eigendecomposition
 # ---------------------------------------------------------------------------
-
-
-def _eigh(a: np.ndarray, domain: str | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a symmetric matrix or stack; with ``domain``
-    (a function of positive eigenvalues) given, all must be positive."""
-    try:
-        w, u = np.linalg.eigh(a)
-    except np.linalg.LinAlgError as exc:
-        raise EigFailureError("symmetric eigendecomposition failed") from exc
-    if domain is not None and (lo := min(w[..., 0].flat)) <= 0.0:
-        raise NotSpdError(f"{domain} undefined: smallest eigenvalue {lo}")
-    return w, u
 
 
 def _spectral(a: np.ndarray, f, domain: str | None = None) -> np.ndarray:
@@ -69,10 +59,6 @@ def sym_expm(a: np.ndarray) -> np.ndarray:
 def spd_logm(a: np.ndarray) -> np.ndarray:
     """Matrix logarithm of an SPD matrix or stack."""
     return _spectral(a, np.log, "matrix logarithm")
-
-
-def _sym(a: np.ndarray) -> np.ndarray:
-    return (a + a.swapaxes(-1, -2)) / 2.0
 
 
 def _wrap_spd(a: np.ndarray) -> SpdMatrix:
@@ -98,21 +84,21 @@ def euclid_interpolate(
 ) -> list[SymMatrix]:
     """Linear interpolation ``(1 - t) P + t Q``; exhibits determinant swelling."""
     _require_same_dim(P, Q)
-    return [_wrap_sym((1.0 - t) * P.data + t * Q.data) for t in ts]
+    return [SymMatrix((1.0 - t) * P.data + t * Q.data) for t in ts]
 
 
 def euclid_mean(Ps: Sequence[SymMatrix]) -> SymMatrix:
-    return _wrap_sym(_stack(Ps).mean(axis=0))
+    return SymMatrix(_stack(Ps).mean(axis=0))
 
 
 def euclid_exp(P: SymMatrix, W: SymTangent) -> SymMatrix:
     _require_same_dim(P, W)
-    return _wrap_sym(P.data + W.data)
+    return SymMatrix(P.data + W.data)
 
 
 def euclid_log(P: SymMatrix, Q: SymMatrix) -> SymTangent:
     _require_same_dim(P, Q)
-    return _wrap_sym(Q.data - P.data)
+    return SymMatrix(Q.data - P.data)
 
 
 # ---------------------------------------------------------------------------
@@ -313,7 +299,7 @@ def affine_karcher_mean(Ps: Sequence[SpdMatrix]) -> SpdMatrix:
         the iterate's norm) within ``KARCHER_MAX_ITER`` iterations.
     """
     ps = _stack(Ps)
-    mean = _wrap_spd(ps.mean(axis=0))
+    mean = SpdMatrix(ps.mean(axis=0))
     for _ in range(KARCHER_MAX_ITER):
         l = _factor(mean.data)
         g = spd_logm(_sym(_congruence(l, ps))).mean(axis=0)

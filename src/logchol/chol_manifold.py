@@ -113,7 +113,7 @@ def group_inv(L: CholeskyFactor) -> CholeskyFactor:
 def group_identity(dim: int) -> CholeskyFactor:
     """The group identity: the identity matrix.  Raises ``DomainError``
     unless ``dim`` is a positive integer."""
-    if not isinstance(dim, Integral) or dim < 1:
+    if isinstance(dim, bool) or not isinstance(dim, Integral) or dim < 1:
         raise DomainError(f"dimension must be a positive integer, got {dim!r}")
     return CholeskyFactor(np.eye(int(dim)))
 

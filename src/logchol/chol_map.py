@@ -5,11 +5,11 @@ with positive diagonal and the space of SPD matrices: factorization in one
 direction, ``L L^T`` in the other, and the linearizations of both.  Each
 map is an array kernel (``_factor``, ``_reconstruct``, ``_diff_S``,
 ``_diff_S_inv``) behind a typed public function; other modules compose the
-kernels and wrap only their final result.  ``_factor`` is defined in
-:mod:`.tri`, whose ``SpdMatrix.from_dense`` runs it as its SPD test: one
-LAPACK ``dpotrf`` call on a matrix, one batched ``np.linalg.cholesky`` call
-on a stack.  ``_congruence`` forms ``L^{-1} W L^{-T}`` of a matrix or a stack
-with two BLAS ``dtrsm`` calls, for ``_diff_S_inv`` and the affine-invariant ops.
+kernels and wrap only their final result.  ``_factor`` (one LAPACK
+``dpotrf`` call on a matrix, one batched ``np.linalg.cholesky`` call on a
+stack) and ``_sym`` are defined in :mod:`.tri`.  The triangular BLAS calls
+live here: ``_congruence`` forms ``L^{-1} W L^{-T}`` of a matrix or a stack
+with two ``dtrsm`` calls, and ``_diff_S_inv`` multiplies back with one ``dtrmm``.
 """
 from __future__ import annotations
 
@@ -24,6 +24,7 @@ from .tri import (
     SymTangent,
     _factor,
     _require_same_dim,
+    _sym,
 )
 
 
@@ -39,8 +40,7 @@ def cholesky_factor(P: SpdMatrix) -> CholeskyFactor:
 
 
 def _reconstruct(l: np.ndarray) -> np.ndarray:
-    a = l @ l.T
-    return (a + a.T) / 2.0
+    return _sym(l @ l.T)
 
 
 def reconstruct(L: CholeskyFactor) -> SpdMatrix:

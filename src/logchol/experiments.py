@@ -32,6 +32,7 @@ from .tri import (
     SpdMatrix,
     SymMatrix,
     _stack,
+    _sym,
 )
 
 
@@ -70,7 +71,7 @@ def _seeded_spd_with_det(rng: np.random.Generator, dim: int, det: float) -> SpdM
     d = rng.uniform(0.5, 2.0, dim)
     d *= (det / np.prod(d)) ** (1.0 / dim)
     p = (q * d) @ q.T
-    return SpdMatrix((p + p.T) / 2.0)
+    return SpdMatrix(_sym(p))
 
 
 def run_interpolate(
@@ -175,7 +176,7 @@ def _det_law(mean: SymMatrix, mats: Sequence[SpdMatrix]) -> tuple[float, float, 
     return det_mean, geo, gap, bool(within)
 
 
-BENCH_METRICS = ("log-euclidean", "affine-invariant", "log-cholesky")
+BENCH_METRICS = tuple(n for n in bl.METRIC_NAMES if bl.get_metric(n).transport is not None)
 BENCH_WARMUP = 10
 BENCH_BATCHES = 10
 
@@ -265,52 +266,40 @@ def _stability_base(rng: np.random.Generator, m: int) -> SpdMatrix:
     a = rng.standard_normal((m, m))
     s = a @ a.T
     p = np.eye(m) + 0.5 * s / np.linalg.eigvalsh(s)[-1]
-    return SpdMatrix((p + p.T) / 2.0)
+    return SpdMatrix(_sym(p))
+
+
+def _attempt(compute) -> tuple[object, str]:
+    """``(compute(), "")``, or ``(None, note)`` if it raises a library error."""
+    try:
+        return compute(), ""
+    except LogCholError as exc:
+        return None, f"failed: {type(exc).__name__}: {exc}"
 
 
 def _roundtrip_record(
     name: str, ops: bl.MetricOps, base: SpdMatrix, target: SpdMatrix
 ) -> ResultRecord:
-    try:
+    def rel_error() -> float:
         back = ops.exp(base, ops.log(base, target))
-        err = np.linalg.norm(back.data - target.data) / np.linalg.norm(
-            target.data
-        )
-        return ResultRecord(
-            name=f"{name}.roundtrip_rel_error", value=float(err), units="relative"
-        )
-    except LogCholError as exc:
-        return ResultRecord(
-            name=f"{name}.roundtrip_rel_error",
-            value=None,
-            units="relative",
-            note=f"failed: {type(exc).__name__}: {exc}",
-        )
+        return float(np.linalg.norm(back.data - target.data) / np.linalg.norm(target.data))
+
+    err, note = _attempt(rel_error)
+    return ResultRecord(
+        name=f"{name}.roundtrip_rel_error", value=err, units="relative", note=note
+    )
 
 
 def _mean_records(
     name: str, ops: bl.MetricOps, sample: list[SpdMatrix]
 ) -> list[ResultRecord]:
-    try:
-        _, _, gap, _ = _det_law(ops.mean(sample), sample)
-        return [
-            ResultRecord(name=f"{name}.mean_success", value=True, units="flag"),
-            ResultRecord(
-                name=f"{name}.mean_det_gap_rel", value=gap, units="relative"
-            ),
-        ]
-    except LogCholError as exc:
-        return [
-            ResultRecord(
-                name=f"{name}.mean_success",
-                value=False,
-                units="flag",
-                note=f"failed: {type(exc).__name__}: {exc}",
-            ),
-            ResultRecord(
-                name=f"{name}.mean_det_gap_rel", value=None, units="relative"
-            ),
-        ]
+    gap, note = _attempt(lambda: _det_law(ops.mean(sample), sample)[2])
+    return [
+        ResultRecord(
+            name=f"{name}.mean_success", value=gap is not None, units="flag", note=note
+        ),
+        ResultRecord(name=f"{name}.mean_det_gap_rel", value=gap, units="relative"),
+    ]
 
 
 def run_mean_gap(n: int, m: int, trials: int, seed: int) -> ExperimentReport:

@@ -4,7 +4,8 @@ Reports are canonical JSON (sorted keys), with all wall-clock derived
 quantities quarantined under ``timings`` so that the remaining fields are
 byte-reproducible from ``(command, config, seed)``.  Glyph records
 serialize ellipsoid data (eigenvalues, eigenvectors, determinant and its
-logarithm) for external plotting, one JSON object per line.
+logarithm) for external plotting, one JSON object per line; each is
+decomposed by the checked eigendecomposition ``_eigh`` of :mod:`.tri`.
 """
 from __future__ import annotations
 
@@ -13,7 +14,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .tri import DomainError, NotSpdError
+from .tri import DomainError, _eigh
 
 SCHEMA_VERSION = 1
 
@@ -46,12 +47,6 @@ class ExperimentReport:
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2)
 
-    def nontiming_json(self) -> str:
-        """Canonical JSON with the timing fields stripped."""
-        d = self.to_dict()
-        d.pop("timings", None)
-        return json.dumps(d, sort_keys=True, indent=2)
-
     def to_csv(self) -> str:
         """Per-record CSV export: name, index, value."""
         lines = ["name,index,value"]
@@ -77,12 +72,8 @@ class GlyphRecord:
 
     @classmethod
     def from_spd_dense(cls, a: np.ndarray, row: int, col: int) -> "GlyphRecord":
-        w, u = np.linalg.eigh(a)
-        if w[0] <= 0.0:
-            raise NotSpdError(f"glyph requires positive eigenvalues, got {w[0]}")
-        order = np.argsort(w)[::-1]
-        w = w[order]
-        u = u[:, order]
+        w, u = _eigh(a, "glyph")
+        w, u = w[::-1], u[:, ::-1]  # eigh's ascending order, reversed
         if np.abs(u.T @ u - np.eye(a.shape[0])).max() > 1e-10:
             raise DomainError("eigenvector matrix failed the orthonormality check")
         log_det = float(np.log(w).sum())

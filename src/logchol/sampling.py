@@ -3,14 +3,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from .tri import SpdMatrix, SymMatrix
+from .tri import SpdMatrix, SymMatrix, _sym
 
 
 def random_spd(rng: np.random.Generator, dim: int) -> SpdMatrix:
     """Random SPD matrix ``A A^T + 1e-3 I`` with ``A`` standard normal."""
     a = rng.standard_normal((dim, dim))
     p = a @ a.T + 1e-3 * np.eye(dim)
-    return SpdMatrix((p + p.T) / 2.0)
+    return SpdMatrix(_sym(p))
 
 
 def random_spd_wishart(rng: np.random.Generator, dim: int) -> SpdMatrix:
@@ -19,7 +19,7 @@ def random_spd_wishart(rng: np.random.Generator, dim: int) -> SpdMatrix:
     n = 2 * dim
     a = rng.standard_normal((dim, n))
     p = a @ a.T / n + 1e-3 * np.eye(dim)
-    return SpdMatrix((p + p.T) / 2.0)
+    return SpdMatrix(_sym(p))
 
 
 def random_orthogonal(rng: np.random.Generator, dim: int) -> np.ndarray:
@@ -35,11 +35,11 @@ def random_spd_with_condition(
     d = np.logspace(0.0, -np.log10(kappa), dim) if kappa > 1.0 else np.ones(dim)
     r = random_orthogonal(rng, dim)
     p = (r * d) @ r.T
-    return SpdMatrix((p + p.T) / 2.0)
+    return SpdMatrix(_sym(p))
 
 
 def random_sym(rng: np.random.Generator, dim: int) -> SymMatrix:
     """Random symmetric matrix with independent normal entries."""
     g = rng.standard_normal((dim, dim))
-    return SymMatrix((g + g.T) / 2.0)
+    return SymMatrix(_sym(g))
 

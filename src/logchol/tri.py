@@ -1,18 +1,20 @@
-"""Triangular and symmetric matrix types, the factor kernel and the fixture format.
+"""Matrix types, the shared matrix kernels and the fixture format.
 
 Each type holds its matrix dense, as an ``(m, m)`` float array in ``data``,
 and its constructor takes that array alone and checks the type's invariant:
-square and finite; exact zeros above the diagonal for lower triangular
-types and exact symmetry for symmetric ones; a positive diagonal for
-Cholesky factors and SPD matrices.  ``SymMatrix.from_dense`` is the entry
-point for outside data: it symmetrizes input that is symmetric to a relative
-tolerance, and ``SpdMatrix.from_dense`` also runs the factor kernel
-``_factor`` on it, the one the Log-Cholesky operations use.  ``dense()``
-returns a copy.
+a square matrix of finite real numbers; exact zeros above the diagonal for
+lower triangular types and exact symmetry for symmetric ones; a positive
+diagonal for Cholesky factors and SPD matrices.  ``SymMatrix.from_dense`` is
+the entry point for outside data: it symmetrizes input that is symmetric to
+a relative tolerance, and ``SpdMatrix.from_dense`` also runs the factor
+kernel ``_factor`` on it, the one the Log-Cholesky operations use.  The
+symmetrizer ``_sym``, ``_factor`` and the checked eigendecomposition
+``_eigh`` live here alone.  ``dense()`` returns a copy.
 """
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -48,8 +50,19 @@ class EigFailureError(LogCholError, RuntimeError):
     """Symmetric eigendecomposition failed to converge."""
 
 
+def _real(data) -> np.ndarray:
+    """Outside data as a float array, if it is a regular array of real numbers."""
+    try:
+        a = np.asarray(data)
+        if a.dtype.kind in "biuf" or all(isinstance(x, numbers.Real) for x in a.flat):
+            return a.astype(float, copy=False)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise DomainError("matrix entries must be real numbers, in rows of one length")
+
+
 def _square_finite(data) -> np.ndarray:
-    a = np.asarray(data, dtype=float)
+    a = _real(data)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
         raise DomainError(f"expected a square matrix, got shape {a.shape}")
     if not np.isfinite(a).all():
@@ -68,7 +81,12 @@ def _symmetrized(dense, error: type[LogCholError]) -> np.ndarray:
     a = _square_finite(dense)
     if np.abs(a - a.T).max() > 1e-8 * np.abs(a).max():
         raise error("matrix is not symmetric")
-    return (a + a.T) / 2.0
+    return _sym(a)
+
+
+def _sym(a: np.ndarray) -> np.ndarray:
+    """``(a + a^T) / 2`` of one matrix or of each matrix of a stack."""
+    return (a + a.swapaxes(-1, -2)) / 2.0
 
 
 @lru_cache(maxsize=None)
@@ -103,6 +121,18 @@ def _factor(p: np.ndarray) -> np.ndarray:
     if not np.isfinite(l[:, -1, -1]).all():
         raise NotSpdError("Cholesky factorization failed: non-finite pivot")
     return l
+
+
+def _eigh(a: np.ndarray, domain: str | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Eigendecomposition of a symmetric matrix or stack; with ``domain``
+    (a function of positive eigenvalues) given, all must be positive."""
+    try:
+        w, u = np.linalg.eigh(a)
+    except np.linalg.LinAlgError as exc:
+        raise EigFailureError("symmetric eigendecomposition failed") from exc
+    if domain is not None and (lo := min(w[..., 0].flat)) <= 0.0:
+        raise NotSpdError(f"{domain} undefined: smallest eigenvalue {lo}")
+    return w, u
 
 
 @dataclass(frozen=True, eq=False)
@@ -256,6 +286,9 @@ def parse_matrix_text(text: str) -> list[np.ndarray]:
 def load_matrices(path) -> list[SpdMatrix]:
     """Load the SPD matrices of a fixture file, each through ``SpdMatrix.from_dense``."""
     with open(path, "r", encoding="utf-8") as fh:
-        dense = parse_matrix_text(fh.read())
-    return [SpdMatrix.from_dense(a) for a in dense]
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise DomainError(f"fixture is not UTF-8 text: {exc}") from None
+    return [SpdMatrix.from_dense(a) for a in parse_matrix_text(text)]
 

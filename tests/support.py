@@ -44,6 +44,13 @@ def report_from_json(text: str) -> ExperimentReport:
     return ExperimentReport(**d)
 
 
+def nontiming_json(report: ExperimentReport) -> str:
+    """The report's canonical JSON with the timing fields stripped."""
+    d = report.to_dict()
+    d.pop("timings", None)
+    return json.dumps(d, sort_keys=True, indent=2)
+
+
 def glyph_from_json(text: str) -> GlyphRecord:
     return GlyphRecord(**json.loads(text))
 

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from oracles import central_difference_diff_S, descent_mean_spd
-from support import random_factor, random_tangent, report_from_json, result
+from support import nontiming_json, random_factor, random_tangent, report_from_json, result
 
 from logchol import baselines as bl
 from logchol import chol_manifold as cm
@@ -224,9 +224,7 @@ def test_10_cli_determinism(capsys, tmp_path):
         for i in range(2):
             out = tmp_path / f"run{i}.json"
             assert main(argv + ["--out", str(out)]) == 0
-            texts.append(
-                report_from_json(out.read_text()).nontiming_json()
-            )
+            texts.append(nontiming_json(report_from_json(out.read_text())))
         assert texts[0] == texts[1], argv
     report(capsys, "acceptance 10 CLI determinism: pass "
                    "(byte-identical non-timing reports)")

@@ -167,7 +167,7 @@ class TestGroup:
         assert_allclose(group_op(l, e).data, l.data, atol=0)
         assert_allclose(group_op(e, l).data, l.data, atol=0)
 
-    @pytest.mark.parametrize("dim", [-1, 0, 2.5])
+    @pytest.mark.parametrize("dim", [-1, 0, 2.5, True])
     def test_identity_rejects_a_bad_dimension(self, dim):
         with pytest.raises(DomainError, match="positive integer"):
             group_identity(dim)

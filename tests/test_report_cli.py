@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from support import dump_matrices, glyph_from_json, report_from_json, result
+from support import dump_matrices, glyph_from_json, nontiming_json, report_from_json, result
 
 from logchol import experiments as ex
 from logchol.baselines import METRIC_NAMES, get_metric
@@ -38,7 +38,7 @@ class TestReport:
 
     def test_nontiming_json_drops_timings(self):
         rep = self.make_report()
-        d = json.loads(rep.nontiming_json())
+        d = json.loads(nontiming_json(rep))
         assert "timings" not in d
         assert d["schema_version"] == 1
 
@@ -290,10 +290,15 @@ class TestCli:
 
     def test_numerical_failure_exit_3(self, tmp_path, capsys):
         fx = tmp_path / "bad.txt"
-        for text in ("2\n1.0 2.0\n2.0 1.0\n", "2\n1.0 0.0\n0 x\n"):
-            fx.write_text(text)
-            assert main(["mean", "--input", str(fx)]) == 3, text
-            assert "numerical failure" in capsys.readouterr().err
+        for data in (
+            b"2\n1.0 2.0\n2.0 1.0\n",  # not SPD
+            b"2\n1.0 0.0\n0 x\n",  # not a number
+            b"\xff\xfe2\n1.0 0.0\n0.0 1.0\n",  # not UTF-8
+        ):
+            fx.write_bytes(data)
+            for command in ("mean", "interpolate"):
+                assert main([command, "--input", str(fx)]) == 3, (command, data)
+                assert "numerical failure" in capsys.readouterr().err
 
     def test_stability_cli(self, tmp_path):
         out = tmp_path / "stab.json"
@@ -311,5 +316,5 @@ class TestCli:
                  "--seed", "42", "--out", str(out)]
             )
             assert rc == 0
-            outs.append(report_from_json(out.read_text()).nontiming_json())
+            outs.append(nontiming_json(report_from_json(out.read_text())))
         assert outs[0] == outs[1]

@@ -1,16 +1,31 @@
-"""Surface guard: every public function and method defined in a ``logchol``
-module has a caller outside the tests.  It is named in ``logchol.__all__``,
-referenced from the package's own code outside its definition, or referenced
-from the benchmark in ``perfbench/`` (as code or as a dotted span name such
-as ``"report.ExperimentReport.nontiming_json"``).  Helpers that only the
-tests need live in ``tests/support.py`` and ``tests/oracles.py``."""
+"""Surface guards.
+
+Every public function and method defined in a ``logchol`` module has a
+caller outside the tests: it is named in ``logchol.__all__``, referenced from
+the package's own code outside its definition, or referenced from the code
+of the benchmark in ``perfbench/`` (a name in one of its strings, such as a
+span name, does not count).  Helpers that only the tests need live in
+``tests/support.py`` and ``tests/oracles.py``.
+
+Each matrix step has one home: the LAPACK factorizations and the
+symmetrizer are called or defined only in ``tri``, and the triangular BLAS
+calls only in ``chol_map``."""
 import ast
-import re
 from pathlib import Path
 
 import logchol
 
 ROOT = Path(__file__).resolve().parents[1]
+SRC = {p: ast.parse(p.read_text()) for p in sorted((ROOT / "src" / "logchol").glob("*.py"))}
+
+# Routine name -> the one module that may reference it.
+HOMES = {
+    "eigh": "tri.py",
+    "cholesky": "tri.py",
+    "dpotrf": "tri.py",
+    "dtrsm": "chol_map.py",
+    "dtrmm": "chol_map.py",
+}
 
 
 def _public_definitions(tree: ast.Module):
@@ -21,9 +36,8 @@ def _public_definitions(tree: ast.Module):
                 yield fn
 
 
-def _references(tree: ast.Module, strings: bool = False):
-    """``(line, name)`` of every name, attribute and import in ``tree``; with
-    ``strings``, also of each part of a string that is a dotted name."""
+def _references(tree: ast.Module):
+    """``(line, name)`` of every name, attribute and import in ``tree``."""
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
             yield node.lineno, node.id
@@ -31,21 +45,49 @@ def _references(tree: ast.Module, strings: bool = False):
             yield node.lineno, node.attr
         elif isinstance(node, ast.alias):
             yield node.lineno, node.name
-        elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
-            if re.fullmatch(r"[\w.]+", node.value):
-                yield from ((node.lineno, part) for part in node.value.split("."))
+
+
+def _transposed(node: ast.expr, of: ast.expr) -> bool:
+    """Whether ``node`` is ``of.T``, ``of.swapaxes(...)`` or ``of.transpose(...)``."""
+    if isinstance(node, ast.Call):
+        node = node.func
+        if not (isinstance(node, ast.Attribute) and node.attr in ("swapaxes", "transpose")):
+            return False
+    elif not (isinstance(node, ast.Attribute) and node.attr == "T"):
+        return False
+    return ast.dump(node.value) == ast.dump(of)
+
+
+def _symmetrizers(tree: ast.Module):
+    """Lines of every ``(a + a^T) / 2`` or ``0.5 * (a + a^T)`` in ``tree``."""
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.BinOp):
+            continue
+        if isinstance(node.op, ast.Div):
+            total, half = node.left, node.right
+        elif isinstance(node.op, ast.Mult):
+            half, total = node.left, node.right
+        else:
+            continue
+        if not (isinstance(half, ast.Constant) and half.value in (2, 0.5)):
+            continue
+        if (
+            isinstance(total, ast.BinOp)
+            and isinstance(total.op, ast.Add)
+            and (_transposed(total.right, total.left) or _transposed(total.left, total.right))
+        ):
+            yield node.lineno
 
 
 def test_every_public_function_and_method_has_a_caller():
-    src = {p: ast.parse(p.read_text()) for p in sorted((ROOT / "src" / "logchol").glob("*.py"))}
     bench = {
         name
         for p in (ROOT / "perfbench").glob("*.py")
-        for _, name in _references(ast.parse(p.read_text()), strings=True)
+        for _, name in _references(ast.parse(p.read_text()))
     }
-    uses = [(p, line, name) for p, tree in src.items() for line, name in _references(tree)]
+    uses = [(p, line, name) for p, tree in SRC.items() for line, name in _references(tree)]
     unused = []
-    for path, tree in src.items():
+    for path, tree in SRC.items():
         for fn in _public_definitions(tree):
             if fn.name in logchol.__all__ or fn.name in bench:
                 continue
@@ -56,3 +98,21 @@ def test_every_public_function_and_method_has_a_caller():
             if not any(outside):
                 unused.append(f"{path.name}:{fn.lineno} {fn.name}")
     assert not unused, f"public but called only from tests: {unused}"
+
+
+def test_each_matrix_step_has_one_home():
+    strays = [
+        f"{path.name}:{line} {name}"
+        for path, tree in SRC.items()
+        for line, name in _references(tree)
+        if HOMES.get(name, path.name) != path.name
+    ]
+    strays += [
+        f"{path.name}:{line} symmetrizer"
+        for path, tree in SRC.items()
+        if path.name != "tri.py"
+        for line in _symmetrizers(tree)
+    ]
+    assert not strays, f"matrix steps outside their home module: {strays}"
+    # The guard sees the one symmetrizer it allows.
+    assert list(_symmetrizers(SRC[ROOT / "src" / "logchol" / "tri.py"]))

@@ -145,12 +145,31 @@ CONSTRUCTORS = [LowerTriangular, CholeskyFactor, SymMatrix, SpdMatrix]
 @pytest.mark.parametrize("cls", CONSTRUCTORS)
 @pytest.mark.parametrize(
     "data",
-    [np.eye(2)[:, :1], np.ones((2, 3)), np.ones(4), np.ones((1, 2, 2)), np.zeros((0, 0))],
-    ids=["column", "wide", "vector", "stack", "empty"],
+    [
+        np.eye(2)[:, :1],
+        np.ones((2, 3)),
+        np.ones(4),
+        np.ones((1, 2, 2)),
+        np.zeros((0, 0)),
+        [[1, 2], [3]],
+        [["1", "0"], ["0", "1"]],
+        np.array([["1", "0"], ["0", "1"]], dtype=object),
+        [["a", "0"], ["0", "b"]],
+        [[1j, 0], [0, 1]],
+        np.eye(2, dtype=complex),
+        [[10**400]],
+    ],
+    ids=["column", "wide", "vector", "stack", "empty", "ragged", "numeric-strings",
+         "numeric-string-objects", "strings", "complex-list", "complex-array", "huge-int"],
 )
 def test_constructors_reject_non_square(cls, data):
+    # Nor anything that is not a regular array of real numbers, through the
+    # constructor or through from_dense.
     with pytest.raises(DomainError):
         cls(data)
+    if hasattr(cls, "from_dense"):
+        with pytest.raises(DomainError):
+            cls.from_dense(data)
 
 
 @pytest.mark.parametrize("cls", CONSTRUCTORS)
