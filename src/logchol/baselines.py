@@ -12,11 +12,16 @@ forming ``L^-1 X L^-T`` with :func:`.chol_map._congruence`, and maps back by
 endpoints once per call.  Every mean works on the ``(n, m, m)`` stack of its
 members from :func:`.tri._stack`: one batched factorization or matrix
 function per step, one typed wrap of the result; ``_factor``, ``_eigh`` and
-``_sym`` come from :mod:`.tri`, and exactly symmetric results are wrapped as
-they are.  A registry keys every geometry by its selector string.
+``_sym`` come from :mod:`.tri`.  The Euclidean results and the Cholesky
+baseline's ``L L^T`` are exactly symmetric as computed and are wrapped as
+they are; the Log-Euclidean and affine-invariant products are wrapped as
+``SpdMatrix(_sym(.))`` or ``SymMatrix(_sym(.))``.  Their exponentials raise
+``DomainError`` when the result leaves the float range.  A registry keys
+every geometry by its selector string.
 """
 from __future__ import annotations
 
+import math
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
@@ -25,6 +30,7 @@ import numpy as np
 from . import spd_manifold as spd
 from .chol_map import _congruence, _reconstruct, reconstruct
 from .tri import (
+    TAU_POS,
     CholeskyFactor,
     DomainError,
     LowerTriangular,
@@ -51,22 +57,32 @@ def _spectral(a: np.ndarray, f, domain: str | None = None) -> np.ndarray:
     return (u * f(w)[..., None, :]) @ u.swapaxes(-1, -2)
 
 
+# The exponents whose exponential is a positive normal float.
+_EXP_RANGE = (math.log(TAU_POS), math.log(np.finfo(float).max))
+
+
+def _exp_in_range(w: np.ndarray) -> np.ndarray:
+    """``exp(w)`` of ascending eigenvalue rows ``w``; ``DomainError`` if an
+    exponential is not a positive normal float."""
+    lo, hi = min(w[..., 0].flat), max(w[..., -1].flat)
+    if not _EXP_RANGE[0] <= lo <= hi <= _EXP_RANGE[1]:
+        raise DomainError(
+            f"matrix exponential outside the float range: eigenvalues from {lo} to {hi}"
+        )
+    return np.exp(w)
+
+
 def sym_expm(a: np.ndarray) -> np.ndarray:
-    """Matrix exponential of a symmetric matrix or stack."""
-    return _spectral(a, np.exp)
+    """Matrix exponential of a symmetric matrix or stack.  Raises
+    ``DomainError`` when the exponential of an eigenvalue is not a positive
+    normal float: the result would overflow, or lose that eigenvalue to
+    underflow."""
+    return _spectral(a, _exp_in_range)
 
 
 def spd_logm(a: np.ndarray) -> np.ndarray:
     """Matrix logarithm of an SPD matrix or stack."""
     return _spectral(a, np.log, "matrix logarithm")
-
-
-def _wrap_spd(a: np.ndarray) -> SpdMatrix:
-    return SpdMatrix(_sym(a))
-
-
-def _wrap_sym(a: np.ndarray) -> SymMatrix:
-    return SymMatrix(_sym(a))
 
 
 # ---------------------------------------------------------------------------
@@ -207,18 +223,20 @@ def logeuclid_interpolate(
     """``exp((1 - t) log P + t log Q)``; each logarithm taken once."""
     _require_same_dim(P, Q)
     lp, lq = spd_logm(P.data), spd_logm(Q.data)
-    return [_wrap_spd(sym_expm((1.0 - t) * lp + t * lq)) for t in ts]
+    return [SpdMatrix(_sym(sym_expm((1.0 - t) * lp + t * lq))) for t in ts]
 
 
 def logeuclid_mean(Ps: Sequence[SpdMatrix]) -> SpdMatrix:
-    return _wrap_spd(sym_expm(spd_logm(_stack(Ps)).mean(axis=0)))
+    return SpdMatrix(_sym(sym_expm(spd_logm(_stack(Ps)).mean(axis=0))))
 
 
 def logeuclid_exp(P: SpdMatrix, W: SymTangent) -> SpdMatrix:
-    """Riemannian exponential: push the tangent into log space and exponentiate."""
+    """Riemannian exponential: push the tangent into log space and exponentiate.
+    Raises ``DomainError`` when the result leaves the float range (see
+    :func:`sym_expm`)."""
     _require_same_dim(P, W)
     p = P.data
-    return _wrap_spd(sym_expm(spd_logm(p) + dlog_spd(p, W.data)))
+    return SpdMatrix(_sym(sym_expm(spd_logm(p) + dlog_spd(p, W.data))))
 
 
 def logeuclid_log(P: SpdMatrix, Q: SpdMatrix) -> SymTangent:
@@ -226,14 +244,14 @@ def logeuclid_log(P: SpdMatrix, Q: SpdMatrix) -> SymTangent:
     _require_same_dim(P, Q)
     lp = spd_logm(P.data)
     lq = spd_logm(Q.data)
-    return _wrap_sym(dexp_sym(lp, lq - lp))
+    return SymMatrix(_sym(dexp_sym(lp, lq - lp)))
 
 
 def logeuclid_transport(P: SpdMatrix, Q: SpdMatrix, W: SymTangent) -> SymTangent:
     """Parallel transport: flatten at ``P`` via d(log), restore at ``Q`` via d(exp)."""
     _require_same_dim(P, Q, W)
     flat = dlog_spd(P.data, W.data)
-    return _wrap_sym(dexp_sym(spd_logm(Q.data), flat))
+    return SymMatrix(_sym(dexp_sym(spd_logm(Q.data), flat)))
 
 
 # ---------------------------------------------------------------------------
@@ -258,21 +276,24 @@ def affine_interpolate(
     l = _factor(P.data)
     w, u = _eigh(_sym(_congruence(l, Q.data)), "matrix power")
     lu = l @ u
-    return [_wrap_spd((lu * w**t) @ lu.T) for t in ts]
+    return [SpdMatrix(_sym((lu * w**t) @ lu.T)) for t in ts]
 
 
+@np.errstate(over="ignore", invalid="ignore")  # overflow reads inf or nan: rejected
 def affine_exp(P: SpdMatrix, W: SymTangent) -> SpdMatrix:
-    """``L exp(L^-1 W L^-T) L^T`` with ``P = L L^T``."""
+    """``L exp(L^-1 W L^-T) L^T`` with ``P = L L^T``.  Raises ``DomainError``
+    when the result leaves the float range: the exponential (see
+    :func:`sym_expm`) or the product with ``L`` overflows."""
     _require_same_dim(P, W)
     l = _factor(P.data)
-    return _wrap_spd(l @ sym_expm(_sym(_congruence(l, W.data))) @ l.T)
+    return SpdMatrix(_sym(l @ sym_expm(_sym(_congruence(l, W.data))) @ l.T))
 
 
 def affine_log(P: SpdMatrix, Q: SpdMatrix) -> SymTangent:
     """``L log(L^-1 Q L^-T) L^T`` with ``P = L L^T``."""
     _require_same_dim(P, Q)
     l = _factor(P.data)
-    return _wrap_sym(l @ spd_logm(_sym(_congruence(l, Q.data))) @ l.T)
+    return SymMatrix(_sym(l @ spd_logm(_sym(_congruence(l, Q.data))) @ l.T))
 
 
 def affine_transport(P: SpdMatrix, Q: SpdMatrix, W: SymTangent) -> SymTangent:
@@ -281,7 +302,7 @@ def affine_transport(P: SpdMatrix, Q: SpdMatrix, W: SymTangent) -> SymTangent:
     _require_same_dim(P, Q, W)
     l = _factor(P.data)
     ls = l @ _spectral(_sym(_congruence(l, Q.data)), np.sqrt, "matrix square root")
-    return _wrap_sym(ls @ _sym(_congruence(l, W.data)) @ ls.T)
+    return SymMatrix(_sym(ls @ _sym(_congruence(l, W.data)) @ ls.T))
 
 
 def affine_karcher_mean(Ps: Sequence[SpdMatrix]) -> SpdMatrix:
@@ -299,13 +320,13 @@ def affine_karcher_mean(Ps: Sequence[SpdMatrix]) -> SpdMatrix:
         the iterate's norm) within ``KARCHER_MAX_ITER`` iterations.
     """
     ps = _stack(Ps)
-    mean = SpdMatrix(ps.mean(axis=0))
+    mean = ps.mean(axis=0)
     for _ in range(KARCHER_MAX_ITER):
-        l = _factor(mean.data)
+        l = _factor(mean)
         g = spd_logm(_sym(_congruence(l, ps))).mean(axis=0)
-        if np.linalg.norm(l @ g @ l.T) <= KARCHER_TOL * (1.0 + np.linalg.norm(mean.data)):
-            return mean
-        mean = _wrap_spd(l @ sym_expm(_sym(g)) @ l.T)
+        if np.linalg.norm(l @ g @ l.T) <= KARCHER_TOL * (1.0 + np.linalg.norm(mean)):
+            return SpdMatrix(mean)
+        mean = _sym(l @ sym_expm(_sym(g)) @ l.T)
     raise NoConvergenceError(
         f"Karcher iteration did not converge in {KARCHER_MAX_ITER} iterations"
     )

@@ -7,9 +7,13 @@ map is an array kernel (``_factor``, ``_reconstruct``, ``_diff_S``,
 ``_diff_S_inv``) behind a typed public function; other modules compose the
 kernels and wrap only their final result.  ``_factor`` (one LAPACK
 ``dpotrf`` call on a matrix, one batched ``np.linalg.cholesky`` call on a
-stack) and ``_sym`` are defined in :mod:`.tri`.  The triangular BLAS calls
-live here: ``_congruence`` forms ``L^{-1} W L^{-T}`` of a matrix or a stack
-with two ``dtrsm`` calls, and ``_diff_S_inv`` multiplies back with one ``dtrmm``.
+stack) is defined in :mod:`.tri`.  ``_reconstruct`` returns ``l @ l.T`` as
+computed, not symmetrized: numpy forms a product with its own transpose by
+one BLAS ``syrk`` and mirrors the triangle, so the result is exactly
+symmetric, and entries up to the float max stay finite.  The triangular
+BLAS calls live here: ``_congruence`` forms ``L^{-1} W L^{-T}`` of a matrix
+or a stack with two ``dtrsm`` calls, and ``_diff_S_inv`` multiplies back
+with one ``dtrmm``.
 """
 from __future__ import annotations
 
@@ -24,7 +28,6 @@ from .tri import (
     SymTangent,
     _factor,
     _require_same_dim,
-    _sym,
 )
 
 
@@ -40,7 +43,7 @@ def cholesky_factor(P: SpdMatrix) -> CholeskyFactor:
 
 
 def _reconstruct(l: np.ndarray) -> np.ndarray:
-    return _sym(l @ l.T)
+    return l @ l.T
 
 
 def reconstruct(L: CholeskyFactor) -> SpdMatrix:

@@ -9,8 +9,7 @@ from .tri import SpdMatrix, SymMatrix, _sym
 def random_spd(rng: np.random.Generator, dim: int) -> SpdMatrix:
     """Random SPD matrix ``A A^T + 1e-3 I`` with ``A`` standard normal."""
     a = rng.standard_normal((dim, dim))
-    p = a @ a.T + 1e-3 * np.eye(dim)
-    return SpdMatrix(_sym(p))
+    return SpdMatrix(a @ a.T + 1e-3 * np.eye(dim))
 
 
 def random_spd_wishart(rng: np.random.Generator, dim: int) -> SpdMatrix:
@@ -18,8 +17,7 @@ def random_spd_wishart(rng: np.random.Generator, dim: int) -> SpdMatrix:
     ``A`` standard normal of shape ``(dim, 2 dim)``: a moderate spread."""
     n = 2 * dim
     a = rng.standard_normal((dim, n))
-    p = a @ a.T / n + 1e-3 * np.eye(dim)
-    return SpdMatrix(_sym(p))
+    return SpdMatrix(a @ a.T / n + 1e-3 * np.eye(dim))
 
 
 def random_orthogonal(rng: np.random.Generator, dim: int) -> np.ndarray:

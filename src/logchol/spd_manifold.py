@@ -9,11 +9,14 @@ mean.  Each operation composes the array kernels of :mod:`.chol_map` and
 """
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
+
+import numpy as np
 
 from . import chol_manifold as cm
 from .chol_map import _diff_S, _diff_S_inv, _factor, _reconstruct
-from .tri import SpdMatrix, SymMatrix, SymTangent, _require_same_dim, _stack
+from .tri import TAU_POS, DomainError, SpdMatrix, SymMatrix, SymTangent, _require_same_dim, _stack
 
 
 def metric_spd(P: SpdMatrix, W: SymTangent, V: SymTangent) -> float:
@@ -23,11 +26,24 @@ def metric_spd(P: SpdMatrix, W: SymTangent, V: SymTangent) -> float:
     return cm._metric(l, _diff_S_inv(l, W.data), _diff_S_inv(l, V.data))
 
 
+# The smallest factor diagonal entry whose square is a normal float.
+_PIVOT_ROOT_MIN = math.sqrt(TAU_POS)
+
+
+@np.errstate(over="ignore", invalid="ignore")  # overflow reads inf or nan: rejected below
 def geodesic_spd(P: SpdMatrix, W: SymTangent, t: float) -> SpdMatrix:
-    """Geodesic through ``P`` with initial velocity ``W``, evaluated at ``t``."""
+    """Geodesic through ``P`` with initial velocity ``W``, evaluated at ``t``.
+
+    Raises ``DomainError`` when the point leaves the float range: an entry
+    overflows, or a diagonal entry of its factor is below ``sqrt(TAU_POS)``,
+    so that its square, a pivot of the point, is not a normal float.
+    """
     _require_same_dim(P, W)
     l = _factor(P.data)
-    return SpdMatrix(_reconstruct(cm._geodesic(l, _diff_S_inv(l, W.data), t)))
+    k = cm._geodesic(l, _diff_S_inv(l, W.data), t)
+    if min(k.diagonal().tolist()) < _PIVOT_ROOT_MIN:
+        raise DomainError("geodesic point underflows: a pivot is not a normal float")
+    return SpdMatrix(_reconstruct(k))
 
 
 def exp_spd(P: SpdMatrix, W: SymTangent) -> SpdMatrix:

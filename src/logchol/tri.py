@@ -9,7 +9,10 @@ the entry point for outside data: it symmetrizes input that is symmetric to
 a relative tolerance, and ``SpdMatrix.from_dense`` also runs the factor
 kernel ``_factor`` on it, the one the Log-Cholesky operations use.  The
 symmetrizer ``_sym``, ``_factor`` and the checked eigendecomposition
-``_eigh`` live here alone.  ``dense()`` returns a copy.
+``_eigh`` live here alone.  ``_sym`` is needed only where a result can come
+out asymmetric: outside data, and products such as ``L f(.) L^T`` whose two
+triangles are computed apart; it sums halves, so entries up to the float
+max stay finite.  ``dense()`` returns a copy.
 """
 from __future__ import annotations
 
@@ -75,18 +78,24 @@ def _symmetrized(dense, error: type[LogCholError]) -> np.ndarray:
     ``1e-8 max|a|``.
 
     The tolerance is relative at every scale, so tiny matrices are held to
-    the same standard as unit-sized ones.  Raises ``DomainError`` on a
-    non-finite entry and ``error`` on asymmetry.
+    the same standard as unit-sized ones.  The test reads how far the
+    symmetrizer moves ``a``, ``|a - a^T| / 2``, so that entries up to the
+    float max cannot overflow it.  Raises ``DomainError`` on a non-finite
+    entry and ``error`` on asymmetry.
     """
     a = _square_finite(dense)
-    if np.abs(a - a.T).max() > 1e-8 * np.abs(a).max():
+    s = _sym(a)
+    if np.abs(a - s).max() > 5e-9 * np.abs(a).max():
         raise error("matrix is not symmetric")
-    return _sym(a)
+    return s
 
 
 def _sym(a: np.ndarray) -> np.ndarray:
-    """``(a + a^T) / 2`` of one matrix or of each matrix of a stack."""
-    return (a + a.swapaxes(-1, -2)) / 2.0
+    """``(a + a^T) / 2`` of one matrix or of each matrix of a stack, as
+    ``a/2 + a^T/2`` so that entries up to the float max stay finite: the
+    same bits wherever ``a + a^T`` does not overflow."""
+    h = a / 2.0
+    return h + h.swapaxes(-1, -2)
 
 
 @lru_cache(maxsize=None)

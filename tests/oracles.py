@@ -3,7 +3,8 @@
 These deliberately avoid the closed forms they are checking: means are
 recomputed by Riemannian gradient descent on the Frechet functional,
 differentials by central finite differences on dense arrays, the
-Cholesky factor by its column recurrences, the affine-invariant Karcher
+Cholesky factor by its column recurrences, the Log-Cholesky exponential by
+its closed form in extended precision, the affine-invariant Karcher
 mean by per-member logarithms and exponentials, and the affine-invariant
 inner product by an explicit inverse.  The extended-precision
 oracles take their float inputs exactly and round each result once.
@@ -111,25 +112,51 @@ def central_difference_diff_S(L, X, h=1e-6) -> np.ndarray:
     return (fp - fm) / (2.0 * h)
 
 
+def _diff_S_inv_mpf(L, W, m: int):
+    """``diff_S_inv`` on ``m x m`` nested lists of ``mpf`` by the recurrences
+    of the differentiated Cholesky factorization; no congruence is formed."""
+    X = [[mpmath.mpf(0) for _ in range(m)] for _ in range(m)]
+    for j in range(m):
+        s = sum((L[j][k] * X[j][k] for k in range(j)), mpmath.mpf(0))
+        X[j][j] = (W[j][j] / 2 - s) / L[j][j]
+        for i in range(j + 1, m):
+            s = sum((L[i][k] * X[j][k] + X[i][k] * L[j][k] for k in range(j)), mpmath.mpf(0))
+            X[i][j] = (W[i][j] - L[i][j] * X[j][j] - s) / L[j][j]
+    return X
+
+
+def _mpf_rows(a: np.ndarray):
+    return [[mpmath.mpf(float(x)) for x in row] for row in a]
+
+
 def diff_S_inv_mp(l: np.ndarray, w: np.ndarray, dps: int = 50) -> np.ndarray:
     """The lower triangular ``X`` with ``L X^T + X L^T = W``, in extended precision.
 
-    Solves the equation entry by entry, column by column, by the recurrences
-    of the differentiated Cholesky factorization; no congruence is formed.
-    The float inputs are taken exactly and the result is rounded once.
+    Solves the equation entry by entry, column by column.  The float inputs
+    are taken exactly and the result is rounded once.
     """
     m = l.shape[0]
     with mpmath.workdps(dps):
-        L = [[mpmath.mpf(float(l[i, j])) for j in range(m)] for i in range(m)]
-        W = [[mpmath.mpf(float(w[i, j])) for j in range(m)] for i in range(m)]
-        X = [[mpmath.mpf(0) for _ in range(m)] for _ in range(m)]
-        for j in range(m):
-            s = sum((L[j][k] * X[j][k] for k in range(j)), mpmath.mpf(0))
-            X[j][j] = (W[j][j] / 2 - s) / L[j][j]
-            for i in range(j + 1, m):
-                s = sum((L[i][k] * X[j][k] + X[i][k] * L[j][k] for k in range(j)), mpmath.mpf(0))
-                X[i][j] = (W[i][j] - L[i][j] * X[j][j] - s) / L[j][j]
+        X = _diff_S_inv_mpf(_mpf_rows(l), _mpf_rows(w), m)
         return np.array([[float(X[i][j]) for j in range(m)] for i in range(m)])
+
+
+def exp_spd_mp(p: np.ndarray, w: np.ndarray, dps: int = 50) -> np.ndarray:
+    """The Log-Cholesky exponential ``K K^T`` of ``W`` at ``P``, in extended
+    precision: with ``P = L L^T`` (``mpmath.cholesky``) and ``X`` the lower
+    triangular solution of ``L X^T + X L^T = W``, ``K`` is ``L + X`` below
+    the diagonal and ``L_jj exp(X_jj / L_jj)`` on it."""
+    m = p.shape[0]
+    with mpmath.workdps(dps):
+        C = mpmath.cholesky(mpmath.matrix(p.tolist()))
+        L = [[C[i, j] for j in range(m)] for i in range(m)]
+        X = _diff_S_inv_mpf(L, _mpf_rows(w), m)
+        K = mpmath.matrix(m, m)
+        for i in range(m):
+            for j in range(i):
+                K[i, j] = L[i][j] + X[i][j]
+            K[i, i] = L[i][i] * mpmath.exp(X[i][i] / L[i][i])
+        return np.array((K * K.T).tolist(), dtype=float)
 
 
 def affine_mp(p: np.ndarray, q: np.ndarray, w: np.ndarray, dps: int = 50):

@@ -390,3 +390,41 @@ def test_ops_check_dimensions(metric, op):
     with pytest.raises(DomainError, match="dimension mismatch"):
         calls[op]()
 
+
+
+def _rotated(d, angle=0.7):
+    c, s = np.cos(angle), np.sin(angle)
+    r = np.array([[c, -s], [s, c]])
+    return (r * d) @ r.T
+
+
+RIEMANNIAN = ("log-cholesky", "affine-invariant", "log-euclidean")
+# (P, W, geometries) whose exact exp lies outside the float range.
+EXP_OUT_OF_RANGE = {
+    "full-underflow": ([[0.00105]], [[-1.066]], RIEMANNIAN),
+    "overflow": ([[1.0]], [[800.0]], RIEMANNIAN),
+    # Not Log-Euclidean: its d log series does not converge at this base.
+    "overflow-by-the-base": (
+        np.diag([1e308, 1.0]),
+        np.diag([1.7e308, 0.0]),
+        ("log-cholesky", "affine-invariant"),
+    ),
+    "partial-underflow": ([[1.0, 0.5], [0.5, 1.0]], np.diag([0.0, -2000.0]), RIEMANNIAN),
+    "rotated-partial-underflow": (
+        np.eye(2),
+        _rotated([-800.0, 0.0]),
+        ("affine-invariant", "log-euclidean"),
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "metric, case",
+    [(m, c) for c, (_, _, ms) in EXP_OUT_OF_RANGE.items() for m in ms],
+)
+def test_exp_outside_the_float_range_raises_domain_error(metric, case):
+    # One error class and no numpy warning (warnings are errors here),
+    # never a singular matrix typed SPD.
+    p, w, _ = EXP_OUT_OF_RANGE[case]
+    with pytest.raises(DomainError):
+        bl.get_metric(metric).exp(spd(p), sym(w))

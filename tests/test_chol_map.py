@@ -5,9 +5,11 @@ from numpy.testing import assert_allclose, assert_array_equal
 from oracles import central_difference_diff_S, cholesky_factor_recursive, diff_S_inv_mp
 from support import random_factor, random_tangent
 
+from logchol import chol_manifold as cm
 from logchol.chol_map import (
     _congruence,
     _factor,
+    _reconstruct,
     cholesky_factor,
     diff_S,
     diff_S_inv,
@@ -98,6 +100,27 @@ def test_reconstruct_examples():
     eps = 0.1
     l = CholeskyFactor(np.diag([eps, 1.0]))
     assert_allclose(reconstruct(l).dense(), np.diag([eps**2, 1.0]), atol=0)
+    # Up to the float max: the product is not symmetrized, so nothing doubles.
+    big = reconstruct(CholeskyFactor(np.diag([1e154, 1.0]))).dense()
+    assert_allclose(big, np.diag([1e308, 1.0]), rtol=1e-15, atol=0)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 5, 8, 33, 128])
+def test_factor_products_are_exactly_symmetric(rng, m):
+    # _reconstruct returns l @ l.T as computed: numpy forms it with one BLAS
+    # syrk and mirrors the triangle, so it is symmetric bit for bit.
+    l = _factor(random_spd(rng, m).data)
+    x = diff_S_inv(CholeskyFactor(l), random_sym(rng, m)).data
+    factors = [
+        l,
+        cm._geodesic(l, x, 0.7),
+        cm._group_inv(l),
+        cm._frechet_mean(np.stack([l, cm._geodesic(l, x, 0.3)])),
+    ]
+    for k in factors:
+        s = k @ k.T
+        assert_array_equal(s, s.T)
+        assert_array_equal(_reconstruct(k), s)
 
 
 def test_bijection_both_ways(rng):

@@ -307,6 +307,26 @@ class TestCli:
         lc = result(rep, "log-cholesky.roundtrip_rel_error").value
         assert lc is not None and lc < 1e-6
 
+    def test_mean_gap_counts_any_library_failure(self, tmp_path, monkeypatch):
+        # A mean that fails in one trial is counted there; the run goes on.
+        karcher = ex.bl.affine_karcher_mean
+        calls = []
+
+        def fails_once(sample):
+            calls.append(len(sample))
+            if len(calls) == 2:
+                raise NotSpdError("injected")
+            return karcher(sample)
+
+        monkeypatch.setattr(ex.bl, "affine_karcher_mean", fails_once)
+        out = tmp_path / "gap.json"
+        args = ["mean-gap", "--n", "5", "--m", "2", "--trials", "3", "--out", str(out)]
+        assert main(args) == 0
+        rep = report_from_json(out.read_text())
+        assert len(calls) == 3
+        assert result(rep, "failed_trials").value == 1.0
+        assert len(result(rep, "per_trial_gap").values) == 2
+
     def test_determinism_nontiming_bytes(self, tmp_path):
         outs = []
         for i in range(2):

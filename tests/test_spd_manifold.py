@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from oracles import descent_mean_spd, frechet_functional_spd
+from oracles import descent_mean_spd, exp_spd_mp, frechet_functional_spd
 from support import random_factor, random_tangent
 
+from logchol import baselines as bl
 from logchol import chol_manifold as cm
 from logchol.chol_map import cholesky_factor, diff_S, diff_S_inv, reconstruct
 from logchol.sampling import random_spd, random_sym
@@ -90,6 +91,19 @@ class TestGeodesicExpLog:
         out = log_spd(I2, spd(np.diag([np.e**2, np.e**2])))
         assert_allclose(out.dense(), 2.0 * np.eye(2), rtol=1e-14)
 
+    def test_exp_near_the_float_max_matches_the_closed_form(self):
+        # A seeded draw (random_spd/random_sym, seed 12345) whose exp is
+        # 1.73e308: within the float range, so it is returned.
+        p = SpdMatrix(np.array([[0.1586142518182446, 0.34441158298033503],
+                                [0.34441158298033503, 0.7626790854291682]]))
+        w = SymMatrix(np.array([[1.4118034351580457, -0.5427671427957477],
+                                [-0.5427671427957477, 1.5751705796894575]]))
+        out = exp_spd(p, w).dense()
+        assert out[1, 1] > 1.7e308
+        # exp multiplies the relative error of X_jj / L_jj (about 354 here)
+        # by that ratio; X itself carries the conditioning of P (about 400).
+        assert_allclose(out, exp_spd_mp(p.data, w.data), rtol=1e-10, atol=0)
+
     @pytest.mark.parametrize("m", [2, 3, 5, 10])
     def test_inversion_both_ways(self, m, rng):
         # moderate conditioning: an extreme tangent at a near-singular base
@@ -153,6 +167,28 @@ class TestGroup:
             lhs = cholesky_factor(group_op_spd(p, q))
             rhs = cm.group_op(cholesky_factor(p), cholesky_factor(q))
             assert_allclose(lhs.data, rhs.data, rtol=1e-11, atol=1e-12)
+
+
+def test_results_up_to_the_float_max():
+    # Nothing that is already symmetric is summed again, so no entry doubles
+    # past the float max on the way out.
+    p = spd(np.diag([1e308, 1.0]))
+    zero = SymMatrix(np.zeros((2, 2)))
+    outs = [
+        exp_spd(p, zero),
+        geodesic_spd(p, zero, 0.5),
+        *interpolate_spd(p, p, [0.5]),
+        *bl.cholesky_interpolate(p, p, [0.5]),
+        bl.cholesky_mean([p, p]),
+    ]
+    for out in outs:
+        assert_allclose(out.dense(), p.dense(), rtol=1e-15, atol=0)
+    # The geometric mean of the factor diagonals goes through log and exp,
+    # which multiply the rounding of log(1e154) = 354.6 by that value.
+    assert_allclose(log_cholesky_mean([p, p]).dense(), p.dense(), rtol=1e-13, atol=0)
+    tiny = 1e-308  # subnormal
+    out = group_inv_spd(spd(np.diag([tiny, 1.0])))
+    assert_allclose(out.dense(), np.diag([1.0 / tiny, 1.0]), rtol=1e-15, atol=0)
 
 
 class TestTransport:

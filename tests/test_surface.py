@@ -58,25 +58,52 @@ def _transposed(node: ast.expr, of: ast.expr) -> bool:
     return ast.dump(node.value) == ast.dump(of)
 
 
+def _halved(node: ast.expr):
+    """The ``x`` of ``x / 2`` or ``0.5 * x``, else None."""
+    if not isinstance(node, ast.BinOp):
+        return None
+    if isinstance(node.op, ast.Div):
+        whole, half = node.left, node.right
+    elif isinstance(node.op, ast.Mult):
+        half, whole = node.left, node.right
+    else:
+        return None
+    if isinstance(half, ast.Constant) and half.value in (2, 0.5):
+        return whole
+    return None
+
+
+def _is_transpose_sum(a: ast.expr, b: ast.expr) -> bool:
+    return _transposed(b, a) or _transposed(a, b)
+
+
 def _symmetrizers(tree: ast.Module):
-    """Lines of every ``(a + a^T) / 2`` or ``0.5 * (a + a^T)`` in ``tree``."""
+    """Lines of every ``(a + a^T) / 2``, ``0.5 * (a + a^T)``, ``a / 2 + a^T / 2``
+    or ``0.5 * a + 0.5 * a^T`` in ``tree``, and of every ``h + h^T`` where
+    ``h`` is a name the module assigns a halved value."""
+    halves = {
+        target.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Assign) and _halved(node.value) is not None
+        for target in node.targets
+        if isinstance(target, ast.Name)
+    }
     for node in ast.walk(tree):
-        if not isinstance(node, ast.BinOp):
-            continue
-        if isinstance(node.op, ast.Div):
-            total, half = node.left, node.right
-        elif isinstance(node.op, ast.Mult):
-            half, total = node.left, node.right
-        else:
-            continue
-        if not (isinstance(half, ast.Constant) and half.value in (2, 0.5)):
-            continue
+        total = _halved(node)
         if (
             isinstance(total, ast.BinOp)
             and isinstance(total.op, ast.Add)
-            and (_transposed(total.right, total.left) or _transposed(total.left, total.right))
+            and _is_transpose_sum(total.left, total.right)
         ):
             yield node.lineno
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add):
+            left, right = _halved(node.left), _halved(node.right)
+            if left is not None and right is not None and _is_transpose_sum(left, right):
+                yield node.lineno
+            elif any(
+                isinstance(x, ast.Name) and x.id in halves for x in (node.left, node.right)
+            ) and _is_transpose_sum(node.left, node.right):
+                yield node.lineno
 
 
 def test_every_public_function_and_method_has_a_caller():

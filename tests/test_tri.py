@@ -113,6 +113,8 @@ def test_sym_matrix_validation():
         SymMatrix.from_dense(np.array([[1.0, 2.0], [3.0, 1.0]]))
     with pytest.raises(DomainError):  # asymmetric at every scale, not rounded to zero
         SymMatrix.from_dense(1e-9 * np.array([[0.0, 0.5], [-0.5, 0.0]]))
+    with pytest.raises(DomainError):  # and up to the float max, with no overflow
+        SymMatrix.from_dense(np.array([[0.0, 1e308], [-1e308, 0.0]]))
     s = SymMatrix.from_dense(np.array([[1.0, 2.0], [2.0, 1.0]]))
     assert_array_equal(s.dense(), s.dense().T)
 
@@ -137,6 +139,14 @@ def test_from_dense_symmetry_tolerance_is_relative():
         s = SymMatrix.from_dense(a)
         assert_array_equal(s.data, s.data.T)
         assert_array_equal(SpdMatrix.from_dense(a).data, s.data)
+
+
+@pytest.mark.parametrize("cls", [SymMatrix, SpdMatrix])
+@pytest.mark.parametrize(
+    "a", [np.diag([1e308, 1.0]), np.array([[1e308, 1e307], [1e307, 1e308]])]
+)
+def test_from_dense_accepts_entries_up_to_the_float_max(cls, a):
+    assert_array_equal(cls.from_dense(a).data, a)
 
 
 CONSTRUCTORS = [LowerTriangular, CholeskyFactor, SymMatrix, SpdMatrix]
