@@ -5,19 +5,21 @@ All four expose distance, interpolation and a mean; the two Riemannian
 baselines add exp/log maps and parallel transport so they can be timed and
 stress-tested against the Log-Cholesky geometry.  Every affine-invariant
 operation whitens by the Cholesky factor of its base point ``P = L L^T``,
-forming ``L^-1 X L^-T`` with :func:`.chol_map._congruence`, and maps back by
-``L f(.) L^T``; since ``L = P^{1/2} U`` with ``U`` orthogonal, that is
+forming ``L^-1 X L^-T = U Lambda U^T`` with :func:`.chol_map._congruence`,
+and maps back by ``(L U) f(Lambda) (L U)^T`` (the distance needs ``Lambda``
+alone); since ``L = P^{1/2} V`` with ``V`` orthogonal, that is
 ``P^{1/2} f(P^{-1/2} X P^{-1/2}) P^{1/2}``.  Every interpolation, like
 :func:`.spd_manifold.interpolate_spd`, takes the grid ``ts`` and works its
 endpoints once per call.  Every mean works on the ``(n, m, m)`` stack of its
 members from :func:`.tri._stack`: one batched factorization or matrix
 function per step, one typed wrap of the result; ``_factor``, ``_eigh`` and
-``_sym`` come from :mod:`.tri`.  The Euclidean results and the Cholesky
-baseline's ``L L^T`` are exactly symmetric as computed and are wrapped as
-they are; the Log-Euclidean and affine-invariant products are wrapped as
-``SpdMatrix(_sym(.))`` or ``SymMatrix(_sym(.))``.  Their exponentials raise
-``DomainError`` when the result leaves the float range.  A registry keys
-every geometry by its selector string.
+``_sym`` come from :mod:`.tri`.  Every SPD result but the Euclidean ones is
+``K K^T`` from :func:`.chol_map._reconstruct`, exactly symmetric as computed,
+with ``K`` a combination of Cholesky factors, ``U e^{Lambda/2}``,
+``L U e^{Lambda/2}`` or ``L U Lambda^{t/2}``; only the spectral baselines'
+logarithms and transports are wrapped as ``SymMatrix(_sym(.))``.  The
+exponentials raise ``DomainError`` when the result leaves the float range.
+A registry keys every geometry by its selector string.
 """
 from __future__ import annotations
 
@@ -35,7 +37,6 @@ from .tri import (
     DomainError,
     LowerTriangular,
     NoConvergenceError,
-    NotSpdError,
     SpdMatrix,
     SymMatrix,
     SymTangent,
@@ -51,38 +52,29 @@ from .tri import (
 # ---------------------------------------------------------------------------
 
 
-def _spectral(a: np.ndarray, f, domain: str | None = None) -> np.ndarray:
-    """``U f(Lambda) U^T`` for symmetric ``a = U Lambda U^T``, a matrix or a stack."""
-    w, u = _eigh(a, domain)
-    return (u * f(w)[..., None, :]) @ u.swapaxes(-1, -2)
-
-
 # The exponents whose exponential is a positive normal float.
 _EXP_RANGE = (math.log(TAU_POS), math.log(np.finfo(float).max))
 
 
-def _exp_in_range(w: np.ndarray) -> np.ndarray:
-    """``exp(w)`` of ascending eigenvalue rows ``w``; ``DomainError`` if an
-    exponential is not a positive normal float."""
+def _exp_factor(a: np.ndarray) -> np.ndarray:
+    """``U e^{Lambda/2}`` for symmetric ``a = U Lambda U^T``, a matrix or a
+    stack: the square factor ``K`` with ``K K^T = e^a``.  Raises
+    ``DomainError`` when the exponential of an eigenvalue is not a positive
+    normal float: ``e^a`` would overflow, or lose that eigenvalue to
+    underflow."""
+    w, u = _eigh(a)
     lo, hi = min(w[..., 0].flat), max(w[..., -1].flat)
     if not _EXP_RANGE[0] <= lo <= hi <= _EXP_RANGE[1]:
         raise DomainError(
             f"matrix exponential outside the float range: eigenvalues from {lo} to {hi}"
         )
-    return np.exp(w)
-
-
-def sym_expm(a: np.ndarray) -> np.ndarray:
-    """Matrix exponential of a symmetric matrix or stack.  Raises
-    ``DomainError`` when the exponential of an eigenvalue is not a positive
-    normal float: the result would overflow, or lose that eigenvalue to
-    underflow."""
-    return _spectral(a, _exp_in_range)
+    return u * np.exp(w / 2.0)[..., None, :]
 
 
 def spd_logm(a: np.ndarray) -> np.ndarray:
-    """Matrix logarithm of an SPD matrix or stack."""
-    return _spectral(a, np.log, "matrix logarithm")
+    """Matrix logarithm ``U log(Lambda) U^T`` of an SPD matrix or stack."""
+    w, u = _eigh(a, "matrix logarithm")
+    return (u * np.log(w)[..., None, :]) @ u.swapaxes(-1, -2)
 
 
 # ---------------------------------------------------------------------------
@@ -191,9 +183,7 @@ def dlog_spd(p: np.ndarray, w: np.ndarray) -> np.ndarray:
     series stops once a term's norm drops below ``DLOG_SERIES_TOL`` or
     after ``DLOG_SERIES_MAX_TERMS`` terms.
     """
-    lam = np.linalg.eigvalsh(p)
-    if lam[0] <= 0.0:
-        raise NotSpdError("matrix logarithm differential undefined off the SPD cone")
+    lam = _eigh(p, "matrix logarithm differential", vectors=False)
     c = (lam[0] + lam[-1]) / 2.0
     e = p / c - np.eye(p.shape[0])
     v = w / c
@@ -223,20 +213,20 @@ def logeuclid_interpolate(
     """``exp((1 - t) log P + t log Q)``; each logarithm taken once."""
     _require_same_dim(P, Q)
     lp, lq = spd_logm(P.data), spd_logm(Q.data)
-    return [SpdMatrix(_sym(sym_expm((1.0 - t) * lp + t * lq))) for t in ts]
+    return [SpdMatrix(_reconstruct(_exp_factor((1.0 - t) * lp + t * lq))) for t in ts]
 
 
 def logeuclid_mean(Ps: Sequence[SpdMatrix]) -> SpdMatrix:
-    return SpdMatrix(_sym(sym_expm(spd_logm(_stack(Ps)).mean(axis=0))))
+    return SpdMatrix(_reconstruct(_exp_factor(spd_logm(_stack(Ps)).mean(axis=0))))
 
 
 def logeuclid_exp(P: SpdMatrix, W: SymTangent) -> SpdMatrix:
     """Riemannian exponential: push the tangent into log space and exponentiate.
     Raises ``DomainError`` when the result leaves the float range (see
-    :func:`sym_expm`)."""
+    :func:`_exp_factor`)."""
     _require_same_dim(P, W)
     p = P.data
-    return SpdMatrix(_sym(sym_expm(spd_logm(p) + dlog_spd(p, W.data))))
+    return SpdMatrix(_reconstruct(_exp_factor(spd_logm(p) + dlog_spd(p, W.data))))
 
 
 def logeuclid_log(P: SpdMatrix, Q: SpdMatrix) -> SymTangent:
@@ -263,9 +253,10 @@ KARCHER_MAX_ITER = 200
 
 
 def affine_dist(P: SpdMatrix, Q: SpdMatrix) -> float:
-    """``|log(L^-1 Q L^-T)|_F`` with ``P = L L^T``."""
+    """``|log(L^-1 Q L^-T)|_F = |log(Lambda)|_F`` with ``P = L L^T``."""
     _require_same_dim(P, Q)
-    return float(np.linalg.norm(spd_logm(_sym(_congruence(_factor(P.data), Q.data)))))
+    w = _eigh(_sym(_congruence(_factor(P.data), Q.data)), "matrix logarithm", vectors=False)
+    return float(np.linalg.norm(np.log(w)))
 
 
 def affine_interpolate(
@@ -276,24 +267,26 @@ def affine_interpolate(
     l = _factor(P.data)
     w, u = _eigh(_sym(_congruence(l, Q.data)), "matrix power")
     lu = l @ u
-    return [SpdMatrix(_sym((lu * w**t) @ lu.T)) for t in ts]
+    return [SpdMatrix(_reconstruct(lu * w ** (t / 2.0))) for t in ts]
 
 
 @np.errstate(over="ignore", invalid="ignore")  # overflow reads inf or nan: rejected
 def affine_exp(P: SpdMatrix, W: SymTangent) -> SpdMatrix:
-    """``L exp(L^-1 W L^-T) L^T`` with ``P = L L^T``.  Raises ``DomainError``
-    when the result leaves the float range: the exponential (see
-    :func:`sym_expm`) or the product with ``L`` overflows."""
+    """``L exp(L^-1 W L^-T) L^T = K K^T`` with ``P = L L^T``, ``K = L U e^{Lambda/2}``.
+    Raises ``DomainError`` when the result leaves the float range: the
+    exponential (see :func:`_exp_factor`) or ``K K^T`` overflows."""
     _require_same_dim(P, W)
     l = _factor(P.data)
-    return SpdMatrix(_sym(l @ sym_expm(_sym(_congruence(l, W.data))) @ l.T))
+    return SpdMatrix(_reconstruct(l @ _exp_factor(_sym(_congruence(l, W.data)))))
 
 
 def affine_log(P: SpdMatrix, Q: SpdMatrix) -> SymTangent:
-    """``L log(L^-1 Q L^-T) L^T`` with ``P = L L^T``."""
+    """``L log(L^-1 Q L^-T) L^T = (L U) log(Lambda) (L U)^T`` with ``P = L L^T``."""
     _require_same_dim(P, Q)
     l = _factor(P.data)
-    return SymMatrix(_sym(l @ spd_logm(_sym(_congruence(l, Q.data))) @ l.T))
+    w, u = _eigh(_sym(_congruence(l, Q.data)), "matrix logarithm")
+    lu = l @ u
+    return SymMatrix(_sym((lu * np.log(w)) @ lu.T))
 
 
 def affine_transport(P: SpdMatrix, Q: SpdMatrix, W: SymTangent) -> SymTangent:
@@ -301,7 +294,8 @@ def affine_transport(P: SpdMatrix, Q: SpdMatrix, W: SymTangent) -> SymTangent:
     where ``S = (L^-1 Q L^-T)^(1/2)``: so ``(L S) (L^-1 W L^-T) (L S)^T``."""
     _require_same_dim(P, Q, W)
     l = _factor(P.data)
-    ls = l @ _spectral(_sym(_congruence(l, Q.data)), np.sqrt, "matrix square root")
+    w, u = _eigh(_sym(_congruence(l, Q.data)), "matrix square root")
+    ls = l @ ((u * np.sqrt(w)) @ u.T)
     return SymMatrix(_sym(ls @ _sym(_congruence(l, W.data)) @ ls.T))
 
 
@@ -311,7 +305,7 @@ def affine_karcher_mean(Ps: Sequence[SpdMatrix]) -> SpdMatrix:
     From the Euclidean mean, each step factors the iterate ``P = L L^T``
     and whitens the whole stack in one congruence: with ``g`` the mean of
     ``log(L^-1 P_i L^-T)``, the gradient is ``L g L^T`` and the step
-    ``L e^g L^T``.
+    ``L e^g L^T``, formed as ``K K^T`` with ``K = L U e^{Lambda/2}``.
 
     Raises
     ------
@@ -326,7 +320,7 @@ def affine_karcher_mean(Ps: Sequence[SpdMatrix]) -> SpdMatrix:
         g = spd_logm(_sym(_congruence(l, ps))).mean(axis=0)
         if np.linalg.norm(l @ g @ l.T) <= KARCHER_TOL * (1.0 + np.linalg.norm(mean)):
             return SpdMatrix(mean)
-        mean = _sym(l @ sym_expm(_sym(g)) @ l.T)
+        mean = _reconstruct(l @ _exp_factor(_sym(g)))
     raise NoConvergenceError(
         f"Karcher iteration did not converge in {KARCHER_MAX_ITER} iterations"
     )

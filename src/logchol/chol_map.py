@@ -7,13 +7,9 @@ map is an array kernel (``_factor``, ``_reconstruct``, ``_diff_S``,
 ``_diff_S_inv``) behind a typed public function; other modules compose the
 kernels and wrap only their final result.  ``_factor`` (one LAPACK
 ``dpotrf`` call on a matrix, one batched ``np.linalg.cholesky`` call on a
-stack) is defined in :mod:`.tri`.  ``_reconstruct`` returns ``l @ l.T`` as
-computed, not symmetrized: numpy forms a product with its own transpose by
-one BLAS ``syrk`` and mirrors the triangle, so the result is exactly
-symmetric, and entries up to the float max stay finite.  The triangular
-BLAS calls live here: ``_congruence`` forms ``L^{-1} W L^{-T}`` of a matrix
-or a stack with two ``dtrsm`` calls, and ``_diff_S_inv`` multiplies back
-with one ``dtrmm``.
+stack) is defined in :mod:`.tri`.  The triangular BLAS calls live here:
+``_congruence`` forms ``L^{-1} W L^{-T}`` of a matrix or a stack with two
+``dtrsm`` calls, and ``_diff_S_inv`` multiplies back with one ``dtrmm``.
 """
 from __future__ import annotations
 
@@ -42,8 +38,14 @@ def cholesky_factor(P: SpdMatrix) -> CholeskyFactor:
     return CholeskyFactor(_factor(P.data))
 
 
-def _reconstruct(l: np.ndarray) -> np.ndarray:
-    return l @ l.T
+def _reconstruct(k: np.ndarray) -> np.ndarray:
+    """``K K^T`` of a square ``K``: how every geometry but the Euclidean one
+    forms its SPD results, from a Cholesky factor or a spectral factor such
+    as ``L U e^{Lambda/2}``.  Returned as computed, not symmetrized: numpy
+    forms a product with its own transpose by one BLAS ``syrk`` and mirrors
+    the triangle, so it is exactly symmetric, and entries up to the float
+    max stay finite."""
+    return k @ k.T
 
 
 def reconstruct(L: CholeskyFactor) -> SpdMatrix:

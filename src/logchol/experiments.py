@@ -30,6 +30,7 @@ from .tri import (
     NotSpdError,
     SpdMatrix,
     SymMatrix,
+    _eigh,
     _stack,
     _sym,
 )
@@ -264,7 +265,7 @@ def _stability_base(rng: np.random.Generator, m: int) -> SpdMatrix:
     # conditioning, not the base's.
     a = rng.standard_normal((m, m))
     s = a @ a.T
-    return SpdMatrix(np.eye(m) + 0.5 * s / np.linalg.eigvalsh(s)[-1])
+    return SpdMatrix(np.eye(m) + 0.5 * s / _eigh(s, vectors=False)[-1])
 
 
 def _attempt(compute) -> tuple[object, str]:

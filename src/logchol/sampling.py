@@ -29,11 +29,12 @@ def random_orthogonal(rng: np.random.Generator, dim: int) -> np.ndarray:
 def random_spd_with_condition(
     rng: np.random.Generator, dim: int, kappa: float
 ) -> SpdMatrix:
-    """SPD matrix with eigenvalues log-spaced between 1 and ``1 / kappa``."""
+    """SPD matrix with eigenvalues log-spaced between 1 and ``1 / kappa``;
+    ``NotSpdError`` if it does not factor, as it can past ``kappa = 1 / eps``."""
     d = np.logspace(0.0, -np.log10(kappa), dim) if kappa > 1.0 else np.ones(dim)
     r = random_orthogonal(rng, dim)
     p = (r * d) @ r.T
-    return SpdMatrix(_sym(p))
+    return SpdMatrix.from_dense(p)
 
 
 def random_sym(rng: np.random.Generator, dim: int) -> SymMatrix:

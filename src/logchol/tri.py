@@ -10,7 +10,7 @@ a relative tolerance, and ``SpdMatrix.from_dense`` also runs the factor
 kernel ``_factor`` on it, the one the Log-Cholesky operations use.  The
 symmetrizer ``_sym``, ``_factor`` and the checked eigendecomposition
 ``_eigh`` live here alone.  ``_sym`` is needed only where a result can come
-out asymmetric: outside data, and products such as ``L f(.) L^T`` whose two
+out asymmetric: outside data, and tangents such as ``L f(.) L^T`` whose two
 triangles are computed apart; it sums halves, so entries up to the float
 max stay finite.  ``dense()`` returns a copy.
 """
@@ -132,16 +132,17 @@ def _factor(p: np.ndarray) -> np.ndarray:
     return l
 
 
-def _eigh(a: np.ndarray, domain: str | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a symmetric matrix or stack; with ``domain``
-    (a function of positive eigenvalues) given, all must be positive."""
+def _eigh(a: np.ndarray, domain: str | None = None, vectors: bool = True):
+    """Eigendecomposition ``(w, u)`` of a symmetric matrix or stack, or if not
+    ``vectors`` its eigenvalues ``w`` alone (``eigvalsh``); with ``domain`` (a
+    function of positive eigenvalues) given, all must be positive."""
     try:
-        w, u = np.linalg.eigh(a)
+        w, u = np.linalg.eigh(a) if vectors else (np.linalg.eigvalsh(a), None)
     except np.linalg.LinAlgError as exc:
         raise EigFailureError("symmetric eigendecomposition failed") from exc
     if domain is not None and (lo := min(w[..., 0].flat)) <= 0.0:
         raise NotSpdError(f"{domain} undefined: smallest eigenvalue {lo}")
-    return w, u
+    return (w, u) if vectors else w
 
 
 @dataclass(frozen=True, eq=False)

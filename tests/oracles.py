@@ -6,8 +6,10 @@ differentials by central finite differences on dense arrays, the
 Cholesky factor by its column recurrences, the Log-Cholesky exponential by
 its closed form in extended precision, the affine-invariant Karcher
 mean by per-member logarithms and exponentials, and the affine-invariant
-inner product by an explicit inverse.  The extended-precision
-oracles take their float inputs exactly and round each result once.
+inner product by an explicit inverse.  The affine-invariant and
+Log-Euclidean matrix functions are evaluated in extended precision through
+``mpmath.eigsy``.  The extended-precision oracles take their float inputs
+exactly and round each result once.
 """
 from __future__ import annotations
 
@@ -157,6 +159,50 @@ def exp_spd_mp(p: np.ndarray, w: np.ndarray, dps: int = 50) -> np.ndarray:
                 K[i, j] = L[i][j] + X[i][j]
             K[i, i] = L[i][i] * mpmath.exp(X[i][i] / L[i][i])
         return np.array((K * K.T).tolist(), dtype=float)
+
+
+def _spectral_mp(a, f):
+    """``U diag(f(lam)) U^T`` of a symmetric ``mpmath`` matrix ``a = U diag(lam) U^T``."""
+    lam, U = mpmath.eigsy(a)
+    return U * mpmath.diag([f(x) for x in lam]) * U.T
+
+
+def _whitened_mp(p: np.ndarray, x: np.ndarray):
+    """``L`` and ``L^{-1} X L^{-T}`` with ``P = L L^T`` (``mpmath.cholesky``)."""
+    L = mpmath.cholesky(mpmath.matrix(p.tolist()))
+    Li = L**-1
+    return L, Li * mpmath.matrix(x.tolist()) * Li.T
+
+
+def affine_exp_mp(p: np.ndarray, w: np.ndarray, dps: int = 50) -> np.ndarray:
+    """The affine-invariant exponential ``L exp(L^{-1} W L^{-T}) L^T`` with
+    ``P = L L^T``, in extended precision."""
+    with mpmath.workdps(dps):
+        L, c = _whitened_mp(p, w)
+        return np.array((L * _spectral_mp(c, mpmath.exp) * L.T).tolist(), dtype=float)
+
+
+def affine_geodesic_mp(p: np.ndarray, q: np.ndarray, t: float, dps: int = 50) -> np.ndarray:
+    """The affine-invariant geodesic point ``L (L^{-1} Q L^{-T})^t L^T`` with
+    ``P = L L^T``, in extended precision."""
+    with mpmath.workdps(dps):
+        L, c = _whitened_mp(p, q)
+        s = _spectral_mp(c, lambda x: x ** mpmath.mpf(t))
+        return np.array((L * s * L.T).tolist(), dtype=float)
+
+
+def logeuclid_mean_mp(ps, weights=None, dps: int = 50) -> np.ndarray:
+    """``exp(sum_i c_i log P_i)`` in extended precision, with the weights
+    ``c_i`` equal by default: the Log-Euclidean mean, and with the weights
+    ``(1 - t, t)`` its interpolant at ``t``."""
+    n = len(ps)
+    with mpmath.workdps(dps):
+        cs = [mpmath.mpf(1) / n] * n if weights is None else [mpmath.mpf(c) for c in weights]
+        s = sum(
+            (c * _spectral_mp(mpmath.matrix(p.tolist()), mpmath.log) for c, p in zip(cs, ps)),
+            mpmath.zeros(ps[0].shape[0]),
+        )
+        return np.array(_spectral_mp(s, mpmath.exp).tolist(), dtype=float)
 
 
 def affine_mp(p: np.ndarray, q: np.ndarray, w: np.ndarray, dps: int = 50):

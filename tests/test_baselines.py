@@ -2,7 +2,14 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from oracles import affine_inner, affine_mp, karcher_mean_per_member
+from oracles import (
+    affine_exp_mp,
+    affine_geodesic_mp,
+    affine_inner,
+    affine_mp,
+    karcher_mean_per_member,
+    logeuclid_mean_mp,
+)
 
 from logchol import baselines as bl
 from logchol.sampling import (
@@ -29,6 +36,13 @@ def spd(dense):
 
 def sym(dense):
     return SymMatrix.from_dense(np.asarray(dense, dtype=float))
+
+
+def expm(a):
+    """``e^a`` of a symmetric matrix or stack, as the Gram product of the
+    factor kernel ``U e^{Lambda/2}``."""
+    k = bl._exp_factor(a)
+    return k @ k.swapaxes(-1, -2)
 
 
 def well_conditioned_spd(rng, m):
@@ -173,12 +187,12 @@ class TestLogEuclidean:
         h = 1e-6
         s = 0.5 * random_sym(rng, 3).dense()
         d = 0.5 * random_sym(rng, 3).dense()
-        fd = (bl.sym_expm(s + h * d) - bl.sym_expm(s - h * d)) / (2 * h)
+        fd = (expm(s + h * d) - expm(s - h * d)) / (2 * h)
         assert_allclose(bl.dexp_sym(s, d), fd, rtol=1e-6, atol=1e-8)
 
     def test_logm_expm_examples(self, rng):
         p = random_spd(rng, 4)
-        assert_allclose(bl.sym_expm(bl.spd_logm(p.dense())), p.dense(), rtol=1e-12)
+        assert_allclose(expm(bl.spd_logm(p.dense())), p.dense(), rtol=1e-12)
         with pytest.raises(NotSpdError):
             bl.spd_logm(np.diag([1.0, -1.0]))
 
@@ -187,12 +201,28 @@ class TestLogEuclidean:
         logs = bl.spd_logm(ps)
         for p, lg in zip(ps, logs):
             assert_allclose(lg, bl.spd_logm(p), rtol=1e-14, atol=1e-14 * np.abs(lg).max())
-        exps = bl.sym_expm(logs)
+        exps = expm(logs)
         for lg, ex in zip(logs, exps):
-            assert_allclose(ex, bl.sym_expm(lg), rtol=1e-14, atol=1e-14 * np.abs(ex).max())
+            assert_allclose(ex, expm(lg), rtol=1e-14, atol=1e-14 * np.abs(ex).max())
         ps[3] = np.diag([1.0, 2.0, -1.0, 3.0])
         with pytest.raises(NotSpdError):
             bl.spd_logm(ps)
+
+    @pytest.mark.parametrize("kappa", [1e2, 1e4, 1e6])
+    @pytest.mark.parametrize("m", [2, 5])
+    def test_matches_extended_precision(self, rng, m, kappa):
+        # The interpolant at t = 0.3 and the mean of P and Q, both
+        # exp((1 - t) log P + t log Q), against 50-digit evaluations.
+        eps = np.finfo(float).eps
+        for _ in range(10):
+            p = random_spd_with_condition(rng, m, kappa)
+            q = random_spd_with_condition(rng, m, kappa)
+            ref = logeuclid_mean_mp([p.data, q.data], (0.7, 0.3))
+            [out] = bl.logeuclid_interpolate(p, q, [0.3])
+            assert np.linalg.norm(out.data - ref) <= eps * kappa * np.linalg.norm(ref)
+            ref = logeuclid_mean_mp([p.data, q.data])
+            out = bl.logeuclid_mean([p, q]).data
+            assert np.linalg.norm(out - ref) <= eps * kappa * np.linalg.norm(ref)
 
 
 class TestAffineInvariant:
@@ -295,6 +325,15 @@ class TestAffineInvariant:
             assert np.linalg.norm(out - log) <= eps * kappa**2 * np.linalg.norm(log)
             out = bl.affine_transport(p, q, w).data
             assert np.linalg.norm(out - transport) <= 10 * eps * kappa * np.linalg.norm(transport)
+            # The exp of the logarithm, which keeps the exponential in range;
+            # the geodesic point, a power of the same whitened Q as the log.
+            tangent = SymMatrix.from_dense(log)
+            ref = affine_exp_mp(p.data, tangent.data)
+            out = bl.affine_exp(p, tangent).data
+            assert np.linalg.norm(out - ref) <= 10 * eps * kappa * np.linalg.norm(ref)
+            ref = affine_geodesic_mp(p.data, q.data, 0.3)
+            [out] = bl.affine_interpolate(p, q, [0.3])
+            assert np.linalg.norm(out.data - ref) <= eps * kappa**2 * np.linalg.norm(ref)
 
     def test_dist_congruence_invariance(self, rng):
         # the defining property of this baseline metric

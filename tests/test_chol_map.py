@@ -5,6 +5,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 from oracles import central_difference_diff_S, cholesky_factor_recursive, diff_S_inv_mp
 from support import random_factor, random_tangent
 
+from logchol import baselines as bl
 from logchol import chol_manifold as cm
 from logchol.chol_map import (
     _congruence,
@@ -23,6 +24,8 @@ from logchol.tri import (
     NotSpdError,
     SpdMatrix,
     SymMatrix,
+    _eigh,
+    _sym,
 )
 
 
@@ -107,15 +110,22 @@ def test_reconstruct_examples():
 
 @pytest.mark.parametrize("m", [1, 2, 3, 5, 8, 33, 128])
 def test_factor_products_are_exactly_symmetric(rng, m):
-    # _reconstruct returns l @ l.T as computed: numpy forms it with one BLAS
-    # syrk and mirrors the triangle, so it is symmetric bit for bit.
+    # _reconstruct returns k @ k.T as computed: numpy forms it with one BLAS
+    # syrk and mirrors the triangle, so it is symmetric bit for bit.  The
+    # factors: Log-Cholesky ones, and the spectral baselines' U e^{Lambda/2},
+    # L U e^{Lambda/2} and L U Lambda^{t/2}.
     l = _factor(random_spd(rng, m).data)
     x = diff_S_inv(CholeskyFactor(l), random_sym(rng, m)).data
+    e = bl._exp_factor(0.3 * random_sym(rng, m).data)
+    w, u = _eigh(_sym(_congruence(l, random_spd(rng, m).data)))
     factors = [
         l,
         cm._geodesic(l, x, 0.7),
         cm._group_inv(l),
         cm._frechet_mean(np.stack([l, cm._geodesic(l, x, 0.3)])),
+        e,
+        l @ e,
+        (l @ u) * w**0.35,
     ]
     for k in factors:
         s = k @ k.T

@@ -300,6 +300,13 @@ class TestCli:
                 assert main([command, "--input", str(fx)]) == 3, (command, data)
                 assert "numerical failure" in capsys.readouterr().err
 
+    def test_stability_samples_that_do_not_factor_exit_3(self, capsys):
+        # At kappa 1e17 the computed R diag(d) R^T of most m = 3 draws is not
+        # positive definite (5 of the 6 at seed 0): the sampler rejects it,
+        # so no geometry is reported as failing on it.
+        assert main(["stability", "--kappa", "1e17"]) == 3
+        assert "Cholesky factorization failed" in capsys.readouterr().err
+
     def test_stability_cli(self, tmp_path):
         out = tmp_path / "stab.json"
         assert main(["stability", "--kappa", "1e10", "--m", "3", "--out", str(out)]) == 0

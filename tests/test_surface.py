@@ -7,8 +7,8 @@ of the benchmark in ``perfbench/`` (a name in one of its strings, such as a
 span name, does not count).  Helpers that only the tests need live in
 ``tests/support.py`` and ``tests/oracles.py``.
 
-Each matrix step has one home: the LAPACK factorizations and the
-symmetrizer are called or defined only in ``tri``, and the triangular BLAS
+Each matrix step has one home: the LAPACK factorizations and eigenvalue
+solvers and the symmetrizer are called or defined only in ``tri``, and the triangular BLAS
 calls only in ``chol_map``."""
 import ast
 from pathlib import Path
@@ -21,6 +21,7 @@ SRC = {p: ast.parse(p.read_text()) for p in sorted((ROOT / "src" / "logchol").gl
 # Routine name -> the one module that may reference it.
 HOMES = {
     "eigh": "tri.py",
+    "eigvalsh": "tri.py",
     "cholesky": "tri.py",
     "dpotrf": "tri.py",
     "dtrsm": "chol_map.py",
