@@ -13,27 +13,24 @@ alone); since ``L = P^{1/2} V`` with ``V`` orthogonal, that is
 endpoints once per call.  Every mean works on the ``(n, m, m)`` stack of its
 members from :func:`.tri._stack`: one batched factorization or matrix
 function per step, one typed wrap of the result; ``_factor``, ``_eigh`` and
-``_sym`` come from :mod:`.tri`.  Every SPD result but the Euclidean ones is
-``K K^T`` from :func:`.chol_map._reconstruct`, exactly symmetric as computed,
-with ``K`` a combination of Cholesky factors, ``U e^{Lambda/2}``,
-``L U e^{Lambda/2}`` or ``L U Lambda^{t/2}``; only the spectral baselines'
-logarithms and transports are wrapped as ``SymMatrix(_sym(.))``.  The
-exponentials raise ``DomainError`` when the result leaves the float range.
-A registry keys every geometry by its selector string.
+``_sym`` come from :mod:`.tri`.  Every non-Euclidean SPD result is ``K K^T``,
+exactly symmetric as computed, and leaves the float range only by raising
+``DomainError``: the Cholesky baseline's ``K``, a combination of factors, goes
+through ``chol_map._spd_point``; the spectral ``K`` (``U e^{Lambda/2}``,
+``L U e^{Lambda/2}``, ``L U Lambda^{t/2}``) has its exponents checked by
+``chol_map._check_exponents``.  Only the spectral logarithms and transports
+are wrapped as ``SymMatrix(_sym(.))``.  A registry keys each geometry by name.
 """
 from __future__ import annotations
 
-import math
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import spd_manifold as spd
-from .chol_map import _congruence, _reconstruct, reconstruct
+from .chol_map import _check_exponents, _congruence, _reconstruct, _spd_point
 from .tri import (
-    TAU_POS,
-    CholeskyFactor,
     DomainError,
     LowerTriangular,
     NoConvergenceError,
@@ -52,22 +49,12 @@ from .tri import (
 # ---------------------------------------------------------------------------
 
 
-# The exponents whose exponential is a positive normal float.
-_EXP_RANGE = (math.log(TAU_POS), math.log(np.finfo(float).max))
-
-
 def _exp_factor(a: np.ndarray) -> np.ndarray:
-    """``U e^{Lambda/2}`` for symmetric ``a = U Lambda U^T``, a matrix or a
-    stack: the square factor ``K`` with ``K K^T = e^a``.  Raises
-    ``DomainError`` when the exponential of an eigenvalue is not a positive
-    normal float: ``e^a`` would overflow, or lose that eigenvalue to
-    underflow."""
+    """``U e^{Lambda/2}`` for symmetric ``a = U Lambda U^T``, a matrix or a stack:
+    the square factor ``K`` with ``K K^T = e^a``, once ``_check_exponents``
+    passes ``Lambda``."""
     w, u = _eigh(a)
-    lo, hi = min(w[..., 0].flat), max(w[..., -1].flat)
-    if not _EXP_RANGE[0] <= lo <= hi <= _EXP_RANGE[1]:
-        raise DomainError(
-            f"matrix exponential outside the float range: eigenvalues from {lo} to {hi}"
-        )
+    _check_exponents(w)
     return u * np.exp(w / 2.0)[..., None, :]
 
 
@@ -119,23 +106,22 @@ def cholesky_distance(P: SpdMatrix, Q: SpdMatrix) -> float:
     return float(np.linalg.norm(_factor(P.data) - _factor(Q.data)))
 
 
-def cholesky_interpolate(
-    P: SpdMatrix, Q: SpdMatrix, ts: Sequence[float]
-) -> list[SpdMatrix]:
+@np.errstate(over="ignore", invalid="ignore")  # overflow reads inf or nan: rejected
+def cholesky_interpolate(P: SpdMatrix, Q: SpdMatrix, ts: Sequence[float]) -> list[SpdMatrix]:
     """Convex combination of the factors, reconstructed; each factored once."""
     _require_same_dim(P, Q)
     l, k = _factor(P.data), _factor(Q.data)
-    return [reconstruct(CholeskyFactor((1.0 - t) * l + t * k)) for t in ts]
+    return [_spd_point((1.0 - t) * l + t * k) for t in ts]
 
 
 def cholesky_mean(Ps: Sequence[SpdMatrix]) -> SpdMatrix:
-    return SpdMatrix(_reconstruct(_factor(_stack(Ps)).mean(axis=0)))
+    return _spd_point(_factor(_stack(Ps)).mean(axis=0))
 
 
 def cholesky_exp(P: SpdMatrix, X: LowerTriangular) -> SpdMatrix:
     """Factor-space translation: the factor of ``P`` plus the factor gap ``X``."""
     _require_same_dim(P, X)
-    return reconstruct(CholeskyFactor(_factor(P.data) + X.data))
+    return _spd_point(_factor(P.data) + X.data)
 
 
 def cholesky_log(P: SpdMatrix, Q: SpdMatrix) -> LowerTriangular:
@@ -221,9 +207,7 @@ def logeuclid_mean(Ps: Sequence[SpdMatrix]) -> SpdMatrix:
 
 
 def logeuclid_exp(P: SpdMatrix, W: SymTangent) -> SpdMatrix:
-    """Riemannian exponential: push the tangent into log space and exponentiate.
-    Raises ``DomainError`` when the result leaves the float range (see
-    :func:`_exp_factor`)."""
+    """Riemannian exponential: push the tangent into log space and exponentiate."""
     _require_same_dim(P, W)
     p = P.data
     return SpdMatrix(_reconstruct(_exp_factor(spd_logm(p) + dlog_spd(p, W.data))))
@@ -259,22 +243,22 @@ def affine_dist(P: SpdMatrix, Q: SpdMatrix) -> float:
     return float(np.linalg.norm(np.log(w)))
 
 
-def affine_interpolate(
-    P: SpdMatrix, Q: SpdMatrix, ts: Sequence[float]
-) -> list[SpdMatrix]:
-    """``L (L^-1 Q L^-T)^t L^T``; ``Q`` whitened by ``P`` and decomposed once."""
+@np.errstate(over="ignore", invalid="ignore")  # overflow reads inf or nan: rejected
+def affine_interpolate(P: SpdMatrix, Q: SpdMatrix, ts: Sequence[float]) -> list[SpdMatrix]:
+    """``L (L^-1 Q L^-T)^t L^T``; ``Q`` whitened by ``P`` and decomposed once, and
+    the exponents ``t log Lambda`` checked once for the grid, as in :func:`affine_exp`."""
     _require_same_dim(P, Q)
     l = _factor(P.data)
     w, u = _eigh(_sym(_congruence(l, Q.data)), "matrix power")
+    _check_exponents(np.multiply.outer(np.asarray(ts, dtype=float), np.log(w)))
     lu = l @ u
     return [SpdMatrix(_reconstruct(lu * w ** (t / 2.0))) for t in ts]
 
 
 @np.errstate(over="ignore", invalid="ignore")  # overflow reads inf or nan: rejected
 def affine_exp(P: SpdMatrix, W: SymTangent) -> SpdMatrix:
-    """``L exp(L^-1 W L^-T) L^T = K K^T`` with ``P = L L^T``, ``K = L U e^{Lambda/2}``.
-    Raises ``DomainError`` when the result leaves the float range: the
-    exponential (see :func:`_exp_factor`) or ``K K^T`` overflows."""
+    """``L exp(L^-1 W L^-T) L^T = K K^T`` with ``P = L L^T``, ``K = L U e^{Lambda/2}``;
+    ``DomainError`` when the exponents or an entry of ``K K^T`` leave the float range."""
     _require_same_dim(P, W)
     l = _factor(P.data)
     return SpdMatrix(_reconstruct(l @ _exp_factor(_sym(_congruence(l, W.data)))))

@@ -35,6 +35,7 @@ def metric_chol(L: CholeskyFactor, X: LowerTriangular, Y: LowerTriangular) -> fl
     return _metric(L.data, X.data, Y.data)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # overflow reads inf or nan: rejected
 def _geodesic(l: np.ndarray, x: np.ndarray, t: float) -> np.ndarray:
     out = l + t * x
     d = l.diagonal()

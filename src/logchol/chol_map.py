@@ -10,14 +10,21 @@ kernels and wrap only their final result.  ``_factor`` (one LAPACK
 stack) is defined in :mod:`.tri`.  The triangular BLAS calls live here:
 ``_congruence`` forms ``L^{-1} W L^{-T}`` of a matrix or a stack with two
 ``dtrsm`` calls, and ``_diff_S_inv`` multiplies back with one ``dtrmm``.
+The float-range rule for computed SPD matrices lives here alone, in
+``_spd_point`` for results built from a triangular factor and
+``_check_exponents`` for spectral exponents.
 """
 from __future__ import annotations
+
+import math
 
 import numpy as np
 from scipy.linalg.blas import dtrmm, dtrsm
 
 from .tri import (
+    TAU_POS,
     CholeskyFactor,
+    DomainError,
     LowerTriangular,
     SpdMatrix,
     SymMatrix,
@@ -39,18 +46,37 @@ def cholesky_factor(P: SpdMatrix) -> CholeskyFactor:
 
 
 def _reconstruct(k: np.ndarray) -> np.ndarray:
-    """``K K^T`` of a square ``K``: how every geometry but the Euclidean one
-    forms its SPD results, from a Cholesky factor or a spectral factor such
-    as ``L U e^{Lambda/2}``.  Returned as computed, not symmetrized: numpy
-    forms a product with its own transpose by one BLAS ``syrk`` and mirrors
-    the triangle, so it is exactly symmetric, and entries up to the float
-    max stay finite."""
+    """``K K^T`` of a square ``K``, a Cholesky or a spectral factor such as
+    ``L U e^{Lambda/2}``, as computed: numpy forms a product with its own
+    transpose by one BLAS ``syrk`` and mirrors the triangle, so it is exactly
+    symmetric, and entries up to the float max stay finite."""
     return k @ k.T
 
 
+# The least factor diagonal whose square, and the exponents whose e^x, are normal floats.
+_PIVOT_ROOT_MIN = math.sqrt(TAU_POS)
+_EXP_RANGE = (math.log(TAU_POS), math.log(np.finfo(float).max))
+
+
+@np.errstate(over="ignore", invalid="ignore")  # overflow reads inf or nan: rejected
+def _spd_point(k: np.ndarray) -> SpdMatrix:
+    """``K K^T`` of a lower triangular ``K``, typed.  Raises ``DomainError``
+    unless each pivot ``K_jj^2`` is a normal float and no entry overflows."""
+    if min(k.diagonal().tolist()) < _PIVOT_ROOT_MIN:
+        raise DomainError("SPD result underflows: a pivot is not a normal float")
+    return SpdMatrix(_reconstruct(k))
+
+
+def _check_exponents(s: np.ndarray) -> None:
+    """``DomainError`` unless ``e^x`` is a positive normal float for every ``x`` in ``s``."""
+    x = s.ravel().tolist()
+    if x and not _EXP_RANGE[0] <= min(x) <= max(x) <= _EXP_RANGE[1]:
+        raise DomainError(f"exponents {min(x)} to {max(x)} leave the float range")
+
+
 def reconstruct(L: CholeskyFactor) -> SpdMatrix:
-    """The SPD matrix ``L L^T``."""
-    return SpdMatrix(_reconstruct(L.data))
+    """The SPD matrix ``L L^T``; see :func:`_spd_point`."""
+    return _spd_point(L.data)
 
 
 def _diff_S(l: np.ndarray, x: np.ndarray) -> np.ndarray:

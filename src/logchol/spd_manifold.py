@@ -5,18 +5,17 @@ through ``S(L) = L L^T``: factor the base points, work in factor space,
 reconstruct.  The map is an isometry, so the SPD manifold inherits
 flatness, completeness, closed-form geodesics and a closed-form Frechet
 mean.  Each operation composes the array kernels of :mod:`.chol_map` and
-:mod:`.chol_manifold` and wraps only its result in a typed value.
+:mod:`.chol_manifold` and wraps only its result in a typed value; every SPD
+result comes from :func:`.chol_map._spd_point`, which raises ``DomainError``
+when it leaves the float range.
 """
 from __future__ import annotations
 
-import math
 from collections.abc import Sequence
 
-import numpy as np
-
 from . import chol_manifold as cm
-from .chol_map import _diff_S, _diff_S_inv, _factor, _reconstruct
-from .tri import TAU_POS, DomainError, SpdMatrix, SymMatrix, SymTangent, _require_same_dim, _stack
+from .chol_map import _diff_S, _diff_S_inv, _factor, _spd_point
+from .tri import SpdMatrix, SymMatrix, SymTangent, _require_same_dim, _stack
 
 
 def metric_spd(P: SpdMatrix, W: SymTangent, V: SymTangent) -> float:
@@ -26,24 +25,11 @@ def metric_spd(P: SpdMatrix, W: SymTangent, V: SymTangent) -> float:
     return cm._metric(l, _diff_S_inv(l, W.data), _diff_S_inv(l, V.data))
 
 
-# The smallest factor diagonal entry whose square is a normal float.
-_PIVOT_ROOT_MIN = math.sqrt(TAU_POS)
-
-
-@np.errstate(over="ignore", invalid="ignore")  # overflow reads inf or nan: rejected below
 def geodesic_spd(P: SpdMatrix, W: SymTangent, t: float) -> SpdMatrix:
-    """Geodesic through ``P`` with initial velocity ``W``, evaluated at ``t``.
-
-    Raises ``DomainError`` when the point leaves the float range: an entry
-    overflows, or a diagonal entry of its factor is below ``sqrt(TAU_POS)``,
-    so that its square, a pivot of the point, is not a normal float.
-    """
+    """Geodesic through ``P`` with initial velocity ``W``, evaluated at ``t``."""
     _require_same_dim(P, W)
     l = _factor(P.data)
-    k = cm._geodesic(l, _diff_S_inv(l, W.data), t)
-    if min(k.diagonal().tolist()) < _PIVOT_ROOT_MIN:
-        raise DomainError("geodesic point underflows: a pivot is not a normal float")
-    return SpdMatrix(_reconstruct(k))
+    return _spd_point(cm._geodesic(l, _diff_S_inv(l, W.data), t))
 
 
 def exp_spd(P: SpdMatrix, W: SymTangent) -> SpdMatrix:
@@ -67,12 +53,12 @@ def dist_spd(P: SpdMatrix, Q: SpdMatrix) -> float:
 def group_op_spd(P: SpdMatrix, Q: SpdMatrix) -> SpdMatrix:
     """Abelian group operation, conjugated through the factorization."""
     _require_same_dim(P, Q)
-    return SpdMatrix(_reconstruct(cm._group_op(_factor(P.data), _factor(Q.data))))
+    return _spd_point(cm._group_op(_factor(P.data), _factor(Q.data)))
 
 
 def group_inv_spd(P: SpdMatrix) -> SpdMatrix:
     """Group inverse under the factor-space group structure."""
-    return SpdMatrix(_reconstruct(cm._group_inv(_factor(P.data))))
+    return _spd_point(cm._group_inv(_factor(P.data)))
 
 
 def transport_spd(P: SpdMatrix, Q: SpdMatrix, W: SymTangent) -> SymTangent:
@@ -94,7 +80,7 @@ def log_cholesky_mean(Ps: Sequence[SpdMatrix]) -> SpdMatrix:
     reconstructed.  The mean's determinant equals the geometric mean of the
     input determinants.
     """
-    return SpdMatrix(_reconstruct(cm._frechet_mean(_factor(_stack(Ps)))))
+    return _spd_point(cm._frechet_mean(_factor(_stack(Ps))))
 
 
 def interpolate_spd(
@@ -104,4 +90,4 @@ def interpolate_spd(
     _require_same_dim(P, Q)
     l = _factor(P.data)
     x = cm._log(l, _factor(Q.data))
-    return [SpdMatrix(_reconstruct(cm._geodesic(l, x, float(t)))) for t in ts]
+    return [_spd_point(cm._geodesic(l, x, float(t))) for t in ts]

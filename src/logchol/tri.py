@@ -188,7 +188,7 @@ class CholeskyFactor(LowerTriangular):
     """Lower triangular matrix with strictly positive diagonal."""
 
     def _check(self) -> None:
-        if np.any(self.diag < TAU_POS):
+        if min(self.diag.tolist()) < TAU_POS:
             raise DomainError("Cholesky factor diagonal must be strictly positive")
 
 
@@ -228,7 +228,7 @@ class SpdMatrix(SymMatrix):
     """
 
     def _check(self) -> None:
-        if np.any(self.diag <= 0.0):
+        if min(self.diag.tolist()) <= 0.0:
             raise NotSpdError("SPD matrix must have strictly positive diagonal")
 
     @classmethod

@@ -12,6 +12,9 @@ from oracles import (
 )
 
 from logchol import baselines as bl
+from logchol import chol_manifold as cm
+from logchol import spd_manifold as lc
+from logchol.chol_map import cholesky_factor, reconstruct
 from logchol.sampling import (
     random_spd,
     random_spd_wishart,
@@ -20,6 +23,7 @@ from logchol.sampling import (
 )
 from logchol.spd_manifold import log_cholesky_mean
 from logchol.tri import (
+    CholeskyFactor,
     DomainError,
     EmptyInputError,
     LowerTriangular,
@@ -387,6 +391,7 @@ class TestSharedStructure:
         assert len(out) == len(ts)
         for t, m in zip(ts, out):
             assert_array_equal(m.data, interpolate(p, q, [t])[0].data)
+        assert interpolate(p, q, []) == []
 
     def test_registry(self):
         assert set(bl.METRIC_NAMES) == {
@@ -467,3 +472,110 @@ def test_exp_outside_the_float_range_raises_domain_error(metric, case):
     p, w, _ = EXP_OUT_OF_RANGE[case]
     with pytest.raises(DomainError):
         bl.get_metric(metric).exp(spd(p), sym(w))
+
+
+I2 = np.eye(2)
+# Calls of every geometry whose exact result lies outside the float range:
+# a pivot that is not a normal float, an overflowing entry, or an eigenvalue
+# whose exponential is not a positive normal float.
+RESULT_OUT_OF_RANGE = {
+    "lc-interpolate-subnormal-pivot": lambda: lc.interpolate_spd(
+        spd(I2), spd(np.diag([1e-4, 1.0])), [80.0]
+    ),
+    "lc-interpolate-zero-pivot": lambda: lc.interpolate_spd(
+        spd(I2), spd(np.diag([1e-4, 1.0])), [100.0]
+    ),
+    "lc-interpolate-overflow": lambda: lc.interpolate_spd(
+        spd(I2), spd(np.diag([1e4, 1.0])), [100.0]
+    ),
+    "lc-group-op-overflow": lambda: lc.group_op_spd(
+        spd(np.diag([1e300, 1.0])), spd(np.diag([1e300, 1.0]))
+    ),
+    "lc-group-inv-subnormal-pivot": lambda: lc.group_inv_spd(spd(np.diag([1e308, 1.0]))),
+    "reconstruct-subnormal-pivot": lambda: reconstruct(CholeskyFactor(np.diag([1e-160, 1.0]))),
+    "ai-interpolate-underflow": lambda: bl.affine_interpolate(
+        spd(I2), spd(np.diag([1e-4, 1.0])), [200.0]
+    ),
+    "ai-interpolate-overflow": lambda: bl.affine_interpolate(
+        spd(I2), spd(np.diag([1e4, 1.0])), [100.0]
+    ),
+    "ai-interpolate-overflow-by-the-base": lambda: bl.affine_interpolate(
+        spd(np.diag([1e308, 1.0])), spd(np.diag([1.7e308, 1.0])), [2.0]
+    ),
+    "le-interpolate-underflow": lambda: bl.logeuclid_interpolate(
+        spd(I2), spd(np.diag([1e-4, 1.0])), [80.0]
+    ),
+    "le-interpolate-full-underflow": lambda: bl.logeuclid_interpolate(
+        spd(I2), spd(np.diag([1e-4, 1.0])), [200.0]
+    ),
+    "chol-exp-subnormal-pivot": lambda: bl.cholesky_exp(
+        spd(np.diag([1e-300, 1.0])), LowerTriangular(np.diag([-1e-150 + 1e-155, 0.0]))
+    ),
+    "chol-exp-overflow": lambda: bl.cholesky_exp(
+        spd(I2), LowerTriangular(np.diag([1e200, 0.0]))
+    ),
+    "chol-interpolate-subnormal-pivot": lambda: bl.cholesky_interpolate(
+        spd(np.diag([1e-300, 1.0])), spd(np.diag([4e-300, 1.0])), [-0.99999]
+    ),
+    "chol-interpolate-overflow": lambda: bl.cholesky_interpolate(
+        spd(I2), spd(np.diag([4.0, 9.0])), [1e308]
+    ),
+    "geodesic-chol-overflow": lambda: cm.geodesic_chol(
+        CholeskyFactor(I2), LowerTriangular(np.diag([1000.0, 0.0])), 1.0
+    ),
+    "exp-chol-overflow": lambda: cm.exp_chol(
+        CholeskyFactor(I2), LowerTriangular(np.diag([1000.0, 0.0]))
+    ),
+}
+
+
+@pytest.mark.parametrize("case", RESULT_OUT_OF_RANGE)
+def test_results_outside_the_float_range_raise_domain_error(case):
+    # As for the exps: one error class, no numpy warning, and never a
+    # matrix typed SPD whose pivots are not normal floats.
+    with pytest.raises(DomainError):
+        RESULT_OUT_OF_RANGE[case]()
+
+
+NOT_SPD = SpdMatrix(np.array([[1.0, 2.0], [2.0, 1.0]]))  # passes the diagonal check alone
+GOOD = spd(np.array([[2.0, 0.5], [0.5, 1.0]]))
+TANGENT = sym(np.array([[0.1, 0.2], [0.2, -0.3]]))
+SPD_GEOMETRIES = ("cholesky", "log-euclidean", "affine-invariant", "log-cholesky")
+
+
+def _spd_argument_calls():
+    """``(name, call)`` for every SPD argument of the SPD geometries' ops and
+    of the Log-Cholesky functions outside the registry, given ``NOT_SPD``."""
+    bad, p, w = NOT_SPD, GOOD, TANGENT
+    for name in SPD_GEOMETRIES:
+        ops = bl.get_metric(name)
+        x = LowerTriangular(np.tril(w.data)) if name == "cholesky" else w
+        yield f"{name}.distance-0", lambda ops=ops: ops.distance(bad, p)
+        yield f"{name}.distance-1", lambda ops=ops: ops.distance(p, bad)
+        yield f"{name}.interpolate-0", lambda ops=ops: ops.interpolate(bad, p, [0.5])
+        yield f"{name}.interpolate-1", lambda ops=ops: ops.interpolate(p, bad, [0.5])
+        yield f"{name}.mean", lambda ops=ops: ops.mean([p, bad])
+        yield f"{name}.exp", lambda ops=ops, x=x: ops.exp(bad, x)
+        yield f"{name}.log-0", lambda ops=ops: ops.log(bad, p)
+        yield f"{name}.log-1", lambda ops=ops: ops.log(p, bad)
+        if ops.transport is not None:
+            yield f"{name}.transport-0", lambda ops=ops: ops.transport(bad, p, w)
+            yield f"{name}.transport-1", lambda ops=ops: ops.transport(p, bad, w)
+    yield "metric_spd", lambda: lc.metric_spd(bad, w, w)
+    yield "geodesic_spd", lambda: lc.geodesic_spd(bad, w, 0.5)
+    yield "group_op_spd-0", lambda: lc.group_op_spd(bad, p)
+    yield "group_op_spd-1", lambda: lc.group_op_spd(p, bad)
+    yield "group_inv_spd", lambda: lc.group_inv_spd(bad)
+    yield "cholesky_factor", lambda: cholesky_factor(bad)
+
+
+SPD_ARGUMENT_CALLS = dict(_spd_argument_calls())
+
+
+@pytest.mark.parametrize("call", SPD_ARGUMENT_CALLS)
+def test_every_spd_argument_is_checked(call):
+    # The SpdMatrix constructor checks only the sign of the diagonal, so each
+    # op must factor or decompose its SPD arguments.  The Euclidean geometry
+    # works on symmetric matrices by design and is left out.
+    with pytest.raises(NotSpdError):
+        SPD_ARGUMENT_CALLS[call]()

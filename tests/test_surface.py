@@ -9,7 +9,8 @@ span name, does not count).  Helpers that only the tests need live in
 
 Each matrix step has one home: the LAPACK factorizations and eigenvalue
 solvers and the symmetrizer are called or defined only in ``tri``, and the triangular BLAS
-calls only in ``chol_map``."""
+calls only in ``chol_map``.  So does the float-range rule for computed SPD
+matrices: its bounds and its two checks are defined only in ``chol_map``."""
 import ast
 from pathlib import Path
 
@@ -27,6 +28,9 @@ HOMES = {
     "dtrsm": "chol_map.py",
     "dtrmm": "chol_map.py",
 }
+
+# The float-range rule: its bounds and its two checks, defined in chol_map alone.
+FLOAT_RANGE_RULE = ("_PIVOT_ROOT_MIN", "_EXP_RANGE", "_spd_point", "_check_exponents")
 
 
 def _public_definitions(tree: ast.Module):
@@ -144,3 +148,24 @@ def test_each_matrix_step_has_one_home():
     assert not strays, f"matrix steps outside their home module: {strays}"
     # The guard sees the one symmetrizer it allows.
     assert list(_symmetrizers(SRC[ROOT / "src" / "logchol" / "tri.py"]))
+
+
+def _definitions(tree: ast.Module):
+    """Names bound anywhere in ``tree`` by an assignment or a function definition."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield node.name
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for n in ast.walk(target):
+                    if isinstance(n, ast.Name):
+                        yield n.id
+
+
+def test_float_range_rule_has_one_home():
+    homes = {
+        name: [path.name for path, tree in SRC.items() for d in _definitions(tree) if d == name]
+        for name in FLOAT_RANGE_RULE
+    }
+    assert homes == {name: ["chol_map.py"] for name in FLOAT_RANGE_RULE}
