@@ -19,7 +19,10 @@ exactly symmetric as computed, and leaves the float range only by raising
 through ``chol_map._spd_point``; the spectral ``K`` (``U e^{Lambda/2}``,
 ``L U e^{Lambda/2}``, ``L U Lambda^{t/2}``) has its exponents checked by
 ``chol_map._check_exponents``.  Only the spectral logarithms and transports
-are wrapped as ``SymMatrix(_sym(.))``.  A registry keys each geometry by name.
+are symmetrized, as ``_sym(.)``.  Every result is typed through
+``_Square._of``, which tests finiteness and the type's own check alone; the
+Euclidean interpolant alone takes the full constructor, which rejects a
+grid point that is not a real number.  A registry keys each geometry by name.
 """
 from __future__ import annotations
 
@@ -83,17 +86,17 @@ def euclid_interpolate(
 
 
 def euclid_mean(Ps: Sequence[SymMatrix]) -> SymMatrix:
-    return SymMatrix(_stack(Ps).mean(axis=0))
+    return SymMatrix._of(_stack(Ps).mean(axis=0))
 
 
 def euclid_exp(P: SymMatrix, W: SymTangent) -> SymMatrix:
     _require_same_dim(P, W)
-    return SymMatrix(P.data + W.data)
+    return SymMatrix._of(P.data + W.data)
 
 
 def euclid_log(P: SymMatrix, Q: SymMatrix) -> SymTangent:
     _require_same_dim(P, Q)
-    return SymMatrix(Q.data - P.data)
+    return SymMatrix._of(Q.data - P.data)
 
 
 # ---------------------------------------------------------------------------
@@ -127,7 +130,7 @@ def cholesky_exp(P: SpdMatrix, X: LowerTriangular) -> SpdMatrix:
 def cholesky_log(P: SpdMatrix, Q: SpdMatrix) -> LowerTriangular:
     """The factor gap ``chol(Q) - chol(P)``."""
     _require_same_dim(P, Q)
-    return LowerTriangular(_factor(Q.data) - _factor(P.data))
+    return LowerTriangular._of(_factor(Q.data) - _factor(P.data))
 
 
 # ---------------------------------------------------------------------------
@@ -199,18 +202,18 @@ def logeuclid_interpolate(
     """``exp((1 - t) log P + t log Q)``; each logarithm taken once."""
     _require_same_dim(P, Q)
     lp, lq = spd_logm(P.data), spd_logm(Q.data)
-    return [SpdMatrix(_reconstruct(_exp_factor((1.0 - t) * lp + t * lq))) for t in ts]
+    return [SpdMatrix._of(_reconstruct(_exp_factor((1.0 - t) * lp + t * lq))) for t in ts]
 
 
 def logeuclid_mean(Ps: Sequence[SpdMatrix]) -> SpdMatrix:
-    return SpdMatrix(_reconstruct(_exp_factor(spd_logm(_stack(Ps)).mean(axis=0))))
+    return SpdMatrix._of(_reconstruct(_exp_factor(spd_logm(_stack(Ps)).mean(axis=0))))
 
 
 def logeuclid_exp(P: SpdMatrix, W: SymTangent) -> SpdMatrix:
     """Riemannian exponential: push the tangent into log space and exponentiate."""
     _require_same_dim(P, W)
     p = P.data
-    return SpdMatrix(_reconstruct(_exp_factor(spd_logm(p) + dlog_spd(p, W.data))))
+    return SpdMatrix._of(_reconstruct(_exp_factor(spd_logm(p) + dlog_spd(p, W.data))))
 
 
 def logeuclid_log(P: SpdMatrix, Q: SpdMatrix) -> SymTangent:
@@ -218,14 +221,14 @@ def logeuclid_log(P: SpdMatrix, Q: SpdMatrix) -> SymTangent:
     _require_same_dim(P, Q)
     lp = spd_logm(P.data)
     lq = spd_logm(Q.data)
-    return SymMatrix(_sym(dexp_sym(lp, lq - lp)))
+    return SymMatrix._of(_sym(dexp_sym(lp, lq - lp)))
 
 
 def logeuclid_transport(P: SpdMatrix, Q: SpdMatrix, W: SymTangent) -> SymTangent:
     """Parallel transport: flatten at ``P`` via d(log), restore at ``Q`` via d(exp)."""
     _require_same_dim(P, Q, W)
     flat = dlog_spd(P.data, W.data)
-    return SymMatrix(_sym(dexp_sym(spd_logm(Q.data), flat)))
+    return SymMatrix._of(_sym(dexp_sym(spd_logm(Q.data), flat)))
 
 
 # ---------------------------------------------------------------------------
@@ -252,7 +255,7 @@ def affine_interpolate(P: SpdMatrix, Q: SpdMatrix, ts: Sequence[float]) -> list[
     w, u = _eigh(_sym(_congruence(l, Q.data)), "matrix power")
     _check_exponents(np.multiply.outer(np.asarray(ts, dtype=float), np.log(w)))
     lu = l @ u
-    return [SpdMatrix(_reconstruct(lu * w ** (t / 2.0))) for t in ts]
+    return [SpdMatrix._of(_reconstruct(lu * w ** (t / 2.0))) for t in ts]
 
 
 @np.errstate(over="ignore", invalid="ignore")  # overflow reads inf or nan: rejected
@@ -261,7 +264,7 @@ def affine_exp(P: SpdMatrix, W: SymTangent) -> SpdMatrix:
     ``DomainError`` when the exponents or an entry of ``K K^T`` leave the float range."""
     _require_same_dim(P, W)
     l = _factor(P.data)
-    return SpdMatrix(_reconstruct(l @ _exp_factor(_sym(_congruence(l, W.data)))))
+    return SpdMatrix._of(_reconstruct(l @ _exp_factor(_sym(_congruence(l, W.data)))))
 
 
 def affine_log(P: SpdMatrix, Q: SpdMatrix) -> SymTangent:
@@ -270,7 +273,7 @@ def affine_log(P: SpdMatrix, Q: SpdMatrix) -> SymTangent:
     l = _factor(P.data)
     w, u = _eigh(_sym(_congruence(l, Q.data)), "matrix logarithm")
     lu = l @ u
-    return SymMatrix(_sym((lu * np.log(w)) @ lu.T))
+    return SymMatrix._of(_sym((lu * np.log(w)) @ lu.T))
 
 
 def affine_transport(P: SpdMatrix, Q: SpdMatrix, W: SymTangent) -> SymTangent:
@@ -280,7 +283,7 @@ def affine_transport(P: SpdMatrix, Q: SpdMatrix, W: SymTangent) -> SymTangent:
     l = _factor(P.data)
     w, u = _eigh(_sym(_congruence(l, Q.data)), "matrix square root")
     ls = l @ ((u * np.sqrt(w)) @ u.T)
-    return SymMatrix(_sym(ls @ _sym(_congruence(l, W.data)) @ ls.T))
+    return SymMatrix._of(_sym(ls @ _sym(_congruence(l, W.data)) @ ls.T))
 
 
 def affine_karcher_mean(Ps: Sequence[SpdMatrix]) -> SpdMatrix:
@@ -303,7 +306,7 @@ def affine_karcher_mean(Ps: Sequence[SpdMatrix]) -> SpdMatrix:
         l = _factor(mean)
         g = spd_logm(_sym(_congruence(l, ps))).mean(axis=0)
         if np.linalg.norm(l @ g @ l.T) <= KARCHER_TOL * (1.0 + np.linalg.norm(mean)):
-            return SpdMatrix(mean)
+            return SpdMatrix._of(mean)
         mean = _reconstruct(l @ _exp_factor(_sym(g)))
     raise NoConvergenceError(
         f"Karcher iteration did not converge in {KARCHER_MAX_ITER} iterations"

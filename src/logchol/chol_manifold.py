@@ -6,7 +6,9 @@ inverse squared diagonal on the diagonal.  All operations below are smooth
 closed forms: the manifold is flat and complete, so geodesics, exponential
 and logarithmic maps, parallel transport and Frechet means are globally
 defined.  Each operation is a private kernel on dense arrays behind a typed
-public function.
+public function, which types the kernel's result through ``_Square._of``.
+The kernels write a diagonal through the flat stride, ``a.flat[::m + 1]``,
+which writes into an array of any memory layout.
 """
 from __future__ import annotations
 
@@ -21,7 +23,7 @@ from .tri import CholeskyFactor, DomainError, LowerTriangular, _require_same_dim
 def _metric(l: np.ndarray, x: np.ndarray, y: np.ndarray) -> float:
     prod = x * y
     diag = prod.diagonal() / l.diagonal() ** 2
-    np.fill_diagonal(prod, 0.0)  # zeroed, not subtracted: avoids cancellation for large diagonals
+    prod.flat[:: len(prod) + 1] = 0.0  # zeroed, not subtracted: avoids cancellation for large diagonals
     return float(prod.sum() + diag.sum())
 
 
@@ -39,7 +41,7 @@ def metric_chol(L: CholeskyFactor, X: LowerTriangular, Y: LowerTriangular) -> fl
 def _geodesic(l: np.ndarray, x: np.ndarray, t: float) -> np.ndarray:
     out = l + t * x
     d = l.diagonal()
-    np.fill_diagonal(out, d * np.exp(t * x.diagonal() / d))
+    out.flat[:: len(out) + 1] = d * np.exp(t * x.diagonal() / d)
     return out
 
 
@@ -50,7 +52,7 @@ def geodesic_chol(L: CholeskyFactor, X: LowerTriangular, t: float) -> CholeskyFa
     Defined for all real ``t``.
     """
     _require_same_dim(L, X)
-    return CholeskyFactor(_geodesic(L.data, X.data, t))
+    return CholeskyFactor._of(_geodesic(L.data, X.data, t))
 
 
 def exp_chol(L: CholeskyFactor, X: LowerTriangular) -> CholeskyFactor:
@@ -61,19 +63,19 @@ def exp_chol(L: CholeskyFactor, X: LowerTriangular) -> CholeskyFactor:
 def _log(l: np.ndarray, k: np.ndarray) -> np.ndarray:
     out = k - l
     d = l.diagonal()
-    np.fill_diagonal(out, d * np.log(k.diagonal() / d))
+    out.flat[:: len(out) + 1] = d * np.log(k.diagonal() / d)
     return out
 
 
 def log_chol(L: CholeskyFactor, K: CholeskyFactor) -> LowerTriangular:
     """Riemannian logarithm: the tangent at ``L`` pointing to ``K``."""
     _require_same_dim(L, K)
-    return LowerTriangular(_log(L.data, K.data))
+    return LowerTriangular._of(_log(L.data, K.data))
 
 
 def _dist(l: np.ndarray, k: np.ndarray) -> float:
     gap = l - k
-    np.fill_diagonal(gap, 0.0)  # the diagonal enters through the log gap only
+    gap.flat[:: len(gap) + 1] = 0.0  # the diagonal enters through the log gap only
     dlog = np.log(l.diagonal()) - np.log(k.diagonal())
     return float(np.sqrt(np.vdot(gap, gap) + dlog @ dlog))
 
@@ -86,7 +88,7 @@ def dist_chol(L: CholeskyFactor, K: CholeskyFactor) -> float:
 
 def _group_op(l: np.ndarray, k: np.ndarray) -> np.ndarray:
     out = l + k
-    np.fill_diagonal(out, l.diagonal() * k.diagonal())
+    out.flat[:: len(out) + 1] = l.diagonal() * k.diagonal()
     return out
 
 
@@ -97,18 +99,18 @@ def group_op(L: CholeskyFactor, K: CholeskyFactor) -> CholeskyFactor:
     raises ``DomainError``.
     """
     _require_same_dim(L, K)
-    return CholeskyFactor(_group_op(L.data, K.data))
+    return CholeskyFactor._of(_group_op(L.data, K.data))
 
 
 def _group_inv(l: np.ndarray) -> np.ndarray:
     out = -l
-    np.fill_diagonal(out, 1.0 / l.diagonal())
+    out.flat[:: len(out) + 1] = 1.0 / l.diagonal()
     return out
 
 
 def group_inv(L: CholeskyFactor) -> CholeskyFactor:
     """Group inverse: negated strict lower part, reciprocal diagonal."""
-    return CholeskyFactor(_group_inv(L.data))
+    return CholeskyFactor._of(_group_inv(L.data))
 
 
 def group_identity(dim: int) -> CholeskyFactor:
@@ -116,12 +118,12 @@ def group_identity(dim: int) -> CholeskyFactor:
     unless ``dim`` is a positive integer."""
     if isinstance(dim, bool) or not isinstance(dim, Integral) or dim < 1:
         raise DomainError(f"dimension must be a positive integer, got {dim!r}")
-    return CholeskyFactor(np.eye(int(dim)))
+    return CholeskyFactor._of(np.eye(int(dim)))
 
 
 def _transport(l: np.ndarray, k: np.ndarray, x: np.ndarray) -> np.ndarray:
     out = x.copy()
-    np.fill_diagonal(out, x.diagonal() * (k.diagonal() / l.diagonal()))
+    out.flat[:: len(out) + 1] = x.diagonal() * (k.diagonal() / l.diagonal())
     return out
 
 
@@ -135,13 +137,13 @@ def transport_chol(
     manifold is flat) and preserves the metric.
     """
     _require_same_dim(L, K, X)
-    return LowerTriangular(_transport(L.data, K.data, X.data))
+    return LowerTriangular._of(_transport(L.data, K.data, X.data))
 
 
 def _frechet_mean(ls: np.ndarray) -> np.ndarray:
     # ls stacks n factors along its first axis.
     out = ls.mean(axis=0)
-    np.fill_diagonal(out, np.exp(np.log(ls.diagonal(axis1=1, axis2=2)).mean(axis=0)))
+    out.flat[:: len(out) + 1] = np.exp(np.log(ls.diagonal(axis1=1, axis2=2)).mean(axis=0))
     return out
 
 
@@ -151,4 +153,4 @@ def frechet_mean_chol(Ls: Sequence[CholeskyFactor]) -> CholeskyFactor:
     Arithmetic mean of the strict lower parts combined with the geometric
     mean of the diagonals.
     """
-    return CholeskyFactor(_frechet_mean(_stack(Ls)))
+    return CholeskyFactor._of(_frechet_mean(_stack(Ls)))

@@ -5,7 +5,9 @@ with positive diagonal and the space of SPD matrices: factorization in one
 direction, ``L L^T`` in the other, and the linearizations of both.  Each
 map is an array kernel (``_factor``, ``_reconstruct``, ``_diff_S``,
 ``_diff_S_inv``) behind a typed public function; other modules compose the
-kernels and wrap only their final result.  ``_factor`` (one LAPACK
+kernels and type only their final result, through ``_Square._of``: the
+kernels make each result square, float and exactly symmetric or triangular,
+so only finiteness and the type's own check are tested.  ``_factor`` (one LAPACK
 ``dpotrf`` call on a matrix, one batched ``np.linalg.cholesky`` call on a
 stack) is defined in :mod:`.tri`.  The triangular BLAS calls live here:
 ``_congruence`` forms ``L^{-1} W L^{-T}`` of a matrix or a stack with two
@@ -42,7 +44,7 @@ def cholesky_factor(P: SpdMatrix) -> CholeskyFactor:
     NotSpdError
         If the factorization encounters a nonpositive or non-finite pivot.
     """
-    return CholeskyFactor(_factor(P.data))
+    return CholeskyFactor._of(_factor(P.data))
 
 
 def _reconstruct(k: np.ndarray) -> np.ndarray:
@@ -64,7 +66,7 @@ def _spd_point(k: np.ndarray) -> SpdMatrix:
     unless each pivot ``K_jj^2`` is a normal float and no entry overflows."""
     if min(k.diagonal().tolist()) < _PIVOT_ROOT_MIN:
         raise DomainError("SPD result underflows: a pivot is not a normal float")
-    return SpdMatrix(_reconstruct(k))
+    return SpdMatrix._of(_reconstruct(k))
 
 
 def _check_exponents(s: np.ndarray) -> None:
@@ -87,7 +89,7 @@ def _diff_S(l: np.ndarray, x: np.ndarray) -> np.ndarray:
 def diff_S(L: CholeskyFactor, X: LowerTriangular) -> SymTangent:
     """Differential of ``L -> L L^T`` at ``L`` applied to ``X``: ``L X^T + X L^T``."""
     _require_same_dim(L, X)
-    return SymMatrix(_diff_S(L.data, X.data))
+    return SymMatrix._of(_diff_S(L.data, X.data))
 
 
 def _congruence(l: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -106,7 +108,7 @@ def _diff_S_inv(l: np.ndarray, w: np.ndarray) -> np.ndarray:
     # Only the lower triangle of the congruence is read below, so it needs
     # no symmetrizing.
     h = _congruence(l, w)
-    np.fill_diagonal(h, h.diagonal() / 2.0)
+    h.flat[:: len(h) + 1] = h.diagonal() / 2.0
     # L @ tril(h): trmm reads only the lower triangle of h.
     return dtrmm(1.0, h, l, side=1, lower=1)
 
@@ -119,4 +121,4 @@ def diff_S_inv(L: CholeskyFactor, W: SymTangent) -> LowerTriangular:
     triangular product multiplies by ``L``.
     """
     _require_same_dim(L, W)
-    return LowerTriangular(_diff_S_inv(L.data, W.data))
+    return LowerTriangular._of(_diff_S_inv(L.data, W.data))

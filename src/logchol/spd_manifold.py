@@ -5,9 +5,9 @@ through ``S(L) = L L^T``: factor the base points, work in factor space,
 reconstruct.  The map is an isometry, so the SPD manifold inherits
 flatness, completeness, closed-form geodesics and a closed-form Frechet
 mean.  Each operation composes the array kernels of :mod:`.chol_map` and
-:mod:`.chol_manifold` and wraps only its result in a typed value; every SPD
-result comes from :func:`.chol_map._spd_point`, which raises ``DomainError``
-when it leaves the float range.
+:mod:`.chol_manifold` and types only its result, through ``_Square._of``;
+every SPD result comes from :func:`.chol_map._spd_point`, which raises
+``DomainError`` when it leaves the float range.
 """
 from __future__ import annotations
 
@@ -41,7 +41,7 @@ def log_spd(P: SpdMatrix, Q: SpdMatrix) -> SymTangent:
     """Riemannian logarithm: the tangent at ``P`` pointing to ``Q``."""
     _require_same_dim(P, Q)
     l = _factor(P.data)
-    return SymMatrix(_diff_S(l, cm._log(l, _factor(Q.data))))
+    return SymMatrix._of(_diff_S(l, cm._log(l, _factor(Q.data))))
 
 
 def dist_spd(P: SpdMatrix, Q: SpdMatrix) -> float:
@@ -69,7 +69,7 @@ def transport_spd(P: SpdMatrix, Q: SpdMatrix, W: SymTangent) -> SymTangent:
     """
     _require_same_dim(P, Q, W)
     l, k = _factor(P.data), _factor(Q.data)
-    return SymMatrix(_diff_S(k, cm._transport(l, k, _diff_S_inv(l, W.data))))
+    return SymMatrix._of(_diff_S(k, cm._transport(l, k, _diff_S_inv(l, W.data))))
 
 
 def log_cholesky_mean(Ps: Sequence[SpdMatrix]) -> SpdMatrix:

@@ -4,10 +4,14 @@ Each type holds its matrix dense, as an ``(m, m)`` float array in ``data``,
 and its constructor takes that array alone and checks the type's invariant:
 a square matrix of finite real numbers; exact zeros above the diagonal for
 lower triangular types and exact symmetry for symmetric ones; a positive
-diagonal for Cholesky factors and SPD matrices.  ``SymMatrix.from_dense`` is
-the entry point for outside data: it symmetrizes input that is symmetric to
-a relative tolerance, and ``SpdMatrix.from_dense`` also runs the factor
-kernel ``_factor`` on it, the one the Log-Cholesky operations use.  The
+diagonal for Cholesky factors and SPD matrices.  The constructors and
+``from_dense`` are for outside data.  ``SymMatrix.from_dense`` symmetrizes
+input that is symmetric to a relative tolerance, and ``SpdMatrix.from_dense``
+also runs the factor kernel ``_factor`` on it, the one the Log-Cholesky
+operations use.  A result of the package's kernels is typed by
+``_Square._of`` instead: it is a square float array with the type's shape of
+zeros by construction, so only finiteness and the type's ``_check`` hook
+are tested.  The
 symmetrizer ``_sym``, ``_factor`` and the checked eigendecomposition
 ``_eigh`` live here alone.  ``_sym`` is needed only where a result can come
 out asymmetric: outside data, and tangents such as ``L f(.) L^T`` whose two
@@ -64,13 +68,17 @@ def _real(data) -> np.ndarray:
     raise DomainError("matrix entries must be real numbers, in rows of one length")
 
 
+def _finite(a: np.ndarray) -> np.ndarray:
+    if not np.isfinite(a).all():
+        raise DomainError("matrix entries must be finite")
+    return a
+
+
 def _square_finite(data) -> np.ndarray:
     a = _real(data)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
         raise DomainError(f"expected a square matrix, got shape {a.shape}")
-    if not np.isfinite(a).all():
-        raise DomainError("matrix entries must be finite")
-    return a
+    return _finite(a)
 
 
 def _symmetrized(dense, error: type[LogCholError]) -> np.ndarray:
@@ -154,6 +162,18 @@ class _Square:
     def _check(self) -> None:
         pass
 
+    @classmethod
+    def _of(cls, a: np.ndarray):
+        """A kernel's result ``a``, typed.  The kernel guarantees what the
+        constructor would test first: a square float array, exactly
+        symmetric or exactly zero above the diagonal once it is finite.  So
+        only finiteness, the float-range rule, and the type's ``_check`` are
+        tested.  Outside data goes through the constructor or ``from_dense``."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "data", _finite(a))
+        out._check()
+        return out
+
     @property
     def dim(self) -> int:
         return self.data.shape[0]
@@ -223,8 +243,9 @@ class SpdMatrix(SymMatrix):
 
     The operational SPD test (a Cholesky factorization with positive pivots)
     runs in :meth:`from_dense` and in every downstream factorization; the
-    constructor itself performs only cheap checks, so internal code that
-    produces values of the form ``L L^T`` can wrap them without re-factorizing.
+    constructor itself performs only cheap checks and does not factor.  The
+    package's own results, all of the form ``K K^T``, are typed through
+    ``_of``, which keeps the finiteness and positive-diagonal checks.
     """
 
     def _check(self) -> None:

@@ -1,0 +1,249 @@
+"""Bitwise sweep: a digest of what every public operation returns on fixed draws.
+
+Usage, from the root of a checkout::
+
+    python tests/sweep.py                     # digests of this checkout
+    python tests/sweep.py --compare <commit>  # and of <commit>, side by side
+
+The draws are fixed: 225 triples ``(P, Q, W)``, 45 at each m in
+{1, 2, 3, 5, 8}, from ``numpy.random.default_rng(12345)``, with ``P`` and
+``Q`` drawn as ``A A^T + 1e-3 I`` and ``W`` as ``G/2 + G^T/2`` (``A``, ``G``
+standard normal: the laws of ``sampling.random_spd`` and ``random_sym``).
+From each triple come the Cholesky factors ``L``, ``K`` of ``P``, ``Q`` and
+the lower triangle ``X`` of ``W``.  Every operation of the five geometries
+(through ``get_metric``), the Log-Cholesky operations outside the registry,
+the ``chol_manifold`` operations and the ``chol_map`` wrappers runs on
+every triple, and the CLI experiments run once each.  The script prints one
+sha256 per (group, operation), over the exact bits of every result, the
+class and text of every exception and every warning raised, and the report
+of each CLI run without its ``timings``; then the failure classes, counted.
+
+``--compare`` extracts ``git archive <commit> src`` into a temporary
+directory, runs the same sweep on both trees, each in its own process, and
+prints which digests differ.  The exit code is 1 when any does.  The sweep
+is a tool, not a test: its draws are fixed, and a change that moves an
+output on purpose says which digests moved and why.
+"""
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import subprocess
+import sys
+import tempfile
+import warnings
+from collections import Counter
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parents[1]
+SEED = 12345
+DIMS = (1, 2, 3, 5, 8)
+PER_DIM = 45
+TS = (-0.5, 0.0, 0.3, 1.0, 1.7)  # the interpolation grid
+GEOMETRIES = ("euclidean", "cholesky", "log-euclidean", "affine-invariant", "log-cholesky")
+
+
+def draw(rng: np.random.Generator, m: int) -> dict[str, np.ndarray]:
+    """One triple and the arrays derived from it: ``p, q, w, l, k, x``."""
+    a = rng.standard_normal((m, m))
+    p = a @ a.T + 1e-3 * np.eye(m)
+    a = rng.standard_normal((m, m))
+    q = a @ a.T + 1e-3 * np.eye(m)
+    g = rng.standard_normal((m, m)) / 2.0
+    w = g + g.T
+    return {"p": p, "q": q, "w": w, "l": np.linalg.cholesky(p),
+            "k": np.linalg.cholesky(q), "x": np.tril(w)}
+
+
+def draws():
+    rng = np.random.default_rng(SEED)
+    return [draw(rng, m) for m in DIMS for _ in range(PER_DIM)]
+
+
+def typed(arrays: dict[str, np.ndarray]) -> dict:
+    """The arrays through the public constructors: ``P, Q, W, L, K, X``."""
+    from logchol import CholeskyFactor, LowerTriangular, SpdMatrix, SymMatrix
+
+    a = arrays
+    return {"P": SpdMatrix(a["p"]), "Q": SpdMatrix(a["q"]), "W": SymMatrix(a["w"]),
+            "L": CholeskyFactor(a["l"]), "K": CholeskyFactor(a["k"]),
+            "X": LowerTriangular(a["x"])}
+
+
+def operations() -> dict[str, object]:
+    """``{"group.op": fn(args)}`` for every public operation, ``args`` as from
+    :func:`typed`."""
+    import logchol as lc
+
+    ops = {}
+    for g in GEOMETRIES:
+        reg = lc.get_metric(g)
+        tangent = "X" if g == "cholesky" else "W"
+        ops[f"{g}.distance"] = lambda a, r=reg: r.distance(a["P"], a["Q"])
+        ops[f"{g}.interpolate"] = lambda a, r=reg: r.interpolate(a["P"], a["Q"], TS)
+        ops[f"{g}.mean"] = lambda a, r=reg: r.mean([a["P"], a["Q"]])
+        ops[f"{g}.exp"] = lambda a, r=reg, t=tangent: r.exp(a["P"], a[t])
+        ops[f"{g}.log"] = lambda a, r=reg: r.log(a["P"], a["Q"])
+        ops[f"{g}.exp-log"] = lambda a, r=reg: r.exp(a["P"], r.log(a["P"], a["Q"]))
+        if reg.transport is not None:
+            ops[f"{g}.transport"] = lambda a, r=reg: r.transport(a["P"], a["Q"], a["W"])
+    ops.update({
+        "spd_manifold.metric_spd": lambda a: lc.metric_spd(a["P"], a["W"], a["W"]),
+        "spd_manifold.geodesic_spd": lambda a: lc.geodesic_spd(a["P"], a["W"], 0.7),
+        "spd_manifold.group_op_spd": lambda a: lc.group_op_spd(a["P"], a["Q"]),
+        "spd_manifold.group_inv_spd": lambda a: lc.group_inv_spd(a["P"]),
+        "chol_map.cholesky_factor": lambda a: lc.cholesky_factor(a["P"]),
+        "chol_map.reconstruct": lambda a: lc.reconstruct(a["L"]),
+        "chol_map.diff_S": lambda a: lc.diff_S(a["L"], a["X"]),
+        "chol_map.diff_S_inv": lambda a: lc.diff_S_inv(a["L"], a["W"]),
+        "chol_manifold.metric_chol": lambda a: lc.metric_chol(a["L"], a["X"], a["X"]),
+        "chol_manifold.geodesic_chol": lambda a: lc.geodesic_chol(a["L"], a["X"], 0.7),
+        "chol_manifold.exp_chol": lambda a: lc.exp_chol(a["L"], a["X"]),
+        "chol_manifold.log_chol": lambda a: lc.log_chol(a["L"], a["K"]),
+        "chol_manifold.dist_chol": lambda a: lc.dist_chol(a["L"], a["K"]),
+        "chol_manifold.group_op": lambda a: lc.group_op(a["L"], a["K"]),
+        "chol_manifold.group_inv": lambda a: lc.group_inv(a["L"]),
+        "chol_manifold.group_identity": lambda a: lc.group_identity(a["L"].dim),
+        "chol_manifold.transport_chol": lambda a: lc.transport_chol(a["L"], a["K"], a["X"]),
+        "chol_manifold.frechet_mean_chol": lambda a: lc.frechet_mean_chol([a["L"], a["K"]]),
+    })
+    return ops
+
+
+def results(out) -> list:
+    """The typed matrices in an operation's output: itself, or a list's members."""
+    return [r for r in (out if isinstance(out, list) else [out]) if hasattr(r, "data")]
+
+
+def _bits(out) -> bytes:
+    if isinstance(out, bytes):
+        return out
+    if isinstance(out, list):
+        return b"".join(_bits(r) for r in out)
+    if hasattr(out, "data"):
+        return type(out).__name__.encode() + np.ascontiguousarray(out.data, float).tobytes()
+    return np.float64(out).tobytes()
+
+
+def outcome(fn) -> tuple[bytes, list[str]]:
+    """What ``fn()`` returned or raised, as bytes, and the failures seen."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            got = b"ok " + _bits(fn())
+            seen = []
+        except Exception as exc:  # noqa: BLE001 - every raise is an outcome
+            got = f"raised {type(exc).__name__}: {exc}".encode()
+            seen = [f"raised {type(exc).__name__}"]
+    notes = sorted({f"warned {w.category.__name__}: {w.message}" for w in caught})
+    seen += sorted({f"warned {w.category.__name__}" for w in caught})
+    return got + "".join(notes).encode(), seen
+
+
+CLI_RUNS = {
+    **{f"cli.interpolate.{g}": ["interpolate", "--metric", g] for g in GEOMETRIES},
+    **{f"cli.mean.{g}": ["mean", "--metric", g, "--n", "10", "--m", "3"] for g in GEOMETRIES},
+    "cli.stability.1e10": ["stability", "--kappa", "1e10", "--m", "3"],
+    "cli.stability.1e15": ["stability", "--kappa", "1e15", "--m", "3"],
+    "cli.mean-gap": ["mean-gap", "--n", "5", "--m", "3", "--trials", "5"],
+}
+
+
+def _cli(argv: list[str], out: Path) -> bytes:
+    """Exit code, report without ``timings`` and glyph lines of one CLI run."""
+    from logchol.cli import main
+
+    for f in out.parent.glob(out.name + "*"):
+        f.unlink()
+    code = main([*argv, "--out", str(out)])
+    body = f"exit {code}\n".encode()
+    if out.exists():
+        report = json.loads(out.read_text())
+        report.pop("timings", None)
+        body += json.dumps(report, sort_keys=True).encode()
+    glyphs = Path(f"{out}.glyphs.jsonl")
+    if glyphs.exists():
+        body += glyphs.read_bytes()
+    return body
+
+
+def sweep() -> tuple[dict[str, str], dict[str, dict[str, int]]]:
+    """``({key: sha256}, {key: {failure: count}})`` of this interpreter's ``logchol``."""
+    ops = operations()
+    hashes = {"inputs": hashlib.sha256()}
+    hashes.update({key: hashlib.sha256() for key in ops})
+    failures = {key: Counter() for key in ops}
+    for arrays in draws():
+        for a in arrays.values():
+            hashes["inputs"].update(a.tobytes())
+        args = typed(arrays)
+        for key, fn in ops.items():
+            got, seen = outcome(lambda: fn(args))
+            hashes[key].update(got)
+            failures[key].update(seen)
+    with tempfile.TemporaryDirectory() as tmp:
+        for key, argv in CLI_RUNS.items():
+            got, seen = outcome(lambda: _cli(argv, Path(tmp) / "report.json"))
+            hashes[key] = hashlib.sha256(got)
+            failures[key] = Counter(seen)
+    return ({k: h.hexdigest() for k, h in hashes.items()},
+            {k: dict(sorted(c.items())) for k, c in failures.items() if c})
+
+
+def _in_process(src: Path) -> dict:
+    """The sweep of the package under ``src``, run in a fresh interpreter."""
+    out = subprocess.run([sys.executable, __file__, "--src", str(src), "--json"],
+                         check=True, capture_output=True, text=True).stdout
+    return json.loads(out)
+
+
+def _print(digests: dict[str, str], failures: dict) -> None:
+    for key, digest in digests.items():
+        print(f"{digest}  {key}")
+    print("failures:")
+    for key, counts in failures.items():
+        print(f"  {key}: " + ", ".join(f"{n} {what}" for what, n in counts.items()))
+
+
+def compare(commit: str) -> int:
+    with tempfile.TemporaryDirectory() as tmp:
+        archive = subprocess.run(["git", "-C", str(ROOT), "archive", commit, "src"],
+                                 check=True, capture_output=True).stdout
+        subprocess.run(["tar", "-x", "-C", tmp], input=archive, check=True)
+        other = _in_process(Path(tmp) / "src")
+    here = _in_process(ROOT / "src")
+    moved = 0
+    for key in sorted(set(here["digests"]) | set(other["digests"])):
+        a, b = here["digests"].get(key), other["digests"].get(key)
+        moved += a != b
+        print(f"{'equal ' if a == b else 'DIFFER'}  {key}  {a}  {commit}: {b}")
+    for key in sorted(set(here["failures"]) | set(other["failures"])):
+        a, b = here["failures"].get(key), other["failures"].get(key)
+        if a != b:
+            print(f"failures differ  {key}: {a}  {commit}: {b}")
+    print(f"{moved} of {len(here['digests'])} digests differ from {commit}")
+    return 1 if moved else 0
+
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    p.add_argument("--compare", metavar="COMMIT", help="also sweep COMMIT and compare")
+    p.add_argument("--src", default=str(ROOT / "src"), help="the directory to import logchol from")
+    p.add_argument("--json", action="store_true", help="print one JSON object")
+    args = p.parse_args(argv)
+    if args.compare:
+        return compare(args.compare)
+    sys.path.insert(0, args.src)
+    digests, failures = sweep()
+    if args.json:
+        print(json.dumps({"digests": digests, "failures": failures}))
+    else:
+        _print(digests, failures)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

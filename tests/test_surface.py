@@ -10,11 +10,21 @@ span name, does not count).  Helpers that only the tests need live in
 Each matrix step has one home: the LAPACK factorizations and eigenvalue
 solvers and the symmetrizer are called or defined only in ``tri``, and the triangular BLAS
 calls only in ``chol_map``.  So does the float-range rule for computed SPD
-matrices: its bounds and its two checks are defined only in ``chol_map``."""
+matrices: its bounds and its two checks are defined only in ``chol_map``.
+
+Outside data takes every check: where it enters (``from_dense``, the fixture
+reader, ``sampling``, ``experiments``, ``report`` and ``cli``) nothing types a
+value through ``_Square._of``, the path for kernel results, which checks
+finiteness and the type's hook alone.  Kernels write diagonals through the
+flat stride, never ``np.fill_diagonal``."""
 import ast
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 import logchol
+from logchol import CholeskyFactor, DomainError, LowerTriangular, SpdMatrix, SymMatrix
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = {p: ast.parse(p.read_text()) for p in sorted((ROOT / "src" / "logchol").glob("*.py"))}
@@ -31,6 +41,15 @@ HOMES = {
 
 # The float-range rule: its bounds and its two checks, defined in chol_map alone.
 FLOAT_RANGE_RULE = ("_PIVOT_ROOT_MIN", "_EXP_RANGE", "_spd_point", "_check_exponents")
+
+# Where outside data enters: whole modules (None), or the named functions of one.
+OUTSIDE_DATA = {
+    "tri.py": ("from_dense", "parse_matrix_text", "load_matrices"),
+    "sampling.py": None,
+    "experiments.py": None,
+    "report.py": None,
+    "cli.py": None,
+}
 
 
 def _public_definitions(tree: ast.Module):
@@ -169,3 +188,58 @@ def test_float_range_rule_has_one_home():
         for name in FLOAT_RANGE_RULE
     }
     assert homes == {name: ["chol_map.py"] for name in FLOAT_RANGE_RULE}
+
+
+def test_outside_data_is_never_typed_as_a_kernel_result():
+    scopes = {}
+    for path, tree in SRC.items():
+        if path.name in OUTSIDE_DATA:
+            names = OUTSIDE_DATA[path.name]
+            scopes[path.name] = [tree] if names is None else [
+                node for node in ast.walk(tree)
+                if isinstance(node, ast.FunctionDef) and node.name in names
+            ]
+    strays = [
+        f"{name}:{line}"
+        for name, nodes in scopes.items()
+        for node in nodes
+        for line, ref in _references(node)
+        if ref == "_of"
+    ]
+    assert not strays, f"outside data typed through _Square._of: {strays}"
+    # The guard sees every scope it polices (two from_dense), and the path it bans.
+    assert sorted(OUTSIDE_DATA) == sorted(scopes) and len(scopes["tri.py"]) == 4
+    assert any(ref == "_of" for _, ref in _references(SRC[ROOT / "src" / "logchol" / "chol_map.py"]))
+
+
+def test_no_kernel_writes_a_diagonal_with_fill_diagonal():
+    strays = [
+        f"{path.name}:{line}"
+        for path, tree in SRC.items()
+        for line, name in _references(tree)
+        if name == "fill_diagonal"
+    ]
+    assert not strays, f"np.fill_diagonal in the package: {strays}"
+
+
+# Kernel results of finite inputs whose entries overflow; each is typed by
+# _Square._of, whose finiteness check must still reject it.
+OVERFLOWING_RESULTS = {
+    "transport_spd": lambda: logchol.transport_spd(
+        SpdMatrix(np.eye(2)), SpdMatrix(np.diag([1e300, 1.0])), SymMatrix(np.diag([1e300, 0.0]))
+    ),
+    "log_spd": lambda: logchol.log_spd(
+        SpdMatrix(np.diag([1.7e308, 1.0])), SpdMatrix(np.diag([1e-300, 1.0]))
+    ),
+    "diff_S": lambda: logchol.diff_S(
+        CholeskyFactor(np.diag([1e200, 1.0])), LowerTriangular(np.diag([1e200, 0.0]))
+    ),
+}
+
+
+@pytest.mark.parametrize("case", OVERFLOWING_RESULTS)
+def test_overflowing_kernel_results_raise_domain_error(case):
+    # Tangent results are outside the no-warning rule of computed SPD
+    # matrices: numpy's overflow warnings are silenced here, not asserted.
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(DomainError):
+        OVERFLOWING_RESULTS[case]()
