@@ -20,9 +20,9 @@ through ``chol_map._spd_point``; the spectral ``K`` (``U e^{Lambda/2}``,
 ``L U e^{Lambda/2}``, ``L U Lambda^{t/2}``) has its exponents checked by
 ``chol_map._check_exponents``.  Only the spectral logarithms and transports
 are symmetrized, as ``_sym(.)``.  Every result is typed through
-``_Square._of``, which tests finiteness and the type's own check alone; the
-Euclidean interpolant alone takes the full constructor, which rejects a
-grid point that is not a real number.  A registry keys each geometry by name.
+``_Square._of``, which tests finiteness and the type's own check alone, and
+every interpolant reads its grid through :func:`.tri._grid`, the step rule,
+before any arithmetic.  A registry keys each geometry by name.
 """
 from __future__ import annotations
 
@@ -42,6 +42,7 @@ from .tri import (
     SymTangent,
     _eigh,
     _factor,
+    _grid,
     _require_same_dim,
     _stack,
     _sym,
@@ -81,8 +82,9 @@ def euclid_interpolate(
     P: SymMatrix, Q: SymMatrix, ts: Sequence[float]
 ) -> list[SymMatrix]:
     """Linear interpolation ``(1 - t) P + t Q``; exhibits determinant swelling."""
+    ts = _grid(ts)
     _require_same_dim(P, Q)
-    return [SymMatrix((1.0 - t) * P.data + t * Q.data) for t in ts]
+    return [SymMatrix._of((1.0 - t) * P.data + t * Q.data) for t in ts]
 
 
 def euclid_mean(Ps: Sequence[SymMatrix]) -> SymMatrix:
@@ -112,6 +114,7 @@ def cholesky_distance(P: SpdMatrix, Q: SpdMatrix) -> float:
 @np.errstate(over="ignore", invalid="ignore")  # overflow reads inf or nan: rejected
 def cholesky_interpolate(P: SpdMatrix, Q: SpdMatrix, ts: Sequence[float]) -> list[SpdMatrix]:
     """Convex combination of the factors, reconstructed; each factored once."""
+    ts = _grid(ts)
     _require_same_dim(P, Q)
     l, k = _factor(P.data), _factor(Q.data)
     return [_spd_point((1.0 - t) * l + t * k) for t in ts]
@@ -196,10 +199,10 @@ def logeuclid_dist(P: SpdMatrix, Q: SpdMatrix) -> float:
     return float(np.linalg.norm(spd_logm(P.data) - spd_logm(Q.data)))
 
 
-def logeuclid_interpolate(
-    P: SpdMatrix, Q: SpdMatrix, ts: Sequence[float]
-) -> list[SpdMatrix]:
+@np.errstate(over="ignore", invalid="ignore")  # overflow reads inf or nan: rejected
+def logeuclid_interpolate(P: SpdMatrix, Q: SpdMatrix, ts: Sequence[float]) -> list[SpdMatrix]:
     """``exp((1 - t) log P + t log Q)``; each logarithm taken once."""
+    ts = _grid(ts)
     _require_same_dim(P, Q)
     lp, lq = spd_logm(P.data), spd_logm(Q.data)
     return [SpdMatrix._of(_reconstruct(_exp_factor((1.0 - t) * lp + t * lq))) for t in ts]
@@ -250,10 +253,11 @@ def affine_dist(P: SpdMatrix, Q: SpdMatrix) -> float:
 def affine_interpolate(P: SpdMatrix, Q: SpdMatrix, ts: Sequence[float]) -> list[SpdMatrix]:
     """``L (L^-1 Q L^-T)^t L^T``; ``Q`` whitened by ``P`` and decomposed once, and
     the exponents ``t log Lambda`` checked once for the grid, as in :func:`affine_exp`."""
+    ts = _grid(ts)
     _require_same_dim(P, Q)
     l = _factor(P.data)
     w, u = _eigh(_sym(_congruence(l, Q.data)), "matrix power")
-    _check_exponents(np.multiply.outer(np.asarray(ts, dtype=float), np.log(w)))
+    _check_exponents(np.multiply.outer(ts, np.log(w)))
     lu = l @ u
     return [SpdMatrix._of(_reconstruct(lu * w ** (t / 2.0))) for t in ts]
 

@@ -17,7 +17,7 @@ from numbers import Integral
 
 import numpy as np
 
-from .tri import CholeskyFactor, DomainError, LowerTriangular, _require_same_dim, _stack
+from .tri import CholeskyFactor, DomainError, LowerTriangular, _require_same_dim, _stack, _step
 
 
 def _metric(l: np.ndarray, x: np.ndarray, y: np.ndarray) -> float:
@@ -49,8 +49,10 @@ def geodesic_chol(L: CholeskyFactor, X: LowerTriangular, t: float) -> CholeskyFa
     """Geodesic through ``L`` with initial velocity ``X``, evaluated at ``t``.
 
     Linear in the strict lower triangle; exponential on the diagonal.
-    Defined for all real ``t``.
+    Defined for every finite real ``t``; any other ``t``, an array
+    included, raises ``DomainError``.
     """
+    t = _step(t)
     _require_same_dim(L, X)
     return CholeskyFactor._of(_geodesic(L.data, X.data, t))
 

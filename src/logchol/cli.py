@@ -18,7 +18,6 @@ from contextlib import nullcontext
 from . import experiments as ex
 from .baselines import METRIC_NAMES
 from .report import ExperimentReport, GlyphRecord
-from .sampling import random_spd
 from .tri import LogCholError, load_matrices
 
 EXIT_NUMERICAL = 3
@@ -110,14 +109,7 @@ def main(argv=None) -> int:
                     parser.error("--input fixture contains no matrices")
                 inputs = {"fixture": args.input}
             else:
-                if args.n < 1 or args.m < 1:
-                    parser.error("--n and --m must be >= 1")
-                rng = ex.seeded_rng(args.seed)
-                mats = [random_spd(rng, args.m) for _ in range(args.n)]
-                inputs = {
-                    "seed": args.seed,
-                    "spd_law": "A A^T + 1e-3 I, A standard normal",
-                }
+                mats, inputs = ex._random_mean_sample(args.n, args.m, args.seed)
             report = ex.run_mean(args.metric, mats, inputs)
             _emit(report, args)
         elif args.command == "bench-transport":

@@ -43,9 +43,15 @@ class ParameterError(DomainError):
 
 def seeded_rng(seed: int) -> np.random.Generator:
     """The generator of a seeded experiment; a negative seed is a usage error."""
-    if seed < 0:
-        raise ParameterError(f"seed must be >= 0, got {seed}")
+    _at_least(0, seed=seed)
     return np.random.default_rng(seed)
+
+
+def _at_least(low: int, **params: int) -> None:
+    """``ParameterError`` naming the first of ``params`` below ``low``."""
+    for name, value in params.items():
+        if value < low:
+            raise ParameterError(f"{name} must be >= {low}, got {value}")
 
 
 # Interpolation-study endpoints: the reference determinant pair (5.40 and
@@ -82,8 +88,7 @@ def run_interpolate(
 ) -> tuple[ExperimentReport, list[GlyphRecord]]:
     """Geodesic interpolation study: (log-)determinant sequences, read from
     glyph eigenvalues, plus glyph stream."""
-    if steps < 2:
-        raise ParameterError(f"steps must be >= 2, got {steps}")
+    _at_least(2, steps=steps)
     ops = bl.get_metric(metric)
     if endpoints is None:
         endpoints = interpolation_endpoints()
@@ -119,6 +124,15 @@ def run_interpolate(
         ],
     )
     return report, glyphs
+
+
+def _random_mean_sample(n: int, m: int, seed: int) -> tuple[list[SpdMatrix], dict]:
+    """The mean study's sample without a fixture, ``n`` seeded random SPD
+    matrices of size ``m``, and the report's ``inputs`` for it."""
+    _at_least(1, n=n, m=m)
+    rng = seeded_rng(seed)
+    mats = [random_spd(rng, m) for _ in range(n)]
+    return mats, {"seed": seed, "spd_law": "A A^T + 1e-3 I, A standard normal"}
 
 
 def run_mean(
@@ -188,10 +202,8 @@ def run_bench_transport(m: int, reps: int, seed: int) -> ExperimentReport:
     ratios of the two baselines to Log-Cholesky.  Absolute times are
     hardware-bound; only orderings and coarse ratios are meaningful.
     """
-    if m < 2:
-        raise ParameterError(f"m must be >= 2, got {m}")
-    if reps < 100:
-        raise ParameterError(f"reps must be >= 100, got {reps}")
+    _at_least(2, m=m)
+    _at_least(100, reps=reps)
     rng = seeded_rng(seed)
     cases = [
         (random_spd(rng, m), random_spd(rng, m), random_sym(rng, m))
@@ -238,8 +250,7 @@ def run_stability(kappa: float, m: int, seed: int) -> ExperimentReport:
     """
     if not (math.isfinite(kappa) and kappa >= 1.0):
         raise ParameterError(f"kappa must be finite and >= 1, got {kappa}")
-    if m < 1:
-        raise ParameterError(f"m must be >= 1, got {m}")
+    _at_least(1, m=m)
     rng = seeded_rng(seed)
     base = _stability_base(rng, m)
     target = random_spd_with_condition(rng, m, kappa)
@@ -310,12 +321,7 @@ def _mean_gap(sample: list[SpdMatrix]) -> float:
 def run_mean_gap(n: int, m: int, trials: int, seed: int) -> ExperimentReport:
     """Average relative squared-Frobenius gap between the Log-Cholesky and
     affine-invariant means of ``n`` random SPD matrices."""
-    if n < 1:
-        raise ParameterError(f"n must be >= 1, got {n}")
-    if m < 1:
-        raise ParameterError(f"m must be >= 1, got {m}")
-    if trials < 1:
-        raise ParameterError(f"trials must be >= 1, got {trials}")
+    _at_least(1, n=n, m=m, trials=trials)
     rng = seeded_rng(seed)
     gaps: list[float] = []
     failures = 0

@@ -15,7 +15,7 @@ from collections.abc import Sequence
 
 from . import chol_manifold as cm
 from .chol_map import _diff_S, _diff_S_inv, _factor, _spd_point
-from .tri import SpdMatrix, SymMatrix, SymTangent, _require_same_dim, _stack
+from .tri import SpdMatrix, SymMatrix, SymTangent, _grid, _require_same_dim, _stack, _step
 
 
 def metric_spd(P: SpdMatrix, W: SymTangent, V: SymTangent) -> float:
@@ -26,7 +26,12 @@ def metric_spd(P: SpdMatrix, W: SymTangent, V: SymTangent) -> float:
 
 
 def geodesic_spd(P: SpdMatrix, W: SymTangent, t: float) -> SpdMatrix:
-    """Geodesic through ``P`` with initial velocity ``W``, evaluated at ``t``."""
+    """Geodesic through ``P`` with initial velocity ``W``, evaluated at ``t``.
+
+    Defined for every finite real ``t``; any other ``t``, an array
+    included, raises ``DomainError``.
+    """
+    t = _step(t)
     _require_same_dim(P, W)
     l = _factor(P.data)
     return _spd_point(cm._geodesic(l, _diff_S_inv(l, W.data), t))
@@ -86,8 +91,12 @@ def log_cholesky_mean(Ps: Sequence[SpdMatrix]) -> SpdMatrix:
 def interpolate_spd(
     P: SpdMatrix, Q: SpdMatrix, ts: Sequence[float]
 ) -> list[SpdMatrix]:
-    """Geodesic interpolation: points of the geodesic with endpoints ``P, Q``."""
+    """Geodesic interpolation: the points at ``ts`` of the geodesic from ``P``
+    (``t = 0``) to ``Q`` (``t = 1``).  ``ts`` is a 1-D sequence or array of
+    finite real numbers; anything else, a generator included, raises
+    ``DomainError``."""
+    ts = _grid(ts)
     _require_same_dim(P, Q)
     l = _factor(P.data)
     x = cm._log(l, _factor(Q.data))
-    return [_spd_point(cm._geodesic(l, x, float(t))) for t in ts]
+    return [_spd_point(cm._geodesic(l, x, t)) for t in ts]

@@ -13,7 +13,9 @@ operations use.  A result of the package's kernels is typed by
 zeros by construction, so only finiteness and the type's ``_check`` hook
 are tested.  The
 symmetrizer ``_sym``, ``_factor`` and the checked eigendecomposition
-``_eigh`` live here alone.  ``_sym`` is needed only where a result can come
+``_eigh`` live here alone.  So does the step rule: every geodesic reads its
+``t`` through ``_step`` and every interpolant its grid ``ts`` through
+``_grid``, before any arithmetic.  ``_sym`` is needed only where a result can come
 out asymmetric: outside data, and tangents such as ``L f(.) L^T`` whose two
 triangles are computed apart; it sums halves, so entries up to the float
 max stay finite.  ``dense()`` returns a copy.
@@ -79,6 +81,36 @@ def _square_finite(data) -> np.ndarray:
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
         raise DomainError(f"expected a square matrix, got shape {a.shape}")
     return _finite(a)
+
+
+# The step rule, for every geodesic and interpolant.
+_STEP_RULE = "a step must be a finite real number, and a grid a 1-D sequence of them"
+
+
+def _step(t) -> float:
+    """The step ``t`` of a geodesic, as a float: one finite real number, a
+    0-d array included, or ``DomainError``.  Its finiteness is read from the
+    float: ``np.isfinite`` on a 0-d array costs microseconds, on the path of
+    every exp."""
+    try:
+        a = _real(t)
+        if a.ndim == 0 and math.isfinite(s := float(a)):
+            return s
+    except DomainError:
+        pass
+    raise DomainError(f"{_STEP_RULE}, got {t!r}")
+
+
+def _grid(ts) -> np.ndarray:
+    """The grid ``ts`` of an interpolant, as a float array: a 1-D sequence or
+    array of finite real numbers, or ``DomainError``.  A generator is not one."""
+    try:
+        a = _real(ts)
+        if a.ndim == 1:
+            return _finite(a)
+    except DomainError:
+        pass
+    raise DomainError(_STEP_RULE)
 
 
 def _symmetrized(dense, error: type[LogCholError]) -> np.ndarray:

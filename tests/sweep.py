@@ -13,7 +13,10 @@ From each triple come the Cholesky factors ``L``, ``K`` of ``P``, ``Q`` and
 the lower triangle ``X`` of ``W``.  Every operation of the five geometries
 (through ``get_metric``), the Log-Cholesky operations outside the registry,
 the ``chol_manifold`` operations and the ``chol_map`` wrappers runs on
-every triple, and the CLI experiments run once each.  The script prints one
+every triple, and the CLI experiments run once each.  The ``steps`` group
+runs every function that takes a step (the two geodesics and the five
+interpolants) on one fixed m = 2 triple, with each of a fixed list of odd
+and malformed steps (:data:`STEPS`).  The script prints one
 sha256 per (group, operation), over the exact bits of every result, the
 class and text of every exception and every warning raised, and the report
 of each CLI run without its ``timings``; then the failure classes, counted.
@@ -34,6 +37,8 @@ import sys
 import tempfile
 import warnings
 from collections import Counter
+from decimal import Decimal
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -113,6 +118,46 @@ def operations() -> dict[str, object]:
     return ops
 
 
+# Odd and malformed steps, each made fresh: a generator is spent once read.
+STEPS = {
+    "int": lambda: 1,
+    "bool": lambda: True,
+    "float32": lambda: np.float32(0.7),
+    "fraction": lambda: Fraction(1, 3),
+    "0-d array": lambda: np.array(0.5),
+    "huge": lambda: 1e308,
+    "decimal": lambda: Decimal("0.5"),
+    "str": lambda: "0.5",
+    "complex": lambda: 1j,
+    "none": lambda: None,
+    "nan": lambda: float("nan"),
+    "inf": lambda: float("inf"),
+    "-inf": lambda: float("-inf"),
+    "array": lambda: np.array([0.5, 2.0]),
+    "list": lambda: [0.5, 2.0],
+    "2-d array": lambda: np.array([[0.5, 2.0]]),
+    "generator": lambda: (t for t in (0.5, 2.0)),
+}
+
+
+def step_operations() -> dict[str, object]:
+    """``{"steps.op": fn(args, step)}`` for every function that takes a step:
+    each geodesic takes ``step`` as its ``t``, and each interpolant takes it
+    as the one point of its grid (``.interpolate``) and as its grid
+    (``.interpolate-grid``)."""
+    import logchol as lc
+
+    ops = {
+        "steps.geodesic_chol": lambda a, s: lc.geodesic_chol(a["L"], a["X"], s),
+        "steps.geodesic_spd": lambda a, s: lc.geodesic_spd(a["P"], a["W"], s),
+    }
+    for g in GEOMETRIES:
+        reg = lc.get_metric(g)
+        ops[f"steps.{g}.interpolate"] = lambda a, s, r=reg: r.interpolate(a["P"], a["Q"], [s])
+        ops[f"steps.{g}.interpolate-grid"] = lambda a, s, r=reg: r.interpolate(a["P"], a["Q"], s)
+    return ops
+
+
 def results(out) -> list:
     """The typed matrices in an operation's output: itself, or a list's members."""
     return [r for r in (out if isinstance(out, list) else [out]) if hasattr(r, "data")]
@@ -182,6 +227,13 @@ def sweep() -> tuple[dict[str, str], dict[str, dict[str, int]]]:
         args = typed(arrays)
         for key, fn in ops.items():
             got, seen = outcome(lambda: fn(args))
+            hashes[key].update(got)
+            failures[key].update(seen)
+    args = typed(draw(np.random.default_rng(SEED), 2))
+    for key, fn in step_operations().items():
+        hashes[key], failures[key] = hashlib.sha256(), Counter()
+        for make in STEPS.values():
+            got, seen = outcome(lambda: fn(args, make()))
             hashes[key].update(got)
             failures[key].update(seen)
     with tempfile.TemporaryDirectory() as tmp:

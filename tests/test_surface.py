@@ -15,8 +15,13 @@ matrices: its bounds and its two checks are defined only in ``chol_map``.
 Outside data takes every check: where it enters (``from_dense``, the fixture
 reader, ``sampling``, ``experiments``, ``report`` and ``cli``) nothing types a
 value through ``_Square._of``, the path for kernel results, which checks
-finiteness and the type's hook alone.  Kernels write diagonals through the
-flat stride, never ``np.fill_diagonal``."""
+finiteness and the type's hook alone.  The kernel modules (``chol_map``,
+``chol_manifold``, ``spd_manifold`` and ``baselines``) take only that path:
+none of them calls a public constructor.  Kernels write diagonals through
+the flat stride, never ``np.fill_diagonal``.
+
+A step has one rule, in ``tri``: every public function with a step ``t`` or
+a grid ``ts`` passes it through ``_step`` or ``_grid`` first."""
 import ast
 from pathlib import Path
 
@@ -41,6 +46,17 @@ HOMES = {
 
 # The float-range rule: its bounds and its two checks, defined in chol_map alone.
 FLOAT_RANGE_RULE = ("_PIVOT_ROOT_MIN", "_EXP_RANGE", "_spd_point", "_check_exponents")
+
+# The modules whose results are kernel results, and the constructors they must not call.
+KERNEL_MODULES = ("chol_map.py", "chol_manifold.py", "spd_manifold.py", "baselines.py")
+CONSTRUCTORS = ("SymMatrix", "SpdMatrix", "LowerTriangular", "CholeskyFactor")
+
+# The parameters that hold a step or a grid, and the rule in tri that reads each.
+STEP_RULES = {"t": "_step", "ts": "_grid"}
+STEP_TAKERS = (
+    "geodesic_chol", "geodesic_spd", "interpolate_spd", "euclid_interpolate",
+    "cholesky_interpolate", "logeuclid_interpolate", "affine_interpolate",
+)
 
 # Where outside data enters: whole modules (None), or the named functions of one.
 OUTSIDE_DATA = {
@@ -210,6 +226,50 @@ def test_outside_data_is_never_typed_as_a_kernel_result():
     # The guard sees every scope it polices (two from_dense), and the path it bans.
     assert sorted(OUTSIDE_DATA) == sorted(scopes) and len(scopes["tri.py"]) == 4
     assert any(ref == "_of" for _, ref in _references(SRC[ROOT / "src" / "logchol" / "chol_map.py"]))
+
+
+def _called(tree: ast.AST):
+    """``(line, name)`` of every call in ``tree`` to a name or an attribute."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            f = node.func
+            if isinstance(f, (ast.Name, ast.Attribute)):
+                yield node.lineno, f.id if isinstance(f, ast.Name) else f.attr
+
+
+def test_kernel_results_are_typed_by_construction():
+    kernels = {path.name: tree for path, tree in SRC.items() if path.name in KERNEL_MODULES}
+    strays = [
+        f"{name}:{line} {called}"
+        for name, tree in kernels.items()
+        for line, called in _called(tree)
+        if called in CONSTRUCTORS
+    ]
+    assert not strays, f"kernel results through a public constructor: {strays}"
+    # The guard sees every kernel module, each typing results through _of.
+    assert sorted(kernels) == sorted(KERNEL_MODULES)
+    assert all(any(c == "_of" for _, c in _called(tree)) for tree in kernels.values())
+
+
+def test_every_step_passes_through_the_step_rule():
+    seen, strays = [], []
+    for path, tree in SRC.items():
+        for fn in _public_definitions(tree):
+            for arg in fn.args.args:
+                if arg.arg not in STEP_RULES:
+                    continue
+                seen.append(fn.name)
+                body = fn.body[1:] if ast.get_docstring(fn) is not None else fn.body
+                first = ast.unparse(body[0]) if body else ""
+                if first != f"{arg.arg} = {STEP_RULES[arg.arg]}({arg.arg})":
+                    strays.append(f"{path.name}:{fn.lineno} {fn.name} starts with {first!r}")
+    assert not strays, f"steps not read through the step rule first: {strays}"
+    assert sorted(seen) == sorted(STEP_TAKERS)
+    homes = {
+        rule: [path.name for path, tree in SRC.items() for d in _definitions(tree) if d == rule]
+        for rule in STEP_RULES.values()
+    }
+    assert homes == {rule: ["tri.py"] for rule in STEP_RULES.values()}
 
 
 def test_no_kernel_writes_a_diagonal_with_fill_diagonal():
