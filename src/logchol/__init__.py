@@ -12,7 +12,6 @@ from .tri import (
     NotSpdError,
     SpdMatrix,
     SymMatrix,
-    SymTangent,
 )
 from .chol_map import (
     cholesky_factor,
@@ -61,7 +60,6 @@ __all__ = [
     "NotSpdError",
     "SpdMatrix",
     "SymMatrix",
-    "SymTangent",
     "cholesky_factor",
     "diff_S",
     "diff_S_inv",

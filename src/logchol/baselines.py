@@ -39,7 +39,6 @@ from .tri import (
     NoConvergenceError,
     SpdMatrix,
     SymMatrix,
-    SymTangent,
     _eigh,
     _factor,
     _grid,
@@ -91,12 +90,12 @@ def euclid_mean(Ps: Sequence[SymMatrix]) -> SymMatrix:
     return SymMatrix._of(_stack(Ps).mean(axis=0))
 
 
-def euclid_exp(P: SymMatrix, W: SymTangent) -> SymMatrix:
+def euclid_exp(P: SymMatrix, W: SymMatrix) -> SymMatrix:
     _require_same_dim(P, W)
     return SymMatrix._of(P.data + W.data)
 
 
-def euclid_log(P: SymMatrix, Q: SymMatrix) -> SymTangent:
+def euclid_log(P: SymMatrix, Q: SymMatrix) -> SymMatrix:
     _require_same_dim(P, Q)
     return SymMatrix._of(Q.data - P.data)
 
@@ -212,14 +211,14 @@ def logeuclid_mean(Ps: Sequence[SpdMatrix]) -> SpdMatrix:
     return SpdMatrix._of(_reconstruct(_exp_factor(spd_logm(_stack(Ps)).mean(axis=0))))
 
 
-def logeuclid_exp(P: SpdMatrix, W: SymTangent) -> SpdMatrix:
+def logeuclid_exp(P: SpdMatrix, W: SymMatrix) -> SpdMatrix:
     """Riemannian exponential: push the tangent into log space and exponentiate."""
     _require_same_dim(P, W)
     p = P.data
     return SpdMatrix._of(_reconstruct(_exp_factor(spd_logm(p) + dlog_spd(p, W.data))))
 
 
-def logeuclid_log(P: SpdMatrix, Q: SpdMatrix) -> SymTangent:
+def logeuclid_log(P: SpdMatrix, Q: SpdMatrix) -> SymMatrix:
     """Riemannian logarithm: log-space difference pulled back to the tangent at P."""
     _require_same_dim(P, Q)
     lp = spd_logm(P.data)
@@ -227,7 +226,7 @@ def logeuclid_log(P: SpdMatrix, Q: SpdMatrix) -> SymTangent:
     return SymMatrix._of(_sym(dexp_sym(lp, lq - lp)))
 
 
-def logeuclid_transport(P: SpdMatrix, Q: SpdMatrix, W: SymTangent) -> SymTangent:
+def logeuclid_transport(P: SpdMatrix, Q: SpdMatrix, W: SymMatrix) -> SymMatrix:
     """Parallel transport: flatten at ``P`` via d(log), restore at ``Q`` via d(exp)."""
     _require_same_dim(P, Q, W)
     flat = dlog_spd(P.data, W.data)
@@ -263,7 +262,7 @@ def affine_interpolate(P: SpdMatrix, Q: SpdMatrix, ts: Sequence[float]) -> list[
 
 
 @np.errstate(over="ignore", invalid="ignore")  # overflow reads inf or nan: rejected
-def affine_exp(P: SpdMatrix, W: SymTangent) -> SpdMatrix:
+def affine_exp(P: SpdMatrix, W: SymMatrix) -> SpdMatrix:
     """``L exp(L^-1 W L^-T) L^T = K K^T`` with ``P = L L^T``, ``K = L U e^{Lambda/2}``;
     ``DomainError`` when the exponents or an entry of ``K K^T`` leave the float range."""
     _require_same_dim(P, W)
@@ -271,7 +270,7 @@ def affine_exp(P: SpdMatrix, W: SymTangent) -> SpdMatrix:
     return SpdMatrix._of(_reconstruct(l @ _exp_factor(_sym(_congruence(l, W.data)))))
 
 
-def affine_log(P: SpdMatrix, Q: SpdMatrix) -> SymTangent:
+def affine_log(P: SpdMatrix, Q: SpdMatrix) -> SymMatrix:
     """``L log(L^-1 Q L^-T) L^T = (L U) log(Lambda) (L U)^T`` with ``P = L L^T``."""
     _require_same_dim(P, Q)
     l = _factor(P.data)
@@ -280,7 +279,7 @@ def affine_log(P: SpdMatrix, Q: SpdMatrix) -> SymTangent:
     return SymMatrix._of(_sym((lu * np.log(w)) @ lu.T))
 
 
-def affine_transport(P: SpdMatrix, Q: SpdMatrix, W: SymTangent) -> SymTangent:
+def affine_transport(P: SpdMatrix, Q: SpdMatrix, W: SymMatrix) -> SymMatrix:
     """Closed-form transport ``E W E^T`` with ``E = (Q P^-1)^(1/2) = L S L^-1``,
     where ``S = (L^-1 Q L^-T)^(1/2)``: so ``(L S) (L^-1 W L^-T) (L S)^T``."""
     _require_same_dim(P, Q, W)
@@ -330,9 +329,9 @@ class MetricOps:
     distance: Callable[[SpdMatrix, SpdMatrix], float]
     interpolate: Callable[[SpdMatrix, SpdMatrix, Sequence[float]], list[SymMatrix]]
     mean: Callable[[Sequence[SpdMatrix]], SymMatrix]
-    exp: Callable[[SpdMatrix, SymTangent | LowerTriangular], SymMatrix]
-    log: Callable[[SpdMatrix, SpdMatrix], SymTangent | LowerTriangular]
-    transport: Callable[[SpdMatrix, SpdMatrix, SymTangent], SymTangent] | None = None
+    exp: Callable[[SpdMatrix, SymMatrix | LowerTriangular], SymMatrix]
+    log: Callable[[SpdMatrix, SpdMatrix], SymMatrix | LowerTriangular]
+    transport: Callable[[SpdMatrix, SpdMatrix, SymMatrix], SymMatrix] | None = None
 
 
 _METRICS = {

@@ -30,7 +30,6 @@ from .tri import (
     LowerTriangular,
     SpdMatrix,
     SymMatrix,
-    SymTangent,
     _factor,
     _require_same_dim,
 )
@@ -86,7 +85,7 @@ def _diff_S(l: np.ndarray, x: np.ndarray) -> np.ndarray:
     return a + a.T
 
 
-def diff_S(L: CholeskyFactor, X: LowerTriangular) -> SymTangent:
+def diff_S(L: CholeskyFactor, X: LowerTriangular) -> SymMatrix:
     """Differential of ``L -> L L^T`` at ``L`` applied to ``X``: ``L X^T + X L^T``."""
     _require_same_dim(L, X)
     return SymMatrix._of(_diff_S(L.data, X.data))
@@ -113,7 +112,7 @@ def _diff_S_inv(l: np.ndarray, w: np.ndarray) -> np.ndarray:
     return dtrmm(1.0, h, l, side=1, lower=1)
 
 
-def diff_S_inv(L: CholeskyFactor, W: SymTangent) -> LowerTriangular:
+def diff_S_inv(L: CholeskyFactor, W: SymMatrix) -> LowerTriangular:
     """Inverse differential: the lower triangular ``X`` with ``L X^T + X L^T = W``.
 
     Computed as ``L (L^{-1} W L^{-T})_half``: two triangular solves give

@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .tri import DomainError, _eigh
+from .tri import _eigh
 
 SCHEMA_VERSION = 1
 
@@ -74,8 +74,6 @@ class GlyphRecord:
     def from_spd_dense(cls, a: np.ndarray, row: int, col: int) -> "GlyphRecord":
         w, u = _eigh(a, "glyph")
         w, u = w[::-1], u[:, ::-1]  # eigh's ascending order, reversed
-        if np.abs(u.T @ u - np.eye(a.shape[0])).max() > 1e-10:
-            raise DomainError("eigenvector matrix failed the orthonormality check")
         log_det = float(np.log(w).sum())
         with np.errstate(over="ignore", under="ignore"):  # beyond the float range: 0 or inf
             det = float(np.exp(log_det))

@@ -15,17 +15,17 @@ from collections.abc import Sequence
 
 from . import chol_manifold as cm
 from .chol_map import _diff_S, _diff_S_inv, _factor, _spd_point
-from .tri import SpdMatrix, SymMatrix, SymTangent, _grid, _require_same_dim, _stack, _step
+from .tri import SpdMatrix, SymMatrix, _grid, _require_same_dim, _stack, _step
 
 
-def metric_spd(P: SpdMatrix, W: SymTangent, V: SymTangent) -> float:
+def metric_spd(P: SpdMatrix, W: SymMatrix, V: SymMatrix) -> float:
     """Inner product of symmetric tangents at ``P``, pulled back to factor space."""
     _require_same_dim(P, W, V)
     l = _factor(P.data)
     return cm._metric(l, _diff_S_inv(l, W.data), _diff_S_inv(l, V.data))
 
 
-def geodesic_spd(P: SpdMatrix, W: SymTangent, t: float) -> SpdMatrix:
+def geodesic_spd(P: SpdMatrix, W: SymMatrix, t: float) -> SpdMatrix:
     """Geodesic through ``P`` with initial velocity ``W``, evaluated at ``t``.
 
     Defined for every finite real ``t``; any other ``t``, an array
@@ -37,12 +37,12 @@ def geodesic_spd(P: SpdMatrix, W: SymTangent, t: float) -> SpdMatrix:
     return _spd_point(cm._geodesic(l, _diff_S_inv(l, W.data), t))
 
 
-def exp_spd(P: SpdMatrix, W: SymTangent) -> SpdMatrix:
+def exp_spd(P: SpdMatrix, W: SymMatrix) -> SpdMatrix:
     """Riemannian exponential map at ``P``: the geodesic at ``t = 1``."""
     return geodesic_spd(P, W, 1.0)
 
 
-def log_spd(P: SpdMatrix, Q: SpdMatrix) -> SymTangent:
+def log_spd(P: SpdMatrix, Q: SpdMatrix) -> SymMatrix:
     """Riemannian logarithm: the tangent at ``P`` pointing to ``Q``."""
     _require_same_dim(P, Q)
     l = _factor(P.data)
@@ -66,7 +66,7 @@ def group_inv_spd(P: SpdMatrix) -> SpdMatrix:
     return _spd_point(cm._group_inv(_factor(P.data)))
 
 
-def transport_spd(P: SpdMatrix, Q: SpdMatrix, W: SymTangent) -> SymTangent:
+def transport_spd(P: SpdMatrix, Q: SpdMatrix, W: SymMatrix) -> SymMatrix:
     """Parallel transport of ``W`` along the geodesic from ``P`` to ``Q``.
 
     Factors both endpoints, pulls ``W`` back to factor space at ``P``,

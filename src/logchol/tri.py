@@ -25,7 +25,6 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 from scipy.linalg.lapack import dpotrf
@@ -138,14 +137,6 @@ def _sym(a: np.ndarray) -> np.ndarray:
     return h + h.swapaxes(-1, -2)
 
 
-@lru_cache(maxsize=None)
-def _strict_upper(m: int) -> np.ndarray:
-    """Read-only boolean mask of the entries above the diagonal, one per size."""
-    mask = np.triu(np.ones((m, m), dtype=bool), 1)
-    mask.flags.writeable = False
-    return mask
-
-
 def _factor(p: np.ndarray) -> np.ndarray:
     """Lower Cholesky factor of one ``(m, m)`` matrix or of an ``(n, m, m)`` stack.
 
@@ -175,7 +166,12 @@ def _factor(p: np.ndarray) -> np.ndarray:
 def _eigh(a: np.ndarray, domain: str | None = None, vectors: bool = True):
     """Eigendecomposition ``(w, u)`` of a symmetric matrix or stack, or if not
     ``vectors`` its eigenvalues ``w`` alone (``eigvalsh``); with ``domain`` (a
-    function of positive eigenvalues) given, all must be positive."""
+    function of positive eigenvalues) given, all must be positive.  Input
+    that has left the float range raises ``DomainError`` before LAPACK, which
+    may return NaN eigenvalues for it; ``EigFailureError`` means LAPACK did
+    not converge on finite input."""
+    if not np.isfinite(a).all():
+        raise DomainError("eigendecomposition input leaves the float range")
     try:
         w, u = np.linalg.eigh(a) if vectors else (np.linalg.eigvalsh(a), None)
     except np.linalg.LinAlgError as exc:
@@ -222,7 +218,7 @@ class LowerTriangular(_Square):
 
     def __post_init__(self):
         a = _square_finite(self.data)
-        if a[_strict_upper(a.shape[0])].any():
+        if np.triu(a, 1).any():
             raise DomainError("matrix has nonzero entries above the diagonal")
         object.__setattr__(self, "data", a)
         self._check()
@@ -263,10 +259,6 @@ class SymMatrix(_Square):
     @classmethod
     def from_dense(cls, dense) -> "SymMatrix":
         return cls(_symmetrized(dense, DomainError))
-
-
-# Tangent vectors at an SPD point are symmetric matrices.
-SymTangent = SymMatrix
 
 
 @dataclass(frozen=True, eq=False)

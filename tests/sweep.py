@@ -18,7 +18,8 @@ runs every function that takes a step (the two geodesics and the five
 interpolants) on one fixed m = 2 triple, with each of a fixed list of odd
 and malformed steps (:data:`STEPS`).  The script prints one
 sha256 per (group, operation), over the exact bits of every result, the
-class and text of every exception and every warning raised, and the report
+class and text of every exception and every warning raised (with memory
+addresses masked, so that a run is reproducible), and the report
 of each CLI run without its ``timings``; then the failure classes, counted.
 
 ``--compare`` extracts ``git archive <commit> src`` into a temporary
@@ -32,6 +33,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import re
 import subprocess
 import sys
 import tempfile
@@ -173,6 +175,12 @@ def _bits(out) -> bytes:
     return np.float64(out).tobytes()
 
 
+def _masked(message) -> str:
+    """A message with each memory address (``0x...``) masked: the repr of an
+    object such as a generator carries one, and it differs run to run."""
+    return re.sub(r"0x[0-9a-fA-F]+", "0x?", str(message))
+
+
 def outcome(fn) -> tuple[bytes, list[str]]:
     """What ``fn()`` returned or raised, as bytes, and the failures seen."""
     with warnings.catch_warnings(record=True) as caught:
@@ -181,9 +189,9 @@ def outcome(fn) -> tuple[bytes, list[str]]:
             got = b"ok " + _bits(fn())
             seen = []
         except Exception as exc:  # noqa: BLE001 - every raise is an outcome
-            got = f"raised {type(exc).__name__}: {exc}".encode()
+            got = f"raised {type(exc).__name__}: {_masked(exc)}".encode()
             seen = [f"raised {type(exc).__name__}"]
-    notes = sorted({f"warned {w.category.__name__}: {w.message}" for w in caught})
+    notes = sorted({f"warned {w.category.__name__}: {_masked(w.message)}" for w in caught})
     seen += sorted({f"warned {w.category.__name__}" for w in caught})
     return got + "".join(notes).encode(), seen
 

@@ -537,6 +537,51 @@ def test_results_outside_the_float_range_raise_domain_error(case):
         RESULT_OUT_OF_RANGE[case]()
 
 
+def _huge_draws(m, n=10):
+    """``n`` triples ``(P, Q, W)`` at ``m``, with ``W`` scaled by 1e300."""
+    rng = np.random.default_rng(18 + m)
+    for _ in range(n):
+        yield random_spd(rng, m), random_spd(rng, m), SymMatrix(1e300 * random_sym(rng, m).data)
+
+
+def _base(m):
+    """An SPD base whose diagonal spans 1e-150 to 1."""
+    return SpdMatrix(np.diag(np.logspace(-150.0, 0.0, m)))
+
+
+TINY, HUGE = spd(np.diag([1e-300, 1.0])), spd(np.diag([1e300, 1.0]))
+# Calls whose eigensolver input leaves the float range, where LAPACK returns
+# NaN (a silent NaN distance) or fails to converge.  Whitening HUGE by TINY
+# reads 1e600; so do the Log-Euclidean points at t = 1e308, and the whitened
+# tangents of 1e300 at a base with a pivot of 1e-150.
+SPECTRAL_INPUT_OUT_OF_RANGE = {
+    "ai-distance": [lambda: bl.affine_dist(TINY, HUGE)],
+    "ai-log": [lambda: bl.affine_log(TINY, HUGE)],
+    "ai-transport": [lambda: bl.affine_transport(TINY, HUGE, sym(I2))],
+    "ai-interpolate": [lambda: bl.affine_interpolate(TINY, HUGE, [0.5])],
+    **{
+        f"le-interpolate-huge-step-m{m}": [
+            lambda p=p, q=q: bl.logeuclid_interpolate(p, q, [1e308]) for p, q, _ in _huge_draws(m)
+        ]
+        for m in (5, 8)
+    },
+    **{
+        f"ai-exp-huge-tangent-m{m}": [
+            lambda b=_base(m), w=w: bl.affine_exp(b, w) for _, _, w in _huge_draws(m)
+        ]
+        for m in (5, 8)
+    },
+}
+
+
+@pytest.mark.parametrize("case", SPECTRAL_INPUT_OUT_OF_RANGE)
+def test_spectral_input_outside_the_float_range_raises_domain_error(case):
+    # Not nan, not EigFailureError, and no numpy warning.
+    for call in SPECTRAL_INPUT_OUT_OF_RANGE[case]:
+        with pytest.raises(DomainError, match="eigendecomposition input"):
+            call()
+
+
 NOT_SPD = SpdMatrix(np.array([[1.0, 2.0], [2.0, 1.0]]))  # passes the diagonal check alone
 GOOD = spd(np.array([[2.0, 0.5], [0.5, 1.0]]))
 TANGENT = sym(np.array([[0.1, 0.2], [0.2, -0.3]]))

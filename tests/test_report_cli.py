@@ -83,6 +83,14 @@ class TestExperiments:
         rep, glyphs = ex.run_interpolate(name, 101)
         assert result(rep, "det_sequence").values == [g.determinant for g in glyphs]
 
+    @pytest.mark.parametrize("name", METRIC_NAMES)
+    def test_glyph_eigenvectors_are_orthonormal(self, name):
+        _, glyphs = ex.run_interpolate(name, 101)
+        for g in glyphs:
+            m = len(g.eigenvalues)
+            u = np.array(g.eigenvectors).reshape(m, m)
+            assert np.abs(u.T @ u - np.eye(m)).max() <= 1e-12
+
     def test_parameters_checked_by_the_experiments(self):
         for call in (
             lambda: ex.run_interpolate("log-cholesky", 1),

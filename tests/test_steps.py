@@ -10,6 +10,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import sweep
+
 import logchol as lc
 from logchol import CholeskyFactor, DomainError, LowerTriangular, SpdMatrix, SymMatrix
 
@@ -110,3 +112,10 @@ def test_a_finite_step_past_the_float_range_raises_domain_error_quietly(t):
     for name, fn in INTERPOLANTS.items():
         if name != "euclidean":
             _raises_domain_error_quietly(lambda: fn([t]))
+
+
+def test_the_sweep_records_a_rejected_generator_reproducibly():
+    # The rule's message carries repr(t), and a generator's repr its address.
+    one, two = (t for t in (0.5,)), (t for t in (0.5,))
+    for fn in GEODESICS.values():
+        assert sweep.outcome(lambda: fn(one)) == sweep.outcome(lambda: fn(two))

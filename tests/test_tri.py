@@ -205,11 +205,17 @@ def test_from_dense_rejects_non_finite(cls, bad):
 @pytest.mark.parametrize("cls", [LowerTriangular, CholeskyFactor])
 def test_lower_constructors_reject_entries_above_diagonal(cls):
     for value in (1.0, 1e-300, -5e-324):
-        a = np.eye(3)
-        a[0, 2] = value
-        with pytest.raises(DomainError):
-            cls(a)
+        big = np.eye(6)
+        big[0, 4] = value
+        a = big[::2, ::2].copy()
+        # Contiguous, strided and Fortran-ordered, each with a[0, 2] = value.
+        for layout in (a, big[::2, ::2], np.asfortranarray(a)):
+            with pytest.raises(DomainError):
+                cls(layout)
     cls(np.array([[1.0, -0.0], [2.0, 1.0]]))  # a signed zero is zero
+    lower = np.tril(np.ones((6, 6)))
+    cls(lower[::2, ::2])
+    cls(np.asfortranarray(lower))
 
 
 @pytest.mark.parametrize("cls", [SymMatrix, SpdMatrix])
