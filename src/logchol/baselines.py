@@ -42,6 +42,7 @@ from .tri import (
     _eigh,
     _factor,
     _grid,
+    _norm,
     _require_same_dim,
     _stack,
     _sym,
@@ -74,7 +75,7 @@ def spd_logm(a: np.ndarray) -> np.ndarray:
 
 def euclid_dist(P: SymMatrix, Q: SymMatrix) -> float:
     _require_same_dim(P, Q)
-    return float(np.linalg.norm(P.data - Q.data))
+    return float(_norm(P.data - Q.data))
 
 
 def euclid_interpolate(
@@ -107,7 +108,7 @@ def euclid_log(P: SymMatrix, Q: SymMatrix) -> SymMatrix:
 
 def cholesky_distance(P: SpdMatrix, Q: SpdMatrix) -> float:
     _require_same_dim(P, Q)
-    return float(np.linalg.norm(_factor(P.data) - _factor(Q.data)))
+    return float(_norm(_factor(P.data) - _factor(Q.data)))
 
 
 @np.errstate(over="ignore", invalid="ignore")  # overflow reads inf or nan: rejected
@@ -160,7 +161,7 @@ def dexp_sym(s: np.ndarray, h: np.ndarray) -> np.ndarray:
         pk = pk @ s / k
         term = (s @ term + h @ pk) / (k + 1)
         out += term
-        if np.linalg.norm(term) < DLOG_SERIES_TOL:
+        if _norm(term) < DLOG_SERIES_TOL:
             break
     return out
 
@@ -188,14 +189,14 @@ def dlog_spd(p: np.ndarray, w: np.ndarray) -> np.ndarray:
         sign = -sign
         contrib = sign * term / k
         out += contrib
-        if np.linalg.norm(contrib) < DLOG_SERIES_TOL:
+        if _norm(contrib) < DLOG_SERIES_TOL:
             break
     return out
 
 
 def logeuclid_dist(P: SpdMatrix, Q: SpdMatrix) -> float:
     _require_same_dim(P, Q)
-    return float(np.linalg.norm(spd_logm(P.data) - spd_logm(Q.data)))
+    return float(_norm(spd_logm(P.data) - spd_logm(Q.data)))
 
 
 @np.errstate(over="ignore", invalid="ignore")  # overflow reads inf or nan: rejected
@@ -245,7 +246,7 @@ def affine_dist(P: SpdMatrix, Q: SpdMatrix) -> float:
     """``|log(L^-1 Q L^-T)|_F = |log(Lambda)|_F`` with ``P = L L^T``."""
     _require_same_dim(P, Q)
     w = _eigh(_sym(_congruence(_factor(P.data), Q.data)), "matrix logarithm", vectors=False)
-    return float(np.linalg.norm(np.log(w)))
+    return float(_norm(np.log(w)))
 
 
 @np.errstate(over="ignore", invalid="ignore")  # overflow reads inf or nan: rejected
@@ -308,7 +309,7 @@ def affine_karcher_mean(Ps: Sequence[SpdMatrix]) -> SpdMatrix:
     for _ in range(KARCHER_MAX_ITER):
         l = _factor(mean)
         g = spd_logm(_sym(_congruence(l, ps))).mean(axis=0)
-        if np.linalg.norm(l @ g @ l.T) <= KARCHER_TOL * (1.0 + np.linalg.norm(mean)):
+        if _norm(l @ g @ l.T) <= KARCHER_TOL * (1.0 + _norm(mean)):
             return SpdMatrix._of(mean)
         mean = _reconstruct(l @ _exp_factor(_sym(g)))
     raise NoConvergenceError(

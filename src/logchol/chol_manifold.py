@@ -17,7 +17,8 @@ from numbers import Integral
 
 import numpy as np
 
-from .tri import CholeskyFactor, DomainError, LowerTriangular, _require_same_dim, _stack, _step
+from .tri import (CholeskyFactor, DomainError, LowerTriangular, _norm, _require_same_dim,
+                  _stack, _step)
 
 
 def _metric(l: np.ndarray, x: np.ndarray, y: np.ndarray) -> float:
@@ -76,10 +77,10 @@ def log_chol(L: CholeskyFactor, K: CholeskyFactor) -> LowerTriangular:
 
 
 def _dist(l: np.ndarray, k: np.ndarray) -> float:
+    """``|phi(L) - phi(K)|_F``, ``phi`` the strict lower part plus the log diagonal."""
     gap = l - k
-    gap.flat[:: len(gap) + 1] = 0.0  # the diagonal enters through the log gap only
-    dlog = np.log(l.diagonal()) - np.log(k.diagonal())
-    return float(np.sqrt(np.vdot(gap, gap) + dlog @ dlog))
+    gap.flat[:: len(gap) + 1] = np.log(l.diagonal()) - np.log(k.diagonal())
+    return float(_norm(gap))
 
 
 def dist_chol(L: CholeskyFactor, K: CholeskyFactor) -> float:

@@ -31,6 +31,7 @@ from .tri import (
     SpdMatrix,
     SymMatrix,
     _eigh,
+    _norm,
     _stack,
     _sym,
 )
@@ -292,7 +293,7 @@ def _roundtrip_record(
 ) -> ResultRecord:
     def rel_error() -> float:
         back = ops.exp(base, ops.log(base, target))
-        return float(np.linalg.norm(back.data - target.data) / np.linalg.norm(target.data))
+        return float(_norm(back.data - target.data) / _norm(target.data))
 
     err, note = _attempt(rel_error)
     return ResultRecord(
@@ -315,7 +316,7 @@ def _mean_records(
 def _mean_gap(sample: list[SpdMatrix]) -> float:
     lc = log_cholesky_mean(sample).data
     ai = bl.affine_karcher_mean(sample).data
-    return float(np.linalg.norm(lc - ai) ** 2 / np.linalg.norm(ai) ** 2)
+    return float(_norm(lc - ai) ** 2 / _norm(ai) ** 2)
 
 
 def run_mean_gap(n: int, m: int, trials: int, seed: int) -> ExperimentReport:

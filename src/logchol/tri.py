@@ -11,9 +11,9 @@ also runs the factor kernel ``_factor`` on it, the one the Log-Cholesky
 operations use.  A result of the package's kernels is typed by
 ``_Square._of`` instead: it is a square float array with the type's shape of
 zeros by construction, so only finiteness and the type's ``_check`` hook
-are tested.  The
-symmetrizer ``_sym``, ``_factor`` and the checked eigendecomposition
-``_eigh`` live here alone.  So does the step rule: every geodesic reads its
+are tested.  The symmetrizer ``_sym``, ``_factor``, the checked
+eigendecomposition ``_eigh`` and ``_norm``, every Frobenius norm of the
+package, live here alone.  So does the step rule: every geodesic reads its
 ``t`` through ``_step`` and every interpolant its grid ``ts`` through
 ``_grid``, before any arithmetic.  ``_sym`` is needed only where a result can come
 out asymmetric: outside data, and tangents such as ``L f(.) L^T`` whose two
@@ -179,6 +179,17 @@ def _eigh(a: np.ndarray, domain: str | None = None, vectors: bool = True):
     if domain is not None and (lo := min(w[..., 0].flat)) <= 0.0:
         raise NotSpdError(f"{domain} undefined: smallest eigenvalue {lo}")
     return (w, u) if vectors else w
+
+
+def _norm(a: np.ndarray):
+    """Frobenius norm: ``np.linalg.norm``'s bits and numpy float while the sum of squares is
+    finite, else rescaled by ``max|a|``: a norm below the float max is finite, with no warning."""
+    v = a.ravel(order="K")
+    s = np.sqrt(np.vdot(v, v))
+    if s == np.inf and (c := np.abs(v).max()) < np.inf:
+        with np.errstate(over="ignore"):  # a norm past the float max reads inf
+            return c * _norm(v / c)
+    return s
 
 
 @dataclass(frozen=True, eq=False)

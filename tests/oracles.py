@@ -8,7 +8,8 @@ its closed form in extended precision, the affine-invariant Karcher
 mean by per-member logarithms and exponentials, and the affine-invariant
 inner product by an explicit inverse.  The affine-invariant and
 Log-Euclidean matrix functions are evaluated in extended precision through
-``mpmath.eigsy``.  The extended-precision oracles take their float inputs
+``mpmath.eigsy``, and so are the five distances, each the Frobenius norm of
+its own difference summed entry by entry.  The extended-precision oracles take their float inputs
 exactly and round each result once.
 """
 from __future__ import annotations
@@ -233,3 +234,38 @@ def affine_mp(p: np.ndarray, q: np.ndarray, w: np.ndarray, dps: int = 50):
             np.array(log.tolist(), dtype=float),
             np.array(transport.tolist(), dtype=float),
         )
+
+
+def distances_mp(p: np.ndarray, q: np.ndarray, dps: int = 400) -> dict[str, float]:
+    """The five geometries' distances between SPD ``p`` and ``q``, in extended
+    precision, keyed as in the registry: the Frobenius norms of ``P - Q``, of
+    the factor gap ``L - K``, of the chart gap ``phi(L) - phi(K)`` (the log gap
+    on the diagonal), of ``log P - log Q``, and of ``log lam`` with ``lam`` the
+    eigenvalues of ``L^{-1} Q L^{-T}``.  The default precision resolves an
+    eigenvector tilt of ``1e-154``, which the Log-Euclidean logarithms of
+    matrices with entries near the float max can carry."""
+    m = p.shape[0]
+    with mpmath.workdps(dps):
+        P, Q = mpmath.matrix(p.tolist()), mpmath.matrix(q.tolist())
+        L, K = mpmath.cholesky(P), mpmath.cholesky(Q)
+        # L^{-1} by forward substitution: mpmath's LU inverse calls a factor
+        # with entries 1 and 1e154 numerically singular.
+        Li = mpmath.zeros(m)
+        for j in range(m):
+            Li[j, j] = 1 / L[j, j]
+            for i in range(j + 1, m):
+                Li[i, j] = -sum(L[i, k] * Li[k, j] for k in range(j, i)) / L[i, i]
+        chart = L - K
+        for i in range(m):
+            chart[i, i] = mpmath.log(L[i, i]) - mpmath.log(K[i, i])
+        lam, _ = mpmath.eigsy(Li * Q * Li.T)
+        gaps = {
+            "euclidean": P - Q,
+            "cholesky": L - K,
+            "log-cholesky": chart,
+            "log-euclidean": _spectral_mp(P, mpmath.log) - _spectral_mp(Q, mpmath.log),
+            "affine-invariant": mpmath.matrix([mpmath.log(x) for x in lam]),
+        }
+        return {
+            name: float(mpmath.sqrt(sum(x**2 for x in gap))) for name, gap in gaps.items()
+        }

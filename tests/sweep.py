@@ -16,7 +16,10 @@ the ``chol_manifold`` operations and the ``chol_map`` wrappers runs on
 every triple, and the CLI experiments run once each.  The ``steps`` group
 runs every function that takes a step (the two geodesics and the five
 interpolants) on one fixed m = 2 triple, with each of a fixed list of odd
-and malformed steps (:data:`STEPS`).  The script prints one
+and malformed steps (:data:`STEPS`).  The ``scales`` group runs every
+distance, and ``dist_chol``, on a fixed list of factor pairs whose
+distances approach and pass the float max (:data:`SCALES`).  The script
+prints one
 sha256 per (group, operation), over the exact bits of every result, the
 class and text of every exception and every warning raised (with memory
 addresses masked, so that a run is reproducible), and the report
@@ -160,6 +163,38 @@ def step_operations() -> dict[str, object]:
     return ops
 
 
+# Factor pairs L = [[a, 0], [b, d]] and K = [[a, 0], [-b, d]], each (a, b, d):
+# from unit scale to distances whose sums of squares pass the float max; then
+# a Euclidean distance past the float max, an L L^T that is not SPD in floats,
+# one that overflows, and an affine-invariant whitening that overflows.
+SCALES = (
+    (1.0, 7.0, 1.0),
+    (1.0, 7e100, 1e100),
+    (1.0, 7e153, 1e153),
+    (8e153, 7e153, 1e153),
+    (1e100, 8e153, 3e153),
+    (1e154, 7e153, 1e153),
+    (1.0, 1e154, 1.0),
+    (1.0, 7e154, 1e154),
+    (1.0, 1.2e154, 5e153),
+)
+
+
+def scale_operations() -> dict[str, object]:
+    """``{"scales.op": fn(l, k)}`` for every distance: each geometry's on
+    ``L L^T`` and ``K K^T`` through ``SpdMatrix.from_dense``, and ``dist_chol``
+    on ``L`` and ``K``."""
+    import logchol as lc
+
+    def spd(a):
+        return lc.SpdMatrix.from_dense(a @ a.T)
+
+    ops = {f"scales.{g}.distance": lambda l, k, r=lc.get_metric(g): r.distance(spd(l), spd(k))
+           for g in GEOMETRIES}
+    ops["scales.dist_chol"] = lambda l, k: lc.dist_chol(lc.CholeskyFactor(l), lc.CholeskyFactor(k))
+    return ops
+
+
 def results(out) -> list:
     """The typed matrices in an operation's output: itself, or a list's members."""
     return [r for r in (out if isinstance(out, list) else [out]) if hasattr(r, "data")]
@@ -238,12 +273,15 @@ def sweep() -> tuple[dict[str, str], dict[str, dict[str, int]]]:
             hashes[key].update(got)
             failures[key].update(seen)
     args = typed(draw(np.random.default_rng(SEED), 2))
-    for key, fn in step_operations().items():
-        hashes[key], failures[key] = hashlib.sha256(), Counter()
-        for make in STEPS.values():
-            got, seen = outcome(lambda: fn(args, make()))
-            hashes[key].update(got)
-            failures[key].update(seen)
+    pairs = [(np.array([[a, 0.0], [b, d]]), np.array([[a, 0.0], [-b, d]])) for a, b, d in SCALES]
+    for ops, cases in ((step_operations(), [lambda m=m: (args, m()) for m in STEPS.values()]),
+                       (scale_operations(), [lambda p=p: p for p in pairs])):
+        for key, fn in ops.items():
+            hashes[key], failures[key] = hashlib.sha256(), Counter()
+            for case in cases:
+                got, seen = outcome(lambda: fn(*case()))
+                hashes[key].update(got)
+                failures[key].update(seen)
     with tempfile.TemporaryDirectory() as tmp:
         for key, argv in CLI_RUNS.items():
             got, seen = outcome(lambda: _cli(argv, Path(tmp) / "report.json"))

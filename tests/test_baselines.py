@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
@@ -7,6 +9,7 @@ from oracles import (
     affine_geodesic_mp,
     affine_inner,
     affine_mp,
+    distances_mp,
     karcher_mean_per_member,
     logeuclid_mean_mp,
 )
@@ -580,6 +583,41 @@ def test_spectral_input_outside_the_float_range_raises_domain_error(case):
     for call in SPECTRAL_INPUT_OUT_OF_RANGE[case]:
         with pytest.raises(DomainError, match="eigendecomposition input"):
             call()
+
+
+# Factor pairs L = [[a, 0], [b, d]] and K = [[a, 0], [-b, d]], each (a, b, d),
+# with P = L L^T and Q = K K^T.  Each distance lies below the float max, but
+# the sums of squares of the gaps 2b (factor and chart) and 2ab (P - Q) lie
+# past it.
+FLOAT_MAX_PAIRS = {
+    "b-7e153": (1.0, 7e153, 1e153),
+    "p-near-the-float-max": (8e153, 7e153, 1e153),
+    "a-1e100": (1e100, 8e153, 3e153),
+}
+
+
+@functools.cache
+def _float_max_pair(pair):
+    a, b, d = FLOAT_MAX_PAIRS[pair]
+    l, k = np.array([[a, 0.0], [b, d]]), np.array([[a, 0.0], [-b, d]])
+    p, q = spd(l @ l.T), spd(k @ k.T)
+    return l, k, p, q, distances_mp(p.data, q.data)
+
+
+@pytest.mark.parametrize("name", [*bl.METRIC_NAMES, "dist_chol"])
+@pytest.mark.parametrize("pair", FLOAT_MAX_PAIRS)
+def test_distances_below_the_float_max_are_finite(pair, name):
+    # Finite, with no numpy warning, and as accurate as the norm allows.  The
+    # spectral distances take their norm of logarithms, far from overflow;
+    # their eigensolvers and the whitening's cancellation cost up to 2.2e-14.
+    l, k, p, q, ref = _float_max_pair(pair)
+    if name == "dist_chol":
+        got, expected = cm.dist_chol(CholeskyFactor(l), CholeskyFactor(k)), 2.0 * l[1, 0]
+    else:
+        got, expected = bl.get_metric(name).distance(p, q), ref[name]
+    rtol = 1e-13 if name in ("log-euclidean", "affine-invariant") else 1e-15
+    assert np.isfinite(got)
+    assert_allclose(got, expected, rtol=rtol, atol=0)
 
 
 NOT_SPD = SpdMatrix(np.array([[1.0, 2.0], [2.0, 1.0]]))  # passes the diagonal check alone

@@ -8,8 +8,9 @@ span name, does not count).  Helpers that only the tests need live in
 ``tests/support.py`` and ``tests/oracles.py``.
 
 Each matrix step has one home: the LAPACK factorizations and eigenvalue
-solvers and the symmetrizer are called or defined only in ``tri``, and the triangular BLAS
-calls only in ``chol_map``.  So does the float-range rule for computed SPD
+solvers, the symmetrizer and the Frobenius norm (``np.linalg.norm`` and
+``np.vdot``, behind ``tri._norm``) are called or defined only in ``tri``, and
+the triangular BLAS calls only in ``chol_map``.  So does the float-range rule for computed SPD
 matrices: its bounds and its two checks are defined only in ``chol_map``.
 
 Outside data takes every check: where it enters (``from_dense``, the fixture
@@ -40,6 +41,8 @@ HOMES = {
     "eigvalsh": "tri.py",
     "cholesky": "tri.py",
     "dpotrf": "tri.py",
+    "norm": "tri.py",
+    "vdot": "tri.py",
     "dtrsm": "chol_map.py",
     "dtrmm": "chol_map.py",
 }

@@ -17,6 +17,7 @@ from logchol.tri import (
     SpdMatrix,
     SymMatrix,
     _factor,
+    _norm,
     load_matrices,
     parse_matrix_text,
 )
@@ -216,6 +217,46 @@ def test_lower_constructors_reject_entries_above_diagonal(cls):
     lower = np.tril(np.ones((6, 6)))
     cls(lower[::2, ::2])
     cls(np.asfortranarray(lower))
+
+
+_A = np.random.default_rng(19).standard_normal((6, 6))
+NORM_LAYOUTS = {
+    "c": _A,
+    "f": np.asfortranarray(_A),
+    "strided": _A[::2, 1::2],
+    "reversed": _A[::-1, ::-1],
+    "transposed-strided": _A.T[::3],
+    "1-d": _A[2],
+    "1-d-strided": _A.diagonal(),
+    "factor-gap": np.asfortranarray(np.tril(_A)) - np.asfortranarray(np.tril(_A.T)),
+    "empty": np.zeros((0, 0)),
+}
+
+
+@pytest.mark.parametrize("scale", [1e-100, 1.0, 1e100])
+@pytest.mark.parametrize("layout", NORM_LAYOUTS)
+def test_norm_has_the_bits_of_numpy_norm(layout, scale):
+    a = NORM_LAYOUTS[layout] * scale
+    got, ref = _norm(a), np.linalg.norm(a)
+    assert got == ref and type(got) is type(ref)
+
+
+@pytest.mark.parametrize(
+    "a, expected",
+    [
+        ([3e200, 4e200], 5e200),
+        ([[1e154, 0.0], [-1e154, 1.0]], 2.0**0.5 * 1e154),
+        ([1.0, np.inf], np.inf),
+        ([1.0, -np.inf, 1e300], np.inf),
+        ([1.0, np.nan], np.nan),
+        ([1e300, np.nan], np.nan),
+        ([np.inf, np.nan], np.nan),
+        ([1.7e308, 1.7e308], np.inf),  # the norm itself is past the float max
+    ],
+)
+def test_norm_past_an_overflowing_sum_of_squares(a, expected):
+    # Finite below the float max, inf or nan as the entries say, no warning.
+    assert_allclose(_norm(np.array(a)), expected, rtol=1e-15)
 
 
 @pytest.mark.parametrize("cls", [SymMatrix, SpdMatrix])
