@@ -19,7 +19,8 @@ exactly symmetric as computed, and leaves the float range only by raising
 through ``chol_map._spd_point``; the spectral ``K`` (``U e^{Lambda/2}``,
 ``L U e^{Lambda/2}``, ``L U Lambda^{t/2}``) has its exponents checked by
 ``chol_map._check_exponents``.  Only the spectral logarithms and transports
-are symmetrized, as ``_sym(.)``.  Every result is typed through
+are symmetrized, as ``_sym(.)``; a whitened matrix is not, since its one
+reader, ``_eigh``, reads its lower triangle alone.  Every result is typed through
 ``_Square._of``, which tests finiteness and the type's own check alone, and
 every interpolant reads its grid through :func:`.tri._grid`, the step rule,
 before any arithmetic.  A registry keys each geometry by name.
@@ -245,7 +246,7 @@ KARCHER_MAX_ITER = 200
 def affine_dist(P: SpdMatrix, Q: SpdMatrix) -> float:
     """``|log(L^-1 Q L^-T)|_F = |log(Lambda)|_F`` with ``P = L L^T``."""
     _require_same_dim(P, Q)
-    w = _eigh(_sym(_congruence(_factor(P.data), Q.data)), "matrix logarithm", vectors=False)
+    w = _eigh(_congruence(_factor(P.data), Q.data), "matrix logarithm", vectors=False)
     return float(_norm(np.log(w)))
 
 
@@ -256,7 +257,7 @@ def affine_interpolate(P: SpdMatrix, Q: SpdMatrix, ts: Sequence[float]) -> list[
     ts = _grid(ts)
     _require_same_dim(P, Q)
     l = _factor(P.data)
-    w, u = _eigh(_sym(_congruence(l, Q.data)), "matrix power")
+    w, u = _eigh(_congruence(l, Q.data), "matrix power")
     _check_exponents(np.multiply.outer(ts, np.log(w)))
     lu = l @ u
     return [SpdMatrix._of(_reconstruct(lu * w ** (t / 2.0))) for t in ts]
@@ -268,14 +269,14 @@ def affine_exp(P: SpdMatrix, W: SymMatrix) -> SpdMatrix:
     ``DomainError`` when the exponents or an entry of ``K K^T`` leave the float range."""
     _require_same_dim(P, W)
     l = _factor(P.data)
-    return SpdMatrix._of(_reconstruct(l @ _exp_factor(_sym(_congruence(l, W.data)))))
+    return SpdMatrix._of(_reconstruct(l @ _exp_factor(_congruence(l, W.data))))
 
 
 def affine_log(P: SpdMatrix, Q: SpdMatrix) -> SymMatrix:
     """``L log(L^-1 Q L^-T) L^T = (L U) log(Lambda) (L U)^T`` with ``P = L L^T``."""
     _require_same_dim(P, Q)
     l = _factor(P.data)
-    w, u = _eigh(_sym(_congruence(l, Q.data)), "matrix logarithm")
+    w, u = _eigh(_congruence(l, Q.data), "matrix logarithm")
     lu = l @ u
     return SymMatrix._of(_sym((lu * np.log(w)) @ lu.T))
 
@@ -285,9 +286,9 @@ def affine_transport(P: SpdMatrix, Q: SpdMatrix, W: SymMatrix) -> SymMatrix:
     where ``S = (L^-1 Q L^-T)^(1/2)``: so ``(L S) (L^-1 W L^-T) (L S)^T``."""
     _require_same_dim(P, Q, W)
     l = _factor(P.data)
-    w, u = _eigh(_sym(_congruence(l, Q.data)), "matrix square root")
+    w, u = _eigh(_congruence(l, Q.data), "matrix square root")
     ls = l @ ((u * np.sqrt(w)) @ u.T)
-    return SymMatrix._of(_sym(ls @ _sym(_congruence(l, W.data)) @ ls.T))
+    return SymMatrix._of(_sym(ls @ _congruence(l, W.data) @ ls.T))
 
 
 def affine_karcher_mean(Ps: Sequence[SpdMatrix]) -> SpdMatrix:
@@ -308,10 +309,10 @@ def affine_karcher_mean(Ps: Sequence[SpdMatrix]) -> SpdMatrix:
     mean = ps.mean(axis=0)
     for _ in range(KARCHER_MAX_ITER):
         l = _factor(mean)
-        g = spd_logm(_sym(_congruence(l, ps))).mean(axis=0)
+        g = spd_logm(_congruence(l, ps)).mean(axis=0)
         if _norm(l @ g @ l.T) <= KARCHER_TOL * (1.0 + _norm(mean)):
             return SpdMatrix._of(mean)
-        mean = _reconstruct(l @ _exp_factor(_sym(g)))
+        mean = _reconstruct(l @ _exp_factor(g))
     raise NoConvergenceError(
         f"Karcher iteration did not converge in {KARCHER_MAX_ITER} iterations"
     )

@@ -92,9 +92,11 @@ def diff_S(L: CholeskyFactor, X: LowerTriangular) -> SymMatrix:
 
 
 def _congruence(l: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """``L^{-1} W L^{-T}``, not symmetrized, for one ``(m, m)`` matrix or an
-    ``(n, m, m)`` stack: a solve from the left, then one from the right, a
-    stack laid out as one ``(m, n m)`` block row, then one ``(n m, m)`` column."""
+    """``L^{-1} W L^{-T}`` for one ``(m, m)`` matrix or an ``(n, m, m)`` stack:
+    a solve from the left, then one from the right, a stack laid out as one
+    ``(m, n m)`` block row, then one ``(n m, m)`` column.  Not symmetrized: its
+    readers read one triangle (``_eigh``, ``dtrmm``) or symmetrize the whole
+    result."""
     if w.ndim == 2:
         return dtrsm(1.0, l, dtrsm(1.0, l, w, lower=1), side=1, lower=1, trans_a=1)
     n, m, _ = w.shape

@@ -18,7 +18,8 @@ package, live here alone.  So does the step rule: every geodesic reads its
 ``_grid``, before any arithmetic.  ``_sym`` is needed only where a result can come
 out asymmetric: outside data, and tangents such as ``L f(.) L^T`` whose two
 triangles are computed apart; it sums halves, so entries up to the float
-max stay finite.  ``dense()`` returns a copy.
+max stay finite.  An input of ``_eigh`` is not symmetrized: it reads the
+lower triangle alone.  ``dense()`` returns a copy.
 """
 from __future__ import annotations
 
@@ -166,7 +167,9 @@ def _factor(p: np.ndarray) -> np.ndarray:
 def _eigh(a: np.ndarray, domain: str | None = None, vectors: bool = True):
     """Eigendecomposition ``(w, u)`` of a symmetric matrix or stack, or if not
     ``vectors`` its eigenvalues ``w`` alone (``eigvalsh``); with ``domain`` (a
-    function of positive eigenvalues) given, all must be positive.  Input
+    function of positive eigenvalues) given, all must be positive.  Only the
+    lower triangle is read (numpy's ``UPLO="L"``), so an input whose two
+    triangles were computed apart needs no symmetrizing.  Input
     that has left the float range raises ``DomainError`` before LAPACK, which
     may return NaN eigenvalues for it; ``EigFailureError`` means LAPACK did
     not converge on finite input."""

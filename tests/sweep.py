@@ -4,6 +4,7 @@ Usage, from the root of a checkout::
 
     python tests/sweep.py                     # digests of this checkout
     python tests/sweep.py --compare <commit>  # and of <commit>, side by side
+    python tests/sweep.py --oracle            # and the accuracy table (either mode)
 
 The draws are fixed: 225 triples ``(P, Q, W)``, 45 at each m in
 {1, 2, 3, 5, 8}, from ``numpy.random.default_rng(12345)``, with ``P`` and
@@ -30,6 +31,16 @@ directory, runs the same sweep on both trees, each in its own process, and
 prints which digests differ.  The exit code is 1 when any does.  The sweep
 is a tool, not a test: its draws are fixed, and a change that moves an
 output on purpose says which digests moved and why.
+
+``--oracle`` adds an accuracy table beside the digests: for each of the
+affine-invariant distance, log and transport and each condition number
+``kappa`` in {1e2, 1e6, 1e8}, the median and max relative error (Frobenius,
+for the matrices) against ``tests/oracles.affine_mp`` at 40 digits, and the
+number of draws on which the operation raised.  Its draws are fixed too, with
+their own seed: 50 triples per ``kappa`` at m = 5, ``P`` and ``Q`` from
+``sampling.random_spd_with_condition`` and ``W`` from ``sampling.random_sym``.
+With ``--compare``, both trees' tables are printed; a table takes a few
+seconds.
 """
 from __future__ import annotations
 
@@ -54,6 +65,11 @@ DIMS = (1, 2, 3, 5, 8)
 PER_DIM = 45
 TS = (-0.5, 0.0, 0.3, 1.0, 1.7)  # the interpolation grid
 GEOMETRIES = ("euclidean", "cholesky", "log-euclidean", "affine-invariant", "log-cholesky")
+ORACLE_SEED = 2019
+ORACLE_KAPPAS = (1e2, 1e6, 1e8)
+ORACLE_M = 5
+ORACLE_DRAWS = 50
+ORACLE_DPS = 40
 
 
 def draw(rng: np.random.Generator, m: int) -> dict[str, np.ndarray]:
@@ -291,10 +307,53 @@ def sweep() -> tuple[dict[str, str], dict[str, dict[str, int]]]:
             {k: dict(sorted(c.items())) for k, c in failures.items() if c})
 
 
-def _in_process(src: Path) -> dict:
+def accuracy() -> dict[str, list]:
+    """``{"op kappa": [median, max, failed]}`` of the affine-invariant distance,
+    log and transport against ``oracles.affine_mp`` on the fixed oracle draws;
+    the relative errors are of the draws on which the operation returned."""
+    import logchol as lc
+    from logchol.sampling import random_spd_with_condition, random_sym
+    from oracles import affine_mp
+
+    ai = lc.get_metric("affine-invariant")
+    rng = np.random.default_rng(ORACLE_SEED)
+    table = {}
+    for kappa in ORACLE_KAPPAS:
+        errors = {"distance": [], "log": [], "transport": []}
+        failed = Counter()
+        for _ in range(ORACLE_DRAWS):
+            P, Q = (random_spd_with_condition(rng, ORACLE_M, kappa) for _ in range(2))
+            W = random_sym(rng, ORACLE_M)
+            ref = dict(zip(errors, affine_mp(P.data, Q.data, W.data, dps=ORACLE_DPS)))
+            ops = {"distance": lambda: ai.distance(P, Q), "log": lambda: ai.log(P, Q).data,
+                   "transport": lambda: ai.transport(P, Q, W).data}
+            for op, fn in ops.items():
+                try:
+                    got = fn()
+                except lc.LogCholError:
+                    failed[op] += 1
+                    continue
+                errors[op].append(np.linalg.norm(got - ref[op]) / np.linalg.norm(ref[op]))
+        for op, e in errors.items():
+            stats = [float(np.median(e)), float(np.max(e))] if e else [None, None]
+            table[f"{op} {kappa:.0e}"] = [*stats, failed[op]]
+    return table
+
+
+def _print_accuracy(table: dict[str, list], label: str) -> None:
+    print(f"accuracy of {label} against oracles.affine_mp at {ORACLE_DPS} digits "
+          f"(m = {ORACLE_M}, {ORACLE_DRAWS} draws per kappa, seed {ORACLE_SEED}):")
+    print(f"  {'op':<10} {'kappa':<6} {'median':>9} {'max':>9}  failed")
+    for key, (median, top, failed) in table.items():
+        op, kappa = key.split()
+        cells = ("-" if x is None else f"{x:.2e}" for x in (median, top))
+        print(f"  {op:<10} {kappa:<6} {next(cells):>9} {next(cells):>9}  {failed}")
+
+
+def _in_process(src: Path, oracle: bool) -> dict:
     """The sweep of the package under ``src``, run in a fresh interpreter."""
-    out = subprocess.run([sys.executable, __file__, "--src", str(src), "--json"],
-                         check=True, capture_output=True, text=True).stdout
+    argv = [sys.executable, __file__, "--src", str(src), "--json"] + ["--oracle"] * oracle
+    out = subprocess.run(argv, check=True, capture_output=True, text=True).stdout
     return json.loads(out)
 
 
@@ -306,13 +365,13 @@ def _print(digests: dict[str, str], failures: dict) -> None:
         print(f"  {key}: " + ", ".join(f"{n} {what}" for what, n in counts.items()))
 
 
-def compare(commit: str) -> int:
+def compare(commit: str, oracle: bool = False) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         archive = subprocess.run(["git", "-C", str(ROOT), "archive", commit, "src"],
                                  check=True, capture_output=True).stdout
         subprocess.run(["tar", "-x", "-C", tmp], input=archive, check=True)
-        other = _in_process(Path(tmp) / "src")
-    here = _in_process(ROOT / "src")
+        other = _in_process(Path(tmp) / "src", oracle)
+    here = _in_process(ROOT / "src", oracle)
     moved = 0
     for key in sorted(set(here["digests"]) | set(other["digests"])):
         a, b = here["digests"].get(key), other["digests"].get(key)
@@ -323,6 +382,9 @@ def compare(commit: str) -> int:
         if a != b:
             print(f"failures differ  {key}: {a}  {commit}: {b}")
     print(f"{moved} of {len(here['digests'])} digests differ from {commit}")
+    if oracle:
+        _print_accuracy(here["accuracy"], "this checkout")
+        _print_accuracy(other["accuracy"], commit)
     return 1 if moved else 0
 
 
@@ -331,15 +393,21 @@ def main(argv=None) -> int:
     p.add_argument("--compare", metavar="COMMIT", help="also sweep COMMIT and compare")
     p.add_argument("--src", default=str(ROOT / "src"), help="the directory to import logchol from")
     p.add_argument("--json", action="store_true", help="print one JSON object")
+    p.add_argument("--oracle", action="store_true", help="also print the accuracy table")
     args = p.parse_args(argv)
     if args.compare:
-        return compare(args.compare)
+        return compare(args.compare, args.oracle)
     sys.path.insert(0, args.src)
     digests, failures = sweep()
+    out = {"digests": digests, "failures": failures}
+    if args.oracle:
+        out["accuracy"] = accuracy()
     if args.json:
-        print(json.dumps({"digests": digests, "failures": failures}))
-    else:
-        _print(digests, failures)
+        print(json.dumps(out))
+        return 0
+    _print(digests, failures)
+    if args.oracle:
+        _print_accuracy(out["accuracy"], "this checkout")
     return 0
 
 

@@ -7,11 +7,19 @@ of the benchmark in ``perfbench/`` (a name in one of its strings, such as a
 span name, does not count).  Helpers that only the tests need live in
 ``tests/support.py`` and ``tests/oracles.py``.
 
-Each matrix step has one home: the LAPACK factorizations and eigenvalue
+Each matrix step has one home: the Cholesky factorizations, the eigenvalue
 solvers, the symmetrizer and the Frobenius norm (``np.linalg.norm`` and
-``np.vdot``, behind ``tri._norm``) are called or defined only in ``tri``, and
-the triangular BLAS calls only in ``chol_map``.  So does the float-range rule for computed SPD
+``np.vdot``, behind ``tri._norm``) are called or defined only in ``tri``, the
+triangular BLAS calls only in ``chol_map``, the QR factorization of the
+orthogonal sampler only in ``sampling`` and the LU of ``slogdet`` only in
+``experiments``.  Every name the package reaches through ``numpy.linalg``,
+``scipy.linalg``, ``lapack`` or ``blas`` has its home listed, so a new LAPACK
+call cannot land unhomed.  So does the float-range rule for computed SPD
 matrices: its bounds and its two checks are defined only in ``chol_map``.
+
+A kernel module symmetrizes only a result it is typing, as
+``SymMatrix._of(_sym(...))``: an eigensolver's input is not symmetrized,
+since ``tri._eigh`` reads one triangle.
 
 Outside data takes every check: where it enters (``from_dense``, the fixture
 reader, ``sampling``, ``experiments``, ``report`` and ``cli``) nothing types a
@@ -43,9 +51,15 @@ HOMES = {
     "dpotrf": "tri.py",
     "norm": "tri.py",
     "vdot": "tri.py",
+    "LinAlgError": "tri.py",
     "dtrsm": "chol_map.py",
     "dtrmm": "chol_map.py",
+    "qr": "sampling.py",
+    "slogdet": "experiments.py",
 }
+
+# The modules whose names are LAPACK and BLAS routines.
+LINALG_MODULES = ("linalg", "lapack", "blas")
 
 # The float-range rule: its bounds and its two checks, defined in chol_map alone.
 FLOAT_RANGE_RULE = ("_PIVOT_ROOT_MIN", "_EXP_RANGE", "_spd_point", "_check_exponents")
@@ -186,6 +200,63 @@ def test_each_matrix_step_has_one_home():
     assert not strays, f"matrix steps outside their home module: {strays}"
     # The guard sees the one symmetrizer it allows.
     assert list(_symmetrizers(SRC[ROOT / "src" / "logchol" / "tri.py"]))
+
+
+def _linalg_names(tree: ast.Module):
+    """``(line, name)`` of every name ``tree`` reaches through ``numpy.linalg``,
+    ``scipy.linalg``, ``lapack`` or ``blas``: imported from one, or read as an
+    attribute of one (``np.linalg.qr``, or of a name such a module is bound to)."""
+    def last(dotted: str) -> str:
+        return dotted.rsplit(".", 1)[-1]
+
+    bound = set(LINALG_MODULES)
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            bound |= {a.asname for a in node.names if a.asname and last(a.name) in LINALG_MODULES}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and last(node.module or "") in LINALG_MODULES:
+            names = [(node.lineno, a.name) for a in node.names]
+        elif isinstance(node, ast.Attribute) and (
+            (isinstance(node.value, ast.Name) and node.value.id in bound)
+            or (isinstance(node.value, ast.Attribute) and node.value.attr in LINALG_MODULES)
+        ):
+            names = [(node.lineno, node.attr)]
+        else:
+            continue
+        yield from ((line, name) for line, name in names if name not in LINALG_MODULES)
+
+
+def test_every_lapack_routine_has_a_home():
+    reached = [(path.name, line, name) for path, tree in SRC.items()
+               for line, name in _linalg_names(tree)]
+    strays = [f"{p}:{line} {name}" for p, line, name in reached if name not in HOMES]
+    assert not strays, f"LAPACK or BLAS routines with no home: {strays}"
+    # The guard sees both forms: an attribute of np.linalg, and an import from scipy.linalg.
+    assert {"eigh", "qr", "slogdet", "dpotrf", "dtrsm"} <= {name for _, _, name in reached}
+
+
+def test_kernels_symmetrize_only_a_result_they_type():
+    strays, typed = [], 0
+    for path, tree in SRC.items():
+        if path.name not in KERNEL_MODULES:
+            continue
+        typing = {
+            id(arg)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "_of"
+            for arg in node.args
+        }
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and "_sym" in (
+                getattr(node.func, "id", None), getattr(node.func, "attr", None)
+            ):
+                typed += id(node) in typing
+                if id(node) not in typing:
+                    strays.append(f"{path.name}:{node.lineno} {ast.unparse(node)}")
+    assert not strays, f"_sym outside a typed result: {strays}"
+    # The guard sees the four spectral logarithms and transports.
+    assert typed == 4
 
 
 def _definitions(tree: ast.Module):

@@ -16,6 +16,7 @@ from logchol.tri import (
     NotSpdError,
     SpdMatrix,
     SymMatrix,
+    _eigh,
     _factor,
     _norm,
     load_matrices,
@@ -257,6 +258,22 @@ def test_norm_has_the_bits_of_numpy_norm(layout, scale):
 def test_norm_past_an_overflowing_sum_of_squares(a, expected):
     # Finite below the float max, inf or nan as the entries say, no warning.
     assert_allclose(_norm(np.array(a)), expected, rtol=1e-15)
+
+
+@pytest.mark.parametrize("shape", [(5, 5), (7, 4, 4), (128, 128)])
+def test_eigh_reads_the_lower_triangle_alone(shape):
+    # The whitened inputs of the affine-invariant geometry are not
+    # symmetrized: their two triangles, computed apart, may differ.
+    rng = np.random.default_rng(20)
+    g = rng.standard_normal(shape)
+    a = g + g.swapaxes(-1, -2)
+    b = a.copy()
+    upper = np.triu(np.ones(shape[-2:], dtype=bool), 1)
+    b[..., upper] = 1e3 * rng.standard_normal(b[..., upper].shape)
+    (w, u), (wb, ub) = _eigh(a), _eigh(b)
+    assert_array_equal(wb, w)
+    assert_array_equal(ub, u)
+    assert_array_equal(_eigh(b, vectors=False), _eigh(a, vectors=False))
 
 
 @pytest.mark.parametrize("cls", [SymMatrix, SpdMatrix])
