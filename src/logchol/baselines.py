@@ -296,26 +296,28 @@ def affine_karcher_mean(Ps: Sequence[SpdMatrix]) -> SpdMatrix:
 
     From the Euclidean mean, each step factors the iterate ``P = L L^T``
     and whitens the whole stack in one congruence: with ``g`` the mean of
-    ``log(L^-1 P_i L^-T)``, the gradient is ``L g L^T`` and the step
-    ``L e^g L^T``, formed as ``K K^T`` with ``K = L U e^{Lambda/2}``.
+    ``log(L^-1 P_i L^-T)``, the Riemannian gradient is ``L g L^T`` and the
+    step ``L e^g L^T``, formed as ``K K^T`` with ``K = L U e^{Lambda/2}``.
+    Since ``L = P^{1/2} V`` with ``V`` orthogonal, ``|g|_F`` is the gradient's
+    affine-invariant norm at ``P``; the iteration stops on it, a test blind to
+    the scale ``c``, so the mean of ``c P_i`` is ``c`` times that of ``P_i``.
 
     Raises
     ------
     NoConvergenceError
-        If the gradient has not dropped below ``KARCHER_TOL`` (relative to
-        the iterate's norm) within ``KARCHER_MAX_ITER`` iterations.
+        If ``|g|_F`` has not dropped to ``KARCHER_TOL`` within
+        ``KARCHER_MAX_ITER`` iterations; the message gives its last value.
     """
     ps = _stack(Ps)
     mean = ps.mean(axis=0)
     for _ in range(KARCHER_MAX_ITER):
         l = _factor(mean)
         g = spd_logm(_congruence(l, ps)).mean(axis=0)
-        if _norm(l @ g @ l.T) <= KARCHER_TOL * (1.0 + _norm(mean)):
+        if (gnorm := _norm(g)) <= KARCHER_TOL:
             return SpdMatrix._of(mean)
         mean = _reconstruct(l @ _exp_factor(g))
-    raise NoConvergenceError(
-        f"Karcher iteration did not converge in {KARCHER_MAX_ITER} iterations"
-    )
+    raise NoConvergenceError(f"Karcher iteration did not converge in {KARCHER_MAX_ITER} "
+                             f"iterations; gradient norm {gnorm:.3g} at the last step")
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,7 @@ def random_spd_with_condition(
 ) -> SpdMatrix:
     """SPD matrix with eigenvalues log-spaced between 1 and ``1 / kappa``;
     ``NotSpdError`` if it does not factor, as it can past ``kappa = 1 / eps``."""
-    d = np.logspace(0.0, -np.log10(kappa), dim) if kappa > 1.0 else np.ones(dim)
+    d = np.logspace(0.0, -np.log10(kappa), dim)
     r = random_orthogonal(rng, dim)
     p = (r * d) @ r.T
     return SpdMatrix.from_dense(p)

@@ -14,6 +14,8 @@ exactly and round each result once.
 """
 from __future__ import annotations
 
+import math
+
 import mpmath
 import numpy as np
 
@@ -64,17 +66,20 @@ def karcher_mean_per_member(Ps) -> SpdMatrix:
     """Affine-invariant Karcher mean composed from the typed maps.
 
     The same unit-step fixed point as :func:`logchol.affine_karcher_mean`
-    from the same start, but each step takes one ``affine_log`` per member
-    and one ``affine_exp``, each of which whitens by the iterate afresh.
+    from the same start, with the same stop: the gradient's affine-invariant
+    norm at most ``KARCHER_TOL``.  But each step takes one ``affine_log`` per
+    member and one ``affine_exp``, each of which whitens by the iterate
+    afresh, and the norm comes from :func:`affine_inner`'s explicit inverse.
     """
     if len(Ps) == 1:
         return Ps[0]
     mean = SpdMatrix(bl.euclid_mean(Ps).data)
     for _ in range(bl.KARCHER_MAX_ITER):
         grad = np.mean([bl.affine_log(mean, P).data for P in Ps], axis=0)
-        if np.linalg.norm(grad) <= bl.KARCHER_TOL * (1.0 + np.linalg.norm(mean.data)):
+        grad = SymMatrix((grad + grad.T) / 2.0)
+        if math.sqrt(affine_inner(mean, grad, grad)) <= bl.KARCHER_TOL:
             return mean
-        mean = bl.affine_exp(mean, SymMatrix((grad + grad.T) / 2.0))
+        mean = bl.affine_exp(mean, grad)
     raise NoConvergenceError("reference Karcher iteration did not converge")
 
 

@@ -18,12 +18,11 @@ every triple, and the CLI experiments run once each.  The ``steps`` group
 runs every function that takes a step (the two geodesics and the five
 interpolants) on one fixed m = 2 triple, with each of a fixed list of odd
 and malformed steps (:data:`STEPS`).  The ``scales`` group runs every
-distance, and ``dist_chol``, on a fixed list of factor pairs whose
-distances approach and pass the float max (:data:`SCALES`).  The script
-prints one
-sha256 per (group, operation), over the exact bits of every result, the
-class and text of every exception and every warning raised (with memory
-addresses masked, so that a run is reproducible), and the report
+distance and every mean, and ``dist_chol``, on a fixed list of factor pairs
+whose distances approach and pass the float max (:data:`SCALES`).  The
+script prints one sha256 per (group, operation), over the exact bits of
+every result, the class and text of every exception and every warning raised
+(with memory addresses masked, so that a run is reproducible), and the report
 of each CLI run without its ``timings``; then the failure classes, counted.
 
 ``--compare`` extracts ``git archive <commit> src`` into a temporary
@@ -197,9 +196,9 @@ SCALES = (
 
 
 def scale_operations() -> dict[str, object]:
-    """``{"scales.op": fn(l, k)}`` for every distance: each geometry's on
-    ``L L^T`` and ``K K^T`` through ``SpdMatrix.from_dense``, and ``dist_chol``
-    on ``L`` and ``K``."""
+    """``{"scales.op": fn(l, k)}`` for every distance and every mean: each
+    geometry's on ``L L^T`` and ``K K^T`` through ``SpdMatrix.from_dense``, and
+    ``dist_chol`` on ``L`` and ``K``."""
     import logchol as lc
 
     def spd(a):
@@ -207,6 +206,8 @@ def scale_operations() -> dict[str, object]:
 
     ops = {f"scales.{g}.distance": lambda l, k, r=lc.get_metric(g): r.distance(spd(l), spd(k))
            for g in GEOMETRIES}
+    ops.update({f"scales.{g}.mean": lambda l, k, r=lc.get_metric(g): r.mean([spd(l), spd(k)])
+                for g in GEOMETRIES})
     ops["scales.dist_chol"] = lambda l, k: lc.dist_chol(lc.CholeskyFactor(l), lc.CholeskyFactor(k))
     return ops
 

@@ -352,6 +352,9 @@ class TestAffineInvariant:
         assert bl.affine_dist(pc, qc) == pytest.approx(bl.affine_dist(p, q), rel=1e-9)
 
 
+SCALES = (1e-13, 1e-6, 1e6, 1e12)
+
+
 class TestSharedStructure:
     @pytest.mark.parametrize("name", bl.METRIC_NAMES)
     def test_mean_entry_checks(self, name):
@@ -360,6 +363,35 @@ class TestSharedStructure:
             mean([spd(np.eye(2)), spd(np.eye(3))])
         with pytest.raises(EmptyInputError):
             mean([])
+
+    @pytest.mark.parametrize("name", bl.METRIC_NAMES)
+    def test_mean_is_scale_equivariant(self, name):
+        # The mean of c P_i is c times the mean of P_i, far from unit scale too.
+        mean = bl.get_metric(name).mean
+        rng = np.random.default_rng(21)
+        for m in (2, 3, 5):
+            ps = [random_spd_wishart(rng, m) for _ in range(5)]
+            ref = mean(ps).data
+            for c in SCALES:
+                out = mean([spd(c * p.data) for p in ps]).data / c
+                assert np.linalg.norm(out - ref) <= 1e-13 * np.linalg.norm(ref), (m, c)
+
+    def test_factor_mean_and_distances_are_scale_equivariant(self):
+        # The factors of c P_i are sqrt(c) L_i; the affine-invariant and
+        # Log-Euclidean distances do not see c at all.
+        rng = np.random.default_rng(21)
+        for m in (2, 3, 5):
+            ps = [random_spd_wishart(rng, m) for _ in range(5)]
+            ls = [cholesky_factor(p) for p in ps]
+            ref = cm.frechet_mean_chol(ls).data
+            dists = {d: d(ps[0], ps[1]) for d in (bl.affine_dist, bl.logeuclid_dist)}
+            for c in SCALES:
+                out = cm.frechet_mean_chol([CholeskyFactor(np.sqrt(c) * l.data) for l in ls])
+                rel = np.linalg.norm(out.data / np.sqrt(c) - ref) / np.linalg.norm(ref)
+                assert rel <= 1e-13, (m, c)
+                for dist, d0 in dists.items():
+                    d = dist(spd(c * ps[0].data), spd(c * ps[1].data))
+                    assert d == pytest.approx(d0, rel=1e-13), (dist.__name__, m, c)
 
     def test_all_interpolations_endpoint_exact(self, rng):
         p = random_spd(rng, 3)
