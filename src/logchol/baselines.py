@@ -213,6 +213,7 @@ def logeuclid_mean(Ps: Sequence[SpdMatrix]) -> SpdMatrix:
     return SpdMatrix._of(_reconstruct(_exp_factor(spd_logm(_stack(Ps)).mean(axis=0))))
 
 
+@np.errstate(over="ignore", invalid="ignore")  # overflow reads inf or nan: rejected
 def logeuclid_exp(P: SpdMatrix, W: SymMatrix) -> SpdMatrix:
     """Riemannian exponential: push the tangent into log space and exponentiate."""
     _require_same_dim(P, W)
@@ -338,8 +339,8 @@ class MetricOps:
     transport: Callable[[SpdMatrix, SpdMatrix, SymMatrix], SymMatrix] | None = None
 
 
-_METRICS = {
-    "euclidean": MetricOps(
+_METRICS = {ops.name: ops for ops in (
+    MetricOps(
         name="euclidean",
         distance=euclid_dist,
         interpolate=euclid_interpolate,
@@ -347,7 +348,7 @@ _METRICS = {
         exp=euclid_exp,
         log=euclid_log,
     ),
-    "cholesky": MetricOps(
+    MetricOps(
         name="cholesky",
         distance=cholesky_distance,
         interpolate=cholesky_interpolate,
@@ -355,7 +356,7 @@ _METRICS = {
         exp=cholesky_exp,
         log=cholesky_log,
     ),
-    "log-euclidean": MetricOps(
+    MetricOps(
         name="log-euclidean",
         distance=logeuclid_dist,
         interpolate=logeuclid_interpolate,
@@ -364,7 +365,7 @@ _METRICS = {
         log=logeuclid_log,
         transport=logeuclid_transport,
     ),
-    "affine-invariant": MetricOps(
+    MetricOps(
         name="affine-invariant",
         distance=affine_dist,
         interpolate=affine_interpolate,
@@ -373,7 +374,7 @@ _METRICS = {
         log=affine_log,
         transport=affine_transport,
     ),
-    "log-cholesky": MetricOps(
+    MetricOps(
         name="log-cholesky",
         distance=spd.dist_spd,
         interpolate=spd.interpolate_spd,
@@ -382,7 +383,7 @@ _METRICS = {
         log=spd.log_spd,
         transport=spd.transport_spd,
     ),
-}
+)}
 
 METRIC_NAMES = tuple(_METRICS)
 

@@ -18,7 +18,7 @@ from contextlib import nullcontext
 from . import experiments as ex
 from .baselines import METRIC_NAMES
 from .report import ExperimentReport, GlyphRecord
-from .tri import LogCholError, load_matrices
+from .tri import LogCholError
 
 EXIT_NUMERICAL = 3
 
@@ -90,28 +90,10 @@ def main(argv=None) -> int:
         if args.command == "interpolate":
             if args.format == "csv" and not args.out:
                 parser.error("--format csv needs --out, for the glyphs' OUT.glyphs.jsonl")
-            endpoints = None
-            fixture = "builtin"
-            if args.input:
-                mats = load_matrices(args.input)
-                if len(mats) != 2:
-                    parser.error("--input fixture must contain exactly two matrices")
-                endpoints = (mats[0], mats[1])
-                fixture = args.input
-            report, glyphs = ex.run_interpolate(
-                args.metric, args.steps, endpoints, fixture
-            )
+            report, glyphs = ex.run_interpolate(args.metric, args.steps, args.input)
             _emit(report, args, glyphs)
         elif args.command == "mean":
-            if args.input:
-                mats = load_matrices(args.input)
-                if not mats:
-                    parser.error("--input fixture contains no matrices")
-                inputs = {"fixture": args.input}
-            else:
-                mats, inputs = ex._random_mean_sample(args.n, args.m, args.seed)
-            report = ex.run_mean(args.metric, mats, inputs)
-            _emit(report, args)
+            _emit(ex.run_mean(args.metric, args.input, args.n, args.m, args.seed), args)
         elif args.command == "bench-transport":
             _emit(ex.run_bench_transport(args.m, args.reps, args.seed), args)
         elif args.command == "stability":

@@ -5,6 +5,11 @@ and the mean-gap statistic.
 Each driver is a pure function from ``(config, seed)`` to an
 :class:`~logchol.report.ExperimentReport`; wall-clock measurements are the
 only nondeterministic outputs and live in the report's ``timings`` field.
+Each experiment checks its own parameters, raising :class:`ParameterError`.
+``run_interpolate`` and ``run_mean`` also read their own ``--input``
+fixture, through :func:`~logchol.tri.load_matrices`, and check how many
+matrices it holds: exactly two for ``run_interpolate``, at least one for
+``run_mean``.  The report's ``inputs`` name what the experiment read or drew.
 """
 from __future__ import annotations
 
@@ -34,6 +39,7 @@ from .tri import (
     _norm,
     _stack,
     _sym,
+    load_matrices,
 )
 
 
@@ -82,18 +88,22 @@ def _seeded_spd_with_det(rng: np.random.Generator, dim: int, det: float) -> SpdM
 
 
 def run_interpolate(
-    metric: str,
-    steps: int,
-    endpoints: tuple[SpdMatrix, SpdMatrix] | None = None,
-    fixture: str = "builtin",
+    metric: str, steps: int, fixture: str | None = None
 ) -> tuple[ExperimentReport, list[GlyphRecord]]:
-    """Geodesic interpolation study: (log-)determinant sequences, read from
-    glyph eigenvalues, plus glyph stream."""
+    """Geodesic interpolation study between the two matrices of ``fixture``,
+    or :func:`interpolation_endpoints` without one: (log-)determinant
+    sequences, read from glyph eigenvalues, plus glyph stream."""
+    if fixture:
+        loaded = load_matrices(fixture)
+        if len(loaded) != 2:
+            raise ParameterError("--input fixture must contain exactly two matrices")
+        p, q = loaded
+        inputs = {"fixture": fixture, "seed": None}
+    else:
+        p, q = interpolation_endpoints()
+        inputs = {"fixture": "builtin", "seed": FIG_SEED}
     _at_least(2, steps=steps)
     ops = bl.get_metric(metric)
-    if endpoints is None:
-        endpoints = interpolation_endpoints()
-    p, q = endpoints
     ts = np.linspace(0.0, 1.0, steps)
     mats = ops.interpolate(p, q, ts)
     glyphs = [GlyphRecord.from_spd_dense(m.data, 0, i) for i, m in enumerate(mats)]
@@ -102,7 +112,7 @@ def run_interpolate(
     report = ExperimentReport(
         experiment="interpolate",
         metrics=[metric],
-        inputs={"fixture": fixture, "seed": FIG_SEED if fixture == "builtin" else None},
+        inputs=inputs,
         environment={"dim": p.dim, "steps": steps},
         results=[
             ResultRecord(name="t_grid", values=[float(t) for t in ts], units="t"),
@@ -127,28 +137,27 @@ def run_interpolate(
     return report, glyphs
 
 
-def _random_mean_sample(n: int, m: int, seed: int) -> tuple[list[SpdMatrix], dict]:
-    """The mean study's sample without a fixture, ``n`` seeded random SPD
-    matrices of size ``m``, and the report's ``inputs`` for it."""
-    _at_least(1, n=n, m=m)
-    rng = seeded_rng(seed)
-    mats = [random_spd(rng, m) for _ in range(n)]
-    return mats, {"seed": seed, "spd_law": "A A^T + 1e-3 I, A standard normal"}
-
-
-def run_mean(
-    metric: str,
-    mats: Sequence[SpdMatrix],
-    inputs: dict | None = None,
-) -> ExperimentReport:
-    """Mean study: mean matrix, its determinant, and the determinant-law gap."""
+def run_mean(metric: str, fixture: str | None, n: int, m: int, seed: int) -> ExperimentReport:
+    """Mean study on the matrices of ``fixture``, or without one on ``n``
+    seeded random SPD matrices of size ``m``: mean matrix, its determinant,
+    and the determinant-law gap."""
+    if fixture:
+        mats = load_matrices(fixture)
+        if not mats:
+            raise ParameterError("--input fixture contains no matrices")
+        inputs = {"fixture": fixture}
+    else:
+        _at_least(1, n=n, m=m)
+        rng = seeded_rng(seed)
+        mats = [random_spd(rng, m) for _ in range(n)]
+        inputs = {"seed": seed, "spd_law": "A A^T + 1e-3 I, A standard normal"}
     ops = bl.get_metric(metric)
-    mean = ops.mean(list(mats))
+    mean = ops.mean(mats)
     det_mean, geo, gap, within = _det_law(mean, mats)
     return ExperimentReport(
         experiment="mean",
         metrics=[metric],
-        inputs=inputs or {},
+        inputs=inputs,
         environment={"dim": mats[0].dim, "count": len(mats)},
         results=[
             ResultRecord(

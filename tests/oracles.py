@@ -9,8 +9,10 @@ mean by per-member logarithms and exponentials, and the affine-invariant
 inner product by an explicit inverse.  The affine-invariant and
 Log-Euclidean matrix functions are evaluated in extended precision through
 ``mpmath.eigsy``, and so are the five distances, each the Frobenius norm of
-its own difference summed entry by entry.  The extended-precision oracles take their float inputs
-exactly and round each result once.
+its own difference summed entry by entry; the Log-Cholesky distance,
+logarithm and transport also come from ``mpmath.cholesky`` alone.  The
+extended-precision oracles take their float inputs exactly and round each
+result once.
 """
 from __future__ import annotations
 
@@ -234,6 +236,39 @@ def affine_mp(p: np.ndarray, q: np.ndarray, w: np.ndarray, dps: int = 50):
         log = L * spectral(mpmath.log) * L.T
         e = L * spectral(mpmath.sqrt) * Li
         transport = e * W * e.T
+        return (
+            float(dist),
+            np.array(log.tolist(), dtype=float),
+            np.array(transport.tolist(), dtype=float),
+        )
+
+
+def log_cholesky_mp(p: np.ndarray, q: np.ndarray, w: np.ndarray, dps: int = 60):
+    """Log-Cholesky distance, ``log_P Q`` and the transport of ``W`` from
+    ``P`` to ``Q``, in extended precision.
+
+    With ``P = L L^T`` and ``Q = K K^T`` (``mpmath.cholesky``): the distance
+    is the Frobenius norm of the strict lower gap ``L - K`` and the diagonal
+    gap ``log L_jj - log K_jj``; the logarithm is ``L X^T + X L^T`` with
+    ``X = K - L`` below the diagonal and ``L_jj log(K_jj / L_jj)`` on it; the
+    transport is ``K Y^T + Y K^T``, with ``Y`` the lower triangular solution
+    of ``L Y^T + Y L^T = W`` (by substitution, column by column) and its
+    diagonal rescaled by ``K_jj / L_jj``.  No eigensolver is involved.
+    """
+    m = p.shape[0]
+    with mpmath.workdps(dps):
+        L, K = (mpmath.cholesky(mpmath.matrix(a.tolist())) for a in (p, q))
+        chart = L - K
+        X = K - L
+        for j in range(m):
+            chart[j, j] = mpmath.log(L[j, j]) - mpmath.log(K[j, j])
+            X[j, j] = L[j, j] * mpmath.log(K[j, j] / L[j, j])
+        Y = mpmath.matrix(_diff_S_inv_mpf(L.tolist(), _mpf_rows(w), m))
+        for j in range(m):
+            Y[j, j] *= K[j, j] / L[j, j]
+        dist = mpmath.sqrt(sum(x**2 for x in chart))
+        log = L * X.T + X * L.T
+        transport = K * Y.T + Y * K.T
         return (
             float(dist),
             np.array(log.tolist(), dtype=float),

@@ -14,7 +14,11 @@ From each triple come the Cholesky factors ``L``, ``K`` of ``P``, ``Q`` and
 the lower triangle ``X`` of ``W``.  Every operation of the five geometries
 (through ``get_metric``), the Log-Cholesky operations outside the registry,
 the ``chol_manifold`` operations and the ``chol_map`` wrappers runs on
-every triple, and the CLI experiments run once each.  The ``steps`` group
+every triple, and the CLI experiments run once each: ``interpolate`` and
+``mean`` also on an ``--input`` fixture, written from the ``P`` of the 45
+m = 3 triples (``interpolate`` reads the first two) into the sweep's
+temporary directory and named by a path relative to it, so that the
+reports' ``inputs.fixture`` reads the same on every run.  The ``steps`` group
 runs every function that takes a step (the two geodesics and the five
 interpolants) on one fixed m = 2 triple, with each of a fixed list of odd
 and malformed steps (:data:`STEPS`).  The ``scales`` group runs every
@@ -31,14 +35,17 @@ prints which digests differ.  The exit code is 1 when any does.  The sweep
 is a tool, not a test: its draws are fixed, and a change that moves an
 output on purpose says which digests moved and why.
 
-``--oracle`` adds an accuracy table beside the digests: for each of the
-affine-invariant distance, log and transport and each condition number
-``kappa`` in {1e2, 1e6, 1e8}, the median and max relative error (Frobenius,
-for the matrices) against ``tests/oracles.affine_mp`` at 40 digits, and the
-number of draws on which the operation raised.  Its draws are fixed too, with
-their own seed: 50 triples per ``kappa`` at m = 5, ``P`` and ``Q`` from
+``--oracle`` adds an accuracy table beside the digests: for each geometry
+of :data:`ORACLES`, each of its distance, log and transport, and each
+condition number ``kappa`` in {1e2, 1e6, 1e8, 1e10, 1e15}, the median and
+max relative error (Frobenius, for the matrices) against the geometry's
+extended-precision oracle in ``tests/oracles.py``, and the number of draws
+on which the operation raised.  Its draws are fixed too, each geometry's
+from its own seed: 50 triples per ``kappa`` at m = 5, ``P`` and ``Q`` from
 ``sampling.random_spd_with_condition`` and ``W`` from ``sampling.random_sym``.
-With ``--compare``, both trees' tables are printed; a table takes a few
+A row added at the end of a geometry's kappas, or a geometry added with a
+seed of its own, leaves the draws of every other cell as they were.  With
+``--compare``, both trees' tables are printed; a table takes about five
 seconds.
 """
 from __future__ import annotations
@@ -46,6 +53,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import re
 import subprocess
 import sys
@@ -64,11 +72,14 @@ DIMS = (1, 2, 3, 5, 8)
 PER_DIM = 45
 TS = (-0.5, 0.0, 0.3, 1.0, 1.7)  # the interpolation grid
 GEOMETRIES = ("euclidean", "cholesky", "log-euclidean", "affine-invariant", "log-cholesky")
-ORACLE_SEED = 2019
-ORACLE_KAPPAS = (1e2, 1e6, 1e8)
+ORACLE_KAPPAS = (1e2, 1e6, 1e8, 1e10, 1e15)
 ORACLE_M = 5
 ORACLE_DRAWS = 50
-ORACLE_DPS = 40
+# Each geometry's oracle in tests/oracles.py, its digits and its draws' seed.
+ORACLES = {
+    "affine-invariant": ("affine_mp", 40, 2019),
+    "log-cholesky": ("log_cholesky_mp", 60, 2020),
+}
 
 
 def draw(rng: np.random.Generator, m: int) -> dict[str, np.ndarray]:
@@ -254,6 +265,8 @@ CLI_RUNS = {
     "cli.stability.1e10": ["stability", "--kappa", "1e10", "--m", "3"],
     "cli.stability.1e15": ["stability", "--kappa", "1e15", "--m", "3"],
     "cli.mean-gap": ["mean-gap", "--n", "5", "--m", "3", "--trials", "5"],
+    "cli.interpolate.fixture": ["interpolate", "--input", "pair.txt"],
+    "cli.mean.fixture": ["mean", "--input", "sample.txt"],
 }
 
 
@@ -277,11 +290,14 @@ def _cli(argv: list[str], out: Path) -> bytes:
 
 def sweep() -> tuple[dict[str, str], dict[str, dict[str, int]]]:
     """``({key: sha256}, {key: {failure: count}})`` of this interpreter's ``logchol``."""
+    from support import dump_matrices
+
     ops = operations()
     hashes = {"inputs": hashlib.sha256()}
     hashes.update({key: hashlib.sha256() for key in ops})
     failures = {key: Counter() for key in ops}
-    for arrays in draws():
+    drawn = draws()
+    for arrays in drawn:
         for a in arrays.values():
             hashes["inputs"].update(a.tobytes())
         args = typed(arrays)
@@ -299,56 +315,67 @@ def sweep() -> tuple[dict[str, str], dict[str, dict[str, int]]]:
                 got, seen = outcome(lambda: fn(*case()))
                 hashes[key].update(got)
                 failures[key].update(seen)
+    cwd = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
-        for key, argv in CLI_RUNS.items():
-            got, seen = outcome(lambda: _cli(argv, Path(tmp) / "report.json"))
-            hashes[key] = hashlib.sha256(got)
-            failures[key] = Counter(seen)
+        os.chdir(tmp)
+        try:
+            sample = [a["p"] for a in drawn if len(a["p"]) == 3]
+            dump_matrices(sample[:2], "pair.txt")
+            dump_matrices(sample, "sample.txt")
+            for key, argv in CLI_RUNS.items():
+                got, seen = outcome(lambda: _cli(argv, Path("report.json")))
+                hashes[key] = hashlib.sha256(got)
+                failures[key] = Counter(seen)
+        finally:
+            os.chdir(cwd)
     return ({k: h.hexdigest() for k, h in hashes.items()},
             {k: dict(sorted(c.items())) for k, c in failures.items() if c})
 
 
 def accuracy() -> dict[str, list]:
-    """``{"op kappa": [median, max, failed]}`` of the affine-invariant distance,
-    log and transport against ``oracles.affine_mp`` on the fixed oracle draws;
+    """``{"geometry op kappa": [median, max, failed]}`` of each geometry's
+    distance, log and transport against its oracle on the fixed oracle draws;
     the relative errors are of the draws on which the operation returned."""
     import logchol as lc
     from logchol.sampling import random_spd_with_condition, random_sym
-    from oracles import affine_mp
+    import oracles
 
-    ai = lc.get_metric("affine-invariant")
-    rng = np.random.default_rng(ORACLE_SEED)
     table = {}
-    for kappa in ORACLE_KAPPAS:
-        errors = {"distance": [], "log": [], "transport": []}
-        failed = Counter()
-        for _ in range(ORACLE_DRAWS):
-            P, Q = (random_spd_with_condition(rng, ORACLE_M, kappa) for _ in range(2))
-            W = random_sym(rng, ORACLE_M)
-            ref = dict(zip(errors, affine_mp(P.data, Q.data, W.data, dps=ORACLE_DPS)))
-            ops = {"distance": lambda: ai.distance(P, Q), "log": lambda: ai.log(P, Q).data,
-                   "transport": lambda: ai.transport(P, Q, W).data}
-            for op, fn in ops.items():
-                try:
-                    got = fn()
-                except lc.LogCholError:
-                    failed[op] += 1
-                    continue
-                errors[op].append(np.linalg.norm(got - ref[op]) / np.linalg.norm(ref[op]))
-        for op, e in errors.items():
-            stats = [float(np.median(e)), float(np.max(e))] if e else [None, None]
-            table[f"{op} {kappa:.0e}"] = [*stats, failed[op]]
+    for g, (oracle, dps, seed) in ORACLES.items():
+        reg = lc.get_metric(g)
+        reference = getattr(oracles, oracle)
+        rng = np.random.default_rng(seed)
+        for kappa in ORACLE_KAPPAS:
+            errors = {"distance": [], "log": [], "transport": []}
+            failed = Counter()
+            for _ in range(ORACLE_DRAWS):
+                P, Q = (random_spd_with_condition(rng, ORACLE_M, kappa) for _ in range(2))
+                W = random_sym(rng, ORACLE_M)
+                ref = dict(zip(errors, reference(P.data, Q.data, W.data, dps=dps)))
+                ops = {"distance": lambda: reg.distance(P, Q), "log": lambda: reg.log(P, Q).data,
+                       "transport": lambda: reg.transport(P, Q, W).data}
+                for op, fn in ops.items():
+                    try:
+                        got = fn()
+                    except lc.LogCholError:
+                        failed[op] += 1
+                        continue
+                    errors[op].append(np.linalg.norm(got - ref[op]) / np.linalg.norm(ref[op]))
+            for op, e in errors.items():
+                stats = [float(np.median(e)), float(np.max(e))] if e else [None, None]
+                table[f"{g} {op} {kappa:.0e}"] = [*stats, failed[op]]
     return table
 
 
 def _print_accuracy(table: dict[str, list], label: str) -> None:
-    print(f"accuracy of {label} against oracles.affine_mp at {ORACLE_DPS} digits "
-          f"(m = {ORACLE_M}, {ORACLE_DRAWS} draws per kappa, seed {ORACLE_SEED}):")
-    print(f"  {'op':<10} {'kappa':<6} {'median':>9} {'max':>9}  failed")
+    sources = "; ".join(f"{g}: oracles.{o} at {dps} digits, seed {seed}"
+                        for g, (o, dps, seed) in ORACLES.items())
+    print(f"accuracy of {label} (m = {ORACLE_M}, {ORACLE_DRAWS} draws per kappa; {sources}):")
+    print(f"  {'geometry':<17} {'op':<10} {'kappa':<6} {'median':>9} {'max':>9}  failed")
     for key, (median, top, failed) in table.items():
-        op, kappa = key.split()
+        g, op, kappa = key.split()
         cells = ("-" if x is None else f"{x:.2e}" for x in (median, top))
-        print(f"  {op:<10} {kappa:<6} {next(cells):>9} {next(cells):>9}  {failed}")
+        print(f"  {g:<17} {op:<10} {kappa:<6} {next(cells):>9} {next(cells):>9}  {failed}")
 
 
 def _in_process(src: Path, oracle: bool) -> dict:

@@ -494,6 +494,9 @@ EXP_OUT_OF_RANGE = {
         _rotated([-800.0, 0.0]),
         ("affine-invariant", "log-euclidean"),
     ),
+    # The Log-Euclidean d log series overflows on the way.
+    "overflow-in-the-series": (np.diag([1e-3, 1.0]), 1e306 * np.eye(2), RIEMANNIAN),
+    "overflow-by-a-tiny-base": (np.diag([1e-300, 1e-299]), np.diag([1e10, 0.0]), RIEMANNIAN),
 }
 
 

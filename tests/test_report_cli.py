@@ -70,10 +70,11 @@ class TestGlyph:
 
 
 class TestExperiments:
-    def test_interpolate_constant_for_equal_endpoints(self, rng):
+    def test_interpolate_constant_for_equal_endpoints(self, rng, tmp_path):
         a = rng.standard_normal((3, 3))
         p = SpdMatrix.from_dense(a @ a.T + np.eye(3))
-        rep, glyphs = ex.run_interpolate("euclidean", 5, endpoints=(p, p))
+        dump_matrices([p.data, p.data], tmp_path / "pair.txt")
+        rep, glyphs = ex.run_interpolate("euclidean", 5, str(tmp_path / "pair.txt"))
         dets = result(rep, "det_sequence").values
         assert np.allclose(dets, dets[0])
         assert len(glyphs) == 5
@@ -110,17 +111,19 @@ class TestExperiments:
             with pytest.raises(ex.ParameterError):
                 call()
 
-    def test_mean_gap_trivial_cases(self, rng):
+    def test_mean_gap_trivial_cases(self, rng, tmp_path):
         rep = ex.run_mean_gap(1, 3, 3, 0)
         assert result(rep, "mean_gap").value == pytest.approx(0.0, abs=1e-12)
         a = rng.standard_normal((3, 3))
         p = SpdMatrix.from_dense(a @ a.T + np.eye(3))
-        rep = ex.run_mean("log-cholesky", [p])
+        dump_matrices([p.data], tmp_path / "one.txt")
+        rep = ex.run_mean("log-cholesky", str(tmp_path / "one.txt"), 1, 3, 0)
         assert result(rep, "det_gap_rel").value == pytest.approx(0.0, abs=1e-12)
 
-    def test_mean_determinants_are_the_per_matrix_values(self, rng):
+    def test_mean_determinants_are_the_per_matrix_values(self, rng, tmp_path):
         mats = [random_spd_wishart(rng, 5) for _ in range(200)]
-        rep = ex.run_mean("log-cholesky", mats)
+        dump_matrices([m.data for m in mats], tmp_path / "mats.txt")
+        rep = ex.run_mean("log-cholesky", str(tmp_path / "mats.txt"), 200, 5, 0)
         dets = np.array([np.linalg.det(m.data) for m in mats])
         det_mean = result(rep, "det_mean").value
         assert result(rep, "det_geometric_mean").value == float(np.exp(np.mean(np.log(dets))))

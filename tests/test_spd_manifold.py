@@ -2,13 +2,13 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from oracles import descent_mean_spd, exp_spd_mp, frechet_functional_spd
+from oracles import descent_mean_spd, exp_spd_mp, frechet_functional_spd, log_cholesky_mp
 from support import random_factor, random_tangent
 
 from logchol import baselines as bl
 from logchol import chol_manifold as cm
 from logchol.chol_map import cholesky_factor, diff_S, diff_S_inv, reconstruct
-from logchol.sampling import random_spd, random_sym
+from logchol.sampling import random_spd, random_spd_with_condition, random_sym
 from logchol.spd_manifold import (
     dist_spd,
     exp_spd,
@@ -189,6 +189,21 @@ def test_results_up_to_the_float_max():
     tiny = 1e-308  # subnormal
     out = group_inv_spd(spd(np.diag([tiny, 1.0])))
     assert_allclose(out.dense(), np.diag([1.0 / tiny, 1.0]), rtol=1e-15, atol=0)
+
+
+@pytest.mark.parametrize("kappa", [1e1, 1e2])
+@pytest.mark.parametrize("m", [2, 5])
+def test_extended_precision_oracle(rng, m, kappa):
+    # The 60-digit reference of the sweep's accuracy table, held to the
+    # library where the library is accurate, so that the reference is
+    # checked too.
+    for _ in range(10):
+        p, q = (random_spd_with_condition(rng, m, kappa) for _ in range(2))
+        w = random_sym(rng, m)
+        dist, log, transport = log_cholesky_mp(p.data, q.data, w.data)
+        assert dist_spd(p, q) == pytest.approx(dist, rel=1e-13, abs=0)
+        for out, ref in ((log_spd(p, q), log), (transport_spd(p, q, w), transport)):
+            assert np.linalg.norm(out.data - ref) <= 1e-13 * np.linalg.norm(ref)
 
 
 class TestTransport:
