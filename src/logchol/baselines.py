@@ -5,18 +5,21 @@ All four expose distance, interpolation and a mean; the two Riemannian
 baselines add exp/log maps and parallel transport so they can be timed and
 stress-tested against the Log-Cholesky geometry.  Every affine-invariant
 operation whitens by the Cholesky factor of its base point ``P = L L^T``,
-forming ``L^-1 X L^-T = U Lambda U^T`` with :func:`.chol_map._congruence`,
-and maps back by ``(L U) f(Lambda) (L U)^T`` (the distance needs ``Lambda``
-alone); since ``L = P^{1/2} V`` with ``V`` orthogonal, that is
+``SpdMatrix._chol`` (the factor ``from_dense`` kept, as for the Cholesky
+baseline's single-point operations), forming ``L^-1 X L^-T = U Lambda U^T``
+with :func:`.chol_map._congruence`, and maps back by
+``(L U) f(Lambda) (L U)^T`` (the distance needs ``Lambda`` alone); since
+``L = P^{1/2} V`` with ``V`` orthogonal, that is
 ``P^{1/2} f(P^{-1/2} X P^{-1/2}) P^{1/2}``.  Every interpolation, like
 :func:`.spd_manifold.interpolate_spd`, takes the grid ``ts`` and works its
 endpoints once per call.  Every mean works on the ``(n, m, m)`` stack of its
 members from :func:`.tri._stack`: one batched factorization or matrix
-function per step, one typed wrap of the result; ``_factor``, ``_eigh`` and
-``_sym`` come from :mod:`.tri`.  Every non-Euclidean SPD result is ``K K^T``,
-exactly symmetric as computed, and leaves the float range only by raising
-``DomainError``: the Cholesky baseline's ``K``, a combination of factors, goes
-through ``chol_map._spd_point``; the spectral ``K`` (``U e^{Lambda/2}``,
+function per step, not the members' kept factors, and one typed wrap of the
+result; ``_factor``, ``_eigh`` and ``_sym`` come from :mod:`.tri`.  Every
+non-Euclidean SPD result is ``K K^T``, exactly symmetric as computed, and
+leaves the float range only by raising ``DomainError``: the Cholesky
+baseline's ``K``, a combination of factors, goes through
+``chol_map._spd_point``; the spectral ``K`` (``U e^{Lambda/2}``,
 ``L U e^{Lambda/2}``, ``L U Lambda^{t/2}``) has its exponents checked by
 ``chol_map._check_exponents``.  Only the spectral logarithms and transports
 are symmetrized, as ``_sym(.)``; a whitened matrix is not, since its one
@@ -109,7 +112,7 @@ def euclid_log(P: SymMatrix, Q: SymMatrix) -> SymMatrix:
 
 def cholesky_distance(P: SpdMatrix, Q: SpdMatrix) -> float:
     _require_same_dim(P, Q)
-    return float(_norm(_factor(P.data) - _factor(Q.data)))
+    return float(_norm(P._chol - Q._chol))
 
 
 @np.errstate(over="ignore", invalid="ignore")  # overflow reads inf or nan: rejected
@@ -117,7 +120,7 @@ def cholesky_interpolate(P: SpdMatrix, Q: SpdMatrix, ts: Sequence[float]) -> lis
     """Convex combination of the factors, reconstructed; each factored once."""
     ts = _grid(ts)
     _require_same_dim(P, Q)
-    l, k = _factor(P.data), _factor(Q.data)
+    l, k = P._chol, Q._chol
     return [_spd_point((1.0 - t) * l + t * k) for t in ts]
 
 
@@ -128,13 +131,13 @@ def cholesky_mean(Ps: Sequence[SpdMatrix]) -> SpdMatrix:
 def cholesky_exp(P: SpdMatrix, X: LowerTriangular) -> SpdMatrix:
     """Factor-space translation: the factor of ``P`` plus the factor gap ``X``."""
     _require_same_dim(P, X)
-    return _spd_point(_factor(P.data) + X.data)
+    return _spd_point(P._chol + X.data)
 
 
 def cholesky_log(P: SpdMatrix, Q: SpdMatrix) -> LowerTriangular:
     """The factor gap ``chol(Q) - chol(P)``."""
     _require_same_dim(P, Q)
-    return LowerTriangular._of(_factor(Q.data) - _factor(P.data))
+    return LowerTriangular._of(Q._chol - P._chol)
 
 
 # ---------------------------------------------------------------------------
@@ -247,7 +250,7 @@ KARCHER_MAX_ITER = 200
 def affine_dist(P: SpdMatrix, Q: SpdMatrix) -> float:
     """``|log(L^-1 Q L^-T)|_F = |log(Lambda)|_F`` with ``P = L L^T``."""
     _require_same_dim(P, Q)
-    w = _eigh(_congruence(_factor(P.data), Q.data), "matrix logarithm", vectors=False)
+    w = _eigh(_congruence(P._chol, Q.data), "matrix logarithm", vectors=False)
     return float(_norm(np.log(w)))
 
 
@@ -257,7 +260,7 @@ def affine_interpolate(P: SpdMatrix, Q: SpdMatrix, ts: Sequence[float]) -> list[
     the exponents ``t log Lambda`` checked once for the grid, as in :func:`affine_exp`."""
     ts = _grid(ts)
     _require_same_dim(P, Q)
-    l = _factor(P.data)
+    l = P._chol
     w, u = _eigh(_congruence(l, Q.data), "matrix power")
     _check_exponents(np.multiply.outer(ts, np.log(w)))
     lu = l @ u
@@ -269,14 +272,14 @@ def affine_exp(P: SpdMatrix, W: SymMatrix) -> SpdMatrix:
     """``L exp(L^-1 W L^-T) L^T = K K^T`` with ``P = L L^T``, ``K = L U e^{Lambda/2}``;
     ``DomainError`` when the exponents or an entry of ``K K^T`` leave the float range."""
     _require_same_dim(P, W)
-    l = _factor(P.data)
+    l = P._chol
     return SpdMatrix._of(_reconstruct(l @ _exp_factor(_congruence(l, W.data))))
 
 
 def affine_log(P: SpdMatrix, Q: SpdMatrix) -> SymMatrix:
     """``L log(L^-1 Q L^-T) L^T = (L U) log(Lambda) (L U)^T`` with ``P = L L^T``."""
     _require_same_dim(P, Q)
-    l = _factor(P.data)
+    l = P._chol
     w, u = _eigh(_congruence(l, Q.data), "matrix logarithm")
     lu = l @ u
     return SymMatrix._of(_sym((lu * np.log(w)) @ lu.T))
@@ -286,7 +289,7 @@ def affine_transport(P: SpdMatrix, Q: SpdMatrix, W: SymMatrix) -> SymMatrix:
     """Closed-form transport ``E W E^T`` with ``E = (Q P^-1)^(1/2) = L S L^-1``,
     where ``S = (L^-1 Q L^-T)^(1/2)``: so ``(L S) (L^-1 W L^-T) (L S)^T``."""
     _require_same_dim(P, Q, W)
-    l = _factor(P.data)
+    l = P._chol
     w, u = _eigh(_congruence(l, Q.data), "matrix square root")
     ls = l @ ((u * np.sqrt(w)) @ u.T)
     return SymMatrix._of(_sym(ls @ _congruence(l, W.data) @ ls.T))

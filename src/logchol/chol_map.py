@@ -9,7 +9,9 @@ kernels and type only their final result, through ``_Square._of``: the
 kernels make each result square, float and exactly symmetric or triangular,
 so only finiteness and the type's own check are tested.  ``_factor`` (one LAPACK
 ``dpotrf`` call on a matrix, one batched ``np.linalg.cholesky`` call on a
-stack) is defined in :mod:`.tri`.  The triangular BLAS calls live here:
+stack) is defined in :mod:`.tri`; :func:`cholesky_factor` returns
+``SpdMatrix._chol``, so a point from ``from_dense`` is not refactored.  The
+triangular BLAS calls live here:
 ``_congruence`` forms ``L^{-1} W L^{-T}`` of a matrix or a stack with two
 ``dtrsm`` calls, and ``_diff_S_inv`` multiplies back with one ``dtrmm``.
 The float-range rule for computed SPD matrices lives here alone, in
@@ -30,7 +32,6 @@ from .tri import (
     LowerTriangular,
     SpdMatrix,
     SymMatrix,
-    _factor,
     _require_same_dim,
 )
 
@@ -43,7 +44,7 @@ def cholesky_factor(P: SpdMatrix) -> CholeskyFactor:
     NotSpdError
         If the factorization encounters a nonpositive or non-finite pivot.
     """
-    return CholeskyFactor._of(_factor(P.data))
+    return CholeskyFactor._of(P._chol)
 
 
 def _reconstruct(k: np.ndarray) -> np.ndarray:

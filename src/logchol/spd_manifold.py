@@ -1,10 +1,12 @@
 """Log-Cholesky geometry on SPD matrices.
 
 Every operation is the push-forward of its Cholesky-space counterpart
-through ``S(L) = L L^T``: factor the base points, work in factor space,
-reconstruct.  The map is an isometry, so the SPD manifold inherits
-flatness, completeness, closed-form geodesics and a closed-form Frechet
-mean.  Each operation composes the array kernels of :mod:`.chol_map` and
+through ``S(L) = L L^T``: factor the base points (``SpdMatrix._chol``,
+which reads the factor ``from_dense`` kept), work in factor space,
+reconstruct; a mean factors the stack of its members in one batched call.
+The map is an isometry, so the SPD manifold inherits flatness,
+completeness, closed-form geodesics and a closed-form Frechet mean.  Each
+operation composes the array kernels of :mod:`.chol_map` and
 :mod:`.chol_manifold` and types only its result, through ``_Square._of``;
 every SPD result comes from :func:`.chol_map._spd_point`, which raises
 ``DomainError`` when it leaves the float range.
@@ -14,14 +16,14 @@ from __future__ import annotations
 from collections.abc import Sequence
 
 from . import chol_manifold as cm
-from .chol_map import _diff_S, _diff_S_inv, _factor, _spd_point
-from .tri import SpdMatrix, SymMatrix, _grid, _require_same_dim, _stack, _step
+from .chol_map import _diff_S, _diff_S_inv, _spd_point
+from .tri import SpdMatrix, SymMatrix, _factor, _grid, _require_same_dim, _stack, _step
 
 
 def metric_spd(P: SpdMatrix, W: SymMatrix, V: SymMatrix) -> float:
     """Inner product of symmetric tangents at ``P``, pulled back to factor space."""
     _require_same_dim(P, W, V)
-    l = _factor(P.data)
+    l = P._chol
     return cm._metric(l, _diff_S_inv(l, W.data), _diff_S_inv(l, V.data))
 
 
@@ -33,7 +35,7 @@ def geodesic_spd(P: SpdMatrix, W: SymMatrix, t: float) -> SpdMatrix:
     """
     t = _step(t)
     _require_same_dim(P, W)
-    l = _factor(P.data)
+    l = P._chol
     return _spd_point(cm._geodesic(l, _diff_S_inv(l, W.data), t))
 
 
@@ -45,25 +47,25 @@ def exp_spd(P: SpdMatrix, W: SymMatrix) -> SpdMatrix:
 def log_spd(P: SpdMatrix, Q: SpdMatrix) -> SymMatrix:
     """Riemannian logarithm: the tangent at ``P`` pointing to ``Q``."""
     _require_same_dim(P, Q)
-    l = _factor(P.data)
-    return SymMatrix._of(_diff_S(l, cm._log(l, _factor(Q.data))))
+    l = P._chol
+    return SymMatrix._of(_diff_S(l, cm._log(l, Q._chol)))
 
 
 def dist_spd(P: SpdMatrix, Q: SpdMatrix) -> float:
     """Geodesic distance: the factor-space distance of the Cholesky factors."""
     _require_same_dim(P, Q)
-    return cm._dist(_factor(P.data), _factor(Q.data))
+    return cm._dist(P._chol, Q._chol)
 
 
 def group_op_spd(P: SpdMatrix, Q: SpdMatrix) -> SpdMatrix:
     """Abelian group operation, conjugated through the factorization."""
     _require_same_dim(P, Q)
-    return _spd_point(cm._group_op(_factor(P.data), _factor(Q.data)))
+    return _spd_point(cm._group_op(P._chol, Q._chol))
 
 
 def group_inv_spd(P: SpdMatrix) -> SpdMatrix:
     """Group inverse under the factor-space group structure."""
-    return _spd_point(cm._group_inv(_factor(P.data)))
+    return _spd_point(cm._group_inv(P._chol))
 
 
 def transport_spd(P: SpdMatrix, Q: SpdMatrix, W: SymMatrix) -> SymMatrix:
@@ -73,7 +75,7 @@ def transport_spd(P: SpdMatrix, Q: SpdMatrix, W: SymMatrix) -> SymMatrix:
     rescales the tangent diagonal, and pushes forward at ``Q``.
     """
     _require_same_dim(P, Q, W)
-    l, k = _factor(P.data), _factor(Q.data)
+    l, k = P._chol, Q._chol
     return SymMatrix._of(_diff_S(k, cm._transport(l, k, _diff_S_inv(l, W.data))))
 
 
@@ -97,6 +99,6 @@ def interpolate_spd(
     ``DomainError``."""
     ts = _grid(ts)
     _require_same_dim(P, Q)
-    l = _factor(P.data)
-    x = cm._log(l, _factor(Q.data))
+    l = P._chol
+    x = cm._log(l, Q._chol)
     return [_spd_point(cm._geodesic(l, x, t)) for t in ts]

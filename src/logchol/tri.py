@@ -7,11 +7,13 @@ lower triangular types and exact symmetry for symmetric ones; a positive
 diagonal for Cholesky factors and SPD matrices.  The constructors and
 ``from_dense`` are for outside data.  ``SymMatrix.from_dense`` symmetrizes
 input that is symmetric to a relative tolerance, and ``SpdMatrix.from_dense``
-also runs the factor kernel ``_factor`` on it, the one the Log-Cholesky
-operations use.  A result of the package's kernels is typed by
+also runs the factor kernel ``_factor`` on it and keeps the factor, read-only
+with the point's ``data``.  A result of the package's kernels is typed by
 ``_Square._of`` instead: it is a square float array with the type's shape of
 zeros by construction, so only finiteness and the type's ``_check`` hook
-are tested.  The symmetrizer ``_sym``, ``_factor``, the checked
+are tested.  Every single-point operation reads a point's factor through
+``SpdMatrix._chol``: the kept one, or ``_factor(data)`` for a point built
+any other way.  The symmetrizer ``_sym``, ``_factor``, the checked
 eigendecomposition ``_eigh`` and ``_norm``, every Frobenius norm of the
 package, live here alone.  So does the step rule: every geodesic reads its
 ``t`` through ``_step`` and every interpolant its grid ``ts`` through
@@ -280,11 +282,14 @@ class SpdMatrix(SymMatrix):
     """Symmetric positive definite matrix.
 
     The operational SPD test (a Cholesky factorization with positive pivots)
-    runs in :meth:`from_dense` and in every downstream factorization; the
-    constructor itself performs only cheap checks and does not factor.  The
-    package's own results, all of the form ``K K^T``, are typed through
-    ``_of``, which keeps the finiteness and positive-diagonal checks.
+    runs in :meth:`from_dense`, which keeps the factor, and in every
+    downstream factorization; the constructor itself performs only cheap
+    checks and does not factor.  The package's own results, all of the form
+    ``K K^T``, are typed through ``_of``, which keeps the finiteness and
+    positive-diagonal checks.
     """
+
+    _kept = None  # the factor from_dense computed; not a field
 
     def _check(self) -> None:
         if min(self.diag.tolist()) <= 0.0:
@@ -293,8 +298,25 @@ class SpdMatrix(SymMatrix):
     @classmethod
     def from_dense(cls, dense) -> "SpdMatrix":
         a = _symmetrized(dense, NotSpdError)
-        _factor(a)
-        return cls(a)
+        l = _factor(a)
+        # No caller holds the symmetrizer's fresh array; read-only, neither
+        # it nor the factor can change, so the kept factor cannot go stale.
+        a.setflags(write=False)
+        l.setflags(write=False)
+        out = cls(a)
+        object.__setattr__(out, "_kept", l)
+        return out
+
+    @property
+    def _chol(self) -> np.ndarray:
+        """The lower Cholesky factor of ``data``: the one ``from_dense`` kept
+        (the same routine on the same bits), or else ``_factor(data)``."""
+        return _factor(self.data) if self._kept is None else self._kept
+
+    def __getstate__(self):
+        # A copy or an unpickled point keeps no factor: its ``data`` may be a
+        # new, writeable array.
+        return {"data": self.data}
 
 
 def _require_same_dim(a, *others) -> None:

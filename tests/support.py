@@ -23,6 +23,13 @@ def random_tangent(rng: np.random.Generator, dim: int) -> LowerTriangular:
     return LowerTriangular(np.tril(rng.standard_normal((dim, dim))))
 
 
+def rotated(d, angle=0.7) -> np.ndarray:
+    """``R diag(d) R^T`` with ``R`` the 2x2 rotation by ``angle``."""
+    c, s = np.cos(angle), np.sin(angle)
+    r = np.array([[c, -s], [s, c]])
+    return (r * d) @ r.T
+
+
 def format_matrix_text(mats) -> str:
     """Render dense matrices in the block text format ``parse_matrix_text`` reads."""
     blocks = []

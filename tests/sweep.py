@@ -18,10 +18,16 @@ every triple, and the CLI experiments run once each: ``interpolate`` and
 ``mean`` also on an ``--input`` fixture, written from the ``P`` of the 45
 m = 3 triples (``interpolate`` reads the first two) into the sweep's
 temporary directory and named by a path relative to it, so that the
-reports' ``inputs.fixture`` reads the same on every run.  The ``steps`` group
-runs every function that takes a step (the two geodesics and the five
-interpolants) on one fixed m = 2 triple, with each of a fixed list of odd
-and malformed steps (:data:`STEPS`).  The ``scales`` group runs every
+reports' ``inputs.fixture`` reads the same on every run.  The ``reuse`` group
+runs each operation that takes SPD points one at a time (every geometry's
+but its mean, the Log-Cholesky operations outside the registry and
+``cholesky_factor``) on each triple with ``P`` and ``Q`` through
+``SpdMatrix.from_dense``, which keeps their factors, twice, hashing the
+second run: ``reuse.<op>`` must equal ``<op>``, since the kept factor is
+the one each use would compute, and no operation may change it.  The
+``steps`` group runs every function that takes a step (the two geodesics
+and the five interpolants) on one fixed m = 2 triple, with each of a fixed
+list of odd and malformed steps (:data:`STEPS`).  The ``scales`` group runs every
 distance and every mean, and ``dist_chol``, on a fixed list of factor pairs
 whose distances approach and pass the float max (:data:`SCALES`).  The
 script prints one sha256 per (group, operation), over the exact bits of
@@ -31,8 +37,9 @@ of each CLI run without its ``timings``; then the failure classes, counted.
 
 ``--compare`` extracts ``git archive <commit> src`` into a temporary
 directory, runs the same sweep on both trees, each in its own process, and
-prints which digests differ.  The exit code is 1 when any does.  The sweep
-is a tool, not a test: its draws are fixed, and a change that moves an
+prints which digests differ.  Each tree's ``reuse`` digests are also held
+to its ``<op>`` digests.  The exit code is 1 when any digest differs.  The
+sweep is a tool, not a test: its draws are fixed, and a change that moves an
 output on purpose says which digests moved and why.
 
 ``--oracle`` adds an accuracy table beside the digests: for each geometry
@@ -171,6 +178,21 @@ STEPS = {
 }
 
 
+def reused(key: str) -> bool:
+    """Whether the ``reuse`` group runs operation ``key``: it takes SPD
+    points one at a time."""
+    group = key.split(".")[0]
+    return (group in GEOMETRIES and not key.endswith(".mean") or group == "spd_manifold"
+            or key == "chol_map.cholesky_factor")
+
+
+def reuse_moved(digests: dict[str, str]) -> list[str]:
+    """The operations whose runs on kept factors, ``reuse.<op>``, differ from
+    their runs on constructor-built points, ``<op>``."""
+    return [key for key in digests
+            if key.startswith("reuse.") and digests[key] != digests[key[len("reuse."):]]]
+
+
 def step_operations() -> dict[str, object]:
     """``{"steps.op": fn(args, step)}`` for every function that takes a step:
     each geodesic takes ``step`` as its ``t``, and each interpolant takes it
@@ -292,9 +314,13 @@ def sweep() -> tuple[dict[str, str], dict[str, dict[str, int]]]:
     """``({key: sha256}, {key: {failure: count}})`` of this interpreter's ``logchol``."""
     from support import dump_matrices
 
+    from logchol import SpdMatrix
+
     ops = operations()
     hashes = {"inputs": hashlib.sha256()}
     hashes.update({key: hashlib.sha256() for key in ops})
+    again = {f"reuse.{key}": fn for key, fn in ops.items() if reused(key)}
+    hashes.update({key: hashlib.sha256() for key in again})
     failures = {key: Counter() for key in ops}
     drawn = draws()
     for arrays in drawn:
@@ -305,6 +331,12 @@ def sweep() -> tuple[dict[str, str], dict[str, dict[str, int]]]:
             got, seen = outcome(lambda: fn(args))
             hashes[key].update(got)
             failures[key].update(seen)
+        kept = dict(args, P=SpdMatrix.from_dense(arrays["p"]),
+                    Q=SpdMatrix.from_dense(arrays["q"]))
+        for fn in again.values():
+            outcome(lambda: fn(kept))
+        for key, fn in again.items():
+            hashes[key].update(outcome(lambda: fn(kept))[0])
     args = typed(draw(np.random.default_rng(SEED), 2))
     pairs = [(np.array([[a, 0.0], [b, d]]), np.array([[a, 0.0], [-b, d]])) for a, b, d in SCALES]
     for ops, cases in ((step_operations(), [lambda m=m: (args, m()) for m in STEPS.values()]),
@@ -385,9 +417,18 @@ def _in_process(src: Path, oracle: bool) -> dict:
     return json.loads(out)
 
 
+def _print_reuse(digests: dict[str, str], label: str) -> int:
+    moved = reuse_moved(digests)
+    total = sum(key.startswith("reuse.") for key in digests)
+    print(f"{len(moved)} of {total} reuse digests of {label} differ from their operations'"
+          + "".join(f"\n  DIFFER  {key}" for key in moved))
+    return len(moved)
+
+
 def _print(digests: dict[str, str], failures: dict) -> None:
     for key, digest in digests.items():
         print(f"{digest}  {key}")
+    _print_reuse(digests, "this checkout")
     print("failures:")
     for key, counts in failures.items():
         print(f"  {key}: " + ", ".join(f"{n} {what}" for what, n in counts.items()))
@@ -410,6 +451,8 @@ def compare(commit: str, oracle: bool = False) -> int:
         if a != b:
             print(f"failures differ  {key}: {a}  {commit}: {b}")
     print(f"{moved} of {len(here['digests'])} digests differ from {commit}")
+    moved += _print_reuse(here["digests"], "this checkout")
+    moved += _print_reuse(other["digests"], commit)
     if oracle:
         _print_accuracy(here["accuracy"], "this checkout")
         _print_accuracy(other["accuracy"], commit)

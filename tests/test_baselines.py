@@ -13,10 +13,12 @@ from oracles import (
     karcher_mean_per_member,
     logeuclid_mean_mp,
 )
+from support import rotated
 
 from logchol import baselines as bl
 from logchol import chol_manifold as cm
 from logchol import spd_manifold as lc
+from logchol import tri
 from logchol.chol_map import cholesky_factor, reconstruct
 from logchol.sampling import (
     random_spd,
@@ -272,16 +274,18 @@ class TestAffineInvariant:
 
     def test_interpolation_whitens_once(self, rng, monkeypatch):
         # One factorization of P and one eigendecomposition of the whitened
-        # Q per call, however many points the grid holds.
+        # Q per call, however many points the grid holds.  P is built by the
+        # constructor, so it keeps no factor: P._chol factors it through
+        # tri._factor.
         calls = {"_factor": 0, "_eigh": 0}
-        for name in calls:
-            fn = getattr(bl, name)
+        for owner, name in ((tri, "_factor"), (bl, "_eigh")):
+            fn = getattr(owner, name)
 
             def counted(*args, _fn=fn, _name=name):
                 calls[_name] += 1
                 return _fn(*args)
 
-            monkeypatch.setattr(bl, name, counted)
+            monkeypatch.setattr(owner, name, counted)
         p = random_spd(rng, 3)
         q = random_spd(rng, 3)
         for steps in (2, 11, 101):
@@ -471,12 +475,6 @@ def test_ops_check_dimensions(metric, op):
 
 
 
-def _rotated(d, angle=0.7):
-    c, s = np.cos(angle), np.sin(angle)
-    r = np.array([[c, -s], [s, c]])
-    return (r * d) @ r.T
-
-
 RIEMANNIAN = ("log-cholesky", "affine-invariant", "log-euclidean")
 # (P, W, geometries) whose exact exp lies outside the float range.
 EXP_OUT_OF_RANGE = {
@@ -491,7 +489,7 @@ EXP_OUT_OF_RANGE = {
     "partial-underflow": ([[1.0, 0.5], [0.5, 1.0]], np.diag([0.0, -2000.0]), RIEMANNIAN),
     "rotated-partial-underflow": (
         np.eye(2),
-        _rotated([-800.0, 0.0]),
+        rotated([-800.0, 0.0]),
         ("affine-invariant", "log-euclidean"),
     ),
     # The Log-Euclidean d log series overflows on the way.

@@ -9,7 +9,6 @@ from logchol import baselines as bl
 from logchol import chol_manifold as cm
 from logchol.chol_map import (
     _congruence,
-    _factor,
     _reconstruct,
     cholesky_factor,
     diff_S,
@@ -25,6 +24,7 @@ from logchol.tri import (
     SpdMatrix,
     SymMatrix,
     _eigh,
+    _factor,
     _sym,
 )
 

@@ -30,7 +30,12 @@ none of them calls a public constructor.  Kernels write diagonals through
 the flat stride, never ``np.fill_diagonal``.
 
 A step has one rule, in ``tri``: every public function with a step ``t`` or
-a grid ``ts`` passes it through ``_step`` or ``_grid`` first."""
+a grid ``ts`` passes it through ``_step`` or ``_grid`` first.
+
+One SPD point is factored in ``tri`` alone, by ``SpdMatrix._chol``, which
+reads the factor ``from_dense`` kept: outside ``tri`` the kernel modules
+call ``_factor`` only on the stacked members of a mean or on the Karcher
+iterate, never on one point's ``data``."""
 import ast
 from pathlib import Path
 
@@ -74,6 +79,12 @@ STEP_TAKERS = (
     "geodesic_chol", "geodesic_spd", "interpolate_spd", "euclid_interpolate",
     "cholesky_interpolate", "logeuclid_interpolate", "affine_interpolate",
 )
+
+# The functions that may call _factor outside tri, and on what: the stacked
+# members of a mean (a _stack call), or the Karcher iterate (the name mean).
+FACTOR_ARGS = {
+    "log_cholesky_mean": "_stack", "cholesky_mean": "_stack", "affine_karcher_mean": "mean",
+}
 
 # Where outside data enters: whole modules (None), or the named functions of one.
 OUTSIDE_DATA = {
@@ -323,6 +334,29 @@ def test_kernel_results_are_typed_by_construction():
     # The guard sees every kernel module, each typing results through _of.
     assert sorted(kernels) == sorted(KERNEL_MODULES)
     assert all(any(c == "_of" for _, c in _called(tree)) for tree in kernels.values())
+
+
+def test_kernels_factor_only_stacks_and_the_karcher_iterate():
+    seen, strays = [], []
+    for path, tree in SRC.items():
+        if path.name == "tri.py":
+            continue
+        for top in tree.body:
+            for node in ast.walk(top):
+                if not (isinstance(node, ast.Call) and "_factor" in (
+                    getattr(node.func, "id", None), getattr(node.func, "attr", None)
+                )):
+                    continue
+                arg = node.args[0] if node.args else None
+                read = arg.func if isinstance(arg, ast.Call) else arg
+                name = getattr(top, "name", None)
+                if name in FACTOR_ARGS and getattr(read, "id", None) == FACTOR_ARGS[name]:
+                    seen.append(name)
+                else:
+                    strays.append(f"{path.name}:{node.lineno} {ast.unparse(node)}")
+    assert not strays, f"_factor outside tri on other than a stack or the iterate: {strays}"
+    # The guard sees each call it allows.
+    assert sorted(seen) == sorted(FACTOR_ARGS)
 
 
 def test_every_step_passes_through_the_step_rule():
