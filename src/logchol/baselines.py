@@ -12,10 +12,12 @@ with :func:`.chol_map._congruence`, and maps back by
 ``L = P^{1/2} V`` with ``V`` orthogonal, that is
 ``P^{1/2} f(P^{-1/2} X P^{-1/2}) P^{1/2}``.  Every interpolation, like
 :func:`.spd_manifold.interpolate_spd`, takes the grid ``ts`` and works its
-endpoints once per call.  Every mean works on the ``(n, m, m)`` stack of its
-members from :func:`.tri._stack`: one batched factorization or matrix
-function per step, not the members' kept factors, and one typed wrap of the
-result; ``_factor``, ``_eigh`` and ``_sym`` come from :mod:`.tri`.  Every
+endpoints once per call.  Every mean works on an ``(n, m, m)`` stack from
+:func:`.tri._stack`, and types its result once: the Cholesky baseline's
+mean stacks its members' factors, ``SpdMatrix._chol`` as for its
+single-point operations; the others stack the matrices and take one
+batched matrix function per step.  ``_factor`` (of the Karcher iterate),
+``_eigh`` and ``_sym`` come from :mod:`.tri`.  Every
 non-Euclidean SPD result is ``K K^T``, exactly symmetric as computed, and
 leaves the float range only by raising ``DomainError``: the Cholesky
 baseline's ``K``, a combination of factors, goes through
@@ -92,7 +94,7 @@ def euclid_interpolate(
 
 
 def euclid_mean(Ps: Sequence[SymMatrix]) -> SymMatrix:
-    return SymMatrix._of(_stack(Ps).mean(axis=0))
+    return SymMatrix._of(_stack(P.data for P in Ps).mean(axis=0))
 
 
 def euclid_exp(P: SymMatrix, W: SymMatrix) -> SymMatrix:
@@ -125,7 +127,7 @@ def cholesky_interpolate(P: SpdMatrix, Q: SpdMatrix, ts: Sequence[float]) -> lis
 
 
 def cholesky_mean(Ps: Sequence[SpdMatrix]) -> SpdMatrix:
-    return _spd_point(_factor(_stack(Ps)).mean(axis=0))
+    return _spd_point(_stack(P._chol for P in Ps).mean(axis=0))
 
 
 def cholesky_exp(P: SpdMatrix, X: LowerTriangular) -> SpdMatrix:
@@ -213,7 +215,8 @@ def logeuclid_interpolate(P: SpdMatrix, Q: SpdMatrix, ts: Sequence[float]) -> li
 
 
 def logeuclid_mean(Ps: Sequence[SpdMatrix]) -> SpdMatrix:
-    return SpdMatrix._of(_reconstruct(_exp_factor(spd_logm(_stack(Ps)).mean(axis=0))))
+    logs = spd_logm(_stack(P.data for P in Ps))
+    return SpdMatrix._of(_reconstruct(_exp_factor(logs.mean(axis=0))))
 
 
 @np.errstate(over="ignore", invalid="ignore")  # overflow reads inf or nan: rejected
@@ -312,7 +315,7 @@ def affine_karcher_mean(Ps: Sequence[SpdMatrix]) -> SpdMatrix:
         If ``|g|_F`` has not dropped to ``KARCHER_TOL`` within
         ``KARCHER_MAX_ITER`` iterations; the message gives its last value.
     """
-    ps = _stack(Ps)
+    ps = _stack(P.data for P in Ps)
     mean = ps.mean(axis=0)
     for _ in range(KARCHER_MAX_ITER):
         l = _factor(mean)

@@ -156,4 +156,4 @@ def frechet_mean_chol(Ls: Sequence[CholeskyFactor]) -> CholeskyFactor:
     Arithmetic mean of the strict lower parts combined with the geometric
     mean of the diagonals.
     """
-    return CholeskyFactor._of(_frechet_mean(_stack(Ls)))
+    return CholeskyFactor._of(_frechet_mean(_stack(L.data for L in Ls)))

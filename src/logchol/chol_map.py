@@ -7,11 +7,10 @@ map is an array kernel (``_factor``, ``_reconstruct``, ``_diff_S``,
 ``_diff_S_inv``) behind a typed public function; other modules compose the
 kernels and type only their final result, through ``_Square._of``: the
 kernels make each result square, float and exactly symmetric or triangular,
-so only finiteness and the type's own check are tested.  ``_factor`` (one LAPACK
-``dpotrf`` call on a matrix, one batched ``np.linalg.cholesky`` call on a
-stack) is defined in :mod:`.tri`; :func:`cholesky_factor` returns
-``SpdMatrix._chol``, so a point from ``from_dense`` is not refactored.  The
-triangular BLAS calls live here:
+so only finiteness and the type's own check are tested.  ``_factor`` (one
+LAPACK ``dpotrf`` call on one matrix) is defined in :mod:`.tri`;
+:func:`cholesky_factor` returns ``SpdMatrix._chol``, so a point from
+``from_dense`` is not refactored.  The triangular BLAS calls live here:
 ``_congruence`` forms ``L^{-1} W L^{-T}`` of a matrix or a stack with two
 ``dtrsm`` calls, and ``_diff_S_inv`` multiplies back with one ``dtrmm``.
 The float-range rule for computed SPD matrices lives here alone, in

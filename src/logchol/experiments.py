@@ -188,7 +188,7 @@ def _det_law(mean: SymMatrix, mats: Sequence[SpdMatrix]) -> tuple[float, float, 
     determinant, the members' geometric mean, their relative gap, and
     whether the mean's lies in the members' range (relative slack 1e-12).
     Raises ``NotSpdError`` on a determinant that is not positive."""
-    signs, lds = np.linalg.slogdet(_stack(mats))
+    signs, lds = np.linalg.slogdet(_stack(P.data for P in mats))
     sign, ld_mean = np.linalg.slogdet(mean.data)
     if sign != 1.0 or (signs != 1.0).any():
         raise NotSpdError("determinant law undefined: a determinant is not positive")

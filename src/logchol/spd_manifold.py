@@ -3,7 +3,7 @@
 Every operation is the push-forward of its Cholesky-space counterpart
 through ``S(L) = L L^T``: factor the base points (``SpdMatrix._chol``,
 which reads the factor ``from_dense`` kept), work in factor space,
-reconstruct; a mean factors the stack of its members in one batched call.
+reconstruct; a mean stacks its members' factors, read the same way.
 The map is an isometry, so the SPD manifold inherits flatness,
 completeness, closed-form geodesics and a closed-form Frechet mean.  Each
 operation composes the array kernels of :mod:`.chol_map` and
@@ -17,7 +17,7 @@ from collections.abc import Sequence
 
 from . import chol_manifold as cm
 from .chol_map import _diff_S, _diff_S_inv, _spd_point
-from .tri import SpdMatrix, SymMatrix, _factor, _grid, _require_same_dim, _stack, _step
+from .tri import SpdMatrix, SymMatrix, _grid, _require_same_dim, _stack, _step
 
 
 def metric_spd(P: SpdMatrix, W: SymMatrix, V: SymMatrix) -> float:
@@ -82,12 +82,12 @@ def transport_spd(P: SpdMatrix, Q: SpdMatrix, W: SymMatrix) -> SymMatrix:
 def log_cholesky_mean(Ps: Sequence[SpdMatrix]) -> SpdMatrix:
     """Closed-form Frechet mean of SPD matrices under this geometry.
 
-    The stacked matrices are factored in one call, the factors averaged
+    The members' factors (``SpdMatrix._chol``) are stacked and averaged
     (arithmetic strict-lower mean, geometric diagonal mean) and the result
     reconstructed.  The mean's determinant equals the geometric mean of the
     input determinants.
     """
-    return _spd_point(cm._frechet_mean(_factor(_stack(Ps))))
+    return _spd_point(cm._frechet_mean(_stack(P._chol for P in Ps)))
 
 
 def interpolate_spd(

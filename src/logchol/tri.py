@@ -5,22 +5,23 @@ and its constructor takes that array alone and checks the type's invariant:
 a square matrix of finite real numbers; exact zeros above the diagonal for
 lower triangular types and exact symmetry for symmetric ones; a positive
 diagonal for Cholesky factors and SPD matrices.  The constructors and
-``from_dense`` are for outside data.  ``SymMatrix.from_dense`` symmetrizes
-input that is symmetric to a relative tolerance, and ``SpdMatrix.from_dense``
-also runs the factor kernel ``_factor`` on it and keeps the factor, read-only
-with the point's ``data``.  A result of the package's kernels is typed by
-``_Square._of`` instead: it is a square float array with the type's shape of
-zeros by construction, so only finiteness and the type's ``_check`` hook
-are tested.  Every single-point operation reads a point's factor through
-``SpdMatrix._chol``: the kept one, or ``_factor(data)`` for a point built
-any other way.  The symmetrizer ``_sym``, ``_factor``, the checked
-eigendecomposition ``_eigh`` and ``_norm``, every Frobenius norm of the
-package, live here alone.  So does the step rule: every geodesic reads its
-``t`` through ``_step`` and every interpolant its grid ``ts`` through
-``_grid``, before any arithmetic.  ``_sym`` is needed only where a result can come
-out asymmetric: outside data, and tangents such as ``L f(.) L^T`` whose two
-triangles are computed apart; it sums halves, so entries up to the float
-max stay finite.  An input of ``_eigh`` is not symmetrized: it reads the
+``from_dense`` are for outside data, and a constructor stores a copy of it.
+``SymMatrix.from_dense`` symmetrizes input that is symmetric to a relative
+tolerance, and ``SpdMatrix.from_dense`` also runs the factor kernel
+``_factor`` (LAPACK ``dpotrf`` on one matrix) and keeps the factor,
+read-only with the point's ``data``.  A result of the package's kernels is
+typed by ``_Square._of`` instead: it is a square float array with the
+type's shape of zeros by construction, so only finiteness and the type's
+``_check`` hook are tested.  Every operation that needs a point's factor,
+a mean included, reads it through ``SpdMatrix._chol``: the kept one, or
+``_factor(data)`` for a point built any other way.  The symmetrizer
+``_sym``, ``_factor``, the checked eigendecomposition ``_eigh`` and
+``_norm``, every Frobenius norm of the package, live here alone.  So does
+the step rule: every geodesic reads its ``t`` through ``_step`` and every
+interpolant its grid ``ts`` through ``_grid``, before any arithmetic.
+``_sym`` is needed only where a result can come out asymmetric: outside
+data, and tangents such as ``L f(.) L^T`` whose two triangles are computed
+apart; it sums halves, so entries up to the float max stay finite.  An input of ``_eigh`` is not symmetrized: it reads the
 lower triangle alone.  ``dense()`` returns a copy.
 """
 from __future__ import annotations
@@ -141,27 +142,17 @@ def _sym(a: np.ndarray) -> np.ndarray:
 
 
 def _factor(p: np.ndarray) -> np.ndarray:
-    """Lower Cholesky factor of one ``(m, m)`` matrix or of an ``(n, m, m)`` stack.
+    """Lower Cholesky factor of one ``(m, m)`` matrix, by LAPACK ``dpotrf``.
 
-    One matrix goes to LAPACK ``dpotrf`` directly; a stack goes to one
-    batched ``np.linalg.cholesky`` call.  Raises ``NotSpdError`` on a
-    nonpositive pivot, and on a non-finite last diagonal entry: neither
-    routine flags a NaN pivot, and an overflowed entry of finite input makes
-    its row's pivot NaN, which every later row inherits, down to
-    ``L[-1, -1]``.
+    Raises ``NotSpdError`` on a nonpositive pivot, and on a non-finite last
+    diagonal entry: ``dpotrf`` does not flag a NaN pivot, and an overflowed
+    entry of finite input makes its row's pivot NaN, which every later row
+    inherits, down to ``L[-1, -1]``.
     """
-    if p.ndim == 2:
-        l, info = dpotrf(p, lower=1, clean=1)
-        if info != 0:
-            raise NotSpdError("Cholesky factorization failed: nonpositive pivot")
-        if not math.isfinite(l[-1, -1]):
-            raise NotSpdError("Cholesky factorization failed: non-finite pivot")
-        return l
-    try:
-        l = np.linalg.cholesky(p)
-    except np.linalg.LinAlgError as exc:
-        raise NotSpdError("Cholesky factorization failed: nonpositive pivot") from exc
-    if not np.isfinite(l[:, -1, -1]).all():
+    l, info = dpotrf(p, lower=1, clean=1)
+    if info != 0:
+        raise NotSpdError("Cholesky factorization failed: nonpositive pivot")
+    if not math.isfinite(l[-1, -1]):
         raise NotSpdError("Cholesky factorization failed: non-finite pivot")
     return l
 
@@ -233,7 +224,7 @@ class LowerTriangular(_Square):
     """General lower triangular matrix: every entry above the diagonal is zero."""
 
     def __post_init__(self):
-        a = _square_finite(self.data)
+        a = _square_finite(self.data).copy()  # the caller keeps its array
         if np.triu(a, 1).any():
             raise DomainError("matrix has nonzero entries above the diagonal")
         object.__setattr__(self, "data", a)
@@ -262,7 +253,7 @@ class SymMatrix(_Square):
     :meth:`from_dense` symmetrizes input that is symmetric to tolerance."""
 
     def __post_init__(self):
-        a = _square_finite(self.data)
+        a = _square_finite(self.data).copy()  # the caller keeps its array
         if not (a == a.T).all():
             raise DomainError("matrix is not exactly symmetric")
         object.__setattr__(self, "data", a)
@@ -299,11 +290,11 @@ class SpdMatrix(SymMatrix):
     def from_dense(cls, dense) -> "SpdMatrix":
         a = _symmetrized(dense, NotSpdError)
         l = _factor(a)
-        # No caller holds the symmetrizer's fresh array; read-only, neither
-        # it nor the factor can change, so the kept factor cannot go stale.
-        a.setflags(write=False)
-        l.setflags(write=False)
         out = cls(a)
+        # No caller holds the constructor's copy; read-only, neither it nor
+        # the factor can change, so the kept factor cannot go stale.
+        out.data.setflags(write=False)
+        l.setflags(write=False)
         object.__setattr__(out, "_kept", l)
         return out
 
@@ -326,14 +317,16 @@ def _require_same_dim(a, *others) -> None:
             raise DomainError(f"dimension mismatch: {m} vs {b.data.shape[0]}")
 
 
-def _stack(mats) -> np.ndarray:
-    """The members as one ``(n, m, m)`` array: the entry check of every mean."""
-    if len(mats) == 0:
+def _stack(arrays) -> np.ndarray:
+    """The members' ``(m, m)`` arrays, such as ``P.data`` or ``P._chol`` of
+    each member, as one ``(n, m, m)`` array: the entry check of every mean."""
+    mats = list(arrays)
+    if not mats:
         raise EmptyInputError("a mean requires at least one matrix")
     try:
-        return np.stack([a.data for a in mats])
+        return np.stack(mats)
     except ValueError:
-        raise DomainError(f"dimension mismatch: sizes {sorted({a.dim for a in mats})}") from None
+        raise DomainError(f"dimension mismatch: sizes {sorted({len(a) for a in mats})}") from None
 
 
 # ---------------------------------------------------------------------------

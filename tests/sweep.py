@@ -19,15 +19,15 @@ every triple, and the CLI experiments run once each: ``interpolate`` and
 m = 3 triples (``interpolate`` reads the first two) into the sweep's
 temporary directory and named by a path relative to it, so that the
 reports' ``inputs.fixture`` reads the same on every run.  The ``reuse`` group
-runs each operation that takes SPD points one at a time (every geometry's
-but its mean, the Log-Cholesky operations outside the registry and
+runs each operation that takes SPD points (every geometry's, its mean
+included, the Log-Cholesky operations outside the registry and
 ``cholesky_factor``) on each triple with ``P`` and ``Q`` through
 ``SpdMatrix.from_dense``, which keeps their factors, twice, hashing the
 second run: ``reuse.<op>`` must equal ``<op>``, since the kept factor is
-the one each use would compute, and no operation may change it.  The
-``steps`` group runs every function that takes a step (the two geodesics
-and the five interpolants) on one fixed m = 2 triple, with each of a fixed
-list of odd and malformed steps (:data:`STEPS`).  The ``scales`` group runs every
+the one each use, and each mean, would compute, and no operation may
+change it.  The ``steps`` group runs every function that takes a step (the
+two geodesics and the five interpolants) on one fixed m = 2 triple, with
+each of a fixed list of odd and malformed steps (:data:`STEPS`).  The ``scales`` group runs every
 distance and every mean, and ``dist_chol``, on a fixed list of factor pairs
 whose distances approach and pass the float max (:data:`SCALES`).  The
 script prints one sha256 per (group, operation), over the exact bits of
@@ -179,11 +179,9 @@ STEPS = {
 
 
 def reused(key: str) -> bool:
-    """Whether the ``reuse`` group runs operation ``key``: it takes SPD
-    points one at a time."""
+    """Whether the ``reuse`` group runs operation ``key``: it takes SPD points."""
     group = key.split(".")[0]
-    return (group in GEOMETRIES and not key.endswith(".mean") or group == "spd_manifold"
-            or key == "chol_map.cholesky_factor")
+    return group in GEOMETRIES or group == "spd_manifold" or key == "chol_map.cholesky_factor"
 
 
 def reuse_moved(digests: dict[str, str]) -> list[str]:

@@ -10,12 +10,14 @@ from logchol import chol_manifold as cm
 from logchol.chol_map import (
     _congruence,
     _reconstruct,
+    _spd_point,
     cholesky_factor,
     diff_S,
     diff_S_inv,
     reconstruct,
 )
 from logchol.sampling import random_spd, random_spd_with_condition, random_sym
+from logchol.spd_manifold import log_cholesky_mean
 from logchol.tri import (
     CholeskyFactor,
     DomainError,
@@ -58,14 +60,16 @@ def test_factor_rejects_indefinite():
         cholesky_factor_recursive(p)
 
 
-def test_factor_matrix_and_stack_agree(rng):
+def test_a_mean_reads_its_members_factors(rng):
+    # Bit for bit: a mean refactors no member by another routine.
+    kernels = {log_cholesky_mean: cm._frechet_mean, bl.cholesky_mean: lambda ls: ls.mean(axis=0)}
     for m in (1, 2, 5, 12):
-        stack = np.stack([random_spd(rng, m).data for _ in range(8)])
-        ls = _factor(stack)
-        for p, l in zip(stack, ls):
-            one = _factor(p)
-            assert_array_equal(np.triu(one, 1), 0.0)
-            assert_allclose(one, l, rtol=1e-14, atol=1e-14 * np.abs(l).max())
+        for wrap in (SpdMatrix, SpdMatrix.from_dense):
+            members = [wrap(random_spd(rng, m).data) for _ in range(8)]
+            factors = np.stack([cholesky_factor(P).data for P in members])
+            for mean, kernel in kernels.items():
+                want = _spd_point(kernel(factors)).data
+                assert mean(members).data.tobytes() == want.tobytes(), (m, wrap, mean)
 
 
 @pytest.mark.parametrize(
@@ -80,11 +84,8 @@ def test_factor_matrix_and_stack_agree(rng):
     ids=["negative-1x1", "zero-1x1", "indefinite", "singular", "zero-pivot"],
 )
 def test_factor_rejects_non_spd_at_both_ranks(bad):
-    a = np.asarray(bad, dtype=float)
     with pytest.raises(NotSpdError):
-        _factor(a)
-    with pytest.raises(NotSpdError):
-        _factor(np.stack([np.eye(a.shape[0]), a]))
+        _factor(np.asarray(bad, dtype=float))
 
 
 def test_recursive_matches_lapack(rng):

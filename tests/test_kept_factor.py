@@ -3,9 +3,10 @@
 ``from_dense`` keeps the factor its SPD test computes, and every
 single-point operation reads it: ``tri._factor`` never runs again on such a
 point.  A point built any other way keeps nothing and is factored on each
-use, and a stacked mean factors the stack of its members in one batched
-call.  The kept factor cannot go stale: ``from_dense`` types an array no
-caller holds, and makes it and the factor read-only."""
+use, by the Log-Cholesky and Cholesky means too, which stack their
+members' factors.  The kept factor cannot go stale: ``from_dense`` stores
+the constructor's copy, which no caller holds, and makes it and the factor
+read-only."""
 import copy
 import pickle
 import sys
@@ -81,12 +82,14 @@ def test_other_points_keep_nothing_and_give_the_same_bits(rng, factored):
 
 @pytest.mark.parametrize("wrap", [SpdMatrix, SpdMatrix.from_dense])
 @pytest.mark.parametrize("mean", [lc.log_cholesky_mean, bl.cholesky_mean])
-def test_each_stacked_mean_factors_its_stack_once(rng, factored, mean, wrap):
+def test_each_mean_factors_only_members_that_keep_no_factor(rng, factored, mean, wrap):
     members = [wrap(random_spd(rng, 3).data) for _ in range(5)]
     for _ in range(2):
         factored.clear()
         mean(members)
-        assert factored == [3]
+        # A from_dense member is not factored again; any other member is,
+        # once, by the routine of every single-point operation.
+        assert factored == ([2] * 5 if wrap is SpdMatrix else [])
 
 
 def test_from_dense_does_not_follow_the_callers_array(rng):
@@ -131,3 +134,6 @@ def test_a_point_that_does_not_factor_raises_on_every_use():
                 lc.dist_spd(P, P)
             with pytest.raises(NotSpdError):
                 bl.affine_exp(P, SymMatrix(np.zeros((2, 2))))
+            for mean in (lc.log_cholesky_mean, bl.cholesky_mean):
+                with pytest.raises(NotSpdError):
+                    mean([P])

@@ -57,9 +57,16 @@ def test_results_do_not_depend_on_the_input_layout(m):
     big = sweep.draw(np.random.default_rng(100 + m), 2 * m)
     views = {name: a[::2, ::2] for name, a in big.items()}
     contiguous = sweep.typed({name: a.copy() for name, a in views.items()})
-    strided = sweep.typed(views)
-    fortran = sweep.typed({name: np.asfortranarray(a) for name, a in views.items()})
+
+    def as_results(arrays):
+        # A constructor stores a C-ordered copy; a kernel result, such as
+        # dpotrf's Fortran-ordered factor, keeps its layout through _of.
+        return {key: type(v)._of(arrays[key.lower()]) for key, v in contiguous.items()}
+
+    strided = as_results(views)
+    fortran = as_results({name: np.asfortranarray(a) for name, a in views.items()})
     assert m == 1 or not strided["P"].data.flags.contiguous
+    assert m == 1 or not fortran["P"].data.flags.c_contiguous
     for key, op in OPS.items():
         want = sweep.outcome(lambda: op(contiguous))
         assert sweep.outcome(lambda: op(strided)) == want, key

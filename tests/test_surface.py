@@ -7,12 +7,13 @@ of the benchmark in ``perfbench/`` (a name in one of its strings, such as a
 span name, does not count).  Helpers that only the tests need live in
 ``tests/support.py`` and ``tests/oracles.py``.
 
-Each matrix step has one home: the Cholesky factorizations, the eigenvalue
-solvers, the symmetrizer and the Frobenius norm (``np.linalg.norm`` and
-``np.vdot``, behind ``tri._norm``) are called or defined only in ``tri``, the
-triangular BLAS calls only in ``chol_map``, the QR factorization of the
-orthogonal sampler only in ``sampling`` and the LU of ``slogdet`` only in
-``experiments``.  Every name the package reaches through ``numpy.linalg``,
+Each matrix step has one home: the Cholesky factorization (LAPACK
+``dpotrf``; numpy's ``cholesky`` has no home, so no module may call it),
+the eigenvalue solvers, the symmetrizer and the Frobenius norm
+(``np.linalg.norm`` and ``np.vdot``, behind ``tri._norm``) are called or
+defined only in ``tri``, the triangular BLAS calls only in ``chol_map``,
+the QR factorization of the orthogonal sampler only in ``sampling`` and the
+LU of ``slogdet`` only in ``experiments``.  Every name the package reaches through ``numpy.linalg``,
 ``scipy.linalg``, ``lapack`` or ``blas`` has its home listed, so a new LAPACK
 call cannot land unhomed.  So does the float-range rule for computed SPD
 matrices: its bounds and its two checks are defined only in ``chol_map``.
@@ -33,9 +34,9 @@ A step has one rule, in ``tri``: every public function with a step ``t`` or
 a grid ``ts`` passes it through ``_step`` or ``_grid`` first.
 
 One SPD point is factored in ``tri`` alone, by ``SpdMatrix._chol``, which
-reads the factor ``from_dense`` kept: outside ``tri`` the kernel modules
-call ``_factor`` only on the stacked members of a mean or on the Karcher
-iterate, never on one point's ``data``."""
+reads the factor ``from_dense`` kept; the means stack their members'
+``_chol``.  Outside ``tri`` the kernel modules call ``_factor`` only on the
+Karcher iterate, never on a point's ``data`` or on a stack of members."""
 import ast
 from pathlib import Path
 
@@ -52,7 +53,6 @@ SRC = {p: ast.parse(p.read_text()) for p in sorted((ROOT / "src" / "logchol").gl
 HOMES = {
     "eigh": "tri.py",
     "eigvalsh": "tri.py",
-    "cholesky": "tri.py",
     "dpotrf": "tri.py",
     "norm": "tri.py",
     "vdot": "tri.py",
@@ -80,11 +80,9 @@ STEP_TAKERS = (
     "cholesky_interpolate", "logeuclid_interpolate", "affine_interpolate",
 )
 
-# The functions that may call _factor outside tri, and on what: the stacked
-# members of a mean (a _stack call), or the Karcher iterate (the name mean).
-FACTOR_ARGS = {
-    "log_cholesky_mean": "_stack", "cholesky_mean": "_stack", "affine_karcher_mean": "mean",
-}
+# The functions that may call _factor outside tri, and on what: the Karcher
+# iterate (the name mean).
+FACTOR_ARGS = {"affine_karcher_mean": "mean"}
 
 # Where outside data enters: whole modules (None), or the named functions of one.
 OUTSIDE_DATA = {
@@ -354,7 +352,7 @@ def test_kernels_factor_only_stacks_and_the_karcher_iterate():
                     seen.append(name)
                 else:
                     strays.append(f"{path.name}:{node.lineno} {ast.unparse(node)}")
-    assert not strays, f"_factor outside tri on other than a stack or the iterate: {strays}"
+    assert not strays, f"_factor outside tri on other than the Karcher iterate: {strays}"
     # The guard sees each call it allows.
     assert sorted(seen) == sorted(FACTOR_ARGS)
 

@@ -6,9 +6,10 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from support import dump_matrices, format_matrix_text
 
+from logchol.baselines import cholesky_mean
 from logchol.chol_manifold import exp_chol, log_chol
-from logchol.chol_map import cholesky_factor, diff_S_inv
-from logchol.spd_manifold import dist_spd, log_cholesky_mean
+from logchol.chol_map import cholesky_factor, diff_S, diff_S_inv, reconstruct
+from logchol.spd_manifold import dist_spd, log_cholesky_mean, transport_spd
 from logchol.tri import (
     CholeskyFactor,
     DomainError,
@@ -295,6 +296,31 @@ def test_dense_returns_a_copy(cls):
     assert x.dim == 2
 
 
+I2 = SpdMatrix(np.eye(2))
+Q2 = SpdMatrix(np.array([[2.0, 0.5], [0.5, 1.0]]))
+L2 = CholeskyFactor(np.array([[1.0, 0.0], [0.3, 2.0]]))
+
+
+@pytest.mark.parametrize(
+    "cls, entries, result",
+    [
+        (SymMatrix, [[1.0, 0.5], [0.5, 2.0]], lambda W: transport_spd(I2, Q2, W).data),
+        (SpdMatrix, [[2.0, 0.5], [0.5, 3.0]], lambda P: dist_spd(P, Q2)),
+        (CholeskyFactor, [[1.5, 0.0], [0.5, 2.0]], lambda L: dist_spd(reconstruct(L), Q2)),
+        (LowerTriangular, [[1.0, 0.0], [-0.5, 2.0]],
+         lambda X: transport_spd(I2, Q2, diff_S(L2, X)).data),
+    ],
+    ids=["SymMatrix", "SpdMatrix", "CholeskyFactor", "LowerTriangular"],
+)
+def test_a_constructor_keeps_a_copy_of_the_callers_array(cls, entries, result):
+    a = np.array(entries)
+    x = cls(a)
+    before, want = x.dense(), result(x)
+    a[1, 0] = 7.0  # every kernel reads the lower triangle
+    assert_array_equal(x.data, before)
+    assert np.array_equal(result(x), want)
+
+
 def test_immutability():
     x = lower(np.eye(2))
     with pytest.raises(AttributeError):
@@ -360,8 +386,6 @@ def test_factor_rejects_non_finite_pivot():
     with pytest.raises(NotSpdError):
         _factor(OVERFLOWING)
     with pytest.raises(NotSpdError):
-        _factor(np.stack([np.eye(3), OVERFLOWING]))
-    with pytest.raises(NotSpdError):
         SpdMatrix.from_dense(OVERFLOWING)
 
 
@@ -369,7 +393,10 @@ def test_overflowing_factor_rejected_downstream():
     p = SpdMatrix(OVERFLOWING.copy())  # the cheap constructor does not factor
     with pytest.raises(NotSpdError):
         cholesky_factor(p)
-    with pytest.raises(NotSpdError):
-        log_cholesky_mean([p])
+    for mean in (log_cholesky_mean, cholesky_mean):
+        with pytest.raises(NotSpdError):
+            mean([p])
+        with pytest.raises(NotSpdError):
+            mean([SpdMatrix(np.eye(3)), p])
     with pytest.raises(NotSpdError):
         dist_spd(p, p)
