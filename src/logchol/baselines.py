@@ -93,8 +93,17 @@ def euclid_interpolate(
     return [SymMatrix._of((1.0 - t) * P.data + t * Q.data) for t in ts]
 
 
+@np.errstate(over="ignore")  # an overflowing sum is redone on ps / n
+def _mean(ps: np.ndarray) -> np.ndarray:
+    """Entrywise mean of an ``(n, m, m)`` stack: ``np.mean``'s bits while the
+    sum is finite, else the sum of ``ps / n``, so that a mean inside the float
+    range is finite, with no warning."""
+    s = ps.sum(axis=0)
+    return s / len(ps) if np.isfinite(s).all() else (ps / len(ps)).sum(axis=0)
+
+
 def euclid_mean(Ps: Sequence[SymMatrix]) -> SymMatrix:
-    return SymMatrix._of(_stack(P.data for P in Ps).mean(axis=0))
+    return SymMatrix._of(_mean(_stack(P.data for P in Ps)))
 
 
 def euclid_exp(P: SymMatrix, W: SymMatrix) -> SymMatrix:
@@ -316,7 +325,7 @@ def affine_karcher_mean(Ps: Sequence[SpdMatrix]) -> SpdMatrix:
         ``KARCHER_MAX_ITER`` iterations; the message gives its last value.
     """
     ps = _stack(P.data for P in Ps)
-    mean = ps.mean(axis=0)
+    mean = _mean(ps)
     for _ in range(KARCHER_MAX_ITER):
         l = _factor(mean)
         g = spd_logm(_congruence(l, ps)).mean(axis=0)

@@ -6,23 +6,23 @@ a square matrix of finite real numbers; exact zeros above the diagonal for
 lower triangular types and exact symmetry for symmetric ones; a positive
 diagonal for Cholesky factors and SPD matrices.  The constructors and
 ``from_dense`` are for outside data, and a constructor stores a copy of it.
-``SymMatrix.from_dense`` symmetrizes input that is symmetric to a relative
-tolerance, and ``SpdMatrix.from_dense`` also runs the factor kernel
-``_factor`` (LAPACK ``dpotrf`` on one matrix) and keeps the factor,
-read-only with the point's ``data``.  A result of the package's kernels is
-typed by ``_Square._of`` instead: it is a square float array with the
-type's shape of zeros by construction, so only finiteness and the type's
-``_check`` hook are tested.  Every operation that needs a point's factor,
-a mean included, reads it through ``SpdMatrix._chol``: the kept one, or
-``_factor(data)`` for a point built any other way.  The symmetrizer
-``_sym``, ``_factor``, the checked eigendecomposition ``_eigh`` and
-``_norm``, every Frobenius norm of the package, live here alone.  So does
-the step rule: every geodesic reads its ``t`` through ``_step`` and every
-interpolant its grid ``ts`` through ``_grid``, before any arithmetic.
-``_sym`` is needed only where a result can come out asymmetric: outside
-data, and tangents such as ``L f(.) L^T`` whose two triangles are computed
-apart; it sums halves, so entries up to the float max stay finite.  An input of ``_eigh`` is not symmetrized: it reads the
-lower triangle alone.  ``dense()`` returns a copy.
+``from_dense`` checks its input once, in ``_symmetrized``, which accepts
+asymmetry up to a relative tolerance and returns a fresh, exactly symmetric
+array; ``SpdMatrix.from_dense`` factors it by ``_factor`` (LAPACK
+``dpotrf`` on one matrix) and keeps the factor, read-only with ``data``.
+That array, like a result of the package's kernels, is typed by
+``_Square._of``: a square float array with the type's shape of zeros by
+construction, so only finiteness and the type's ``_check`` hook are tested.
+Every operation that needs a point's factor, a mean included, reads it
+through ``SpdMatrix._chol``: the kept one, or ``_factor(data)`` for a point
+built any other way.  ``_sym``, ``_factor``, the checked eigendecomposition
+``_eigh`` and ``_norm``, every Frobenius norm of the package, live here
+alone, and so does the step rule: every geodesic reads its ``t`` through
+``_step`` and every interpolant its grid ``ts`` through ``_grid``, before any
+arithmetic.  ``_sym`` is needed only where a result can come out asymmetric:
+outside data, and tangents such as ``L f(.) L^T`` whose two triangles are
+computed apart; it sums halves, so entries up to the float max stay finite.
+``_eigh`` reads the lower triangle alone.  ``dense()`` returns a copy.
 """
 from __future__ import annotations
 
@@ -199,11 +199,10 @@ class _Square:
 
     @classmethod
     def _of(cls, a: np.ndarray):
-        """A kernel's result ``a``, typed.  The kernel guarantees what the
-        constructor would test first: a square float array, exactly
-        symmetric or exactly zero above the diagonal once it is finite.  So
-        only finiteness, the float-range rule, and the type's ``_check`` are
-        tested.  Outside data goes through the constructor or ``from_dense``."""
+        """A kernel's result ``a``, or ``_symmetrized``'s, typed.  Either
+        guarantees what the constructor would test first: a square float
+        array, exactly symmetric or exactly zero above the diagonal once it is
+        finite.  So only finiteness and the type's ``_check`` are tested."""
         out = object.__new__(cls)
         object.__setattr__(out, "data", _finite(a))
         out._check()
@@ -265,7 +264,7 @@ class SymMatrix(_Square):
 
     @classmethod
     def from_dense(cls, dense) -> "SymMatrix":
-        return cls(_symmetrized(dense, DomainError))
+        return cls._of(_symmetrized(dense, DomainError))
 
 
 @dataclass(frozen=True, eq=False)
@@ -290,8 +289,8 @@ class SpdMatrix(SymMatrix):
     def from_dense(cls, dense) -> "SpdMatrix":
         a = _symmetrized(dense, NotSpdError)
         l = _factor(a)
-        out = cls(a)
-        # No caller holds the constructor's copy; read-only, neither it nor
+        out = cls._of(a)
+        # No caller holds the symmetrizer's array; read-only, neither it nor
         # the factor can change, so the kept factor cannot go stale.
         out.data.setflags(write=False)
         l.setflags(write=False)

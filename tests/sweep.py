@@ -30,6 +30,11 @@ two geodesics and the five interpolants) on one fixed m = 2 triple, with
 each of a fixed list of odd and malformed steps (:data:`STEPS`).  The ``scales`` group runs every
 distance and every mean, and ``dist_chol``, on a fixed list of factor pairs
 whose distances approach and pass the float max (:data:`SCALES`).  The
+``outside`` group types each input of a fixed list of outside data
+(:data:`OUTSIDE`: accepted ones, and each kind the README lists as rejected)
+through the four public constructors and both ``from_dense``, and hashes
+the typed ``data``, the kept factor and their writeable flags, or the class
+and text of the error.  The
 script prints one sha256 per (group, operation), over the exact bits of
 every result, the class and text of every exception and every warning raised
 (with memory addresses masked, so that a run is reproducible), and the report
@@ -243,6 +248,76 @@ def scale_operations() -> dict[str, object]:
     return ops
 
 
+# Outside data, each made fresh as a caller would pass it: what the public
+# constructors and from_dense accept (exact and near symmetry, entries up to
+# the float max, integers, nested lists, a lower triangle) and each input they
+# reject (README, "Types").
+_A = ((4.0, 2.0, 0.5), (2.0, 5.0, 1.0), (0.5, 1.0, 3.0))
+_FMAX = np.finfo(float).max
+
+
+def _asymmetric(rel: float) -> np.ndarray:
+    """``_A`` with its entry (0, 1) moved by ``rel * max|_A|``."""
+    a = np.array(_A)
+    a[0, 1] += rel * 5.0
+    return a
+
+
+OUTSIDE = {
+    "symmetric": lambda: np.array(_A),
+    "nested lists": lambda: [list(row) for row in _A],
+    "integers": lambda: [[2, 1], [1, 2]],
+    "1x1": lambda: [[2.0]],
+    "asymmetry 1e-12": lambda: _asymmetric(1e-12),
+    "asymmetry just inside 1e-8": lambda: _asymmetric(0.99e-8),
+    "asymmetry beyond 1e-8": lambda: _asymmetric(1.01e-8),
+    "float max": lambda: np.array([[_FMAX, 1e308], [1e308, _FMAX]]),
+    "float max, asymmetry 1e-12": lambda: np.array([[_FMAX, 1e308 * (1 + 1e-12)],
+                                                    [1e308, _FMAX]]),
+    "lower triangle": lambda: np.linalg.cholesky(np.array(_A)),
+    "ragged": lambda: [[1.0, 2.0], [3.0]],
+    "strings": lambda: [["1", "0"], ["0", "1"]],
+    "string": lambda: "1",
+    "object array with a string": lambda: np.array([[1.0, "1"], ["1", 1.0]], dtype=object),
+    "complex": lambda: np.array([[1.0, 0.5j], [-0.5j, 1.0]]),
+    "integer too large for a float": lambda: [[10**400, 0], [0, 1]],
+    "nan": lambda: np.array([[1.0, np.nan], [np.nan, 1.0]]),
+    "inf": lambda: np.diag([np.inf, 1.0]),
+    "-inf": lambda: np.diag([1.0, -np.inf]),
+    "non-square": lambda: np.ones((2, 3)),
+    "1-d": lambda: np.ones(3),
+    "empty": lambda: np.zeros((0, 0)),
+    "empty list": lambda: [],
+    "negative diagonal": lambda: np.diag([-1.0, 1.0]),
+    "not positive definite": lambda: np.array([[1.0, 2.0], [2.0, 1.0]]),
+}
+
+
+def outside_operations() -> dict[str, object]:
+    """``{"outside.op": fn(data)}`` for the four public constructors and both
+    ``from_dense``: each returns the typed matrix, whether its ``data`` is
+    writeable and shares memory with ``data``, and the bits and writeable
+    flag of the factor it keeps, if any."""
+    from logchol import CholeskyFactor, LowerTriangular, SpdMatrix, SymMatrix
+
+    def typed_by(make):
+        def op(data):
+            out = make(data)
+            kept = getattr(out, "_kept", None)
+            shared = isinstance(data, np.ndarray) and np.shares_memory(out.data, data)
+            notes = f" writeable {out.data.flags.writeable} shared {shared}".encode()
+            if kept is not None:
+                notes += b" kept " + kept.tobytes() + f" writeable {kept.flags.writeable}".encode()
+            return [out, notes]
+        return op
+
+    makers = {"SymMatrix.from_dense": SymMatrix.from_dense,
+              "SpdMatrix.from_dense": SpdMatrix.from_dense,
+              **{cls.__name__: cls for cls in (SymMatrix, SpdMatrix, LowerTriangular,
+                                               CholeskyFactor)}}
+    return {f"outside.{name}": typed_by(make) for name, make in makers.items()}
+
+
 def results(out) -> list:
     """The typed matrices in an operation's output: itself, or a list's members."""
     return [r for r in (out if isinstance(out, list) else [out]) if hasattr(r, "data")]
@@ -338,7 +413,8 @@ def sweep() -> tuple[dict[str, str], dict[str, dict[str, int]]]:
     args = typed(draw(np.random.default_rng(SEED), 2))
     pairs = [(np.array([[a, 0.0], [b, d]]), np.array([[a, 0.0], [-b, d]])) for a, b, d in SCALES]
     for ops, cases in ((step_operations(), [lambda m=m: (args, m()) for m in STEPS.values()]),
-                       (scale_operations(), [lambda p=p: p for p in pairs])):
+                       (scale_operations(), [lambda p=p: p for p in pairs]),
+                       (outside_operations(), [lambda m=m: (m(),) for m in OUTSIDE.values()])):
         for key, fn in ops.items():
             hashes[key], failures[key] = hashlib.sha256(), Counter()
             for case in cases:

@@ -1,4 +1,5 @@
 import functools
+import warnings
 
 import numpy as np
 import pytest
@@ -96,6 +97,23 @@ class TestEuclidean:
     def test_empty_mean(self):
         with pytest.raises(EmptyInputError):
             bl.euclid_mean([])
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 1000])
+    def test_mean_has_the_bits_of_numpy_mean(self, rng, n):
+        ps = rng.standard_normal((n, 4, 4)) * 10.0 ** rng.integers(-300, 300, (n, 1, 1))
+        assert_array_equal(bl._mean(ps), ps.mean(axis=0))
+
+    def test_mean_inside_the_float_range_past_an_overflowing_sum(self):
+        # The sum of the members overflows; their mean does not.
+        ps = [SpdMatrix(np.diag([1.79e308, 1.0])), SpdMatrix(rotated([1e308, 1e300]))]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            mean = bl.euclid_mean(ps)
+            assert_array_equal(mean.data, ps[0].data / 2 + ps[1].data / 2)
+            # The Karcher mean starts there; its whitening then loses
+            # positivity (ROADMAP item 1), and says so by raising.
+            with pytest.raises(tri.LogCholError):
+                bl.affine_karcher_mean(ps)
 
 
 class TestCholeskyDistance:

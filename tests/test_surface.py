@@ -22,11 +22,14 @@ A kernel module symmetrizes only a result it is typing, as
 ``SymMatrix._of(_sym(...))``: an eigensolver's input is not symmetrized,
 since ``tri._eigh`` reads one triangle.
 
-Outside data takes every check: where it enters (``from_dense``, the fixture
-reader, ``sampling``, ``experiments``, ``report`` and ``cli``) nothing types a
-value through ``_Square._of``, the path for kernel results, which checks
-finiteness and the type's hook alone.  The kernel modules (``chol_map``,
-``chol_manifold``, ``spd_manifold`` and ``baselines``) take only that path:
+Outside data takes every check once.  Where it enters (``from_dense``, the
+fixture reader, ``sampling``, ``experiments``, ``report`` and ``cli``),
+``_Square._of``, the path for kernel results, which checks finiteness and
+the type's hook alone, types only the array that ``_symmetrized`` returned
+in the same function: that array has passed every check of the
+constructors, and no caller holds it.  Any other value there goes through a
+constructor or ``from_dense``.  The kernel modules (``chol_map``,
+``chol_manifold``, ``spd_manifold`` and ``baselines``) take only ``_of``:
 none of them calls a public constructor.  Kernels write diagonals through
 the flat stride, never ``np.fill_diagonal``.
 
@@ -102,15 +105,21 @@ def _public_definitions(tree: ast.Module):
                 yield fn
 
 
-def _references(tree: ast.Module):
-    """``(line, name)`` of every name, attribute and import in ``tree``."""
+def _named(tree: ast.AST):
+    """``(node, name)`` of every name, attribute and import in ``tree``."""
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
-            yield node.lineno, node.id
+            yield node, node.id
         elif isinstance(node, ast.Attribute):
-            yield node.lineno, node.attr
+            yield node, node.attr
         elif isinstance(node, ast.alias):
-            yield node.lineno, node.name
+            yield node, node.name
+
+
+def _references(tree: ast.AST):
+    """``(line, name)`` of every name, attribute and import in ``tree``."""
+    for node, name in _named(tree):
+        yield node.lineno, name
 
 
 def _transposed(node: ast.expr, of: ast.expr) -> bool:
@@ -289,7 +298,46 @@ def test_float_range_rule_has_one_home():
     assert homes == {name: ["chol_map.py"] for name in FLOAT_RANGE_RULE}
 
 
+def _is_symmetrized(node: ast.expr) -> bool:
+    return isinstance(node, ast.Call) and "_symmetrized" in (
+        getattr(node.func, "id", None), getattr(node.func, "attr", None)
+    )
+
+
+def _bound_to_symmetrized(fn: ast.FunctionDef) -> set[str]:
+    """The names ``fn`` binds, every time, by a plain assignment of ``_symmetrized(...)``."""
+    plain = {id(n.targets[0]): _is_symmetrized(n.value) for n in ast.walk(fn)
+             if isinstance(n, ast.Assign) and len(n.targets) == 1}
+    binds = [(n.id, plain.get(id(n), False)) for n in ast.walk(fn)
+             if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)]
+    binds += [(a.arg, False) for a in ast.walk(fn.args) if isinstance(a, ast.arg)]
+    return {name for name, _ in binds} - {name for name, ok in binds if not ok}
+
+
+def _of_symmetrized(scope: ast.AST) -> set[int]:
+    """``id`` of each ``_of`` in ``scope`` called on one argument: ``_symmetrized(...)``,
+    or a name that the innermost function around the call binds to it alone."""
+    home = {}
+    for fn in ast.walk(scope):  # breadth first: an inner function overwrites its outer one
+        if isinstance(fn, ast.FunctionDef):
+            home.update((id(node), fn) for node in ast.walk(fn))
+    typed = set()
+    for call in ast.walk(scope):
+        if not (isinstance(call, ast.Call) and isinstance(call.func, ast.Attribute)
+                and call.func.attr == "_of" and len(call.args) == 1 and not call.keywords
+                and id(call) in home):
+            continue
+        arg = call.args[0]
+        if _is_symmetrized(arg) or (
+            isinstance(arg, ast.Name) and arg.id in _bound_to_symmetrized(home[id(call)])
+        ):
+            typed.add(id(call.func))
+    return typed
+
+
 def test_outside_data_is_never_typed_as_a_kernel_result():
+    """Where outside data enters, ``_of`` takes only the array ``_symmetrized``
+    built, a result of the package that has passed every constructor check."""
     scopes = {}
     for path, tree in SRC.items():
         if path.name in OUTSIDE_DATA:
@@ -298,16 +346,18 @@ def test_outside_data_is_never_typed_as_a_kernel_result():
                 node for node in ast.walk(tree)
                 if isinstance(node, ast.FunctionDef) and node.name in names
             ]
-    strays = [
-        f"{name}:{line}"
-        for name, nodes in scopes.items()
-        for node in nodes
-        for line, ref in _references(node)
-        if ref == "_of"
-    ]
-    assert not strays, f"outside data typed through _Square._of: {strays}"
-    # The guard sees every scope it polices (two from_dense), and the path it bans.
+    typed, strays = [], []
+    for name, nodes in scopes.items():
+        for scope in nodes:
+            allowed = _of_symmetrized(scope)
+            for node, ref in _named(scope):
+                if ref == "_of":
+                    (typed if id(node) in allowed else strays).append(f"{name}:{node.lineno}")
+    assert not strays, f"outside data typed through _Square._of unsymmetrized: {strays}"
+    # The guard sees every scope it polices, and each from_dense typing its
+    # symmetrized array, and the kernels' use of the path it restricts.
     assert sorted(OUTSIDE_DATA) == sorted(scopes) and len(scopes["tri.py"]) == 4
+    assert len(typed) == 2 and all(t.startswith("tri.py:") for t in typed)
     assert any(ref == "_of" for _, ref in _references(SRC[ROOT / "src" / "logchol" / "chol_map.py"]))
 
 

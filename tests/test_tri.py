@@ -9,6 +9,7 @@ from support import dump_matrices, format_matrix_text
 from logchol.baselines import cholesky_mean
 from logchol.chol_manifold import exp_chol, log_chol
 from logchol.chol_map import cholesky_factor, diff_S, diff_S_inv, reconstruct
+from logchol import tri
 from logchol.spd_manifold import dist_spd, log_cholesky_mean, transport_spd
 from logchol.tri import (
     CholeskyFactor,
@@ -319,6 +320,26 @@ def test_a_constructor_keeps_a_copy_of_the_callers_array(cls, entries, result):
     a[1, 0] = 7.0  # every kernel reads the lower triangle
     assert_array_equal(x.data, before)
     assert np.array_equal(result(x), want)
+
+
+@pytest.mark.parametrize("cls", [SymMatrix, SpdMatrix])
+def test_from_dense_types_its_symmetrized_array_without_a_constructor(cls, monkeypatch):
+    # Outside data is checked once, by _symmetrized; from_dense keeps the
+    # array it returned, which no caller holds, and runs no constructor.
+    def constructor(*args, **kwargs):
+        raise AssertionError("from_dense ran a constructor")
+
+    for c in (SymMatrix, SpdMatrix):
+        monkeypatch.setattr(c, "__init__", constructor)
+        monkeypatch.setattr(c, "__post_init__", constructor)
+    built, symmetrized = [], tri._symmetrized
+    monkeypatch.setattr(tri, "_symmetrized", lambda *a: built.append(symmetrized(*a)) or built[-1])
+    a = np.array([[4.0, 2.0], [2.0 + 1e-12, 5.0]])
+    x = cls.from_dense(a)
+    assert len(built) == 1 and x.data is built[0] and not np.shares_memory(x.data, a)
+    assert x.data.flags.writeable is (cls is SymMatrix)
+    if cls is SpdMatrix:
+        assert not cholesky_factor(x).data.flags.writeable
 
 
 def test_immutability():
