@@ -125,7 +125,7 @@ def group_identity(dim: int) -> CholeskyFactor:
 
 
 def _transport(l: np.ndarray, k: np.ndarray, x: np.ndarray) -> np.ndarray:
-    out = x.copy()
+    out = x.copy(order="K")
     out.flat[:: len(out) + 1] = x.diagonal() * (k.diagonal() / l.diagonal())
     return out
 

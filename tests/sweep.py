@@ -34,7 +34,12 @@ whose distances approach and pass the float max (:data:`SCALES`).  The
 (:data:`OUTSIDE`: accepted ones, and each kind the README lists as rejected)
 through the four public constructors and both ``from_dense``, and hashes
 the typed ``data``, the kept factor and their writeable flags, or the class
-and text of the error.  The
+and text of the error.  The ``blocked`` group runs every operation that
+pulls a tangent back through ``chol_map._diff_S_inv`` (``diff_S_inv``,
+``metric_spd``, ``geodesic_spd``, ``exp_spd`` and ``transport_spd``), and
+``log_spd``, on draws of the same law at m in {65, 128}, from their own seed
+(:data:`BLOCKED_SEED`): the only draws large enough for the pullback's block
+recurrence, which splits above m = 64.  The
 script prints one sha256 per (group, operation), over the exact bits of
 every result, the class and text of every exception and every warning raised
 (with memory addresses masked, so that a run is reproducible), and the report
@@ -84,6 +89,10 @@ DIMS = (1, 2, 3, 5, 8)
 PER_DIM = 45
 TS = (-0.5, 0.0, 0.3, 1.0, 1.7)  # the interpolation grid
 GEOMETRIES = ("euclidean", "cholesky", "log-euclidean", "affine-invariant", "log-cholesky")
+# The blocked group's draws: above chol_map._BLOCK, so the pullback splits.
+BLOCKED_SEED = 64
+BLOCKED_DIMS = (65, 128)
+BLOCKED_PER_DIM = 3
 ORACLE_KAPPAS = (1e2, 1e6, 1e8, 1e10, 1e15)
 ORACLE_M = 5
 ORACLE_DRAWS = 50
@@ -318,6 +327,21 @@ def outside_operations() -> dict[str, object]:
     return {f"outside.{name}": typed_by(make) for name, make in makers.items()}
 
 
+def blocked_operations() -> dict[str, object]:
+    """``{"blocked.op": fn(args)}`` for the operations that pull a tangent back,
+    and ``log_spd``, ``args`` as from :func:`typed`."""
+    import logchol as lc
+
+    return {
+        "blocked.diff_S_inv": lambda a: lc.diff_S_inv(a["L"], a["W"]),
+        "blocked.metric_spd": lambda a: lc.metric_spd(a["P"], a["W"], a["W"]),
+        "blocked.geodesic_spd": lambda a: lc.geodesic_spd(a["P"], a["W"], 0.7),
+        "blocked.exp_spd": lambda a: lc.exp_spd(a["P"], a["W"]),
+        "blocked.log_spd": lambda a: lc.log_spd(a["P"], a["Q"]),
+        "blocked.transport_spd": lambda a: lc.transport_spd(a["P"], a["Q"], a["W"]),
+    }
+
+
 def results(out) -> list:
     """The typed matrices in an operation's output: itself, or a list's members."""
     return [r for r in (out if isinstance(out, list) else [out]) if hasattr(r, "data")]
@@ -412,9 +436,12 @@ def sweep() -> tuple[dict[str, str], dict[str, dict[str, int]]]:
             hashes[key].update(outcome(lambda: fn(kept))[0])
     args = typed(draw(np.random.default_rng(SEED), 2))
     pairs = [(np.array([[a, 0.0], [b, d]]), np.array([[a, 0.0], [-b, d]])) for a, b, d in SCALES]
+    rng = np.random.default_rng(BLOCKED_SEED)
+    large = [typed(draw(rng, m)) for m in BLOCKED_DIMS for _ in range(BLOCKED_PER_DIM)]
     for ops, cases in ((step_operations(), [lambda m=m: (args, m()) for m in STEPS.values()]),
                        (scale_operations(), [lambda p=p: p for p in pairs]),
-                       (outside_operations(), [lambda m=m: (m(),) for m in OUTSIDE.values()])):
+                       (outside_operations(), [lambda m=m: (m(),) for m in OUTSIDE.values()]),
+                       (blocked_operations(), [lambda a=a: (a,) for a in large])):
         for key, fn in ops.items():
             hashes[key], failures[key] = hashlib.sha256(), Counter()
             for case in cases:

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
@@ -7,6 +9,7 @@ from support import random_factor, random_tangent
 
 from logchol import baselines as bl
 from logchol import chol_manifold as cm
+from logchol import chol_map
 from logchol.chol_map import (
     _congruence,
     _reconstruct,
@@ -17,7 +20,7 @@ from logchol.chol_map import (
     reconstruct,
 )
 from logchol.sampling import random_spd, random_spd_with_condition, random_sym
-from logchol.spd_manifold import log_cholesky_mean
+from logchol.spd_manifold import exp_spd, log_cholesky_mean
 from logchol.tri import (
     CholeskyFactor,
     DomainError,
@@ -197,6 +200,77 @@ def test_diff_S_inv_matches_extended_precision(rng, kappa, m):
         ref = diff_S_inv_mp(l.data, w.data)
         err = np.linalg.norm(diff_S_inv(l, w).data - ref) / np.linalg.norm(ref)
         assert err <= 1e-12
+
+
+# A _BLOCK no pullback reaches: the leaf congruence at every m.
+NO_SPLIT = 1 << 30
+
+
+@pytest.mark.parametrize("kappa", [1e2, 1e8, 1e15])
+@pytest.mark.parametrize("m", [9, 13, 16])
+def test_blocked_diff_S_inv_matches_extended_precision(rng, monkeypatch, kappa, m):
+    # Leaves of at most 4: m = 9 splits into 4 and 5, the 5 into 2 and 3.
+    monkeypatch.setattr(chol_map, "_BLOCK", 4)
+    for _ in range(3):
+        l = cholesky_factor(random_spd_with_condition(rng, m, kappa))
+        w = random_sym(rng, m)
+        ref = diff_S_inv_mp(l.data, w.data)
+        err = np.linalg.norm(diff_S_inv(l, w).data - ref) / np.linalg.norm(ref)
+        assert err <= 1e-13
+
+
+@pytest.mark.parametrize("m", [65, 97, 128])
+def test_blocked_diff_S_inv_agrees_with_the_leaf(rng, monkeypatch, m):
+    for p in (random_spd(rng, m), random_spd_with_condition(rng, m, 1e8)):
+        l, w = cholesky_factor(p), random_sym(rng, m)
+        blocked = diff_S_inv(l, w).data
+        monkeypatch.setattr(chol_map, "_BLOCK", NO_SPLIT)
+        leaf = diff_S_inv(l, w).data
+        monkeypatch.undo()
+        assert np.linalg.norm(blocked - leaf) <= 1e-13 * np.linalg.norm(leaf)
+        assert not np.triu(blocked, 1).any()
+        back = diff_S(l, LowerTriangular(blocked)).data
+        assert np.linalg.norm(back - w.data) <= 1e-13 * np.linalg.norm(w.data)
+
+
+def test_blocked_and_leaf_pullbacks_overflow_alike(rng, monkeypatch):
+    # At m = 128: tangents from 1e-300 to 1e308, on which the pullback stays
+    # finite up to 1e306 and the exp only up to 10; and factors whose
+    # off-diagonal block is scaled up, on which the block recurrence's
+    # product X21 L21^T overflows from 1e160 on.  Either form gives each
+    # outcome, with no numpy warning.
+    m = 128
+    p = random_spd(rng, m)
+    g = random_sym(rng, m).data
+    ws = [SymMatrix(s * (g / np.abs(g).max()))
+          for s in (1e-300, 1.0, 10.0, 1e3, 1e100, 1e300, 1e306, 1e307, 1e308)]
+    l = cholesky_factor(p)
+    ls = []
+    for s in (1e100, 1e150, 1e160, 1e200):
+        k = l.data.copy()
+        k[m // 2:, : m // 2] *= s
+        ls.append(CholeskyFactor(k))
+
+    def outcomes():
+        ops = [lambda w=w: diff_S_inv(l, w) for w in ws]
+        ops += [lambda w=w: exp_spd(p, w) for w in ws]
+        ops += [lambda k=k: diff_S_inv(k, ws[1]) for k in ls]
+        seen = []
+        for op in ops:
+            try:
+                seen.append(bool(np.isfinite(op().data).all()))
+            except DomainError:
+                seen.append("DomainError")
+        return seen
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        blocked = outcomes()
+        monkeypatch.setattr(chol_map, "_BLOCK", NO_SPLIT)
+        leaf = outcomes()
+    assert blocked == leaf
+    assert blocked == ([True] * 7 + ["DomainError"] * 2 + [True] * 3 + ["DomainError"] * 6
+                       + [True] * 2 + ["DomainError"] * 2)
 
 
 @pytest.mark.parametrize("n", [1, 2, 20])

@@ -6,8 +6,11 @@ and ``eigh`` and ``eigvalsh`` through ``numpy.linalg``, which ``tri._eigh``
 calls.  The table holds the calls of ``from_dense`` and of every
 operation of the registry at m = 5 on ``from_dense`` points, which keep
 their factors; an interpolation takes a grid of three steps.  The Karcher
-mean is left out: its count grows with its iterations.  A call added to or
-dropped from any operation changes the table."""
+mean is left out: its count grows with its iterations.  A second table
+holds the Log-Cholesky operations and the ``chol_map`` differentials at
+m = 128, where the pullback splits once into two m = 64 congruences
+(``chol_map._BLOCK``).  A call added to or dropped from any operation
+changes a table."""
 from collections import Counter
 
 import numpy as np
@@ -15,7 +18,7 @@ import pytest
 
 from logchol import chol_map, tri
 from logchol.baselines import METRIC_NAMES, get_metric
-from logchol.tri import LowerTriangular, SpdMatrix, SymMatrix
+from logchol.tri import CholeskyFactor, LowerTriangular, SpdMatrix, SymMatrix
 
 M = 5
 TS = (0.0, 0.5, 1.0)
@@ -42,8 +45,22 @@ CALLS = {
     "log-cholesky.interpolate": {},
     "log-cholesky.mean": {},
     "log-cholesky.exp": {"dtrsm": 2, "dtrmm": 1},
-    "log-cholesky.log": {},
-    "log-cholesky.transport": {"dtrsm": 2, "dtrmm": 1},
+    "log-cholesky.log": {"dtrmm": 1},
+    "log-cholesky.transport": {"dtrsm": 2, "dtrmm": 2},
+}
+
+# One split: two leaf congruences (two dtrsm and one dtrmm each), and the
+# off-diagonal block's dtrmm and dtrsm.
+BLOCKED_M = 128
+BLOCKED_CALLS = {
+    "log-cholesky.distance": {},
+    "log-cholesky.interpolate": {},
+    "log-cholesky.mean": {},
+    "log-cholesky.exp": {"dtrsm": 5, "dtrmm": 3},
+    "log-cholesky.log": {"dtrmm": 1},
+    "log-cholesky.transport": {"dtrsm": 5, "dtrmm": 4},
+    "chol_map.diff_S_inv": {"dtrsm": 5, "dtrmm": 3},
+    "chol_map.diff_S": {"dtrmm": 1},
 }
 
 
@@ -59,9 +76,23 @@ def calls(monkeypatch):
     return seen
 
 
+def _inputs(rng, m):
+    p, q, g = (rng.standard_normal((m, m)) for _ in range(3))
+    p, q, w = p @ p.T + np.eye(m), q @ q.T + np.eye(m), g + g.T
+    return p, q, w
+
+
+def _counted(calls, work):
+    table = {}
+    for key, fn in work.items():
+        calls.clear()
+        fn()
+        table[key] = dict(calls)
+    return table
+
+
 def test_each_operation_makes_its_lapack_calls(rng, calls):
-    p, q, g = (rng.standard_normal((M, M)) for _ in range(3))
-    p, q, w = p @ p.T + np.eye(M), q @ q.T + np.eye(M), g + g.T
+    p, q, w = _inputs(rng, M)
     work = {"SpdMatrix.from_dense": lambda: SpdMatrix.from_dense(p),
             "SymMatrix.from_dense": lambda: SymMatrix.from_dense(w)}
     P, Q, W = SpdMatrix.from_dense(p), SpdMatrix.from_dense(q), SymMatrix.from_dense(w)
@@ -78,9 +109,22 @@ def test_each_operation_makes_its_lapack_calls(rng, calls):
             work[f"{g}.mean"] = lambda ops=ops: ops.mean([P, Q])
         if ops.transport is not None:
             work[f"{g}.transport"] = lambda ops=ops: ops.transport(P, Q, W)
-    table = {}
-    for key, fn in work.items():
-        calls.clear()
-        fn()
-        table[key] = dict(calls)
-    assert table == CALLS
+    assert _counted(calls, work) == CALLS
+
+
+def test_the_blocked_pullback_makes_its_lapack_calls(rng, calls):
+    p, q, w = _inputs(rng, BLOCKED_M)
+    P, Q, W = SpdMatrix.from_dense(p), SpdMatrix.from_dense(q), SymMatrix.from_dense(w)
+    L, X = CholeskyFactor(P._chol), LowerTriangular(np.tril(w))
+    ops = get_metric("log-cholesky")
+    work = {
+        "log-cholesky.distance": lambda: ops.distance(P, Q),
+        "log-cholesky.interpolate": lambda: ops.interpolate(P, Q, TS),
+        "log-cholesky.mean": lambda: ops.mean([P, Q]),
+        "log-cholesky.exp": lambda: ops.exp(P, W),
+        "log-cholesky.log": lambda: ops.log(P, Q),
+        "log-cholesky.transport": lambda: ops.transport(P, Q, W),
+        "chol_map.diff_S_inv": lambda: chol_map.diff_S_inv(L, W),
+        "chol_map.diff_S": lambda: chol_map.diff_S(L, X),
+    }
+    assert _counted(calls, work) == BLOCKED_CALLS
