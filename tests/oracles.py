@@ -75,7 +75,7 @@ def karcher_mean_per_member(Ps) -> SpdMatrix:
     """
     if len(Ps) == 1:
         return Ps[0]
-    mean = SpdMatrix(bl.euclid_mean(Ps).data)
+    mean = SpdMatrix(bl.get_metric("euclidean").mean(Ps).data)
     for _ in range(bl.KARCHER_MAX_ITER):
         grad = np.mean([bl.affine_log(mean, P).data for P in Ps], axis=0)
         grad = SymMatrix((grad + grad.T) / 2.0)

@@ -40,9 +40,10 @@ def test_01_swelling_counterexample_golden(capsys):
     eps = 0.1
     p1 = SpdMatrix.from_dense(np.diag([eps**2, 1.0]))
     p2 = SpdMatrix.from_dense(np.diag([1.0, eps**2]))
-    bl.cholesky_interpolate(p1, p2, [0.5])  # warm-up
+    interpolate = bl.get_metric("cholesky").interpolate
+    interpolate(p1, p2, [0.5])  # warm-up
     t0 = time.perf_counter()
-    [mid] = bl.cholesky_interpolate(p1, p2, [0.5])
+    [mid] = interpolate(p1, p2, [0.5])
     det = np.linalg.det(mid.dense())
     elapsed = time.perf_counter() - t0
     expected = (1.0 + eps) ** 4 / 16.0
@@ -65,7 +66,7 @@ def test_02_interpolation_det_sequence(capsys):
     # original endpoints; the qualitative substitute is determinant swelling
     # of the Euclidean midpoint on the shipped fixture
     p, q = ex.interpolation_endpoints()
-    [mid] = bl.euclid_interpolate(p, q, [0.5])
+    [mid] = bl.get_metric("euclidean").interpolate(p, q, [0.5])
     dp, dq = np.linalg.det(p.dense()), np.linalg.det(q.dense())
     dm = np.linalg.det(mid.dense())
     assert dm > dp and dm > dq

@@ -55,6 +55,9 @@ def expm(a):
     return k @ k.swapaxes(-1, -2)
 
 
+EUCLID, CHOL, LOGEUCLID = map(bl.get_metric, ("euclidean", "cholesky", "log-euclidean"))
+
+
 def well_conditioned_spd(rng, m):
     """``A A^T + I`` with ``A`` standard normal."""
     a = rng.standard_normal((m, m))
@@ -70,33 +73,33 @@ P2 = spd(np.diag([1.0, EPS**2]))
 class TestEuclidean:
     def test_interpolate_fixed_point(self, rng):
         p = random_spd(rng, 3)
-        [mid] = bl.euclid_interpolate(p, p, [0.5])
+        [mid] = EUCLID.interpolate(p, p, [0.5])
         assert_allclose(mid.dense(), p.dense(), atol=0)
 
     def test_counterexample_midpoint(self):
-        [mid] = bl.euclid_interpolate(P1, P2, [0.5])
+        [mid] = EUCLID.interpolate(P1, P2, [0.5])
         assert_allclose(mid.dense(), np.diag([0.505, 0.505]), atol=0)
 
     def test_mean_swells_on_interpolation_fixture(self):
         from logchol.experiments import interpolation_endpoints
 
         p, q = interpolation_endpoints()
-        mean = bl.euclid_mean([p, q])
+        mean = EUCLID.mean([p, q])
         dets = [np.linalg.det(p.dense()), np.linalg.det(q.dense())]
         assert np.linalg.det(mean.dense()) > max(dets)
 
     def test_dist_and_exp_log(self, rng):
         p = random_spd(rng, 3)
         q = random_spd(rng, 3)
-        assert bl.euclid_dist(p, q) == pytest.approx(
+        assert EUCLID.distance(p, q) == pytest.approx(
             np.linalg.norm(p.dense() - q.dense()), abs=0
         )
-        back = bl.euclid_exp(p, bl.euclid_log(p, q))
+        back = EUCLID.exp(p, EUCLID.log(p, q))
         assert_allclose(back.dense(), q.dense(), atol=1e-14)
 
     def test_empty_mean(self):
         with pytest.raises(EmptyInputError):
-            bl.euclid_mean([])
+            EUCLID.mean([])
 
     @pytest.mark.parametrize("n", [1, 2, 3, 7, 1000])
     def test_mean_has_the_bits_of_numpy_mean(self, rng, n):
@@ -108,7 +111,7 @@ class TestEuclidean:
         ps = [SpdMatrix(np.diag([1.79e308, 1.0])), SpdMatrix(rotated([1e308, 1e300]))]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            mean = bl.euclid_mean(ps)
+            mean = EUCLID.mean(ps)
             assert_array_equal(mean.data, ps[0].data / 2 + ps[1].data / 2)
             # The Karcher mean starts there; its whitening then loses
             # positivity (ROADMAP item 1), and says so by raising.
@@ -118,7 +121,7 @@ class TestEuclidean:
 
 class TestCholeskyDistance:
     def test_counterexample_midpoint_determinant(self):
-        [mid] = bl.cholesky_interpolate(P1, P2, [0.5])
+        [mid] = CHOL.interpolate(P1, P2, [0.5])
         expected = (1.0 + EPS) ** 4 / 16.0
         assert np.linalg.det(mid.dense()) == pytest.approx(expected, abs=1e-12)
         assert np.linalg.det(mid.dense()) > EPS**2  # exceeds both endpoint dets
@@ -126,53 +129,55 @@ class TestCholeskyDistance:
     def test_endpoint_exact(self, rng):
         p = random_spd(rng, 3)
         q = random_spd(rng, 3)
-        [start] = bl.cholesky_interpolate(p, q, [0.0])
+        [start] = CHOL.interpolate(p, q, [0.0])
         assert_allclose(start.dense(), p.dense(), rtol=1e-13)
 
     def test_distance_is_factor_gap(self):
         # factors diag(eps, 1) and diag(1, eps)
         expected = np.sqrt(2.0) * (1.0 - EPS)
-        assert bl.cholesky_distance(P1, P2) == pytest.approx(expected, rel=1e-14)
+        assert CHOL.distance(P1, P2) == pytest.approx(expected, rel=1e-14)
 
     def test_exp_log_roundtrip(self, rng):
         p = random_spd(rng, 3)
         q = random_spd(rng, 3)
-        gap = bl.cholesky_log(p, q)
+        gap = CHOL.log(p, q)
         assert isinstance(gap, LowerTriangular)
-        back = bl.cholesky_exp(p, gap)
+        back = CHOL.exp(p, gap)
         assert_allclose(back.dense(), q.dense(), rtol=1e-12)
 
     def test_mean_matches_two_point_interpolation(self, rng):
-        p = random_spd(rng, 3)
-        q = random_spd(rng, 3)
-        assert_allclose(
-            bl.cholesky_mean([p, q]).dense(),
-            bl.cholesky_interpolate(p, q, [0.5])[0].dense(),
-            rtol=1e-13,
-        )
+        # In every flat geometry the midpoint c^-1(c(P)/2 + c(Q)/2) and the
+        # mean c^-1((c(P) + c(Q))/2) have the same bits: halving is exact.
+        for ops in (EUCLID, CHOL, LOGEUCLID):
+            for m in (1, 2, 5, 8):
+                for _ in range(50):
+                    p = random_spd(rng, m)
+                    q = random_spd(rng, m)
+                    [mid] = ops.interpolate(p, q, [0.5])
+                    assert_array_equal(mid.data, ops.mean([p, q]).data, err_msg=ops.name)
 
 
 class TestLogEuclidean:
     def test_dist_self_zero(self, rng):
         p = random_spd(rng, 3)
-        assert bl.logeuclid_dist(p, p) == 0.0
+        assert LOGEUCLID.distance(p, p) == 0.0
 
     def test_mean_commuting_pair(self):
         e2 = np.e**2
-        out = bl.logeuclid_mean([spd(np.eye(2)), spd(np.diag([e2, e2]))])
+        out = LOGEUCLID.mean([spd(np.eye(2)), spd(np.diag([e2, e2]))])
         assert_allclose(out.dense(), np.diag([np.e, np.e]), rtol=1e-14)
 
     def test_mean_det_matches_log_cholesky_mean_det(self, rng):
         for _ in range(10):
             ps = [random_spd(rng, 4) for _ in range(5)]
-            le = np.linalg.det(bl.logeuclid_mean(ps).dense())
+            le = np.linalg.det(LOGEUCLID.mean(ps).dense())
             lc = np.linalg.det(log_cholesky_mean(ps).dense())
             assert le == pytest.approx(lc, rel=1e-10)
 
     def test_interpolation_endpoints(self, rng):
         p = random_spd(rng, 3)
         q = random_spd(rng, 3)
-        for out, ref in zip(bl.logeuclid_interpolate(p, q, [0.0, 1.0]), (p, q), strict=True):
+        for out, ref in zip(LOGEUCLID.interpolate(p, q, [0.0, 1.0]), (p, q), strict=True):
             rel = np.linalg.norm(out.dense() - ref.dense()) / np.linalg.norm(ref.dense())
             assert rel < 1e-12
 
@@ -181,7 +186,7 @@ class TestLogEuclidean:
         for _ in range(5):
             p = well_conditioned_spd(rng, 3)
             q = well_conditioned_spd(rng, 3)
-            back = bl.logeuclid_exp(p, bl.logeuclid_log(p, q))
+            back = LOGEUCLID.exp(p, LOGEUCLID.log(p, q))
             rel = np.linalg.norm(back.dense() - q.dense()) / np.linalg.norm(q.dense())
             assert rel < 1e-9
 
@@ -196,8 +201,8 @@ class TestLogEuclidean:
             before = np.sum(
                 bl.dlog_spd(p.dense(), w.dense()) * bl.dlog_spd(p.dense(), v.dense())
             )
-            tw = bl.logeuclid_transport(p, q, w)
-            tv = bl.logeuclid_transport(p, q, v)
+            tw = LOGEUCLID.transport(p, q, w)
+            tv = LOGEUCLID.transport(p, q, v)
             after = np.sum(
                 bl.dlog_spd(q.dense(), tw.dense()) * bl.dlog_spd(q.dense(), tv.dense())
             )
@@ -245,10 +250,10 @@ class TestLogEuclidean:
             p = random_spd_with_condition(rng, m, kappa)
             q = random_spd_with_condition(rng, m, kappa)
             ref = logeuclid_mean_mp([p.data, q.data], (0.7, 0.3))
-            [out] = bl.logeuclid_interpolate(p, q, [0.3])
+            [out] = LOGEUCLID.interpolate(p, q, [0.3])
             assert np.linalg.norm(out.data - ref) <= eps * kappa * np.linalg.norm(ref)
             ref = logeuclid_mean_mp([p.data, q.data])
-            out = bl.logeuclid_mean([p, q]).data
+            out = LOGEUCLID.mean([p, q]).data
             assert np.linalg.norm(out - ref) <= eps * kappa * np.linalg.norm(ref)
 
 
@@ -406,7 +411,7 @@ class TestSharedStructure:
             ps = [random_spd_wishart(rng, m) for _ in range(5)]
             ls = [cholesky_factor(p) for p in ps]
             ref = cm.frechet_mean_chol(ls).data
-            dists = {d: d(ps[0], ps[1]) for d in (bl.affine_dist, bl.logeuclid_dist)}
+            dists = {d: d(ps[0], ps[1]) for d in (bl.affine_dist, LOGEUCLID.distance)}
             for c in SCALES:
                 out = cm.frechet_mean_chol([CholeskyFactor(np.sqrt(c) * l.data) for l in ls])
                 rel = np.linalg.norm(out.data / np.sqrt(c) - ref) / np.linalg.norm(ref)
@@ -556,22 +561,22 @@ RESULT_OUT_OF_RANGE = {
     "ai-interpolate-overflow-by-the-base": lambda: bl.affine_interpolate(
         spd(np.diag([1e308, 1.0])), spd(np.diag([1.7e308, 1.0])), [2.0]
     ),
-    "le-interpolate-underflow": lambda: bl.logeuclid_interpolate(
+    "le-interpolate-underflow": lambda: LOGEUCLID.interpolate(
         spd(I2), spd(np.diag([1e-4, 1.0])), [80.0]
     ),
-    "le-interpolate-full-underflow": lambda: bl.logeuclid_interpolate(
+    "le-interpolate-full-underflow": lambda: LOGEUCLID.interpolate(
         spd(I2), spd(np.diag([1e-4, 1.0])), [200.0]
     ),
-    "chol-exp-subnormal-pivot": lambda: bl.cholesky_exp(
+    "chol-exp-subnormal-pivot": lambda: CHOL.exp(
         spd(np.diag([1e-300, 1.0])), LowerTriangular(np.diag([-1e-150 + 1e-155, 0.0]))
     ),
-    "chol-exp-overflow": lambda: bl.cholesky_exp(
+    "chol-exp-overflow": lambda: CHOL.exp(
         spd(I2), LowerTriangular(np.diag([1e200, 0.0]))
     ),
-    "chol-interpolate-subnormal-pivot": lambda: bl.cholesky_interpolate(
+    "chol-interpolate-subnormal-pivot": lambda: CHOL.interpolate(
         spd(np.diag([1e-300, 1.0])), spd(np.diag([4e-300, 1.0])), [-0.99999]
     ),
-    "chol-interpolate-overflow": lambda: bl.cholesky_interpolate(
+    "chol-interpolate-overflow": lambda: CHOL.interpolate(
         spd(I2), spd(np.diag([4.0, 9.0])), [1e308]
     ),
     "geodesic-chol-overflow": lambda: cm.geodesic_chol(
@@ -615,7 +620,7 @@ SPECTRAL_INPUT_OUT_OF_RANGE = {
     "ai-interpolate": [lambda: bl.affine_interpolate(TINY, HUGE, [0.5])],
     **{
         f"le-interpolate-huge-step-m{m}": [
-            lambda p=p, q=q: bl.logeuclid_interpolate(p, q, [1e308]) for p, q, _ in _huge_draws(m)
+            lambda p=p, q=q: LOGEUCLID.interpolate(p, q, [1e308]) for p, q, _ in _huge_draws(m)
         ]
         for m in (5, 8)
     },

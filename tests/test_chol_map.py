@@ -65,7 +65,7 @@ def test_factor_rejects_indefinite():
 
 def test_a_mean_reads_its_members_factors(rng):
     # Bit for bit: a mean refactors no member by another routine.
-    kernels = {log_cholesky_mean: cm._frechet_mean, bl.cholesky_mean: lambda ls: ls.mean(axis=0)}
+    kernels = {log_cholesky_mean: cm._frechet_mean, bl.get_metric("cholesky").mean: lambda ls: ls.mean(axis=0)}
     for m in (1, 2, 5, 12):
         for wrap in (SpdMatrix, SpdMatrix.from_dense):
             members = [wrap(random_spd(rng, m).data) for _ in range(8)]

@@ -24,19 +24,20 @@ from logchol.sampling import random_spd, random_sym
 from logchol.tri import NotSpdError, SpdMatrix, SymMatrix
 
 TS = (0.0, 0.3, 1.0)
+CHOL = bl.get_metric("cholesky")
 
 
 def op_mix(P, Q, W):
     """The Log-Cholesky, affine-invariant and Cholesky-baseline operations
     that read a point's factor, on ``P``, ``Q`` and ``W``: their results."""
-    X = bl.cholesky_log(P, Q)
+    X = CHOL.log(P, Q)
     return [
         lc.transport_spd(P, Q, W), lc.dist_spd(P, Q), lc.log_spd(P, Q), lc.exp_spd(P, W),
         lc.geodesic_spd(P, W, 0.7), lc.metric_spd(P, W, W), lc.group_op_spd(P, Q),
         lc.group_inv_spd(P), lc.interpolate_spd(P, Q, TS), cholesky_factor(P),
         bl.affine_transport(P, Q, W), bl.affine_dist(P, Q), bl.affine_log(P, Q),
         bl.affine_exp(P, W), bl.affine_interpolate(P, Q, TS),
-        bl.cholesky_distance(P, Q), X, bl.cholesky_exp(P, X), bl.cholesky_interpolate(P, Q, TS),
+        CHOL.distance(P, Q), X, CHOL.exp(P, X), CHOL.interpolate(P, Q, TS),
     ]
 
 
@@ -81,7 +82,8 @@ def test_other_points_keep_nothing_and_give_the_same_bits(rng, factored):
 
 
 @pytest.mark.parametrize("wrap", [SpdMatrix, SpdMatrix.from_dense])
-@pytest.mark.parametrize("mean", [lc.log_cholesky_mean, bl.cholesky_mean])
+@pytest.mark.parametrize("mean", [lc.log_cholesky_mean, CHOL.mean],
+                         ids=["log_cholesky_mean", "cholesky_mean"])
 def test_each_mean_factors_only_members_that_keep_no_factor(rng, factored, mean, wrap):
     members = [wrap(random_spd(rng, 3).data) for _ in range(5)]
     for _ in range(2):
@@ -134,6 +136,6 @@ def test_a_point_that_does_not_factor_raises_on_every_use():
                 lc.dist_spd(P, P)
             with pytest.raises(NotSpdError):
                 bl.affine_exp(P, SymMatrix(np.zeros((2, 2))))
-            for mean in (lc.log_cholesky_mean, bl.cholesky_mean):
+            for mean in (lc.log_cholesky_mean, CHOL.mean):
                 with pytest.raises(NotSpdError):
                     mean([P])

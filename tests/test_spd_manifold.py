@@ -178,8 +178,8 @@ def test_results_up_to_the_float_max():
         exp_spd(p, zero),
         geodesic_spd(p, zero, 0.5),
         *interpolate_spd(p, p, [0.5]),
-        *bl.cholesky_interpolate(p, p, [0.5]),
-        bl.cholesky_mean([p, p]),
+        *bl.get_metric("cholesky").interpolate(p, p, [0.5]),
+        bl.get_metric("cholesky").mean([p, p]),
     ]
     for out in outs:
         assert_allclose(out.dense(), p.dense(), rtol=1e-15, atol=0)

@@ -105,13 +105,12 @@ def test_an_empty_grid_gives_no_points():
 
 @pytest.mark.parametrize("t", [1e308, -1e308])
 def test_a_finite_step_past_the_float_range_raises_domain_error_quietly(t):
-    # Every SPD or factor result leaves the float range here; the Euclidean
-    # interpolant's SymMatrix results are outside the no-warning rule.
+    # Every result leaves the float range here, the Euclidean interpolant's
+    # SymMatrix results included.
     for fn in GEODESICS.values():
         _raises_domain_error_quietly(lambda: fn(t))
-    for name, fn in INTERPOLANTS.items():
-        if name != "euclidean":
-            _raises_domain_error_quietly(lambda: fn([t]))
+    for fn in INTERPOLANTS.values():
+        _raises_domain_error_quietly(lambda: fn([t]))
 
 
 def test_the_sweep_records_a_rejected_generator_reproducibly():

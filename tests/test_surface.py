@@ -34,7 +34,8 @@ none of them calls a public constructor.  Kernels write diagonals through
 the flat stride, never ``np.fill_diagonal``.
 
 A step has one rule, in ``tri``: every public function with a step ``t`` or
-a grid ``ts`` passes it through ``_step`` or ``_grid`` first.
+a grid ``ts``, a nested one included, passes it through ``_step`` or
+``_grid`` first.
 
 One SPD point is factored in ``tri`` alone, by ``SpdMatrix._chol``, which
 reads the factor ``from_dense`` kept; the means stack their members'
@@ -80,10 +81,9 @@ CONSTRUCTORS = ("SymMatrix", "SpdMatrix", "LowerTriangular", "CholeskyFactor")
 
 # The parameters that hold a step or a grid, and the rule in tri that reads each.
 STEP_RULES = {"t": "_step", "ts": "_grid"}
-STEP_TAKERS = (
-    "geodesic_chol", "geodesic_spd", "interpolate_spd", "euclid_interpolate",
-    "cholesky_interpolate", "logeuclid_interpolate", "affine_interpolate",
-)
+# A nested function is one too: "interpolate" is the flat core's, which
+# serves the Euclidean, Cholesky and Log-Euclidean geometries.
+STEP_TAKERS = ("geodesic_chol", "geodesic_spd", "interpolate_spd", "interpolate", "affine_interpolate")
 
 # The functions that may call _factor outside tri, and on what: the Karcher
 # iterate (the name mean).
@@ -275,8 +275,10 @@ def test_kernels_symmetrize_only_a_result_they_type():
                 if id(node) not in typing:
                     strays.append(f"{path.name}:{node.lineno} {ast.unparse(node)}")
     assert not strays, f"_sym outside a typed result: {strays}"
-    # The guard sees the four spectral logarithms and transports.
-    assert typed == 4
+    # The guard sees the spectral logarithms and transports: the two
+    # affine-invariant ones, and the flat core's pulled tangent, which the
+    # Log-Euclidean log and transport share.
+    assert typed == 3
 
 
 def _definitions(tree: ast.Module):
@@ -412,7 +414,8 @@ def test_kernels_factor_only_stacks_and_the_karcher_iterate():
 def test_every_step_passes_through_the_step_rule():
     seen, strays = [], []
     for path, tree in SRC.items():
-        for fn in _public_definitions(tree):
+        nested = (n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef))
+        for fn in (fn for fn in nested if not fn.name.startswith("_")):
             for arg in fn.args.args:
                 if arg.arg not in STEP_RULES:
                     continue
@@ -442,6 +445,7 @@ def test_no_kernel_writes_a_diagonal_with_fill_diagonal():
 
 # Kernel results of finite inputs whose entries overflow; each is typed by
 # _Square._of, whose finiteness check must still reject it.
+HUGE_SYM = SymMatrix(np.diag([1.7e308, 1.0]))
 OVERFLOWING_RESULTS = {
     "transport_spd": lambda: logchol.transport_spd(
         SpdMatrix(np.eye(2)), SpdMatrix(np.diag([1e300, 1.0])), SymMatrix(np.diag([1e300, 0.0]))
@@ -451,6 +455,11 @@ OVERFLOWING_RESULTS = {
     ),
     "diff_S": lambda: logchol.diff_S(
         CholeskyFactor(np.diag([1e200, 1.0])), LowerTriangular(np.diag([1e200, 0.0]))
+    ),
+    # The flat core forms exp and interpolant results with numpy's warnings off.
+    "euclidean.exp": lambda: logchol.get_metric("euclidean").exp(HUGE_SYM, HUGE_SYM),
+    "euclidean.interpolate": lambda: logchol.get_metric("euclidean").interpolate(
+        HUGE_SYM, SymMatrix(-HUGE_SYM.data), [3.0]
     ),
 }
 

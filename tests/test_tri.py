@@ -6,7 +6,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from support import dump_matrices, format_matrix_text
 
-from logchol.baselines import cholesky_mean
+from logchol.baselines import get_metric
 from logchol.chol_manifold import exp_chol, log_chol
 from logchol.chol_map import cholesky_factor, diff_S, diff_S_inv, reconstruct
 from logchol import tri
@@ -414,7 +414,7 @@ def test_overflowing_factor_rejected_downstream():
     p = SpdMatrix(OVERFLOWING.copy())  # the cheap constructor does not factor
     with pytest.raises(NotSpdError):
         cholesky_factor(p)
-    for mean in (log_cholesky_mean, cholesky_mean):
+    for mean in (log_cholesky_mean, get_metric("cholesky").mean):
         with pytest.raises(NotSpdError):
             mean([p])
         with pytest.raises(NotSpdError):
