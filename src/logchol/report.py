@@ -80,8 +80,8 @@ class GlyphRecord:
         return cls(
             row=row,
             col=col,
-            eigenvalues=[float(x) for x in w],
-            eigenvectors=[float(x) for x in u.ravel(order="C")],
+            eigenvalues=w.tolist(),
+            eigenvectors=u.ravel(order="C").tolist(),
             determinant=det,
             log_determinant=log_det,
         )

@@ -1,12 +1,14 @@
 """The LAPACK and BLAS work of each operation, counted.
 
 Each routine is counted where its home module (``test_surface.HOMES``)
-reaches it: ``dpotrf`` in ``tri``, ``dtrsm`` and ``dtrmm`` in ``chol_map``,
-and ``eigh`` and ``eigvalsh`` through ``numpy.linalg``, which ``tri._eigh``
-calls.  The table holds the calls of ``from_dense`` and of every
-operation of the registry at m = 5 on ``from_dense`` points, which keep
-their factors; an interpolation takes a grid of three steps.  The Karcher
-mean is left out: its count grows with its iterations.  A second table
+reaches it: ``dpotrf`` and ``dsyevd`` in ``tri``, ``dtrsm`` and ``dtrmm``
+in ``chol_map``, and ``eigh`` and ``eigvalsh`` through ``numpy.linalg``.
+``tri._eigh`` sends one matrix to ``dsyevd`` and a stack to numpy's batched
+``eigh``/``eigvalsh``; a values-only ``dsyevd`` is counted as ``dsyevd/N``.
+The table holds the calls of ``from_dense`` and of every operation of the
+registry at m = 5 on ``from_dense`` points, which keep their factors; an
+interpolation takes a grid of three steps.  The Karcher mean's count grows
+with its iterations, so it is pinned per iteration instead.  A second table
 holds the Log-Cholesky operations and the ``chol_map`` differentials at
 m = 128, where the pullback splits once into two m = 64 congruences
 (``chol_map._BLOCK``).  A call added to or dropped from any operation
@@ -22,7 +24,7 @@ from logchol.tri import CholeskyFactor, LowerTriangular, SpdMatrix, SymMatrix
 
 M = 5
 TS = (0.0, 0.5, 1.0)
-ROUTINES = {"dpotrf": tri, "dtrsm": chol_map, "dtrmm": chol_map,
+ROUTINES = {"dpotrf": tri, "dsyevd": tri, "dtrsm": chol_map, "dtrmm": chol_map,
             "eigh": np.linalg, "eigvalsh": np.linalg}
 
 CALLS = {
@@ -30,17 +32,17 @@ CALLS = {
     "SymMatrix.from_dense": {},
     **{f"{g}.{op}": {} for g in ("euclidean", "cholesky")
        for op in ("distance", "interpolate", "mean", "exp", "log")},
-    "log-euclidean.distance": {"eigh": 2},
-    "log-euclidean.interpolate": {"eigh": 5},
-    "log-euclidean.mean": {"eigh": 2},
-    "log-euclidean.exp": {"eigh": 2, "eigvalsh": 1},
-    "log-euclidean.log": {"eigh": 2},
-    "log-euclidean.transport": {"eigh": 1, "eigvalsh": 1},
-    "affine-invariant.distance": {"dtrsm": 2, "eigvalsh": 1},
-    "affine-invariant.interpolate": {"dtrsm": 2, "eigh": 1},
-    "affine-invariant.exp": {"dtrsm": 2, "eigh": 1},
-    "affine-invariant.log": {"dtrsm": 2, "eigh": 1},
-    "affine-invariant.transport": {"dtrsm": 4, "eigh": 1},
+    "log-euclidean.distance": {"dsyevd": 2},
+    "log-euclidean.interpolate": {"dsyevd": 5},
+    "log-euclidean.mean": {"eigh": 1, "dsyevd": 1},
+    "log-euclidean.exp": {"dsyevd": 2, "dsyevd/N": 1},
+    "log-euclidean.log": {"dsyevd": 2},
+    "log-euclidean.transport": {"dsyevd": 1, "dsyevd/N": 1},
+    "affine-invariant.distance": {"dtrsm": 2, "dsyevd/N": 1},
+    "affine-invariant.interpolate": {"dtrsm": 2, "dsyevd": 1},
+    "affine-invariant.exp": {"dtrsm": 2, "dsyevd": 1},
+    "affine-invariant.log": {"dtrsm": 2, "dsyevd": 1},
+    "affine-invariant.transport": {"dtrsm": 4, "dsyevd": 1},
     "log-cholesky.distance": {},
     "log-cholesky.interpolate": {},
     "log-cholesky.mean": {},
@@ -70,7 +72,7 @@ def calls(monkeypatch):
     seen = Counter()
     for name, module in ROUTINES.items():
         def counted(*args, real=getattr(module, name), name=name, **kwargs):
-            seen[name] += 1
+            seen[name + ("/N" if kwargs.get("compute_v") == 0 else "")] += 1
             return real(*args, **kwargs)
         monkeypatch.setattr(module, name, counted)
     return seen
@@ -128,3 +130,15 @@ def test_the_blocked_pullback_makes_its_lapack_calls(rng, calls):
         "chol_map.diff_S": lambda: chol_map.diff_S(L, X),
     }
     assert _counted(calls, work) == BLOCKED_CALLS
+
+
+def test_each_karcher_step_makes_its_lapack_calls(rng, calls):
+    # Each step factors the iterate (dpotrf), whitens the stack in one
+    # congruence (two dtrsm) and takes its logarithm in one stacked eigh;
+    # every step but the last, which stops on the gradient, also takes the
+    # exp of the mean log on one matrix (dsyevd).
+    Ps = [SpdMatrix(p) for p in (_inputs(rng, M)[0] for _ in range(6))]
+    get_metric("affine-invariant").mean(Ps)
+    k = calls["dpotrf"]
+    assert k > 2
+    assert dict(calls) == {"dpotrf": k, "dtrsm": 2 * k, "eigh": k, "dsyevd": k - 1}

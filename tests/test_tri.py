@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
+from scipy.linalg.lapack import dsyevd, dsyevd_lwork
 
 from support import dump_matrices, format_matrix_text
 
@@ -14,6 +15,7 @@ from logchol.spd_manifold import dist_spd, log_cholesky_mean, transport_spd
 from logchol.tri import (
     CholeskyFactor,
     DomainError,
+    EigFailureError,
     LowerTriangular,
     NotSpdError,
     SpdMatrix,
@@ -276,6 +278,65 @@ def test_eigh_reads_the_lower_triangle_alone(shape):
     assert_array_equal(wb, w)
     assert_array_equal(ub, u)
     assert_array_equal(_eigh(b, vectors=False), _eigh(a, vectors=False))
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 5, 31, 32, 33, 64, 65, 128])
+def test_one_matrix_eigh_is_dsyevd_at_its_optimal_workspace(m):
+    # One matrix goes to dsyevd with the workspace passed: below LAPACK's
+    # optimum, values alone would take the unblocked tridiagonal reduction
+    # and move in bits.  Across numpy's and scipy's LAPACK builds (the stack
+    # path and numpy.linalg) only closeness is asserted.
+    g = np.random.default_rng(m).standard_normal((m, m))
+    a = g + g.T
+    for vectors in (True, False):
+        lwork = int(dsyevd_lwork(m, compute_v=int(vectors), lower=1)[0])
+        w_opt, u_opt, info = dsyevd(a, compute_v=int(vectors), lower=1, lwork=lwork)
+        assert info == 0
+        (w, u), (w_s, u_s) = (
+            _eigh(x, vectors=True) if vectors else (_eigh(x, vectors=False), None) for x in (a, a[None])
+        )
+        w_np, u_np = np.linalg.eigh(a) if vectors else (np.linalg.eigvalsh(a), None)
+        assert_array_equal(w, w_opt)
+        for w_ref in (w_np, w_s[0]):
+            assert_allclose(w, w_ref, rtol=0, atol=1e-13 * np.abs(w).max())
+        if vectors:
+            assert_array_equal(u, u_opt)
+            for u_ref in (u_np, u_s[0]):
+                # Each column up to sign: |u_j . u_ref_j| = 1.
+                assert_allclose(np.abs((u * u_ref).sum(axis=0)), 1.0, atol=1e-9)
+
+
+def test_eigh_reports_lapack_failure(monkeypatch):
+    # A matrix: dsyevd's info; a stack: numpy's LinAlgError.
+    a = np.diag([1.0, 2.0])
+    monkeypatch.setattr(tri, "dsyevd", lambda a, **kwargs: (np.diag(a), a, 1))
+    for vectors in (True, False):
+        with pytest.raises(EigFailureError):
+            _eigh(a, vectors=vectors)
+
+    def fails(a):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", fails)
+    monkeypatch.setattr(np.linalg, "eigvalsh", fails)
+    for vectors in (True, False):
+        with pytest.raises(EigFailureError):
+            _eigh(a[None], vectors=vectors)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_eigh_rejects_non_finite_input_before_lapack(monkeypatch, bad):
+    def unreached(*args, **kwargs):
+        raise AssertionError("LAPACK called on non-finite input")
+
+    for owner, name in ((tri, "dsyevd"), (np.linalg, "eigh"), (np.linalg, "eigvalsh")):
+        monkeypatch.setattr(owner, name, unreached)
+    a = np.eye(3)
+    a[2, 1] = bad
+    for x in (a, np.stack([np.eye(3), a])):
+        for vectors in (True, False):
+            with pytest.raises(DomainError):
+                _eigh(x, vectors=vectors)
 
 
 @pytest.mark.parametrize("cls", [SymMatrix, SpdMatrix])
