@@ -161,9 +161,9 @@ def _factor(p: np.ndarray) -> np.ndarray:
 
 def _eigh(a: np.ndarray, domain: str | None = None, vectors: bool = True):
     """Eigendecomposition ``(w, u)`` of a symmetric matrix or stack, or if not
-    ``vectors`` its eigenvalues ``w`` alone (``eigvalsh``); with ``domain`` (a
-    function of positive eigenvalues) given, all must be positive.  Only the
-    lower triangle is read (numpy's ``UPLO="L"``), so an input whose two
+    ``vectors`` its eigenvalues ``w`` alone; with ``domain`` (a function of
+    positive eigenvalues) given, all must be positive.  Only the lower
+    triangle is read (numpy's ``UPLO="L"``), so an input whose two
     triangles were computed apart needs no symmetrizing.  Input
     that has left the float range raises ``DomainError`` before LAPACK, which
     may return NaN eigenvalues for it; ``EigFailureError`` means LAPACK did
@@ -171,11 +171,11 @@ def _eigh(a: np.ndarray, domain: str | None = None, vectors: bool = True):
 
     Both ranks reach LAPACK ``dsyevd``.  One matrix calls it directly, which
     skips ``numpy.linalg``'s type dispatch and gufunc setup (about half the
-    call at m = 5); a stack takes numpy's batched ``eigh``/``eigvalsh``, one
-    call for all its members.  The workspace ``1 + 6m + 2m^2`` is passed for
-    values alone too: scipy's default there, ``2m + 1``, forces the unblocked
-    tridiagonal reduction, whose eigenvalues differ in bits from the blocked
-    one that ``eigvalsh`` and the stack path use."""
+    call at m = 5); a stack takes numpy's batched ``eigh``, one call for all
+    its members (every values-only caller passes one matrix).  The workspace
+    ``1 + 6m + 2m^2`` is passed for values alone too: scipy's default there,
+    ``2m + 1``, forces the unblocked tridiagonal reduction, whose eigenvalues
+    differ in bits from the blocked one that numpy's solvers use."""
     if not np.isfinite(a).all():
         raise DomainError("eigendecomposition input leaves the float range")
     if a.ndim == 2:
@@ -185,7 +185,7 @@ def _eigh(a: np.ndarray, domain: str | None = None, vectors: bool = True):
             raise EigFailureError("symmetric eigendecomposition failed")
     else:
         try:
-            w, u = np.linalg.eigh(a) if vectors else (np.linalg.eigvalsh(a), None)
+            w, u = np.linalg.eigh(a)
         except np.linalg.LinAlgError as exc:
             raise EigFailureError("symmetric eigendecomposition failed") from exc
     if domain is not None and (lo := min(w[..., 0].flat)) <= 0.0:

@@ -8,8 +8,9 @@ its closed form in extended precision, the affine-invariant Karcher
 mean by per-member logarithms and exponentials, and the affine-invariant
 inner product by an explicit inverse.  The affine-invariant and
 Log-Euclidean matrix functions are evaluated in extended precision through
-``mpmath.eigsy``, and so are the five distances, each the Frobenius norm of
-its own difference summed entry by entry; the Log-Cholesky distance,
+``mpmath.eigsy``, the Log-Euclidean differentials of ``log`` and ``exp`` by
+the Daleckii-Krein formula, and so are the five distances, each the Frobenius
+norm of its own difference summed entry by entry; the Log-Cholesky distance,
 logarithm and transport also come from ``mpmath.cholesky`` alone.  The
 extended-precision oracles take their float inputs exactly and round each
 result once.
@@ -236,6 +237,56 @@ def affine_mp(p: np.ndarray, q: np.ndarray, w: np.ndarray, dps: int = 50):
         log = L * spectral(mpmath.log) * L.T
         e = L * spectral(mpmath.sqrt) * Li
         transport = e * W * e.T
+        return (
+            float(dist),
+            np.array(log.tolist(), dtype=float),
+            np.array(transport.tolist(), dtype=float),
+        )
+
+
+def _divided_differences(f, df, x):
+    """The matrix of first divided differences of ``f`` at the nodes ``x``:
+    ``(f(x_i) - f(x_j)) / (x_i - x_j)``, and ``df(x_i)`` where ``x_i = x_j``."""
+    n = len(x)
+    return mpmath.matrix([[df(x[i]) if x[i] == x[j] else (f(x[i]) - f(x[j])) / (x[i] - x[j])
+                           for j in range(n)] for i in range(n)])
+
+
+def _daleckii_krein(lam, U, f, df, h):
+    """``Df(A)[H]`` of the symmetric ``A = U diag(lam) U^T``, ``lam`` a list,
+    by the Daleckii-Krein formula ``U ((U^T H U) o F) U^T``, ``F`` the divided
+    differences of ``f`` at ``lam`` and ``o`` the entrywise product."""
+    F = _divided_differences(f, df, lam)
+    H = U.T * h * U
+    return U * mpmath.matrix([[H[i, j] * F[i, j] for j in range(H.cols)]
+                              for i in range(H.rows)]) * U.T
+
+
+def logeuclid_mp(p: np.ndarray, q: np.ndarray, w: np.ndarray, dps: int = 50):
+    """Log-Euclidean distance, ``log_P Q`` and the transport of ``W`` from
+    ``P`` to ``Q``, in extended precision.
+
+    With ``P = U diag(lam) U^T`` and ``Q = V diag(mu) V^T`` (``mpmath.eigsy``):
+    the distance is ``|log P - log Q|``; the logarithm is the derivative of
+    ``exp`` at ``log P`` along ``log Q - log P``, and the transport that of
+    ``exp`` at ``log Q`` along the derivative of ``log`` at ``P`` along ``W``,
+    each by the Daleckii-Krein formula: the divided differences of ``exp`` at
+    ``log lam`` (at ``log mu``) and of ``log`` at ``lam``.  No power series is
+    summed.
+    """
+    m = p.shape[0]
+    with mpmath.workdps(dps):
+        P, Q, W = (mpmath.matrix(a.tolist()) for a in (p, q, w))
+        (lam, U), (mu, V) = mpmath.eigsy(P), mpmath.eigsy(Q)
+        lam = [lam[i] for i in range(m)]
+        log_lam = [mpmath.log(x) for x in lam]
+        log_mu = [mpmath.log(mu[i]) for i in range(m)]
+        log_p = U * mpmath.diag(log_lam) * U.T
+        gap = log_p - V * mpmath.diag(log_mu) * V.T
+        dist = mpmath.sqrt(sum(x**2 for x in gap))
+        log = _daleckii_krein(log_lam, U, mpmath.exp, mpmath.exp, -gap)
+        dlog = _daleckii_krein(lam, U, mpmath.log, lambda x: 1 / x, W)
+        transport = _daleckii_krein(log_mu, V, mpmath.exp, mpmath.exp, dlog)
         return (
             float(dist),
             np.array(log.tolist(), dtype=float),

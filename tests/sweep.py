@@ -62,8 +62,8 @@ from its own seed: 50 triples per ``kappa`` at m = 5, ``P`` and ``Q`` from
 ``sampling.random_spd_with_condition`` and ``W`` from ``sampling.random_sym``.
 A row added at the end of a geometry's kappas, or a geometry added with a
 seed of its own, leaves the draws of every other cell as they were.  With
-``--compare``, both trees' tables are printed; a table takes about five
-seconds.
+``--compare``, both trees' tables are printed; a table takes about four
+seconds, most of it the Log-Euclidean oracle.
 """
 from __future__ import annotations
 
@@ -100,6 +100,7 @@ ORACLE_DRAWS = 50
 ORACLES = {
     "affine-invariant": ("affine_mp", 40, 2019),
     "log-cholesky": ("log_cholesky_mp", 60, 2020),
+    "log-euclidean": ("logeuclid_mp", 40, 2021),
 }
 
 

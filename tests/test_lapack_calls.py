@@ -2,9 +2,9 @@
 
 Each routine is counted where its home module (``test_surface.HOMES``)
 reaches it: ``dpotrf`` and ``dsyevd`` in ``tri``, ``dtrsm`` and ``dtrmm``
-in ``chol_map``, and ``eigh`` and ``eigvalsh`` through ``numpy.linalg``.
-``tri._eigh`` sends one matrix to ``dsyevd`` and a stack to numpy's batched
-``eigh``/``eigvalsh``; a values-only ``dsyevd`` is counted as ``dsyevd/N``.
+in ``chol_map``, and ``eigh`` through ``numpy.linalg``.  ``tri._eigh``
+sends one matrix to ``dsyevd`` and a stack to numpy's batched ``eigh``; a
+values-only ``dsyevd`` is counted as ``dsyevd/N``.
 The table holds the calls of ``from_dense`` and of every operation of the
 registry at m = 5 on ``from_dense`` points, which keep their factors; an
 interpolation takes a grid of three steps.  The Karcher mean's count grows
@@ -25,7 +25,7 @@ from logchol.tri import CholeskyFactor, LowerTriangular, SpdMatrix, SymMatrix
 M = 5
 TS = (0.0, 0.5, 1.0)
 ROUTINES = {"dpotrf": tri, "dsyevd": tri, "dtrsm": chol_map, "dtrmm": chol_map,
-            "eigh": np.linalg, "eigvalsh": np.linalg}
+            "eigh": np.linalg}
 
 CALLS = {
     "SpdMatrix.from_dense": {"dpotrf": 1},

@@ -227,6 +227,15 @@ class TestCli:
                 main(["interpolate", "--input", str(fx)])
             assert exc.value.code == 2, count
 
+    def test_mean_fixture_with_no_matrices_exits_2(self, tmp_path, capsys):
+        fx = tmp_path / "empty.txt"
+        for text in ("", "\n\n  \n"):
+            fx.write_text(text)
+            with pytest.raises(SystemExit) as exc:
+                main(["mean", "--input", str(fx)])
+            assert exc.value.code == 2, repr(text)
+            assert "--input fixture contains no matrices" in capsys.readouterr().err
+
     def test_mean_csv_format(self, capsys):
         assert main(["mean", "--n", "4", "--m", "2", "--format", "csv"]) == 0
         out = capsys.readouterr().out

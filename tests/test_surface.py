@@ -12,8 +12,9 @@ Each matrix step has one home: the Cholesky factorization (LAPACK
 the eigenvalue solvers, the symmetrizer and the Frobenius norm
 (``np.linalg.norm`` and ``np.vdot``, behind ``tri._norm``) are called or
 defined only in ``tri``, the triangular BLAS calls only in ``chol_map``,
-the QR factorization of the orthogonal sampler only in ``sampling`` and the
-LU of ``slogdet`` only in ``experiments``.  Every name the package reaches through ``numpy.linalg``,
+the QR factorization of the orthogonal sampler only in ``sampling``, the
+LU of ``slogdet`` only in ``experiments`` and the Frechet derivative of the
+matrix exponential (``expm_frechet``) only in ``baselines``.  Every name the package reaches through ``numpy.linalg``,
 ``scipy.linalg``, ``lapack`` or ``blas`` has its home listed, so a new LAPACK
 call cannot land unhomed.  So does the float-range rule for computed SPD
 matrices: its bounds and its two checks are defined only in ``chol_map``.
@@ -58,7 +59,6 @@ SRC = {p: ast.parse(p.read_text()) for p in sorted((ROOT / "src" / "logchol").gl
 # Routine name -> the one module that may reference it.
 HOMES = {
     "eigh": "tri.py",
-    "eigvalsh": "tri.py",
     "dpotrf": "tri.py",
     "dsyevd": "tri.py",
     "norm": "tri.py",
@@ -66,6 +66,7 @@ HOMES = {
     "LinAlgError": "tri.py",
     "dtrsm": "chol_map.py",
     "dtrmm": "chol_map.py",
+    "expm_frechet": "baselines.py",
     "qr": "sampling.py",
     "slogdet": "experiments.py",
 }
