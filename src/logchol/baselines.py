@@ -99,8 +99,12 @@ DLOG_SERIES_MAX_TERMS = 500
 def dexp_sym(s: np.ndarray, h: np.ndarray) -> np.ndarray:
     """Directional derivative of the matrix exponential at ``s`` along ``h``:
     SciPy's ``expm_frechet`` (Al-Mohy and Higham's scaling and squaring), with
-    ``DomainError`` for a non-finite ``h``, where SciPy raises ``ValueError``."""
-    return expm_frechet(s, _finite(h), compute_expm=False)
+    ``DomainError`` for a non-finite ``h``, where SciPy raises ``ValueError``.
+    It is linear in ``h``, so ``h`` goes in scaled by ``2^-e``, ``e`` the
+    exponent of ``max|h|``, and the result comes out scaled by ``2^e``: exact
+    both ways, and SciPy's Pade matrices stay inside the float range."""
+    e = np.frexp(np.abs(_finite(h)).max())[1]
+    return np.ldexp(expm_frechet(s, np.ldexp(h, -e), compute_expm=False), e)
 
 
 def dlog_spd(p: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -186,6 +190,7 @@ def affine_transport(P: SpdMatrix, Q: SpdMatrix, W: SymMatrix) -> SymMatrix:
     return SymMatrix._of(_sym(ls @ _congruence(l, W.data) @ ls.T))
 
 
+@np.errstate(over="ignore", invalid="ignore")  # overflow reads inf or nan: rejected
 def affine_karcher_mean(Ps: Sequence[SpdMatrix]) -> SpdMatrix:
     """Frechet mean by fixed-point iteration with unit step.
 

@@ -12,6 +12,7 @@ which writes into an array of any memory layout.
 """
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
 from numbers import Integral
 
@@ -21,11 +22,14 @@ from .tri import (CholeskyFactor, DomainError, LowerTriangular, _norm, _require_
                   _stack, _step)
 
 
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")  # past the float max reads inf
 def _metric(l: np.ndarray, x: np.ndarray, y: np.ndarray) -> float:
     prod = x * y
     diag = prod.diagonal() / l.diagonal() ** 2
     prod.flat[:: len(prod) + 1] = 0.0  # zeroed, not subtracted: avoids cancellation for large diagonals
-    return float(prod.sum() + diag.sum())
+    if math.isnan(s := float(prod.sum() + diag.sum())):
+        raise DomainError("inner product leaves the float range")
+    return s
 
 
 def metric_chol(L: CholeskyFactor, X: LowerTriangular, Y: LowerTriangular) -> float:

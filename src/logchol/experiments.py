@@ -38,7 +38,6 @@ from .tri import (
     _eigh,
     _norm,
     _stack,
-    _sym,
     load_matrices,
 )
 
@@ -83,8 +82,7 @@ def _seeded_spd_with_det(rng: np.random.Generator, dim: int, det: float) -> SpdM
     q = random_orthogonal(rng, dim)
     d = rng.uniform(0.5, 2.0, dim)
     d *= (det / np.prod(d)) ** (1.0 / dim)
-    p = (q * d) @ q.T
-    return SpdMatrix(_sym(p))
+    return SpdMatrix.from_dense((q * d) @ q.T)
 
 
 def run_interpolate(
@@ -201,16 +199,15 @@ def _det_law(mean: SymMatrix, mats: Sequence[SpdMatrix]) -> tuple[float, float, 
 
 
 BENCH_METRICS = tuple(n for n in bl.METRIC_NAMES if bl.get_metric(n).transport is not None)
-BENCH_WARMUP = 10
-BENCH_BATCHES = 10
 
 
 def run_bench_transport(m: int, reps: int, seed: int) -> ExperimentReport:
     """Parallel-transport timing comparison over identical seeded inputs.
 
-    Reports median-of-means wall time per metric (nanoseconds) and the
-    ratios of the two baselines to Log-Cholesky.  Absolute times are
-    hardware-bound; only orderings and coarse ratios are meaningful.
+    Reports the median wall time of one transport call per metric
+    (nanoseconds) and the ratios of the two baselines to Log-Cholesky.
+    Absolute times are hardware-bound; only orderings and coarse ratios are
+    meaningful.
     """
     _at_least(2, m=m)
     _at_least(100, reps=reps)
@@ -219,27 +216,23 @@ def run_bench_transport(m: int, reps: int, seed: int) -> ExperimentReport:
         (random_spd(rng, m), random_spd(rng, m), random_sym(rng, m))
         for _ in range(reps)
     ]
-    mean_ns: dict[str, float] = {}
+    median_ns: dict[str, float] = {}
     for name in BENCH_METRICS:
         transport = bl.get_metric(name).transport
-        for p, q, w in cases[:BENCH_WARMUP]:
-            transport(p, q, w)
-        batch_means = []
-        for batch in np.array_split(np.arange(reps), BENCH_BATCHES):
+        call_ns = []
+        for p, q, w in cases:
             t0 = time.perf_counter_ns()
-            for i in batch:
-                p, q, w = cases[i]
-                transport(p, q, w)
-            batch_means.append((time.perf_counter_ns() - t0) / len(batch))
-        mean_ns[name] = float(np.median(batch_means))
-    timings = {f"{name}_ns": mean_ns[name] for name in BENCH_METRICS}
-    timings["ratio_le_lc"] = mean_ns["log-euclidean"] / mean_ns["log-cholesky"]
-    timings["ratio_ai_lc"] = mean_ns["affine-invariant"] / mean_ns["log-cholesky"]
+            transport(p, q, w)
+            call_ns.append(time.perf_counter_ns() - t0)
+        median_ns[name] = float(np.median(call_ns))
+    timings = {f"{name}_ns": median_ns[name] for name in BENCH_METRICS}
+    timings["ratio_le_lc"] = median_ns["log-euclidean"] / median_ns["log-cholesky"]
+    timings["ratio_ai_lc"] = median_ns["affine-invariant"] / median_ns["log-cholesky"]
     return ExperimentReport(
         experiment="bench-transport",
         metrics=list(BENCH_METRICS),
         inputs={"seed": seed},
-        environment={"dim": m, "reps": reps, "warmup": BENCH_WARMUP},
+        environment={"dim": m, "reps": reps},
         results=[
             ResultRecord(
                 name="timing_note",

@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
+from scipy.linalg import expm_frechet
 
 from oracles import (
     affine_exp_mp,
@@ -314,6 +315,14 @@ class TestAffineInvariant:
             ref = karcher_mean_per_member(ps).data
             assert np.linalg.norm(mean - ref) <= 1e-10 * np.linalg.norm(ref), (n, m)
 
+    @pytest.mark.filterwarnings("error")
+    def test_karcher_mean_near_the_float_max_raises_without_a_warning(self):
+        # The true mean is inside the float range, but a step's
+        # reconstruction overflows and the iterate is rejected (ROADMAP item 1).
+        ps = [spd(rotated([1.7e308, 1e300])), spd(np.diag([1.7e308, 1.7e308]))]
+        with pytest.raises(tri.LogCholError):
+            bl.affine_karcher_mean(ps)
+
     def test_karcher_budget_exhausted_raises(self, rng, monkeypatch):
         monkeypatch.setattr(bl, "KARCHER_MAX_ITER", 1)
         with pytest.raises(NoConvergenceError):
@@ -578,6 +587,32 @@ def test_transport_outside_the_float_range_raises_domain_error(case):
 def test_dexp_sym_rejects_a_non_finite_direction(bad):
     with pytest.raises(DomainError):
         bl.dexp_sym(np.zeros((2, 2)), np.diag([bad, 0.0]))
+
+
+# Transports whose answer is moderate while the direction d log_P W passed
+# to the pull-back may not be: 1e300 W in the first, 1.7e308 W in the second.
+MODERATE_TRANSPORTS = {
+    "tiny-base": (1e-300 * np.eye(2), 1e-300 * np.eye(2), np.diag([1.0, 0.0]), np.diag([1.0, 0.0])),
+    "float-max-tangent": (np.eye(2), np.eye(2), np.diag([1.7e308, 0.0]), np.diag([1.7e308, 0.0])),
+    "huge-target": (np.eye(2), np.diag([1e300, 1.0]), np.diag([1.0, 0.0]), np.diag([1e300, 0.0])),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("case", MODERATE_TRANSPORTS)
+def test_transport_past_an_overflowing_direction(case):
+    p, q, w, want = MODERATE_TRANSPORTS[case]
+    out = LOGEUCLID.transport(spd(p), spd(q), sym(w))
+    assert_allclose(out.data, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+
+
+def test_dexp_sym_has_the_bits_of_expm_frechet(rng):
+    # The power-of-two scalings around SciPy's call are exact.
+    for scale in (1e-200, 1e-3, 1.0, 3.0, 1e200):
+        s = rng.standard_normal((4, 4))
+        h = scale * rng.standard_normal((4, 4))
+        s, h = s + s.T, h + h.T
+        assert_array_equal(bl.dexp_sym(s, h), expm_frechet(s, h, compute_expm=False))
 
 
 I2 = np.eye(2)

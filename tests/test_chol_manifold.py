@@ -63,6 +63,12 @@ class TestMetric:
                 2.0 * metric_chol(l, x, y), rel=1e-13
             )
 
+    @pytest.mark.filterwarnings("error")
+    def test_underflowing_weight_reads_inf(self):
+        # L_00^2 = 1e-400 underflows to zero, so the weight L_00^-2 is inf.
+        x = tangent(np.diag([1.0, 0.0]))
+        assert metric_chol(factor(np.diag([1e-200, 1.0])), x, x) == np.inf
+
 
 class TestGeodesic:
     def test_starts_at_base(self, rng):

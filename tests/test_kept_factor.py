@@ -17,6 +17,7 @@ import pytest
 import sweep
 from support import rotated
 from logchol import baselines as bl
+from logchol import experiments as ex
 from logchol import spd_manifold as lc
 from logchol import tri
 from logchol.chol_map import cholesky_factor
@@ -121,6 +122,13 @@ def test_a_copied_point_keeps_no_stale_factor(rng, copied):
     if R.data.flags.writeable:
         R.data[:] = 2.0 * np.eye(3)
     assert lc.dist_spd(R, Q) == lc.dist_spd(SpdMatrix(R.data.copy()), Q)
+
+
+def test_the_figure_endpoints_keep_their_factors():
+    assert not hasattr(ex, "_sym")  # from_dense symmetrizes them
+    for P in ex.interpolation_endpoints():
+        assert not P._kept.flags.writeable and not P.data.flags.writeable
+        assert P._kept.tobytes() == tri._factor(P.data).tobytes()
 
 
 def test_a_point_that_does_not_factor_raises_on_every_use():

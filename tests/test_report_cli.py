@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -111,6 +115,13 @@ class TestExperiments:
             with pytest.raises(ex.ParameterError):
                 call()
 
+    def test_bench_transport_reports_per_call_medians(self):
+        rep = ex.run_bench_transport(2, 100, 0)
+        assert rep.environment == {"dim": 2, "reps": 100}
+        assert set(rep.timings) == {f"{n}_ns" for n in ex.BENCH_METRICS} | {
+            "ratio_le_lc", "ratio_ai_lc"}
+        assert not hasattr(ex, "BENCH_WARMUP") and not hasattr(ex, "BENCH_BATCHES")
+
     def test_mean_gap_trivial_cases(self, rng, tmp_path):
         rep = ex.run_mean_gap(1, 3, 3, 0)
         assert result(rep, "mean_gap").value == pytest.approx(0.0, abs=1e-12)
@@ -158,6 +169,24 @@ class TestExperiments:
 
 
 class TestCli:
+    def test_module_runs_as_a_program(self, tmp_path):
+        # The package's own source directory first, so the run imports this tree.
+        path = [str(Path(ex.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+
+        def run(*args):
+            return subprocess.run([sys.executable, "-m", "logchol.cli", *args], env=env,
+                                  capture_output=True, text=True, timeout=300)
+
+        out = tmp_path / "stability.json"
+        proc = run("stability", "--kappa", "1e5", "--m", "2", "--out", str(out))
+        assert proc.returncode == 0, proc.stderr
+        assert report_from_json(out.read_text()).experiment == "stability"
+        bad = tmp_path / "not-spd.txt"
+        bad.write_text("2\n1 2\n2 1\n")
+        proc = run("mean", "--input", str(bad), "--out", str(tmp_path / "mean.json"))
+        assert proc.returncode == 3 and "numerical failure" in proc.stderr
+
     def test_interpolate_stdout_json(self, capsys):
         assert main(["interpolate", "--metric", "log-cholesky", "--steps", "3"]) == 0
         out = capsys.readouterr().out

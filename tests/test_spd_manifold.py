@@ -61,6 +61,15 @@ class TestMetric:
             lhs = metric_spd(p, diff_S(l, x), diff_S(l, y))
             assert lhs == pytest.approx(cm.metric_chol(l, x, y), rel=1e-12, abs=1e-13)
 
+    @pytest.mark.filterwarnings("error")
+    def test_past_the_float_max_reads_inf_and_a_nan_raises(self):
+        w = sym(np.diag([1e300, 0.0]))
+        assert metric_spd(I2, w, w) == np.inf
+        # The pull-back at a base with factor diag(1e-150, 1) overflows, and
+        # inf * 0 would make the sum NaN.
+        with pytest.raises(DomainError):
+            metric_spd(spd(np.diag([1e-300, 1.0])), w, w)
+
 
 class TestGeodesicExpLog:
     def test_geodesic_start(self, rng):

@@ -457,6 +457,16 @@ def test_load_matrices_kinds(tmp_path):
             load_matrices(path)
 
 
+def test_dense_is_defined_once():
+    # Each alias is a class attribute of its own, which perfbench traces as
+    # tri.LowerTriangular.dense and tri.SymMatrix.dense.
+    assert LowerTriangular.__dict__["dense"] is SymMatrix.__dict__["dense"] is tri._Square.dense
+    for P in (lower([[1.0, 0.0], [2.0, 3.0]]), SpdMatrix(np.eye(2))):
+        a = P.dense()
+        assert_array_equal(a, P.data)
+        assert a is not P.data
+
+
 # An indefinite matrix (eigenvalues about -6.2e299, 0, 1.6e300) whose factor
 # overflows: row 2 comes out [inf, nan, nan] without a flagged pivot.
 OVERFLOWING = np.array([[1e-300, 0.0, 1e300], [0.0, 1.0, 0.0], [1e300, 0.0, 1e300]])
