@@ -107,6 +107,7 @@ def dexp_sym(s: np.ndarray, h: np.ndarray) -> np.ndarray:
     return np.ldexp(expm_frechet(s, np.ldexp(h, -e), compute_expm=False), e)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # overflow reads inf or nan: rejected
 def dlog_spd(p: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Directional derivative of the matrix logarithm at SPD ``p`` along ``w``:
     the alternating series of ``log(I + E)`` after the exact rescaling
@@ -171,6 +172,7 @@ def affine_exp(P: SpdMatrix, W: SymMatrix) -> SpdMatrix:
     return SpdMatrix._of(_reconstruct(l @ _exp_factor(_congruence(l, W.data))))
 
 
+@np.errstate(over="ignore", invalid="ignore")  # overflow reads inf or nan: rejected
 def affine_log(P: SpdMatrix, Q: SpdMatrix) -> SymMatrix:
     """``L log(L^-1 Q L^-T) L^T = (L U) log(Lambda) (L U)^T`` with ``P = L L^T``."""
     _require_same_dim(P, Q)
@@ -180,6 +182,7 @@ def affine_log(P: SpdMatrix, Q: SpdMatrix) -> SymMatrix:
     return SymMatrix._of(_sym((lu * np.log(w)) @ lu.T))
 
 
+@np.errstate(over="ignore", invalid="ignore")  # overflow reads inf or nan: rejected
 def affine_transport(P: SpdMatrix, Q: SpdMatrix, W: SymMatrix) -> SymMatrix:
     """Closed-form transport ``E W E^T`` with ``E = (Q P^-1)^(1/2) = L S L^-1``,
     where ``S = (L^-1 Q L^-T)^(1/2)``: so ``(L S) (L^-1 W L^-T) (L S)^T``."""

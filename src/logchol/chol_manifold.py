@@ -7,8 +7,8 @@ closed forms: the manifold is flat and complete, so geodesics, exponential
 and logarithmic maps, parallel transport and Frechet means are globally
 defined.  Each operation is a private kernel on dense arrays behind a typed
 public function, which types the kernel's result through ``_Square._of``.
-The kernels write a diagonal through the flat stride, ``a.flat[::m + 1]``,
-which writes into an array of any memory layout.
+Each kernel treats the strict lower part and the diagonal apart, and writes
+the diagonal through ``tri._with_diag``.
 """
 from __future__ import annotations
 
@@ -19,15 +19,14 @@ from numbers import Integral
 import numpy as np
 
 from .tri import (CholeskyFactor, DomainError, LowerTriangular, _norm, _require_same_dim,
-                  _stack, _step)
+                  _stack, _step, _with_diag)
 
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")  # past the float max reads inf
 def _metric(l: np.ndarray, x: np.ndarray, y: np.ndarray) -> float:
-    prod = x * y
-    diag = prod.diagonal() / l.diagonal() ** 2
-    prod.flat[:: len(prod) + 1] = 0.0  # zeroed, not subtracted: avoids cancellation for large diagonals
-    if math.isnan(s := float(prod.sum() + diag.sum())):
+    diag = x.diagonal() * y.diagonal() / l.diagonal() ** 2
+    # The diagonal is zeroed, not subtracted: no cancellation for large diagonals.
+    if math.isnan(s := float(_with_diag(x * y, 0.0).sum() + diag.sum())):
         raise DomainError("inner product leaves the float range")
     return s
 
@@ -44,10 +43,8 @@ def metric_chol(L: CholeskyFactor, X: LowerTriangular, Y: LowerTriangular) -> fl
 
 @np.errstate(over="ignore", invalid="ignore")  # overflow reads inf or nan: rejected
 def _geodesic(l: np.ndarray, x: np.ndarray, t: float) -> np.ndarray:
-    out = l + t * x
     d = l.diagonal()
-    out.flat[:: len(out) + 1] = d * np.exp(t * x.diagonal() / d)
-    return out
+    return _with_diag(l + t * x, d * np.exp(t * x.diagonal() / d))
 
 
 def geodesic_chol(L: CholeskyFactor, X: LowerTriangular, t: float) -> CholeskyFactor:
@@ -68,10 +65,8 @@ def exp_chol(L: CholeskyFactor, X: LowerTriangular) -> CholeskyFactor:
 
 
 def _log(l: np.ndarray, k: np.ndarray) -> np.ndarray:
-    out = k - l
     d = l.diagonal()
-    out.flat[:: len(out) + 1] = d * np.log(k.diagonal() / d)
-    return out
+    return _with_diag(k - l, d * np.log(k.diagonal() / d))
 
 
 def log_chol(L: CholeskyFactor, K: CholeskyFactor) -> LowerTriangular:
@@ -82,9 +77,7 @@ def log_chol(L: CholeskyFactor, K: CholeskyFactor) -> LowerTriangular:
 
 def _dist(l: np.ndarray, k: np.ndarray) -> float:
     """``|phi(L) - phi(K)|_F``, ``phi`` the strict lower part plus the log diagonal."""
-    gap = l - k
-    gap.flat[:: len(gap) + 1] = np.log(l.diagonal()) - np.log(k.diagonal())
-    return float(_norm(gap))
+    return float(_norm(_with_diag(l - k, np.log(l.diagonal()) - np.log(k.diagonal()))))
 
 
 def dist_chol(L: CholeskyFactor, K: CholeskyFactor) -> float:
@@ -94,9 +87,7 @@ def dist_chol(L: CholeskyFactor, K: CholeskyFactor) -> float:
 
 
 def _group_op(l: np.ndarray, k: np.ndarray) -> np.ndarray:
-    out = l + k
-    out.flat[:: len(out) + 1] = l.diagonal() * k.diagonal()
-    return out
+    return _with_diag(l + k, l.diagonal() * k.diagonal())
 
 
 def group_op(L: CholeskyFactor, K: CholeskyFactor) -> CholeskyFactor:
@@ -110,9 +101,7 @@ def group_op(L: CholeskyFactor, K: CholeskyFactor) -> CholeskyFactor:
 
 
 def _group_inv(l: np.ndarray) -> np.ndarray:
-    out = -l
-    out.flat[:: len(out) + 1] = 1.0 / l.diagonal()
-    return out
+    return _with_diag(-l, 1.0 / l.diagonal())
 
 
 def group_inv(L: CholeskyFactor) -> CholeskyFactor:
@@ -129,9 +118,7 @@ def group_identity(dim: int) -> CholeskyFactor:
 
 
 def _transport(l: np.ndarray, k: np.ndarray, x: np.ndarray) -> np.ndarray:
-    out = x.copy(order="K")
-    out.flat[:: len(out) + 1] = x.diagonal() * (k.diagonal() / l.diagonal())
-    return out
+    return _with_diag(x.copy(order="K"), x.diagonal() * (k.diagonal() / l.diagonal()))
 
 
 def transport_chol(
@@ -149,9 +136,7 @@ def transport_chol(
 
 def _frechet_mean(ls: np.ndarray) -> np.ndarray:
     # ls stacks n factors along its first axis.
-    out = ls.mean(axis=0)
-    out.flat[:: len(out) + 1] = np.exp(np.log(ls.diagonal(axis1=1, axis2=2)).mean(axis=0))
-    return out
+    return _with_diag(ls.mean(axis=0), np.exp(np.log(ls.diagonal(axis1=1, axis2=2)).mean(axis=0)))
 
 
 def frechet_mean_chol(Ls: Sequence[CholeskyFactor]) -> CholeskyFactor:

@@ -34,6 +34,7 @@ from .tri import (
     SpdMatrix,
     SymMatrix,
     _require_same_dim,
+    _with_diag,
 )
 
 
@@ -119,9 +120,8 @@ def _diff_S_inv(l: np.ndarray, w: np.ndarray) -> np.ndarray:
         # Only the lower triangle of the congruence is read below, so it needs
         # no symmetrizing.
         h = _congruence(l, w)
-        h.flat[:: len(h) + 1] = h.diagonal() / 2.0
-        # L @ tril(h): trmm reads only the lower triangle of h.
-        return dtrmm(1.0, h, l, side=1, lower=1)
+        # L @ tril(h) with h's diagonal halved: trmm reads only the lower triangle.
+        return dtrmm(1.0, _with_diag(h, h.diagonal() / 2.0), l, side=1, lower=1)
     # The 2 x 2 block recurrence of L X^T + X L^T = W, split at n.  An
     # overflow reads inf or nan, which the caller's typing rejects.
     n = m // 2

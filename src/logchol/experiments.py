@@ -205,9 +205,11 @@ def run_bench_transport(m: int, reps: int, seed: int) -> ExperimentReport:
     """Parallel-transport timing comparison over identical seeded inputs.
 
     Reports the median wall time of one transport call per metric
-    (nanoseconds) and the ratios of the two baselines to Log-Cholesky.
-    Absolute times are hardware-bound; only orderings and coarse ratios are
-    meaningful.
+    (nanoseconds) and the ratios of the two baselines to Log-Cholesky.  Each
+    case times the metrics' transports back to back, the first rotating from
+    case to case, so that a burst of load on the host moves every median
+    alike.  Absolute times are hardware-bound; only orderings and coarse
+    ratios are meaningful.
     """
     _at_least(2, m=m)
     _at_least(100, reps=reps)
@@ -216,15 +218,15 @@ def run_bench_transport(m: int, reps: int, seed: int) -> ExperimentReport:
         (random_spd(rng, m), random_spd(rng, m), random_sym(rng, m))
         for _ in range(reps)
     ]
-    median_ns: dict[str, float] = {}
-    for name in BENCH_METRICS:
-        transport = bl.get_metric(name).transport
-        call_ns = []
-        for p, q, w in cases:
+    call_ns: dict[str, list[int]] = {name: [] for name in BENCH_METRICS}
+    for i, (p, q, w) in enumerate(cases):
+        k = i % len(BENCH_METRICS)
+        for name in BENCH_METRICS[k:] + BENCH_METRICS[:k]:
+            transport = bl.get_metric(name).transport
             t0 = time.perf_counter_ns()
             transport(p, q, w)
-            call_ns.append(time.perf_counter_ns() - t0)
-        median_ns[name] = float(np.median(call_ns))
+            call_ns[name].append(time.perf_counter_ns() - t0)
+    median_ns = {name: float(np.median(ns)) for name, ns in call_ns.items()}
     timings = {f"{name}_ns": median_ns[name] for name in BENCH_METRICS}
     timings["ratio_le_lc"] = median_ns["log-euclidean"] / median_ns["log-cholesky"]
     timings["ratio_ai_lc"] = median_ns["affine-invariant"] / median_ns["log-cholesky"]

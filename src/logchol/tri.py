@@ -16,15 +16,15 @@ construction, so only finiteness and the type's ``_check`` hook are tested.
 Every operation that needs a point's factor, a mean included, reads it
 through ``SpdMatrix._chol``: the kept one, or ``_factor(data)`` for a point
 built any other way.  ``_sym``, ``_factor``, the checked eigendecomposition
-``_eigh`` and ``_norm``, every Frobenius norm of the package, live here
-alone, and so does the step rule: every geodesic reads its ``t`` through
-``_step`` and every interpolant its grid ``ts`` through ``_grid``, before any
-arithmetic.  ``_sym`` is needed only where a result can come out asymmetric:
-outside data, and tangents such as ``L f(.) L^T`` whose two triangles are
-computed apart; it sums halves, so entries up to the float max stay finite.
-``_eigh`` reads the lower triangle alone; it sends one matrix to LAPACK
-``dsyevd`` and a stack to numpy's batched ``eigh``, which runs ``dsyevd``
-too.  ``dense()`` returns a copy.
+``_eigh``, ``_norm``, every Frobenius norm of the package, and ``_with_diag``,
+every diagonal write of a kernel, live here alone, and so does the step
+rule: every geodesic reads its ``t`` through ``_step`` and every interpolant
+its grid ``ts`` through ``_grid``, before any arithmetic.  ``_sym`` is needed
+only where a result can come out asymmetric: outside data, and tangents such
+as ``L f(.) L^T`` whose two triangles are computed apart; it sums halves, so
+entries up to the float max stay finite.  ``_eigh`` reads the lower triangle
+alone; it sends one matrix to LAPACK ``dsyevd`` and a stack to numpy's
+batched ``eigh``, which runs ``dsyevd`` too.  ``dense()`` returns a copy.
 """
 from __future__ import annotations
 
@@ -141,6 +141,14 @@ def _sym(a: np.ndarray) -> np.ndarray:
     same bits wherever ``a + a^T`` does not overflow."""
     h = a / 2.0
     return h + h.swapaxes(-1, -2)
+
+
+def _with_diag(a: np.ndarray, d) -> np.ndarray:
+    """``a`` with its diagonal set to ``d``, in place; returns ``a``.  It
+    writes through the flat stride ``a.flat[::m + 1]``, which reaches the
+    diagonal of a square array of any memory layout."""
+    a.flat[:: len(a) + 1] = d
+    return a
 
 
 def _factor(p: np.ndarray) -> np.ndarray:

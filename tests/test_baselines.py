@@ -574,13 +574,29 @@ def test_log_outside_the_float_range_raises_domain_error():
             LOGEUCLID.log(spd(np.diag([1.7e308, 1.0])), spd(np.diag([1e-300, 1.0])))
 
 
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("case", ["overflow-in-the-series", "overflow-by-a-tiny-base"])
 def test_transport_outside_the_float_range_raises_domain_error(case):
-    # The d log series overflows, and numpy warns there before the pull-back
-    # rejects its result; that warning is silenced here, not asserted.
+    # The d log series overflows on the way, with no numpy warning.
     p, w, _ = EXP_OUT_OF_RANGE[case]
-    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(DomainError):
+    with pytest.raises(DomainError):
         LOGEUCLID.transport(spd(p), spd(np.eye(2)), sym(w))
+
+
+# Affine-invariant tangents whose entries overflow in a product.
+AFFINE_TANGENT_OUT_OF_RANGE = {
+    "log": lambda: bl.affine_log(spd(np.diag([1e308, 1.0])), spd(np.diag([1e307, 1.0]))),
+    "transport": lambda: bl.affine_transport(
+        spd(np.eye(2)), spd(np.diag([1e300, 1.0])), sym(np.diag([1e300, 0.0]))
+    ),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("case", AFFINE_TANGENT_OUT_OF_RANGE)
+def test_affine_tangent_outside_the_float_range_raises_domain_error(case):
+    with pytest.raises(DomainError):
+        AFFINE_TANGENT_OUT_OF_RANGE[case]()
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

@@ -32,7 +32,8 @@ constructors, and no caller holds it.  Any other value there goes through a
 constructor or ``from_dense``.  The kernel modules (``chol_map``,
 ``chol_manifold``, ``spd_manifold`` and ``baselines``) take only ``_of``:
 none of them calls a public constructor.  Kernels write diagonals through
-the flat stride, never ``np.fill_diagonal``.
+``tri._with_diag``, the one home of the flat stride ``a.flat[::m + 1]``, and
+never through ``np.fill_diagonal``.
 
 A step has one rule, in ``tri``: every public function with a step ``t`` or
 a grid ``ts``, a nested one included, passes it through ``_step`` or
@@ -80,6 +81,13 @@ FLOAT_RANGE_RULE = ("_PIVOT_ROOT_MIN", "_EXP_RANGE", "_spd_point", "_check_expon
 # The modules whose results are kernel results, and the constructors they must not call.
 KERNEL_MODULES = ("chol_map.py", "chol_manifold.py", "spd_manifold.py", "baselines.py")
 CONSTRUCTORS = ("SymMatrix", "SpdMatrix", "LowerTriangular", "CholeskyFactor")
+
+# The kernels that write a diagonal, each through tri._with_diag.
+DIAG_WRITERS = {
+    "chol_manifold.py": {"_metric", "_geodesic", "_log", "_dist", "_group_op", "_group_inv",
+                         "_transport", "_frechet_mean"},
+    "chol_map.py": {"_diff_S_inv"},
+}
 
 # The parameters that hold a step or a grid, and the rule in tri that reads each.
 STEP_RULES = {"t": "_step", "ts": "_grid"}
@@ -443,6 +451,25 @@ def test_no_kernel_writes_a_diagonal_with_fill_diagonal():
         if name == "fill_diagonal"
     ]
     assert not strays, f"np.fill_diagonal in the package: {strays}"
+
+
+def test_diagonals_are_written_through_with_diag_alone():
+    strays, flat, writers = [], [], {}
+    for path, tree in SRC.items():
+        for top in tree.body:
+            name = getattr(top, "name", None)
+            for node in ast.walk(top):
+                if isinstance(node, ast.Subscript) and getattr(node.value, "attr", None) == "flat":
+                    where = f"{path.name}:{node.lineno}"
+                    (flat if (path.name, name) == ("tri.py", "_with_diag") else strays).append(where)
+                elif isinstance(node, ast.Call) and "_with_diag" in (
+                    getattr(node.func, "id", None), getattr(node.func, "attr", None)
+                ):
+                    writers.setdefault(path.name, set()).add(name)
+    assert not strays, f".flat subscripted outside tri._with_diag: {strays}"
+    # The guard sees the one flat stride it allows, and every kernel's call.
+    assert len(flat) == 1
+    assert writers == DIAG_WRITERS
 
 
 # Kernel results of finite inputs whose entries overflow; each is typed by

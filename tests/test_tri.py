@@ -23,6 +23,7 @@ from logchol.tri import (
     _eigh,
     _factor,
     _norm,
+    _with_diag,
     load_matrices,
     parse_matrix_text,
 )
@@ -262,6 +263,24 @@ def test_norm_has_the_bits_of_numpy_norm(layout, scale):
 def test_norm_past_an_overflowing_sum_of_squares(a, expected):
     # Finite below the float max, inf or nan as the entries say, no warning.
     assert_allclose(_norm(np.array(a)), expected, rtol=1e-15)
+
+
+_G = np.random.default_rng(21).standard_normal((5, 5))
+DIAG_LAYOUTS = {
+    "c": lambda: _G.copy(),
+    "dpotrf-factor": lambda: _factor(_G @ _G.T + np.eye(5)),  # Fortran order
+    "transposed-view": lambda: _G.copy().T,
+}
+
+
+@pytest.mark.parametrize("layout", DIAG_LAYOUTS)
+def test_with_diag_writes_the_bits_of_the_flat_stride(layout):
+    a, ref = DIAG_LAYOUTS[layout](), DIAG_LAYOUTS[layout]()
+    d = np.random.default_rng(22).standard_normal(5)
+    ref.flat[::6] = d
+    assert _with_diag(a, d) is a
+    assert_array_equal(a, ref)
+    assert_array_equal(a.diagonal(), d)
 
 
 @pytest.mark.parametrize("shape", [(5, 5), (7, 4, 4), (128, 128)])
