@@ -32,6 +32,7 @@ alone.
 """
 from __future__ import annotations
 
+import math
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from operator import attrgetter
@@ -115,7 +116,9 @@ def dlog_spd(p: np.ndarray, w: np.ndarray) -> np.ndarray:
     that ``E`` has spectral radius ``1 - 2/(kappa + 1)`` at condition ``kappa``.
     It stops on a term's norm below ``DLOG_SERIES_TOL`` or after
     ``DLOG_SERIES_MAX_TERMS`` terms, so past ``kappa`` of about 40 it is cut
-    short, and its result is off with no error."""
+    short, and its result is off with no error.  It stops too once the sum
+    holds an inf or NaN, which no later term makes finite again: the caller
+    rejects the result."""
     lam = _eigh(p, "matrix logarithm differential", vectors=False)
     c = (lam[0] + lam[-1]) / 2.0
     e = p / c - np.eye(p.shape[0])
@@ -130,7 +133,8 @@ def dlog_spd(p: np.ndarray, w: np.ndarray) -> np.ndarray:
         sign = -sign
         contrib = sign * term / k
         out += contrib
-        if _norm(contrib) < DLOG_SERIES_TOL:
+        s = _norm(contrib)
+        if s < DLOG_SERIES_TOL or (not math.isfinite(s) and not np.isfinite(out).all()):
             break
     return out
 

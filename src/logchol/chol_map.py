@@ -15,6 +15,9 @@ LAPACK ``dpotrf`` call on one matrix) is defined in :mod:`.tri`;
 ``dtrsm`` calls; ``_diff_S_inv`` multiplies back with one ``dtrmm`` up to
 m = ``_BLOCK`` and above it recurs on 2 x 2 blocks, with one ``dtrmm`` and
 one ``dtrsm`` per split; ``_diff_S`` forms ``X L^T`` with one ``dtrmm``.
+Given the factor ``K`` of a transport's target, ``_diff_S_inv`` returns the
+tangent already transported to ``K``, so ``transport_spd`` is one pullback
+and one push-forward.
 The float-range rule for computed SPD matrices lives here alone, in
 ``_spd_point`` for results built from a triangular factor and
 ``_check_exponents`` for spectral exponents.
@@ -114,14 +117,18 @@ def _congruence(l: np.ndarray, w: np.ndarray) -> np.ndarray:
 _BLOCK = 64
 
 
-def _diff_S_inv(l: np.ndarray, w: np.ndarray) -> np.ndarray:
+def _diff_S_inv(l: np.ndarray, w: np.ndarray, k: np.ndarray | None = None) -> np.ndarray:
+    # With k given, the result is transported to k (see diff_S_inv).
     m = len(l)
     if m <= _BLOCK:
         # Only the lower triangle of the congruence is read below, so it needs
         # no symmetrizing.
         h = _congruence(l, w)
-        # L @ tril(h) with h's diagonal halved: trmm reads only the lower triangle.
-        return dtrmm(1.0, _with_diag(h, h.diagonal() / 2.0), l, side=1, lower=1)
+        hd = h.diagonal() / 2.0
+        # L @ tril(h) with h's diagonal halved: trmm reads only the lower
+        # triangle.  Its diagonal is l_jj hd_j; transported, k_jj hd_j.
+        x = dtrmm(1.0, _with_diag(h, hd), l, side=1, lower=1)
+        return x if k is None else _with_diag(x, k.diagonal() * hd)
     # The 2 x 2 block recurrence of L X^T + X L^T = W, split at n.  An
     # overflow reads inf or nan, which the caller's typing rejects.
     n = m // 2
@@ -134,7 +141,8 @@ def _diff_S_inv(l: np.ndarray, w: np.ndarray) -> np.ndarray:
         x21 = x[n:, :n] = dtrsm(1.0, l11, rhs, side=1, lower=1, trans_a=1)
         s = x21 @ l21.T
         x[n:, n:] = _diff_S_inv(l22, w[n:, n:] - (s + s.T))
-    return x
+    # X21's step needs the untransported X11, so the transport comes last.
+    return x if k is None else _with_diag(x, x.diagonal() * (k.diagonal() / l.diagonal()))
 
 
 def diff_S_inv(L: CholeskyFactor, W: SymMatrix) -> LowerTriangular:
@@ -155,6 +163,13 @@ def diff_S_inv(L: CholeskyFactor, W: SymMatrix) -> LowerTriangular:
     about 1.25 m^3 flops at one split.  At m = 64 and below, the calls and
     numpy steps of a split cost more than the flops it saves; at m = 65 it
     is already no slower, and at m = 128 it takes about 60% of the time.
+
+    The kernel ``_diff_S_inv`` also takes the factor ``K`` a transport
+    carries the tangent to.  The leaf then writes the transported diagonal
+    ``K_jj H_jj / 2`` (``H`` the congruence) where the pullback's is
+    ``L_jj H_jj / 2``: one rounding, where rescaling by ``K_jj / L_jj``
+    takes three.  Above 64, ``X21`` reads the untransported ``X11``, so the
+    finished result is rescaled.
     """
     _require_same_dim(L, W)
     return LowerTriangular._of(_diff_S_inv(L.data, W.data))

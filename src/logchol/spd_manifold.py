@@ -71,12 +71,12 @@ def group_inv_spd(P: SpdMatrix) -> SpdMatrix:
 def transport_spd(P: SpdMatrix, Q: SpdMatrix, W: SymMatrix) -> SymMatrix:
     """Parallel transport of ``W`` along the geodesic from ``P`` to ``Q``.
 
-    Factors both endpoints, pulls ``W`` back to factor space at ``P``,
-    rescales the tangent diagonal, and pushes forward at ``Q``.
+    Factors both endpoints, pulls ``W`` back to factor space at ``P`` with
+    its diagonal transported to ``Q``'s factor, and pushes forward at ``Q``.
     """
     _require_same_dim(P, Q, W)
     l, k = P._chol, Q._chol
-    return SymMatrix._of(_diff_S(k, cm._transport(l, k, _diff_S_inv(l, W.data))))
+    return SymMatrix._of(_diff_S(k, _diff_S_inv(l, W.data, k)))
 
 
 def log_cholesky_mean(Ps: Sequence[SpdMatrix]) -> SpdMatrix:

@@ -13,6 +13,8 @@ array; ``SpdMatrix.from_dense`` factors it by ``_factor`` (LAPACK
 That array, like a result of the package's kernels, is typed by
 ``_Square._of``: a square float array with the type's shape of zeros by
 construction, so only finiteness and the type's ``_check`` hook are tested.
+Finiteness (``_finite``) is one BLAS ``ddot``, the sum of squares, with the
+entrywise test only when that sum is not finite.
 Every operation that needs a point's factor, a mean included, reads it
 through ``SpdMatrix._chol``: the kept one, or ``_factor(data)`` for a point
 built any other way.  ``_sym``, ``_factor``, the checked eigendecomposition
@@ -76,7 +78,14 @@ def _real(data) -> np.ndarray:
 
 
 def _finite(a: np.ndarray) -> np.ndarray:
-    if not np.isfinite(a).all():
+    """``a``, or ``DomainError`` if an entry is not finite.  A NaN or inf entry
+    makes the sum of squares, one BLAS ``ddot``, non-finite; only then does
+    the entrywise test run, since finite entries can sum to inf.  ``ddot``
+    never warns, where numpy's ``add.reduce`` warns on such a sum, and
+    ``ravel(order="K")`` is a view of a C- or F-ordered array, where
+    ``np.vdot`` would copy an F-ordered one."""
+    v = a.ravel(order="K")
+    if not math.isfinite(np.vdot(v, v)) and not np.isfinite(a).all():
         raise DomainError("matrix entries must be finite")
     return a
 
@@ -226,7 +235,8 @@ class _Square:
         """A kernel's result ``a``, or ``_symmetrized``'s, typed.  Either
         guarantees what the constructor would test first: a square float
         array, exactly symmetric or exactly zero above the diagonal once it is
-        finite.  So only finiteness and the type's ``_check`` are tested."""
+        finite.  So only finiteness, by ``_finite``'s one ``ddot`` on a view
+        of any layout, and the type's ``_check`` are tested."""
         out = object.__new__(cls)
         object.__setattr__(out, "data", _finite(a))
         out._check()

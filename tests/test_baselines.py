@@ -583,6 +583,18 @@ def test_transport_outside_the_float_range_raises_domain_error(case):
         LOGEUCLID.transport(spd(p), spd(np.eye(2)), sym(w))
 
 
+@pytest.mark.filterwarnings("error")
+def test_dlog_series_stops_at_its_first_non_finite_term(monkeypatch):
+    # W / c overflows at this tiny base, so the first term of the series
+    # (the sum's second) is NaN, and no later term could make the sum finite.
+    norms = []
+    monkeypatch.setattr(bl, "_norm", lambda a: norms.append(a) or tri._norm(a))
+    p, w = spd(np.diag([1e-300, 1e-299])), sym(np.diag([1e10, 0.0]))
+    with pytest.raises(DomainError, match=r"^matrix entries must be finite$"):
+        LOGEUCLID.transport(p, p, w)
+    assert len(norms) == 1
+
+
 # Affine-invariant tangents whose entries overflow in a product.
 AFFINE_TANGENT_OUT_OF_RANGE = {
     "log": lambda: bl.affine_log(spd(np.diag([1e308, 1.0])), spd(np.diag([1e307, 1.0]))),

@@ -7,7 +7,7 @@ from support import random_factor, random_tangent
 
 from logchol import baselines as bl
 from logchol import chol_manifold as cm
-from logchol.chol_map import cholesky_factor, diff_S, diff_S_inv, reconstruct
+from logchol.chol_map import _diff_S, _diff_S_inv, cholesky_factor, diff_S, diff_S_inv, reconstruct
 from logchol.sampling import random_spd, random_spd_with_condition, random_sym
 from logchol.spd_manifold import (
     dist_spd,
@@ -255,6 +255,41 @@ class TestTransport:
             via_q = transport_spd(q, r, transport_spd(p, q, w))
             direct = transport_spd(p, r, w)
             assert_allclose(via_q.dense(), direct.dense(), rtol=1e-12, atol=1e-12)
+
+    @staticmethod
+    def _composed(p, q, w):
+        # Pull back, transport in factor space, push forward: three kernels.
+        l, k = p._chol, q._chol
+        return _diff_S(k, cm._transport(l, k, _diff_S_inv(l, w.data)))
+
+    @pytest.mark.parametrize("m", [1, 2, 5, 8])
+    def test_folded_diagonal_agrees_with_the_composition(self, m):
+        # The pullback writes the transported diagonal k_jj h_jj / 2 at
+        # once, one rounding where the composition takes three.
+        rng = np.random.default_rng(30 + m)
+        for _ in range(50):
+            p, q, w = random_spd(rng, m), random_spd(rng, m), random_sym(rng, m)
+            composed = self._composed(p, q, w)
+            gap = np.linalg.norm(transport_spd(p, q, w).data - composed)
+            assert gap <= 4 * np.finfo(float).eps * np.linalg.norm(composed)
+
+    @pytest.mark.parametrize("m", [65, 128])
+    def test_blocked_transport_has_the_bits_of_the_composition(self, m):
+        # Above chol_map._BLOCK the pullback's X21 step needs the
+        # untransported X11, so the diagonal is rescaled last, as before.
+        rng = np.random.default_rng(m)
+        p, q, w = random_spd(rng, m), random_spd(rng, m), random_sym(rng, m)
+        assert_array_equal(transport_spd(p, q, w).data, self._composed(p, q, w))
+
+    @pytest.mark.parametrize("m", [1, 2, 5, 8, 65])
+    def test_transport_to_its_own_base_is_the_round_trip(self, m):
+        # k = l: k_jj h_jj / 2 is the pullback's own diagonal.
+        rng = np.random.default_rng(40 + m)
+        p, w = random_spd(rng, m), random_sym(rng, m)
+        out = transport_spd(p, p, w).data
+        l = cholesky_factor(p)
+        assert_array_equal(out, diff_S(l, diff_S_inv(l, w)).data)
+        assert_allclose(out, w.data, rtol=0, atol=1e-12 * np.abs(w.data).max())
 
     def test_rejects_indefinite_base(self):
         bad = SpdMatrix(np.array([[1.0, 2.0], [2.0, 1.0]]))

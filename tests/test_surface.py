@@ -493,8 +493,9 @@ OVERFLOWING_RESULTS = {
 }
 
 
-# transport_spd's diagonal rescale can overflow in numpy, which warns before
-# the check rejects the result; here that warning is silenced, not asserted.
+# transport_spd's transported diagonal K_jj H_jj / 2, written by the
+# pullback, can overflow in numpy, which warns before the check rejects the
+# result; here that warning is silenced, not asserted.
 # log_spd and diff_S overflow in their BLAS product, which emits no warning.
 WARNS_FIRST = {"transport_spd"}
 

@@ -283,6 +283,42 @@ def test_with_diag_writes_the_bits_of_the_flat_stride(layout):
     assert_array_equal(a.diagonal(), d)
 
 
+@pytest.mark.parametrize("layout", DIAG_LAYOUTS)
+def test_finite_returns_a_finite_array_of_any_layout(layout):
+    a = DIAG_LAYOUTS[layout]()
+    assert tri._finite(a) is a
+
+
+@pytest.mark.parametrize(
+    "entries", [[[1e200, 0.0], [0.0, 1e200]], [[1.7e308, 1.7e308], [1.7e308, 1.7e308]]]
+)
+def test_finite_accepts_entries_whose_sum_of_squares_overflows(entries):
+    # The one-ddot sum reads inf here; the entrywise test decides, and
+    # neither warns (numpy's add.reduce would, on the second).
+    a = np.array(entries)
+    for layout in (a, np.asfortranarray(a), a.T):
+        assert tri._finite(layout) is layout
+    assert_array_equal(SymMatrix(a).data, a)
+    assert_array_equal(SymMatrix._of(a).data, a)
+
+
+NON_FINITE = {"+inf": [np.inf], "-inf": [-np.inf], "inf/-inf": [np.inf, -np.inf], "nan": [np.nan]}
+
+
+@pytest.mark.parametrize("layout", DIAG_LAYOUTS)
+@pytest.mark.parametrize("bad", NON_FINITE)
+def test_finite_rejects_non_finite_entries(layout, bad):
+    a = DIAG_LAYOUTS[layout]()
+    for j, x in enumerate(NON_FINITE[bad]):
+        a[3 + j, 1] = x
+    with pytest.raises(DomainError, match=r"^matrix entries must be finite$"):
+        tri._finite(a)
+
+
+def test_an_empty_grid_is_finite():
+    assert tri._grid([]).shape == (0,)
+
+
 @pytest.mark.parametrize("shape", [(5, 5), (7, 4, 4), (128, 128)])
 def test_eigh_reads_the_lower_triangle_alone(shape):
     # The whitened inputs of the affine-invariant geometry are not
