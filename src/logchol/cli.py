@@ -8,10 +8,15 @@ Usage::
             [--format json|csv] ...
 
 Exit codes: 0 success, 2 usage error, 3 numerical failure.
+
+``main`` builds its parser once per process, so that a caller running
+several experiments in one process times the experiments, not argparse;
+``build_parser()`` returns a fresh parser on each call.
 """
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from contextlib import nullcontext
 
@@ -72,6 +77,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of ``main``: ``parse_args`` and ``error`` leave it as they
+    found it, so one serves every call."""
+    return build_parser()
+
+
 def _emit(report: ExperimentReport, args, glyphs: list[GlyphRecord] | None = None):
     text = report.to_json() if args.format == "json" else report.to_csv()
     parts = [(args.out, text + ("\n" if not text.endswith("\n") else ""))]
@@ -84,7 +96,7 @@ def _emit(report: ExperimentReport, args, glyphs: list[GlyphRecord] | None = Non
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _parser()
     args = parser.parse_args(argv)
     try:
         if args.command == "interpolate":

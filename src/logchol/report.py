@@ -6,17 +6,22 @@ byte-reproducible from ``(command, config, seed)``.  Glyph records
 serialize ellipsoid data (eigenvalues, eigenvectors, determinant and its
 logarithm) for external plotting, one JSON object per line; each is
 decomposed by the checked eigendecomposition ``_eigh`` of :mod:`.tri`.
+``to_json`` encodes a record's fields where they stand, with no copy;
+``dataclasses.asdict`` gives a deep copy, for callers that change it.
 """
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .tri import _eigh
 
 SCHEMA_VERSION = 1
+
+# ``json.dumps(..., sort_keys=True)`` builds this encoder on every call.
+_GLYPH_ENCODER = json.JSONEncoder(sort_keys=True)
 
 
 @dataclass
@@ -41,11 +46,9 @@ class ExperimentReport:
     timings: dict = field(default_factory=dict)
     schema_version: int = SCHEMA_VERSION
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2)
+        fields = {**vars(self), "results": [vars(r) for r in self.results]}
+        return json.dumps(fields, sort_keys=True, indent=2)
 
     def to_csv(self) -> str:
         """Per-record CSV export: name, index, value."""
@@ -87,4 +90,4 @@ class GlyphRecord:
         )
 
     def to_json(self) -> str:
-        return json.dumps(vars(self), sort_keys=True)
+        return _GLYPH_ENCODER.encode(vars(self))

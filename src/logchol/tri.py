@@ -77,8 +77,8 @@ def _real(data) -> np.ndarray:
     raise DomainError("matrix entries must be real numbers, in rows of one length")
 
 
-def _finite(a: np.ndarray) -> np.ndarray:
-    """``a``, or ``DomainError`` if an entry is not finite.  A NaN or inf entry
+def _finite(a: np.ndarray, message: str = "matrix entries must be finite") -> np.ndarray:
+    """``a``, or ``DomainError(message)`` if an entry is not finite.  A NaN or inf entry
     makes the sum of squares, one BLAS ``ddot``, non-finite; only then does
     the entrywise test run, since finite entries can sum to inf.  ``ddot``
     never warns, where numpy's ``add.reduce`` warns on such a sum, and
@@ -86,7 +86,7 @@ def _finite(a: np.ndarray) -> np.ndarray:
     ``np.vdot`` would copy an F-ordered one."""
     v = a.ravel(order="K")
     if not math.isfinite(np.vdot(v, v)) and not np.isfinite(a).all():
-        raise DomainError("matrix entries must be finite")
+        raise DomainError(message)
     return a
 
 
@@ -182,7 +182,8 @@ def _eigh(a: np.ndarray, domain: str | None = None, vectors: bool = True):
     positive eigenvalues) given, all must be positive.  Only the lower
     triangle is read (numpy's ``UPLO="L"``), so an input whose two
     triangles were computed apart needs no symmetrizing.  Input
-    that has left the float range raises ``DomainError`` before LAPACK, which
+    that has left the float range raises ``DomainError`` by ``_finite``'s
+    test, with this function's own text, before LAPACK, which
     may return NaN eigenvalues for it; ``EigFailureError`` means LAPACK did
     not converge on finite input.
 
@@ -193,8 +194,7 @@ def _eigh(a: np.ndarray, domain: str | None = None, vectors: bool = True):
     ``1 + 6m + 2m^2`` is passed for values alone too: scipy's default there,
     ``2m + 1``, forces the unblocked tridiagonal reduction, whose eigenvalues
     differ in bits from the blocked one that numpy's solvers use."""
-    if not np.isfinite(a).all():
-        raise DomainError("eigendecomposition input leaves the float range")
+    _finite(a, "eigendecomposition input leaves the float range")
     if a.ndim == 2:
         m = len(a)
         w, u, info = dsyevd(a, compute_v=int(vectors), lower=1, lwork=1 + 6 * m + 2 * m * m)
@@ -386,7 +386,7 @@ def parse_matrix_text(text: str) -> list[np.ndarray]:
             if i + 1 + k >= len(lines) or not lines[i + 1 + k]:
                 raise DomainError(f"matrix block truncated after {k} rows")
             try:
-                row = [float(tok) for tok in lines[i + 1 + k].split()]
+                row = list(map(float, lines[i + 1 + k].split()))
             except ValueError as exc:
                 raise DomainError(f"expected numbers, got {lines[i + 1 + k]!r}") from exc
             if len(row) != m:

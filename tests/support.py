@@ -2,6 +2,7 @@
 writer, and readers for the reports and glyph records the CLI writes."""
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import numpy as np
@@ -53,7 +54,7 @@ def report_from_json(text: str) -> ExperimentReport:
 
 def nontiming_json(report: ExperimentReport) -> str:
     """The report's canonical JSON with the timing fields stripped."""
-    d = report.to_dict()
+    d = dataclasses.asdict(report)
     d.pop("timings", None)
     return json.dumps(d, sort_keys=True, indent=2)
 

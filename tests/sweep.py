@@ -42,8 +42,9 @@ pulls a tangent back through ``chol_map._diff_S_inv`` (``diff_S_inv``,
 recurrence, which splits above m = 64.  The
 script prints one sha256 per (group, operation), over the exact bits of
 every result, the class and text of every exception and every warning raised
-(with memory addresses masked, so that a run is reproducible), and the report
-of each CLI run without its ``timings``; then the failure classes, counted.
+(with memory addresses masked, so that a run is reproducible), and the bytes
+of each CLI run's report as written, which holds no ``timings``; then the
+failure classes, counted.
 
 ``--compare`` extracts ``git archive <commit> src`` into a temporary
 directory, runs the same sweep on both trees, each in its own process, and
@@ -391,7 +392,9 @@ CLI_RUNS = {
 
 
 def _cli(argv: list[str], out: Path) -> bytes:
-    """Exit code, report without ``timings`` and glyph lines of one CLI run."""
+    """Exit code, report bytes as written and glyph lines of one CLI run.  No
+    run of :data:`CLI_RUNS` times anything: a report with ``timings`` stops
+    the sweep, since its bytes would differ between runs."""
     from logchol.cli import main
 
     for f in out.parent.glob(out.name + "*"):
@@ -399,9 +402,10 @@ def _cli(argv: list[str], out: Path) -> bytes:
     code = main([*argv, "--out", str(out)])
     body = f"exit {code}\n".encode()
     if out.exists():
-        report = json.loads(out.read_text())
-        report.pop("timings", None)
-        body += json.dumps(report, sort_keys=True).encode()
+        report = out.read_bytes()
+        if json.loads(report)["timings"] != {}:
+            raise SystemExit(f"sweep: {argv} reports timings; a digest cannot hold them")
+        body += report
     glyphs = Path(f"{out}.glyphs.jsonl")
     if glyphs.exists():
         body += glyphs.read_bytes()

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -9,6 +10,7 @@ import pytest
 
 from support import dump_matrices, glyph_from_json, nontiming_json, report_from_json, result
 
+from logchol import cli
 from logchol import experiments as ex
 from logchol.baselines import METRIC_NAMES, get_metric
 from logchol.cli import main
@@ -52,6 +54,48 @@ class TestReport:
         assert lines[0] == "name,index,value"
         assert lines[1].startswith("x,0,")
         assert lines[2].startswith("seq,0,") and lines[3].startswith("seq,1,")
+
+
+def copied_json(report: ExperimentReport) -> str:
+    """The report's JSON as encoded from a deep copy: ``to_json``'s reference."""
+    return json.dumps(dataclasses.asdict(report), sort_keys=True, indent=2)
+
+
+def experiment(name: str, tmp_path):
+    """``(report, glyphs)`` of one experiment, run small."""
+    command, _, metric = name.partition(":")
+    if command == "interpolate":
+        return ex.run_interpolate(metric, 11)
+    if command == "mean":
+        return ex.run_mean("log-cholesky", None, 4, 3, 0), []
+    if command == "mean-input":
+        mats = [random_spd_wishart(np.random.default_rng(k), 3).data for k in range(3)]
+        dump_matrices(mats, tmp_path / "mats.txt")
+        return ex.run_mean(metric, str(tmp_path / "mats.txt"), 3, 3, 0), []
+    if command == "stability":
+        return ex.run_stability(1e10, 3, 0), []
+    if command == "mean-gap":
+        return ex.run_mean_gap(4, 2, 3, 0), []
+    return ex.run_bench_transport(2, 100, 0), []
+
+
+EXPERIMENTS = [
+    *(f"interpolate:{g}" for g in METRIC_NAMES),
+    "mean",
+    *(f"mean-input:{g}" for g in METRIC_NAMES),
+    "stability",
+    "mean-gap",
+    "bench-transport",
+]
+
+
+@pytest.mark.parametrize("name", EXPERIMENTS)
+def test_to_json_is_the_copied_encoding(name, tmp_path):
+    report, glyphs = experiment(name, tmp_path)
+    assert bool(report.timings) == (name == "bench-transport")
+    assert report.to_json() == copied_json(report)
+    for g in glyphs:
+        assert g.to_json() == json.dumps(vars(g), sort_keys=True)
 
 
 class TestGlyph:
@@ -186,6 +230,46 @@ class TestCli:
         bad.write_text("2\n1 2\n2 1\n")
         proc = run("mean", "--input", str(bad), "--out", str(tmp_path / "mean.json"))
         assert proc.returncode == 3 and "numerical failure" in proc.stderr
+
+    def test_one_parser_serves_a_sequence_of_calls(self, tmp_path, monkeypatch, capsys):
+        # main builds its parser once per process; each call of a sequence run
+        # in one process prints, writes and exits as the same argv run as a
+        # program does, usage and numerical failures included.
+        monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage lines to it
+        path = [str(Path(ex.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+        here, there = tmp_path / "here", tmp_path / "there"
+        here.mkdir()
+        there.mkdir()
+        monkeypatch.chdir(here)
+        build_parser, built = cli.build_parser, []
+        monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build_parser())
+        cli._parser.cache_clear()
+        codes = []
+        for argv in (
+            ["interpolate", "--format", "csv", "--out", "rep.csv"],
+            ["mean", "--metric", "cholesky"],
+            ["interpolate", "--metric", "riemann"],
+            ["stability", "--kappa", "1e17"],
+            ["interpolate"],
+        ):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            out, err = capsys.readouterr()
+            proc = subprocess.run([sys.executable, "-m", "logchol.cli", *argv], cwd=there,
+                                  env=env, capture_output=True, timeout=300)
+            assert (code, out.encode(), err.encode()) == (
+                proc.returncode, proc.stdout, proc.stderr), argv
+            codes.append(code)
+        assert codes == [0, 0, 2, 3, 0]
+        assert len(built) == 1
+        written = sorted(f.name for f in here.iterdir())
+        assert written == ["rep.csv", "rep.csv.glyphs.jsonl"]
+        assert written == sorted(f.name for f in there.iterdir())
+        for name in written:
+            assert (here / name).read_bytes() == (there / name).read_bytes(), name
 
     def test_interpolate_stdout_json(self, capsys):
         assert main(["interpolate", "--metric", "log-cholesky", "--steps", "3"]) == 0

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -380,6 +382,8 @@ def test_eigh_reports_lapack_failure(monkeypatch):
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_eigh_rejects_non_finite_input_before_lapack(monkeypatch, bad):
+    # With its own text, not _finite's, and with no warning (warnings are
+    # errors in the test suite).
     def unreached(*args, **kwargs):
         raise AssertionError("LAPACK called on non-finite input")
 
@@ -387,10 +391,20 @@ def test_eigh_rejects_non_finite_input_before_lapack(monkeypatch, bad):
         monkeypatch.setattr(owner, name, unreached)
     a = np.eye(3)
     a[2, 1] = bad
-    for x in (a, np.stack([np.eye(3), a])):
+    for x in (a, np.asfortranarray(a), np.stack([np.eye(3), a])):
         for vectors in (True, False):
-            with pytest.raises(DomainError):
+            with pytest.raises(DomainError, match=r"^eigendecomposition input leaves the float range$"):
                 _eigh(x, vectors=vectors)
+
+
+def test_eigh_accepts_entries_whose_sum_of_squares_overflows():
+    # The one-ddot finiteness sum reads inf at 1e200; the entrywise test decides.
+    a = np.diag([2e200, 1e200])
+    for x in (a, np.asfortranarray(a), np.stack([a, a])):
+        w, u = _eigh(x, "test")
+        assert_array_equal(w, np.broadcast_to([1e200, 2e200], w.shape))
+        assert_array_equal(np.abs(u), np.broadcast_to([[0.0, 1.0], [1.0, 0.0]], u.shape))
+        assert_array_equal(_eigh(x, vectors=False), w)
 
 
 @pytest.mark.parametrize("cls", [SymMatrix, SpdMatrix])
@@ -485,17 +499,33 @@ def test_parse_format_roundtrip(rng):
         assert_array_equal(a, b)
 
 
+PARSE_ERRORS = [
+    ("x\n1.0\n", "expected a dimension, got 'x'"),
+    ("2\n1.0 0.0\n", "matrix block truncated after 1 rows"),
+    ("2\n1.0 0.0\n\n0.0 1.0\n", "matrix block truncated after 1 rows"),
+    ("2\n1.0 0.0 3.0\n0.0 1.0 3.0\n", "expected 2 entries per row, got 3"),
+    ("0\n", "dimension must be positive, got 0"),
+    ("2\n1.0 0.0\n0 x\n", "expected numbers, got '0 x'"),
+    # A bad token is reported before its row's length, and rows in file order.
+    ("2\n1.0 x 3.0\n0.0 1.0\n", "expected numbers, got '1.0 x 3.0'"),
+    ("2\n1.0 0.0 3.0\n0 x\n", "expected 2 entries per row, got 3"),
+    ("1\n1.0\n\n2\n1.0 0.0\n", "matrix block truncated after 1 rows"),
+]
+
+
 def test_parse_errors():
-    with pytest.raises(DomainError):
-        parse_matrix_text("x\n1.0\n")
-    with pytest.raises(DomainError):
-        parse_matrix_text("2\n1.0 0.0\n")  # truncated block
-    with pytest.raises(DomainError):
-        parse_matrix_text("2\n1.0 0.0 3.0\n0.0 1.0 3.0\n")  # wrong row length
-    with pytest.raises(DomainError):
-        parse_matrix_text("0\n")
-    with pytest.raises(DomainError):
-        parse_matrix_text("2\n1.0 0.0\n0 x\n")  # not a number
+    for text, message in PARSE_ERRORS:
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            parse_matrix_text(text)
+
+
+def test_parse_keeps_every_bit():
+    # Each entry is Python's float() of its token, the odd ones included.
+    text = "2\n1e-320 -0.0\n  inf 0.1   \n\n1\n-1.7976931348623157e308\n"
+    a, b = parse_matrix_text(text)
+    assert a.dtype == b.dtype == np.float64 and a.flags.c_contiguous
+    assert a.tobytes() == np.array([[1e-320, -0.0], [np.inf, 0.1]]).tobytes()
+    assert b.tobytes() == np.array([[-1.7976931348623157e308]]).tobytes()
 
 
 def test_load_matrices_kinds(tmp_path):
