@@ -19,7 +19,11 @@ orthogonal, that is ``P^{1/2} f(P^{-1/2} X P^{-1/2}) P^{1/2}``.
 
 Every interpolant reads its grid ``ts`` through :func:`.tri._grid`, the
 step rule, before any arithmetic, and works its endpoints once per call;
-every mean works on one ``(n, m, m)`` stack from :func:`.tri._stack`.  Every
+every mean works on one ``(n, m, m)`` stack from :func:`.tri._stack`.  The
+affine-invariant mean also takes a sequence of samples, and runs them as one
+``(k, n, m, m)`` stack through :func:`_karcher_means`, the Karcher iteration,
+which steps every unconverged sample through one stacked logarithm per step;
+one sample is a stack of one.  Every
 non-Euclidean SPD result is ``K K^T``, exactly symmetric as computed, and
 leaves the float range only by raising ``DomainError``: a triangular ``K``
 goes through ``chol_map._spd_point``, and the exponents of a spectral ``K``
@@ -197,29 +201,93 @@ def affine_transport(P: SpdMatrix, Q: SpdMatrix, W: SymMatrix) -> SymMatrix:
     return SymMatrix._of(_sym(ls @ _congruence(l, W.data) @ ls.T))
 
 
-@np.errstate(over="ignore", invalid="ignore")  # overflow reads inf or nan: rejected
-def affine_karcher_mean(Ps: Sequence[SpdMatrix]) -> SpdMatrix:
-    """Frechet mean by fixed-point iteration with unit step.
-
-    From the Euclidean mean, each step factors the iterate ``P = L L^T``
-    and whitens the whole stack in one congruence: with ``g`` the mean of
-    ``log(L^-1 P_i L^-T)``, the Riemannian gradient is ``L g L^T`` and the
-    step ``L e^g L^T``, formed as ``K K^T`` with ``K = L U e^{Lambda/2}``.
-    Since ``L = P^{1/2} V`` with ``V`` orthogonal, ``|g|_F`` is the gradient's
-    affine-invariant norm at ``P``; the iteration stops on it, a test blind to
-    the scale ``c``, so the mean of ``c P_i`` is ``c`` times that of ``P_i``.
+def affine_karcher_mean(
+    Ps: Sequence[SpdMatrix] | Sequence[Sequence[SpdMatrix]],
+) -> SpdMatrix | list[SpdMatrix]:
+    """Frechet mean by fixed-point iteration with unit step, of one sample
+    ``Ps``; or, given a sequence of samples of one size and dimension, the
+    list of their means, from one stacked iteration (:func:`_karcher_means`).
+    Each sample's mean has the bits of its one-sample call.
 
     Raises
     ------
     NoConvergenceError
-        If ``|g|_F`` has not dropped to ``KARCHER_TOL`` within
-        ``KARCHER_MAX_ITER`` iterations; the message gives its last value.
+        If a sample's ``|g|_F`` has not dropped to ``KARCHER_TOL`` within
+        ``KARCHER_MAX_ITER`` iterations; the message gives the largest last value.
+    DomainError
+        If the samples differ in size or dimension.
     """
-    ps = _stack(P.data for P in Ps)
-    mean = _mean(ps)
-    for _ in range(KARCHER_MAX_ITER):
+    if Ps and not isinstance(Ps[0], SpdMatrix):
+        ps = _stack(P.data for sample in Ps for P in sample)
+        if len(sizes := {len(sample) for sample in Ps}) > 1:
+            raise DomainError(f"samples of different sizes: {sorted(sizes)}")
+        return _karcher_means(ps.reshape(len(Ps), -1, *ps.shape[1:]))
+    [mean] = _karcher_means(_stack(P.data for P in Ps)[None])
+    return mean
+
+
+@np.errstate(over="ignore", invalid="ignore")  # overflow reads inf or nan: rejected
+def _karcher_means(ps: np.ndarray) -> list[SpdMatrix]:
+    """The Karcher mean of each trial of a ``(k, n, m, m)`` stack of SPD members.
+
+    Each trial starts from its members' Euclidean mean, ``_mean``.  Each step
+    factors each unconverged trial's iterate ``P = L L^T`` and whitens that
+    trial's members in one congruence; the whitened members of all those
+    trials then take one stacked logarithm.  With ``g`` a trial's mean of
+    ``log(L^-1 P_i L^-T)``, the Riemannian gradient is ``L g L^T`` and the
+    step ``L e^g L^T``, formed as ``K K^T`` with ``K = L U e^{Lambda/2}``,
+    the exponentials of the trials that step on again one stacked call.
+    Since ``L = P^{1/2} V`` with ``V`` orthogonal, ``|g|_F`` is the gradient's
+    affine-invariant norm at ``P``; each trial stops on its own, a test blind
+    to the scale ``c``, so the mean of ``c P_i`` is ``c`` times that of ``P_i``.
+    Once one trial is left, it steps on alone (:func:`_karcher_alone`).  Each
+    trial's mean is the one this kernel gives that trial alone, bit for bit;
+    the work grows with the slowest trial's steps, the memory with ``k n m^2``.
+
+    Raises
+    ------
+    NoConvergenceError
+        If a trial's ``|g|_F`` has not dropped to ``KARCHER_TOL`` within
+        ``KARCHER_MAX_ITER`` iterations; the message gives the largest last value.
+    """
+    n, m = ps.shape[1:3]
+    trials = list(range(len(ps)))  # the unconverged trials, their members and iterates
+    members = list(ps)
+    iterates = [_mean(p) for p in members]
+    means = [None] * len(ps)
+    for step in range(KARCHER_MAX_ITER):
+        if len(trials) == 1:
+            means[trials[0]] = _karcher_alone(members[0], iterates[0], KARCHER_MAX_ITER - step)
+            return means
+        ls = [_factor(mean) for mean in iterates]
+        logs = spd_logm(np.concatenate([_congruence(l, p) for l, p in zip(ls, members)]))
+        gs = np.add.reduce(logs.reshape(-1, n, m, m), axis=1) / n  # np.mean's bits
+        gnorms = [_norm(g) for g in gs]
+        going = []
+        for j, (i, mean, gnorm) in enumerate(zip(trials, iterates, gnorms)):
+            if gnorm <= KARCHER_TOL:
+                means[i] = SpdMatrix._of(mean)
+            else:
+                going.append(j)
+        if not going:
+            return means
+        if len(going) < len(trials):
+            trials, members, ls = ([a[j] for j in going] for a in (trials, members, ls))
+            gs = gs[going]
+        iterates = [_reconstruct(l @ k) for l, k in zip(ls, _exp_factor(gs))]
+    raise NoConvergenceError(f"Karcher iteration did not converge in {KARCHER_MAX_ITER} "
+                             f"iterations; gradient norm {max(gnorms):.3g} at the last step")
+
+
+def _karcher_alone(ps: np.ndarray, mean: np.ndarray, steps: int) -> SpdMatrix:
+    """Up to ``steps`` steps of :func:`_karcher_means` for one trial, its
+    members ``ps`` and its iterate ``mean``: the same statements on one
+    matrix, whose exponential takes ``tri._eigh``'s one-matrix ``dsyevd``, at
+    a few rows about half the cost of the batched call."""
+    n = len(ps)
+    for _ in range(steps):
         l = _factor(mean)
-        g = spd_logm(_congruence(l, ps)).mean(axis=0)
+        g = np.add.reduce(spd_logm(_congruence(l, ps)), axis=0) / n
         if (gnorm := _norm(g)) <= KARCHER_TOL:
             return SpdMatrix._of(mean)
         mean = _reconstruct(l @ _exp_factor(g))

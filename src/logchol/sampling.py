@@ -1,4 +1,8 @@
-"""Seeded random generators for the matrices the experiments and the CLI draw."""
+"""Seeded random generators for the matrices the experiments and the CLI draw.
+
+Each returns one typed matrix, except :func:`random_wishart_stack`, which
+draws the whole ``(trials, n, m, m)`` sample of ``mean-gap`` in one call and
+returns it untyped, for the experiment to build its members from."""
 from __future__ import annotations
 
 import numpy as np
@@ -12,12 +16,17 @@ def random_spd(rng: np.random.Generator, dim: int) -> SpdMatrix:
     return SpdMatrix(a @ a.T + 1e-3 * np.eye(dim))
 
 
-def random_spd_wishart(rng: np.random.Generator, dim: int) -> SpdMatrix:
-    """Normalized Wishart-style SPD matrix ``A A^T / (2 dim) + 1e-3 I`` with
-    ``A`` standard normal of shape ``(dim, 2 dim)``: a moderate spread."""
+def random_wishart_stack(rng: np.random.Generator, shape: tuple[int, ...], dim: int) -> np.ndarray:
+    """A ``shape`` stack of normalized Wishart-style SPD matrices
+    ``A A^T / (2 dim) + 1e-3 I``, ``A`` standard normal of shape ``(dim, 2 dim)``:
+    a moderate spread.  Every ``A`` comes from one draw, so the stack holds the
+    matrices that one draw per matrix, in C order, would give, bit for bit:
+    numpy forms each ``A A^T`` of the stack by BLAS ``syrk``, exactly symmetric.
+    A plain array, for the caller to type; its memory grows with
+    ``prod(shape) dim^2``."""
     n = 2 * dim
-    a = rng.standard_normal((dim, n))
-    return SpdMatrix(a @ a.T / n + 1e-3 * np.eye(dim))
+    a = rng.standard_normal((*shape, dim, n))
+    return a @ a.swapaxes(-1, -2) / n + 1e-3 * np.eye(dim)
 
 
 def random_orthogonal(rng: np.random.Generator, dim: int) -> np.ndarray:

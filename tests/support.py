@@ -1,5 +1,6 @@
-"""Helpers the test suite shares: random factors and tangents, the fixture
-writer, and readers for the reports and glyph records the CLI writes."""
+"""Helpers the test suite shares: random factors, tangents and Wishart draws,
+the mean-gap experiment composed one trial at a time, the fixture writer, and
+readers for the reports and glyph records the CLI writes."""
 from __future__ import annotations
 
 import dataclasses
@@ -7,8 +8,10 @@ import json
 
 import numpy as np
 
+from logchol import baselines as bl
 from logchol.report import ExperimentReport, GlyphRecord, ResultRecord
-from logchol.tri import CholeskyFactor, LowerTriangular
+from logchol.spd_manifold import log_cholesky_mean
+from logchol.tri import CholeskyFactor, LogCholError, LowerTriangular, SpdMatrix
 
 
 def random_factor(rng: np.random.Generator, dim: int) -> CholeskyFactor:
@@ -22,6 +25,36 @@ def random_factor(rng: np.random.Generator, dim: int) -> CholeskyFactor:
 def random_tangent(rng: np.random.Generator, dim: int) -> LowerTriangular:
     """Random lower triangular tangent vector."""
     return LowerTriangular(np.tril(rng.standard_normal((dim, dim))))
+
+
+def random_spd_wishart(rng: np.random.Generator, dim: int) -> SpdMatrix:
+    """One normalized Wishart-style SPD matrix ``A A^T / (2 dim) + 1e-3 I``,
+    ``A`` standard normal of shape ``(dim, 2 dim)``, from its own draw: the
+    per-matrix reference for ``sampling.random_wishart_stack``."""
+    n = 2 * dim
+    a = rng.standard_normal((dim, n))
+    return SpdMatrix(a @ a.T / n + 1e-3 * np.eye(dim))
+
+
+def wishart_trials(n: int, m: int, trials: int, seed: int) -> list[list[SpdMatrix]]:
+    """The samples of ``run_mean_gap(n, m, trials, seed)``, drawn one matrix at a time."""
+    rng = np.random.default_rng(seed)
+    return [[random_spd_wishart(rng, m) for _ in range(n)] for _ in range(trials)]
+
+
+def mean_gaps_per_trial(samples) -> list[float | None]:
+    """Each sample's relative squared-Frobenius gap between its Log-Cholesky
+    and affine-invariant means, each mean its own call; ``None`` where one
+    raises a library error."""
+    gaps = []
+    for sample in samples:
+        try:
+            lc, ai = log_cholesky_mean(sample).data, bl.affine_karcher_mean(sample).data
+        except LogCholError:
+            gaps.append(None)
+        else:
+            gaps.append(float(np.linalg.norm(lc - ai) ** 2 / np.linalg.norm(ai) ** 2))
+    return gaps
 
 
 def rotated(d, angle=0.7) -> np.ndarray:

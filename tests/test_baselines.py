@@ -17,7 +17,7 @@ from oracles import (
     logeuclid_mean_mp,
     logeuclid_mp,
 )
-from support import rotated
+from support import random_spd_wishart, rotated
 
 from logchol import baselines as bl
 from logchol import chol_manifold as cm
@@ -26,9 +26,9 @@ from logchol import tri
 from logchol.chol_map import cholesky_factor, reconstruct
 from logchol.sampling import (
     random_spd,
-    random_spd_wishart,
     random_spd_with_condition,
     random_sym,
+    random_wishart_stack,
 )
 from logchol.spd_manifold import log_cholesky_mean
 from logchol.tri import (
@@ -410,6 +410,87 @@ class TestAffineInvariant:
         pc = SpdMatrix.from_dense(a @ p.dense() @ a.T)
         qc = SpdMatrix.from_dense(a @ q.dense() @ a.T)
         assert bl.affine_dist(pc, qc) == pytest.approx(bl.affine_dist(p, q), rel=1e-9)
+
+
+class TestStackedKarcher:
+    """``affine_karcher_mean`` on a sequence of samples gives each sample the
+    bits of its own call."""
+
+    @staticmethod
+    def _stacked(ps):
+        return bl.affine_karcher_mean([[SpdMatrix(p) for p in trial] for trial in ps])
+
+    @staticmethod
+    def _alone(ps, monkeypatch):
+        """Each trial's mean on its own, and its steps: one ``_factor`` each."""
+        calls = []
+        factor = bl._factor
+        monkeypatch.setattr(bl, "_factor", lambda a: calls.append(a) or factor(a))
+        means, steps = [], []
+        for trial in ps:
+            before = len(calls)
+            means.append(bl.affine_karcher_mean([SpdMatrix(p) for p in trial]).data)
+            steps.append(len(calls) - before)
+        monkeypatch.undo()
+        return means, steps
+
+    @staticmethod
+    def _assert_bits(stacked, alone):
+        assert len(stacked) == len(alone)
+        for out, ref in zip(stacked, alone, strict=True):
+            assert out.data.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("m", [1, 2, 5])
+    def test_the_stacked_draw_is_the_per_matrix_draws(self, m):
+        # One draw for the whole stack takes the generator's stream in the
+        # order of one draw per matrix, and each A A^T is exactly symmetric.
+        ps = random_wishart_stack(np.random.default_rng(5), (3, 4), m)
+        rng = np.random.default_rng(5)
+        for p in ps.reshape(-1, m, m):
+            assert p.tobytes() == random_spd_wishart(rng, m).data.tobytes()
+            assert (p == p.T).all()
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 5])
+    def test_trials_that_stop_at_different_steps(self, m, monkeypatch):
+        ps = random_wishart_stack(np.random.default_rng(11), (9, 6), m)
+        alone, steps = self._alone(ps, monkeypatch)
+        if m > 1:
+            assert len(set(steps)) > 1, steps
+        self._assert_bits(self._stacked(ps), alone)
+
+    @pytest.mark.parametrize("m", [1, 3])
+    def test_one_member_per_trial(self, m, monkeypatch):
+        ps = random_wishart_stack(np.random.default_rng(12), (4, 1), m)
+        alone, _ = self._alone(ps, monkeypatch)
+        self._assert_bits(self._stacked(ps), alone)
+
+    def test_an_overflowing_start_beside_a_finite_one(self, monkeypatch):
+        # The first trial's members sum past the float max, so its start is
+        # the sum of P_i / n (baselines._mean); the second's is np.mean's.
+        ps = random_wishart_stack(np.random.default_rng(3), (2, 4), 3)
+        ps[0] *= 5e307
+        with np.errstate(over="ignore"):
+            assert not np.isfinite(ps[0].sum(axis=0)).all()
+        assert np.isfinite(ps[1].sum(axis=0)).all()
+        alone, _ = self._alone(ps, monkeypatch)
+        self._assert_bits(self._stacked(ps), alone)
+        self._assert_bits(self._stacked(ps[::-1]), alone[::-1])
+
+    def test_a_trial_out_of_budget_raises_from_the_stack(self, monkeypatch):
+        ps = random_wishart_stack(np.random.default_rng(11), (9, 6), 3)
+        _, steps = self._alone(ps, monkeypatch)
+        monkeypatch.setattr(bl, "KARCHER_MAX_ITER", max(steps) - 1)
+        with pytest.raises(NoConvergenceError):
+            self._stacked(ps)
+
+    def test_samples_of_different_sizes_are_rejected(self, rng):
+        samples = [[random_spd(rng, 2)] * 2, [random_spd(rng, 2)] * 3]
+        with pytest.raises(DomainError, match="samples of different sizes"):
+            bl.affine_karcher_mean(samples)
+        with pytest.raises(DomainError, match="dimension mismatch"):
+            bl.affine_karcher_mean([[random_spd(rng, 2)], [random_spd(rng, 3)]])
+        with pytest.raises(EmptyInputError):
+            bl.affine_karcher_mean([[], []])
 
 
 SCALES = (1e-13, 1e-6, 1e6, 1e12)

@@ -8,7 +8,9 @@ values-only ``dsyevd`` is counted as ``dsyevd/N``.
 The table holds the calls of ``from_dense`` and of every operation of the
 registry at m = 5 on ``from_dense`` points, which keep their factors; an
 interpolation takes a grid of three steps.  The Karcher mean's count grows
-with its iterations, so it is pinned per iteration instead.  A second table
+with its iterations, so it is pinned per iteration instead, and a mean-gap
+run, whose trials share one stacked iteration, per step of its slowest
+trial.  A second table
 holds the Log-Cholesky operations and the ``chol_map`` differentials at
 m = 128, where the pullback splits once into two m = 64 congruences
 (``chol_map._BLOCK``).  A call added to or dropped from any operation
@@ -18,7 +20,10 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from support import wishart_trials
+
 from logchol import chol_map, tri
+from logchol import experiments as ex
 from logchol.baselines import METRIC_NAMES, get_metric
 from logchol.tri import CholeskyFactor, LowerTriangular, SpdMatrix, SymMatrix
 
@@ -142,3 +147,32 @@ def test_each_karcher_step_makes_its_lapack_calls(rng, calls):
     k = calls["dpotrf"]
     assert k > 2
     assert dict(calls) == {"dpotrf": k, "dtrsm": 2 * k, "eigh": k, "dsyevd": k - 1}
+
+
+def test_a_mean_gap_run_steps_its_trials_together(calls):
+    # The affine-invariant means of a mean-gap run are one stacked Karcher
+    # iteration.  While two or more trials step, each step takes one stacked
+    # eigh for the logarithms of their members, and one for the exps of the
+    # trials that step on; once one trial is left, it steps alone, a stacked
+    # eigh for its logarithms and a dsyevd for its exp.  So the eigh calls
+    # grow with the slowest trial's steps, not with their sum; the
+    # factorizations and congruences stay one per trial and step, and the
+    # Log-Cholesky means factor each member once.
+    n, m, trials, seed = 6, 3, 8, 0
+    steps = []
+    for sample in wishart_trials(n, m, trials, seed):
+        calls.clear()
+        get_metric("affine-invariant").mean(sample)
+        steps.append(calls["dpotrf"])
+    k = max(steps)
+    # The trials stepping at each step but the slowest trial's last.
+    stepping = [sum(s >= j for s in steps) for j in range(1, k)]
+    calls.clear()
+    ex.run_mean_gap(n, m, trials, seed)
+    assert dict(calls) == {
+        "dpotrf": sum(steps) + n * trials,
+        "dtrsm": 2 * sum(steps),
+        "eigh": k + sum(c > 1 for c in stepping),
+        "dsyevd": sum(c == 1 for c in stepping),
+    }
+    assert 0 < calls["dsyevd"] and calls["eigh"] < sum(steps) / 2

@@ -8,14 +8,23 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from support import dump_matrices, glyph_from_json, nontiming_json, report_from_json, result
+from support import (
+    dump_matrices,
+    glyph_from_json,
+    mean_gaps_per_trial,
+    nontiming_json,
+    random_spd_wishart,
+    report_from_json,
+    result,
+    wishart_trials,
+)
 
 from logchol import cli
 from logchol import experiments as ex
 from logchol.baselines import METRIC_NAMES, get_metric
 from logchol.cli import main
 from logchol.report import ExperimentReport, GlyphRecord, ResultRecord
-from logchol.sampling import random_spd_with_condition, random_spd_wishart
+from logchol.sampling import random_spd_with_condition
 from logchol.tri import NotSpdError, SpdMatrix, SymMatrix
 
 
@@ -448,24 +457,28 @@ class TestCli:
         assert lc is not None and lc < 1e-6
 
     def test_mean_gap_counts_any_library_failure(self, tmp_path, monkeypatch):
-        # A mean that fails in one trial is counted there; the run goes on.
-        karcher = ex.bl.affine_karcher_mean
-        calls = []
-
-        def fails_once(sample):
-            calls.append(len(sample))
-            if len(calls) == 2:
-                raise NotSpdError("injected")
-            return karcher(sample)
-
-        monkeypatch.setattr(ex.bl, "affine_karcher_mean", fails_once)
+        # With the Karcher budget cut, some trials' own means run out of steps
+        # and raise: each counts in failed_trials, and the run keeps the other
+        # trials' gaps, bit for bit.
+        monkeypatch.setattr(ex.bl, "KARCHER_MAX_ITER", 12)
+        gaps = mean_gaps_per_trial(wishart_trials(5, 3, 12, 0))
+        failed = sum(g is None for g in gaps)
+        assert 0 < failed < len(gaps)
         out = tmp_path / "gap.json"
-        args = ["mean-gap", "--n", "5", "--m", "2", "--trials", "3", "--out", str(out)]
+        args = ["mean-gap", "--n", "5", "--m", "3", "--trials", "12", "--out", str(out)]
         assert main(args) == 0
         rep = report_from_json(out.read_text())
-        assert len(calls) == 3
-        assert result(rep, "failed_trials").value == 1.0
-        assert len(result(rep, "per_trial_gap").values) == 2
+        assert result(rep, "failed_trials").value == failed
+        assert result(rep, "per_trial_gap").values == [g for g in gaps if g is not None]
+
+    def test_mean_gap_is_its_per_trial_composition(self):
+        # The stacked draw and the stacked Karcher iteration give each trial
+        # the bits of drawing it, and taking its means, on its own.
+        rep = ex.run_mean_gap(20, 3, 100, 0)
+        gaps = mean_gaps_per_trial(wishart_trials(20, 3, 100, 0))
+        assert result(rep, "per_trial_gap").values == gaps
+        assert result(rep, "failed_trials").value == 0.0
+        assert result(rep, "mean_gap").value == float(np.mean(gaps))
 
     def test_determinism_nontiming_bytes(self, tmp_path):
         outs = []

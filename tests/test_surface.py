@@ -96,8 +96,9 @@ STEP_RULES = {"t": "_step", "ts": "_grid"}
 STEP_TAKERS = ("geodesic_chol", "geodesic_spd", "interpolate_spd", "interpolate", "affine_interpolate")
 
 # The functions that may call _factor outside tri, and on what: the Karcher
-# iterate (the name mean).
-FACTOR_ARGS = {"affine_karcher_mean": "mean"}
+# iterate (the name mean), in the stacked kernel that every affine-invariant
+# mean runs, and in its steps of a trial left alone.
+FACTOR_ARGS = {"_karcher_means": "mean", "_karcher_alone": "mean"}
 
 # Where outside data enters: whole modules (None), or the named functions of one.
 OUTSIDE_DATA = {
