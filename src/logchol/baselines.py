@@ -20,10 +20,10 @@ orthogonal, that is ``P^{1/2} f(P^{-1/2} X P^{-1/2}) P^{1/2}``.
 Every interpolant reads its grid ``ts`` through :func:`.tri._grid`, the
 step rule, before any arithmetic, and works its endpoints once per call;
 every mean works on one ``(n, m, m)`` stack from :func:`.tri._stack`.  The
-affine-invariant mean also takes a sequence of samples, and runs them as one
-``(k, n, m, m)`` stack through :func:`_karcher_means`, the Karcher iteration,
-which steps every unconverged sample through one stacked logarithm per step;
-one sample is a stack of one.  Every
+affine-invariant mean runs the Karcher iteration on one sample's stack,
+:func:`_karcher_alone`; given a sequence of samples, it runs them as one
+``(k, n, m, m)`` stack through :func:`_karcher_means`, which steps every
+unconverged sample through one stacked logarithm per step.  Every
 non-Euclidean SPD result is ``K K^T``, exactly symmetric as computed, and
 leaves the float range only by raising ``DomainError``: a triangular ``K``
 goes through ``chol_map._spd_point``, and the exponents of a spectral ``K``
@@ -56,6 +56,7 @@ from .tri import (
     _factor,
     _finite,
     _grid,
+    _mean,
     _norm,
     _require_same_dim,
     _stack,
@@ -80,15 +81,6 @@ def spd_logm(a: np.ndarray) -> np.ndarray:
     """Matrix logarithm ``U log(Lambda) U^T`` of an SPD matrix or stack."""
     w, u = _eigh(a, "matrix logarithm")
     return (u * np.log(w)[..., None, :]) @ u.swapaxes(-1, -2)
-
-
-@np.errstate(over="ignore")  # an overflowing sum is redone on ps / n
-def _mean(ps: np.ndarray) -> np.ndarray:
-    """Entrywise mean of an ``(n, m, m)`` stack: ``np.mean``'s bits while the
-    sum is finite, else the sum of ``ps / n``, so that a mean inside the float
-    range is finite, with no warning."""
-    s = ps.sum(axis=0)
-    return s / len(ps) if np.isfinite(s).all() else (ps / len(ps)).sum(axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -205,9 +197,10 @@ def affine_karcher_mean(
     Ps: Sequence[SpdMatrix] | Sequence[Sequence[SpdMatrix]],
 ) -> SpdMatrix | list[SpdMatrix]:
     """Frechet mean by fixed-point iteration with unit step, of one sample
-    ``Ps``; or, given a sequence of samples of one size and dimension, the
-    list of their means, from one stacked iteration (:func:`_karcher_means`).
-    Each sample's mean has the bits of its one-sample call.
+    ``Ps`` (:func:`_karcher_alone`); or, given a sequence of samples of one
+    size and dimension, the list of their means, from one stacked iteration
+    (:func:`_karcher_means`).  Each sample's mean has the bits of its
+    one-sample call.
 
     Raises
     ------
@@ -222,77 +215,64 @@ def affine_karcher_mean(
         if len(sizes := {len(sample) for sample in Ps}) > 1:
             raise DomainError(f"samples of different sizes: {sorted(sizes)}")
         return _karcher_means(ps.reshape(len(Ps), -1, *ps.shape[1:]))
-    [mean] = _karcher_means(_stack(P.data for P in Ps)[None])
-    return mean
+    return _karcher_alone(_stack(P.data for P in Ps))
 
 
 @np.errstate(over="ignore", invalid="ignore")  # overflow reads inf or nan: rejected
-def _karcher_means(ps: np.ndarray) -> list[SpdMatrix]:
-    """The Karcher mean of each trial of a ``(k, n, m, m)`` stack of SPD members.
-
-    Each trial starts from its members' Euclidean mean, ``_mean``.  Each step
-    factors each unconverged trial's iterate ``P = L L^T`` and whitens that
-    trial's members in one congruence; the whitened members of all those
-    trials then take one stacked logarithm.  With ``g`` a trial's mean of
-    ``log(L^-1 P_i L^-T)``, the Riemannian gradient is ``L g L^T`` and the
-    step ``L e^g L^T``, formed as ``K K^T`` with ``K = L U e^{Lambda/2}``,
-    the exponentials of the trials that step on again one stacked call.
-    Since ``L = P^{1/2} V`` with ``V`` orthogonal, ``|g|_F`` is the gradient's
-    affine-invariant norm at ``P``; each trial stops on its own, a test blind
-    to the scale ``c``, so the mean of ``c P_i`` is ``c`` times that of ``P_i``.
-    Once one trial is left, it steps on alone (:func:`_karcher_alone`).  Each
-    trial's mean is the one this kernel gives that trial alone, bit for bit;
-    the work grows with the slowest trial's steps, the memory with ``k n m^2``.
-
-    Raises
-    ------
-    NoConvergenceError
-        If a trial's ``|g|_F`` has not dropped to ``KARCHER_TOL`` within
-        ``KARCHER_MAX_ITER`` iterations; the message gives the largest last value.
-    """
-    n, m = ps.shape[1:3]
-    trials = list(range(len(ps)))  # the unconverged trials, their members and iterates
-    members = list(ps)
-    iterates = [_mean(p) for p in members]
-    means = [None] * len(ps)
-    for step in range(KARCHER_MAX_ITER):
-        if len(trials) == 1:
-            means[trials[0]] = _karcher_alone(members[0], iterates[0], KARCHER_MAX_ITER - step)
-            return means
-        ls = [_factor(mean) for mean in iterates]
-        logs = spd_logm(np.concatenate([_congruence(l, p) for l, p in zip(ls, members)]))
-        gs = np.add.reduce(logs.reshape(-1, n, m, m), axis=1) / n  # np.mean's bits
-        gnorms = [_norm(g) for g in gs]
-        going = []
-        for j, (i, mean, gnorm) in enumerate(zip(trials, iterates, gnorms)):
-            if gnorm <= KARCHER_TOL:
-                means[i] = SpdMatrix._of(mean)
-            else:
-                going.append(j)
-        if not going:
-            return means
-        if len(going) < len(trials):
-            trials, members, ls = ([a[j] for j in going] for a in (trials, members, ls))
-            gs = gs[going]
-        iterates = [_reconstruct(l @ k) for l, k in zip(ls, _exp_factor(gs))]
-    raise NoConvergenceError(f"Karcher iteration did not converge in {KARCHER_MAX_ITER} "
-                             f"iterations; gradient norm {max(gnorms):.3g} at the last step")
-
-
-def _karcher_alone(ps: np.ndarray, mean: np.ndarray, steps: int) -> SpdMatrix:
-    """Up to ``steps`` steps of :func:`_karcher_means` for one trial, its
-    members ``ps`` and its iterate ``mean``: the same statements on one
-    matrix, whose exponential takes ``tri._eigh``'s one-matrix ``dsyevd``, at
-    a few rows about half the cost of the batched call."""
+def _karcher_alone(ps: np.ndarray) -> SpdMatrix:
+    """The Karcher mean of an ``(n, m, m)`` stack of SPD members, from their
+    Euclidean mean, ``_mean``.  Each step factors the iterate ``P = L L^T``
+    and whitens the members in one congruence; with ``g`` the mean of their
+    logarithms ``log(L^-1 P_i L^-T)``, the Riemannian gradient is ``L g L^T``
+    and the step ``L e^g L^T = K K^T``, ``K = L U e^{Lambda/2}``.  Since
+    ``L = P^{1/2} V`` with ``V`` orthogonal, ``|g|_F`` is the gradient's
+    affine-invariant norm at ``P``: the stop is blind to the scale ``c``, so
+    the mean of ``c P_i`` is ``c`` times that of ``P_i``.  The exponential of
+    one matrix takes ``tri._eigh``'s ``dsyevd``, at a few rows about half the
+    cost of the batched call: so one sample does not run :func:`_karcher_means`.
+    It raises as :func:`affine_karcher_mean` does."""
     n = len(ps)
-    for _ in range(steps):
+    mean = _mean(ps)
+    for _ in range(KARCHER_MAX_ITER):
         l = _factor(mean)
-        g = np.add.reduce(spd_logm(_congruence(l, ps)), axis=0) / n
+        g = np.add.reduce(spd_logm(_congruence(l, ps)), axis=0) / n  # np.mean's bits
         if (gnorm := _norm(g)) <= KARCHER_TOL:
             return SpdMatrix._of(mean)
         mean = _reconstruct(l @ _exp_factor(g))
     raise NoConvergenceError(f"Karcher iteration did not converge in {KARCHER_MAX_ITER} "
                              f"iterations; gradient norm {gnorm:.3g} at the last step")
+
+
+@np.errstate(over="ignore", invalid="ignore")  # overflow reads inf or nan: rejected
+def _karcher_means(ps: np.ndarray) -> list[SpdMatrix]:
+    """The Karcher mean of each trial of a ``(k, n, m, m)`` stack: the steps
+    of :func:`_karcher_alone`, each trial to its own stop, each step with the
+    logarithms of the unconverged trials' members in one stacked call and the
+    exponentials of the trials that step on in another.  Each trial's mean
+    has the bits :func:`_karcher_alone` gives it; the work grows with the
+    slowest trial's steps, the memory with ``k n m^2``."""
+    n, m = ps.shape[1:3]
+    members = list(ps)  # each trial's members, as one view
+    going = list(range(len(ps)))  # the unconverged trials, in order
+    iterates = [_mean(p) for p in members]  # theirs, in the same order
+    means = [None] * len(ps)
+    for _ in range(KARCHER_MAX_ITER):
+        ls = [_factor(mean) for mean in iterates]
+        logs = spd_logm(np.concatenate([_congruence(l, members[i]) for l, i in zip(ls, going)]))
+        gs = np.add.reduce(logs.reshape(-1, n, m, m), axis=1) / n  # np.mean's bits
+        gnorms = [_norm(g) for g in gs]
+        on = []
+        for j, (i, mean, gnorm) in enumerate(zip(going, iterates, gnorms)):
+            if gnorm <= KARCHER_TOL:
+                means[i] = SpdMatrix._of(mean)
+            else:
+                on.append(j)
+        if not on:
+            return means
+        iterates = [_reconstruct(ls[j] @ k) for j, k in zip(on, _exp_factor(gs[on]))]
+        going = [going[j] for j in on]
+    raise NoConvergenceError(f"Karcher iteration did not converge in {KARCHER_MAX_ITER} "
+                             f"iterations; gradient norm {max(gnorms):.3g} at the last step")
 
 
 # ---------------------------------------------------------------------------

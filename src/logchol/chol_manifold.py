@@ -18,8 +18,8 @@ from numbers import Integral
 
 import numpy as np
 
-from .tri import (CholeskyFactor, DomainError, LowerTriangular, _norm, _require_same_dim,
-                  _stack, _step, _with_diag)
+from .tri import (CholeskyFactor, DomainError, LowerTriangular, _mean, _norm,
+                  _require_same_dim, _stack, _step, _with_diag)
 
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")  # past the float max reads inf
@@ -86,6 +86,7 @@ def dist_chol(L: CholeskyFactor, K: CholeskyFactor) -> float:
     return _dist(L.data, K.data)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # overflow reads inf or nan: rejected
 def _group_op(l: np.ndarray, k: np.ndarray) -> np.ndarray:
     return _with_diag(l + k, l.diagonal() * k.diagonal())
 
@@ -117,6 +118,7 @@ def group_identity(dim: int) -> CholeskyFactor:
     return CholeskyFactor._of(np.eye(int(dim)))
 
 
+@np.errstate(over="ignore", invalid="ignore")  # overflow reads inf or nan: rejected
 def _transport(l: np.ndarray, k: np.ndarray, x: np.ndarray) -> np.ndarray:
     return _with_diag(x.copy(order="K"), x.diagonal() * (k.diagonal() / l.diagonal()))
 
@@ -136,7 +138,7 @@ def transport_chol(
 
 def _frechet_mean(ls: np.ndarray) -> np.ndarray:
     # ls stacks n factors along its first axis.
-    return _with_diag(ls.mean(axis=0), np.exp(np.log(ls.diagonal(axis1=1, axis2=2)).mean(axis=0)))
+    return _with_diag(_mean(ls), np.exp(_mean(np.log(ls.diagonal(axis1=1, axis2=2)))))
 
 
 def frechet_mean_chol(Ls: Sequence[CholeskyFactor]) -> CholeskyFactor:

@@ -320,29 +320,24 @@ def _mean_records(
     ]
 
 
-def _affine_means(samples: list[list[SpdMatrix]]) -> list[SpdMatrix | None]:
-    """Each sample's affine-invariant mean, or ``None`` where it raises a
-    library error: one stacked call on all samples, and only if it raises,
-    one call per sample, whose bits are the same."""
-    try:
-        return bl.affine_karcher_mean(samples)
-    except LogCholError:
-        return [_attempt(lambda: bl.affine_karcher_mean(sample))[0] for sample in samples]
-
-
 def run_mean_gap(n: int, m: int, trials: int, seed: int) -> ExperimentReport:
     """Average relative squared-Frobenius gap between the Log-Cholesky and
     affine-invariant means of ``n`` random SPD matrices, over ``trials``
     draws.  The trials are one ``(trials, n, m, m)`` stack, drawn at once;
     each trial's Log-Cholesky mean is its own call, and the affine-invariant
     means are one stacked Karcher iteration, ``affine_karcher_mean`` on the
-    list of samples.  A trial whose mean raises a library error counts in
-    ``failed_trials``.  Memory grows with ``trials n m^2``."""
+    list of samples.  Only if that raises a library error does each sample
+    take its own call, whose bits are the same; a trial whose mean raises
+    one counts in ``failed_trials``.  Memory grows with ``trials n m^2``."""
     _at_least(1, n=n, m=m, trials=trials)
     ps = random_wishart_stack(seeded_rng(seed), (trials, n), m)
     samples = [[SpdMatrix(p) for p in trial] for trial in ps]
+    try:
+        ais = bl.affine_karcher_mean(samples)
+    except LogCholError:
+        ais = [_attempt(lambda: bl.affine_karcher_mean(sample))[0] for sample in samples]
     gaps: list[float] = []
-    for sample, ai in zip(samples, _affine_means(samples)):
+    for sample, ai in zip(samples, ais):
         lc, _ = _attempt(lambda: log_cholesky_mean(sample))
         if lc is not None and ai is not None:
             gaps.append(float(_norm(lc.data - ai.data) ** 2 / _norm(ai.data) ** 2))

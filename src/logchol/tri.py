@@ -18,10 +18,11 @@ entrywise test only when that sum is not finite.
 Every operation that needs a point's factor, a mean included, reads it
 through ``SpdMatrix._chol``: the kept one, or ``_factor(data)`` for a point
 built any other way.  ``_sym``, ``_factor``, the checked eigendecomposition
-``_eigh``, ``_norm``, every Frobenius norm of the package, and ``_with_diag``,
-every diagonal write of a kernel, live here alone, and so does the step
-rule: every geodesic reads its ``t`` through ``_step`` and every interpolant
-its grid ``ts`` through ``_grid``, before any arithmetic.  ``_sym`` is needed
+``_eigh``, ``_norm``, every Frobenius norm of the package, ``_mean``, every
+average of a mean's members, and ``_with_diag``, every diagonal write of a
+kernel, live here alone, and so does the step rule: every geodesic reads its
+``t`` through ``_step`` and every interpolant its grid ``ts`` through
+``_grid``, before any arithmetic.  ``_sym`` is needed
 only where a result can come out asymmetric: outside data, and tangents such
 as ``L f(.) L^T`` whose two triangles are computed apart; it sums halves, so
 entries up to the float max stay finite.  ``_eigh`` reads the lower triangle
@@ -357,6 +358,15 @@ def _stack(arrays) -> np.ndarray:
         return np.stack(mats)
     except ValueError:
         raise DomainError(f"dimension mismatch: sizes {sorted({len(a) for a in mats})}") from None
+
+
+@np.errstate(over="ignore")  # an overflowing sum is redone on ps / n
+def _mean(ps: np.ndarray) -> np.ndarray:
+    """Mean along the first axis, the one of every mean: ``np.mean``'s bits
+    while the sum is finite, else the sum of ``ps / n``, so that a mean
+    inside the float range is finite, with no warning."""
+    s = ps.sum(axis=0)
+    return s / len(ps) if np.isfinite(s).all() else (ps / len(ps)).sum(axis=0)
 
 
 # ---------------------------------------------------------------------------

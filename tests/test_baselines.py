@@ -107,7 +107,9 @@ class TestEuclidean:
     @pytest.mark.parametrize("n", [1, 2, 3, 7, 1000])
     def test_mean_has_the_bits_of_numpy_mean(self, rng, n):
         ps = rng.standard_normal((n, 4, 4)) * 10.0 ** rng.integers(-300, 300, (n, 1, 1))
-        assert_array_equal(bl._mean(ps), ps.mean(axis=0))
+        assert_array_equal(tri._mean(ps), ps.mean(axis=0))
+        # A stack of vectors too, such as the log-diagonals of a Log-Cholesky mean.
+        assert_array_equal(tri._mean(ps[:, 0]), ps[:, 0].mean(axis=0))
 
     def test_mean_inside_the_float_range_past_an_overflowing_sum(self):
         # The sum of the members overflows; their mean does not.
@@ -457,6 +459,8 @@ class TestStackedKarcher:
         if m > 1:
             assert len(set(steps)) > 1, steps
         self._assert_bits(self._stacked(ps), alone)
+        # A list of one sample: the stacked iteration runs it to its last step.
+        self._assert_bits(self._stacked(ps[:1]), alone[:1])
 
     @pytest.mark.parametrize("m", [1, 3])
     def test_one_member_per_trial(self, m, monkeypatch):
@@ -466,7 +470,7 @@ class TestStackedKarcher:
 
     def test_an_overflowing_start_beside_a_finite_one(self, monkeypatch):
         # The first trial's members sum past the float max, so its start is
-        # the sum of P_i / n (baselines._mean); the second's is np.mean's.
+        # the sum of P_i / n (tri._mean); the second's is np.mean's.
         ps = random_wishart_stack(np.random.default_rng(3), (2, 4), 3)
         ps[0] *= 5e307
         with np.errstate(over="ignore"):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
@@ -304,6 +306,14 @@ class TestMean:
             assert frechet_functional_chol(closed, ls) <= frechet_functional_chol(
                 iterated, ls
             ) + 1e-10
+
+    def test_mean_at_the_float_max(self):
+        # The members' strict parts sum past the float max; their mean does
+        # not, so it is returned, with no warning.
+        l = factor([[1.0, 0.0], [1.7e308, 1.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert_array_equal(frechet_mean_chol([l, l]).data, l.data)
 
     def test_determinant_identity(self, rng):
         ls = [random_factor(rng, 4) for _ in range(7)]

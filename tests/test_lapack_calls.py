@@ -151,13 +151,12 @@ def test_each_karcher_step_makes_its_lapack_calls(rng, calls):
 
 def test_a_mean_gap_run_steps_its_trials_together(calls):
     # The affine-invariant means of a mean-gap run are one stacked Karcher
-    # iteration.  While two or more trials step, each step takes one stacked
-    # eigh for the logarithms of their members, and one for the exps of the
-    # trials that step on; once one trial is left, it steps alone, a stacked
-    # eigh for its logarithms and a dsyevd for its exp.  So the eigh calls
-    # grow with the slowest trial's steps, not with their sum; the
-    # factorizations and congruences stay one per trial and step, and the
-    # Log-Cholesky means factor each member once.
+    # iteration.  Each step takes one stacked eigh for the logarithms of the
+    # members of the trials still stepping and, at every step but the last,
+    # one for the exps of the trials that step on, the last trial left
+    # included: no dsyevd.  So the eigh calls grow with the slowest trial's
+    # steps, not with their sum; the factorizations and congruences stay one
+    # per trial and step, and the Log-Cholesky means factor each member once.
     n, m, trials, seed = 6, 3, 8, 0
     steps = []
     for sample in wishart_trials(n, m, trials, seed):
@@ -165,14 +164,11 @@ def test_a_mean_gap_run_steps_its_trials_together(calls):
         get_metric("affine-invariant").mean(sample)
         steps.append(calls["dpotrf"])
     k = max(steps)
-    # The trials stepping at each step but the slowest trial's last.
-    stepping = [sum(s >= j for s in steps) for j in range(1, k)]
+    assert steps.count(k) == 1  # the slowest trial steps alone at the end
     calls.clear()
     ex.run_mean_gap(n, m, trials, seed)
     assert dict(calls) == {
         "dpotrf": sum(steps) + n * trials,
         "dtrsm": 2 * sum(steps),
-        "eigh": k + sum(c > 1 for c in stepping),
-        "dsyevd": sum(c == 1 for c in stepping),
+        "eigh": 2 * k - 1,
     }
-    assert 0 < calls["dsyevd"] and calls["eigh"] < sum(steps) / 2

@@ -96,8 +96,8 @@ STEP_RULES = {"t": "_step", "ts": "_grid"}
 STEP_TAKERS = ("geodesic_chol", "geodesic_spd", "interpolate_spd", "interpolate", "affine_interpolate")
 
 # The functions that may call _factor outside tri, and on what: the Karcher
-# iterate (the name mean), in the stacked kernel that every affine-invariant
-# mean runs, and in its steps of a trial left alone.
+# iterate (the name mean), in the loop of one sample and in the stacked loop
+# of a list of samples.
 FACTOR_ARGS = {"_karcher_means": "mean", "_karcher_alone": "mean"}
 
 # Where outside data enters: whole modules (None), or the named functions of one.
@@ -485,6 +485,16 @@ OVERFLOWING_RESULTS = {
     ),
     "diff_S": lambda: logchol.diff_S(
         CholeskyFactor(np.diag([1e200, 1.0])), LowerTriangular(np.diag([1e200, 0.0]))
+    ),
+    # The factor-space transport and group operation, their diagonal and
+    # strict parts formed with numpy's warnings off.
+    "transport_chol": lambda: logchol.transport_chol(
+        CholeskyFactor(np.diag([1e-300, 1.0])), CholeskyFactor(np.diag([1e300, 1.0])),
+        LowerTriangular(np.diag([1e300, 0.0]))
+    ),
+    "group_op.diagonal": lambda: logchol.group_op(*[CholeskyFactor(np.diag([1e200, 1.0]))] * 2),
+    "group_op.strict": lambda: logchol.group_op(
+        *[CholeskyFactor(np.array([[1.0, 0.0], [1.7e308, 1.0]]))] * 2
     ),
     # The flat core forms exp and interpolant results with numpy's warnings off.
     "euclidean.exp": lambda: logchol.get_metric("euclidean").exp(HUGE_SYM, HUGE_SYM),
