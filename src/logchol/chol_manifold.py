@@ -69,8 +69,14 @@ def _log(l: np.ndarray, k: np.ndarray) -> np.ndarray:
     return _with_diag(k - l, d * np.log(k.diagonal() / d))
 
 
+# The factor-space log and distance take numpy's warnings off at the public
+# function, not in the kernel: log_spd and dist_spd share the kernels on
+# their hot path, and a strict-part difference of two SPD points' factors
+# cannot overflow (|L_ij| <= sqrt(P_ii)).  An overflow reads inf or nan.
+@np.errstate(over="ignore", invalid="ignore")
 def log_chol(L: CholeskyFactor, K: CholeskyFactor) -> LowerTriangular:
-    """Riemannian logarithm: the tangent at ``L`` pointing to ``K``."""
+    """Riemannian logarithm: the tangent at ``L`` pointing to ``K``; a
+    tangent past the float max raises ``DomainError``."""
     _require_same_dim(L, K)
     return LowerTriangular._of(_log(L.data, K.data))
 
@@ -80,8 +86,9 @@ def _dist(l: np.ndarray, k: np.ndarray) -> float:
     return float(_norm(_with_diag(l - k, np.log(l.diagonal()) - np.log(k.diagonal()))))
 
 
+@np.errstate(over="ignore", invalid="ignore")  # see log_chol
 def dist_chol(L: CholeskyFactor, K: CholeskyFactor) -> float:
-    """Geodesic distance between two factors."""
+    """Geodesic distance between two factors; inf past the float max."""
     _require_same_dim(L, K)
     return _dist(L.data, K.data)
 

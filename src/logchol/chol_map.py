@@ -92,8 +92,12 @@ def _diff_S(l: np.ndarray, x: np.ndarray) -> np.ndarray:
     return a + a.T
 
 
+# At the public function, not in the kernel that log_spd and transport_spd
+# share: an overflowing sum reads inf, which the typing rejects.
+@np.errstate(over="ignore", invalid="ignore")
 def diff_S(L: CholeskyFactor, X: LowerTriangular) -> SymMatrix:
-    """Differential of ``L -> L L^T`` at ``L`` applied to ``X``: ``L X^T + X L^T``."""
+    """Differential of ``L -> L L^T`` at ``L`` applied to ``X``: ``L X^T + X L^T``;
+    a result past the float max raises ``DomainError``."""
     _require_same_dim(L, X)
     return SymMatrix._of(_diff_S(L.data, X.data))
 

@@ -7,12 +7,14 @@ Each driver is a pure function from ``(config, seed)`` to an
 only nondeterministic outputs and live in the report's ``timings`` field.
 Each experiment checks its own parameters, raising :class:`ParameterError`.
 ``run_interpolate`` and ``run_mean`` also read their own ``--input``
-fixture, through :func:`~logchol.tri.load_matrices`, and check how many
-matrices it holds: exactly two for ``run_interpolate``, at least one for
+fixture, through :func:`~logchol.tri.load_matrices`, which checks and
+factors each dimension's blocks as one stack, and check how many matrices
+it holds: exactly two for ``run_interpolate``, at least one for
 ``run_mean``.  The report's ``inputs`` name what the experiment read or drew.
-``run_mean_gap`` draws its trials as one ``(trials, n, m, m)`` stack and
-takes their affine-invariant means in one stacked Karcher iteration, so its
-memory grows with ``trials n m^2``.
+``run_mean_gap`` draws its trials as one ``(trials, n, m, m)`` stack, builds
+its members from it by ``SpdMatrix._from_stack``, so that each keeps its
+factor for the Log-Cholesky means, and takes their affine-invariant means in
+one stacked Karcher iteration; its memory grows with ``trials n m^2``.
 """
 from __future__ import annotations
 
@@ -323,15 +325,18 @@ def _mean_records(
 def run_mean_gap(n: int, m: int, trials: int, seed: int) -> ExperimentReport:
     """Average relative squared-Frobenius gap between the Log-Cholesky and
     affine-invariant means of ``n`` random SPD matrices, over ``trials``
-    draws.  The trials are one ``(trials, n, m, m)`` stack, drawn at once;
-    each trial's Log-Cholesky mean is its own call, and the affine-invariant
+    draws.  The trials are one ``(trials, n, m, m)`` stack, drawn at once,
+    whose members are checked as one stack and keep their factors (each has
+    eigenvalues of at least ``1e-3``, so each factors); each trial's
+    Log-Cholesky mean is its own call, on those factors, and the affine-invariant
     means are one stacked Karcher iteration, ``affine_karcher_mean`` on the
     list of samples.  Only if that raises a library error does each sample
     take its own call, whose bits are the same; a trial whose mean raises
     one counts in ``failed_trials``.  Memory grows with ``trials n m^2``."""
     _at_least(1, n=n, m=m, trials=trials)
     ps = random_wishart_stack(seeded_rng(seed), (trials, n), m)
-    samples = [[SpdMatrix(p) for p in trial] for trial in ps]
+    members = SpdMatrix._from_stack(ps.reshape(-1, m, m))
+    samples = [members[i:i + n] for i in range(0, len(members), n)]
     try:
         ais = bl.affine_karcher_mean(samples)
     except LogCholError:

@@ -10,6 +10,10 @@ diagonal for Cholesky factors and SPD matrices.  The constructors and
 asymmetry up to a relative tolerance and returns a fresh, exactly symmetric
 array; ``SpdMatrix.from_dense`` factors it by ``_factor`` (LAPACK
 ``dpotrf`` on one matrix) and keeps the factor, read-only with ``data``.
+``_symmetrized`` takes an ``(n, m, m)`` stack too, each matrix held to its
+own tolerance: ``SpdMatrix._from_stack`` checks a stack in one pass and
+then factors and types each matrix as ``from_dense`` does, with its bits.
+The fixture reader and ``mean-gap``'s sampled members take that path.
 That array, like a result of the package's kernels, is typed by
 ``_Square._of``: a square float array with the type's shape of zeros by
 construction, so only finiteness and the type's ``_check`` hook are tested.
@@ -91,11 +95,11 @@ def _finite(a: np.ndarray, message: str = "matrix entries must be finite") -> np
     return a
 
 
-def _square_finite(data) -> np.ndarray:
+def _square(data) -> np.ndarray:
     a = _real(data)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
         raise DomainError(f"expected a square matrix, got shape {a.shape}")
-    return _finite(a)
+    return a
 
 
 # The step rule, for every geodesic and interpolant.
@@ -128,19 +132,25 @@ def _grid(ts) -> np.ndarray:
     raise DomainError(_STEP_RULE)
 
 
-def _symmetrized(dense, error: type[LogCholError]) -> np.ndarray:
-    """``(a + a^T) / 2``, once ``a`` is finite and symmetric to within
-    ``1e-8 max|a|``.
+def _symmetrized(a: np.ndarray, error: type[LogCholError]) -> np.ndarray:
+    """``(a + a^T) / 2`` of a square float matrix, or of each matrix of an
+    ``(n, m, m)`` stack, once ``a`` is finite and each matrix is symmetric to
+    within ``1e-8`` of its own largest entry, ``max|a|``.
 
     The tolerance is relative at every scale, so tiny matrices are held to
-    the same standard as unit-sized ones.  The test reads how far the
-    symmetrizer moves ``a``, ``|a - a^T| / 2``, so that entries up to the
-    float max cannot overflow it.  Raises ``DomainError`` on a non-finite
-    entry and ``error`` on asymmetry.
+    the same standard as unit-sized ones, in a stack too.  The test reads how
+    far the symmetrizer moves ``a``, ``|a - a^T| / 2``, so that entries up to
+    the float max cannot overflow it.  Raises ``DomainError`` on a non-finite
+    entry and ``error`` on asymmetry, anywhere in a stack: which matrix is at
+    fault is the caller's to find.  The maxima are ``np.maximum.reduce``
+    calls, past ``ndarray.max``'s Python wrapper, and one matrix's test is a
+    numpy bool, not reduced again, so that one matrix costs no more than a
+    rank-2 test would.
     """
-    a = _square_finite(dense)
-    s = _sym(a)
-    if np.abs(a - s).max() > 5e-9 * np.abs(a).max():
+    s = _sym(_finite(a))
+    top = np.maximum.reduce
+    far = top(np.abs(a - s), (-2, -1)) > 5e-9 * top(np.abs(a), (-2, -1))
+    if far.any() if a.ndim > 2 else far:
         raise error("matrix is not symmetric")
     return s
 
@@ -262,7 +272,7 @@ class LowerTriangular(_Square):
     """General lower triangular matrix: every entry above the diagonal is zero."""
 
     def __post_init__(self):
-        a = _square_finite(self.data).copy()  # the caller keeps its array
+        a = _finite(_square(self.data)).copy()  # the caller keeps its array
         if np.triu(a, 1).any():
             raise DomainError("matrix has nonzero entries above the diagonal")
         object.__setattr__(self, "data", a)
@@ -286,7 +296,7 @@ class SymMatrix(_Square):
     :meth:`from_dense` symmetrizes input that is symmetric to tolerance."""
 
     def __post_init__(self):
-        a = _square_finite(self.data).copy()  # the caller keeps its array
+        a = _finite(_square(self.data)).copy()  # the caller keeps its array
         if not (a == a.T).all():
             raise DomainError("matrix is not exactly symmetric")
         object.__setattr__(self, "data", a)
@@ -296,7 +306,7 @@ class SymMatrix(_Square):
 
     @classmethod
     def from_dense(cls, dense) -> "SymMatrix":
-        return cls._of(_symmetrized(dense, DomainError))
+        return cls._of(_symmetrized(_square(dense), DomainError))
 
 
 @dataclass(frozen=True, eq=False)
@@ -319,15 +329,35 @@ class SpdMatrix(SymMatrix):
 
     @classmethod
     def from_dense(cls, dense) -> "SpdMatrix":
-        a = _symmetrized(dense, NotSpdError)
+        a = _symmetrized(_square(dense), NotSpdError)
         l = _factor(a)
-        out = cls._of(a)
-        # No caller holds the symmetrizer's array; read-only, neither it nor
-        # the factor can change, so the kept factor cannot go stale.
-        out.data.setflags(write=False)
+        return cls._of(a)._keep(l)
+
+    @classmethod
+    def _from_stack(cls, stack: np.ndarray) -> list["SpdMatrix"]:
+        """``from_dense`` of each matrix of an ``(n, m, m)`` float stack, in
+        order, with the same bits: one finiteness test and one symmetrizer
+        for the whole stack, then one ``_factor`` and one ``_of`` per matrix.
+        Each point's ``data`` is a view of the symmetrized stack, which no
+        caller holds.  A faulty matrix raises its own class of error, but a
+        later one's fault can be raised before an earlier one's factor is
+        tried: a caller that must name the first faulty matrix retries its
+        matrices one at a time through ``from_dense``."""
+        s = _symmetrized(stack, NotSpdError)
+        points = []
+        for a in s:
+            l = _factor(a)
+            points.append(cls._of(a)._keep(l))
+        return points
+
+    def _keep(self, l: np.ndarray) -> "SpdMatrix":
+        """This point, keeping ``l``, its factor by ``_factor``; returns it.
+        No caller holds the symmetrizer's array; read-only, neither it nor
+        the factor can change, so the kept factor cannot go stale."""
+        self.data.setflags(write=False)
         l.setflags(write=False)
-        object.__setattr__(out, "_kept", l)
-        return out
+        object.__setattr__(self, "_kept", l)
+        return self
 
     @property
     def _chol(self) -> np.ndarray:
@@ -408,11 +438,29 @@ def parse_matrix_text(text: str) -> list[np.ndarray]:
 
 
 def load_matrices(path) -> list[SpdMatrix]:
-    """Load the SPD matrices of a fixture file, each through ``SpdMatrix.from_dense``."""
+    """Load the SPD matrices of a fixture file: ``SpdMatrix.from_dense`` of
+    each block, in file order, with the same bits and the same errors.
+
+    The blocks of each dimension are checked and factored as one stack, by
+    ``SpdMatrix._from_stack``.  If any block is faulty, the blocks are read
+    again one at a time through ``from_dense``, so that the first faulty
+    block in file order raises its own error."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             text = fh.read()
         except UnicodeDecodeError as exc:
             raise DomainError(f"fixture is not UTF-8 text: {exc}") from None
-    return [SpdMatrix.from_dense(a) for a in parse_matrix_text(text)]
+    blocks = parse_matrix_text(text)
+    by_dim: dict[int, list[int]] = {}  # the file positions of each dimension's blocks
+    for i, a in enumerate(blocks):
+        by_dim.setdefault(len(a), []).append(i)
+    points = [None] * len(blocks)
+    try:
+        for where in by_dim.values():
+            stack = np.stack([blocks[i] for i in where])
+            for i, p in zip(where, SpdMatrix._from_stack(stack)):
+                points[i] = p
+    except LogCholError:
+        return [SpdMatrix.from_dense(a) for a in blocks]
+    return points
 

@@ -34,7 +34,10 @@ whose distances approach and pass the float max (:data:`SCALES`).  The
 (:data:`OUTSIDE`: accepted ones, and each kind the README lists as rejected)
 through the four public constructors and both ``from_dense``, and hashes
 the typed ``data``, the kept factor and their writeable flags, or the class
-and text of the error.  The ``blocked`` group runs every operation that
+and text of the error; it also writes each input as a one-block fixture
+(:func:`fixture_block`), and the accepted ones of several dimensions as one
+fixture (:data:`MIXED`), and loads each through ``load_matrices``, hashing
+the same for every point, or the error.  The ``blocked`` group runs every operation that
 pulls a tangent back through ``chol_map._diff_S_inv`` (``diff_S_inv``,
 ``metric_spd``, ``geodesic_spd``, ``exp_spd`` and ``transport_spd``), and
 ``log_spd``, on draws of the same law at m in {65, 128}, from their own seed
@@ -304,6 +307,28 @@ OUTSIDE = {
 }
 
 
+# The accepted inputs of OUTSIDE, 3x3, 2x2 and 1x1, as one fixture.
+MIXED = ("symmetric", "integers", "1x1", "asymmetry 1e-12", "float max", "nested lists",
+         "asymmetry just inside 1e-8")
+
+
+def fixture_block(data) -> str:
+    """``data`` as a fixture holds it: its number of rows, then each row's
+    entries by ``str``.  A row that is not a sequence is one entry, and a
+    string is one row."""
+    rows = [data] if isinstance(data, str) else list(data)
+    lines = [" ".join(map(str, row)) if isinstance(row, (list, tuple, np.ndarray)) else str(row)
+             for row in rows]
+    return "\n".join([str(len(rows)), *lines]) + "\n"
+
+
+def _kept(out) -> bytes:
+    """The bits and writeable flag of the factor ``out`` keeps, if any."""
+    kept = getattr(out, "_kept", None)
+    return b"" if kept is None else (
+        b" kept " + kept.tobytes() + f" writeable {kept.flags.writeable}".encode())
+
+
 def outside_operations() -> dict[str, object]:
     """``{"outside.op": fn(data)}`` for the four public constructors and both
     ``from_dense``: each returns the typed matrix, whether its ``data`` is
@@ -314,12 +339,8 @@ def outside_operations() -> dict[str, object]:
     def typed_by(make):
         def op(data):
             out = make(data)
-            kept = getattr(out, "_kept", None)
             shared = isinstance(data, np.ndarray) and np.shares_memory(out.data, data)
-            notes = f" writeable {out.data.flags.writeable} shared {shared}".encode()
-            if kept is not None:
-                notes += b" kept " + kept.tobytes() + f" writeable {kept.flags.writeable}".encode()
-            return [out, notes]
+            return [out, f" writeable {out.data.flags.writeable} shared {shared}".encode() + _kept(out)]
         return op
 
     makers = {"SymMatrix.from_dense": SymMatrix.from_dense,
@@ -327,6 +348,22 @@ def outside_operations() -> dict[str, object]:
               **{cls.__name__: cls for cls in (SymMatrix, SpdMatrix, LowerTriangular,
                                                CholeskyFactor)}}
     return {f"outside.{name}": typed_by(make) for name, make in makers.items()}
+
+
+def fixture_operations() -> dict[str, object]:
+    """``{"outside.load_matrices": fn(text)}``: the points ``load_matrices``
+    reads from a fixture holding ``text``, each with whether its ``data`` is
+    writeable, and the bits and writeable flag of the factor it keeps."""
+    from logchol.tri import load_matrices
+
+    def load(text):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "fixture.txt"
+            path.write_text(text, encoding="utf-8")
+            return [x for P in load_matrices(path)
+                    for x in (P, f" writeable {P.data.flags.writeable}".encode() + _kept(P))]
+
+    return {"outside.load_matrices": load}
 
 
 def blocked_operations() -> dict[str, object]:
@@ -446,6 +483,9 @@ def sweep() -> tuple[dict[str, str], dict[str, dict[str, int]]]:
     for ops, cases in ((step_operations(), [lambda m=m: (args, m()) for m in STEPS.values()]),
                        (scale_operations(), [lambda p=p: p for p in pairs]),
                        (outside_operations(), [lambda m=m: (m(),) for m in OUTSIDE.values()]),
+                       (fixture_operations(),
+                        [lambda m=m: (fixture_block(m()),) for m in OUTSIDE.values()]
+                        + [lambda: ("\n".join(fixture_block(OUTSIDE[k]()) for k in MIXED),)]),
                        (blocked_operations(), [lambda a=a: (a,) for a in large])):
         for key, fn in ops.items():
             hashes[key], failures[key] = hashlib.sha256(), Counter()

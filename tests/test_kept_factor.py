@@ -1,6 +1,7 @@
 """The Cholesky factor an ``SpdMatrix`` from ``from_dense`` keeps.
 
-``from_dense`` keeps the factor its SPD test computes, and every
+``from_dense`` keeps the factor its SPD test computes, as
+``SpdMatrix._from_stack`` does for each matrix of a stack, and every
 single-point operation reads it: ``tri._factor`` never runs again on such a
 point.  A point built any other way keeps nothing and is factored on each
 use, by the Log-Cholesky and Cholesky means too, which stack their
@@ -129,6 +130,23 @@ def test_the_figure_endpoints_keep_their_factors():
     for P in ex.interpolation_endpoints():
         assert not P._kept.flags.writeable and not P.data.flags.writeable
         assert P._kept.tobytes() == tri._factor(P.data).tobytes()
+
+
+def test_mean_gap_members_keep_their_factors(monkeypatch, factored):
+    # The members are built from the drawn stack with their factors, one
+    # dpotrf each, so no Log-Cholesky mean of the run factors anything.
+    per_mean = []
+
+    def mean(sample):
+        before = len(factored)
+        out = lc.log_cholesky_mean(sample)
+        per_mean.append(len(factored) - before)
+        assert all(not P._kept.flags.writeable and not P.data.flags.writeable for P in sample)
+        return out
+
+    monkeypatch.setattr(ex, "log_cholesky_mean", mean)
+    ex.run_mean_gap(4, 3, 5, 0)
+    assert per_mean == [0] * 5
 
 
 def test_a_point_that_does_not_factor_raises_on_every_use():

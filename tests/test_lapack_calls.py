@@ -10,8 +10,9 @@ registry at m = 5 on ``from_dense`` points, which keep their factors; an
 interpolation takes a grid of three steps.  The Karcher mean's count grows
 with its iterations, so it is pinned per iteration instead, and a mean-gap
 run, whose trials share one stacked iteration, per step of its slowest
-trial.  A second table
-holds the Log-Cholesky operations and the ``chol_map`` differentials at
+trial.  A fixture's load factors each block once and calls nothing else, so
+a mean of its points makes no call.  A second table holds the Log-Cholesky
+operations and the ``chol_map`` differentials at
 m = 128, where the pullback splits once into two m = 64 congruences
 (``chol_map._BLOCK``).  A call added to or dropped from any operation
 changes a table."""
@@ -20,7 +21,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from support import wishart_trials
+from support import dump_matrices, wishart_trials
 
 from logchol import chol_map, tri
 from logchol import experiments as ex
@@ -156,7 +157,8 @@ def test_a_mean_gap_run_steps_its_trials_together(calls):
     # one for the exps of the trials that step on, the last trial left
     # included: no dsyevd.  So the eigh calls grow with the slowest trial's
     # steps, not with their sum; the factorizations and congruences stay one
-    # per trial and step, and the Log-Cholesky means factor each member once.
+    # per trial and step.  Each member is factored once, as it is built, and
+    # the Log-Cholesky means read those factors.
     n, m, trials, seed = 6, 3, 8, 0
     steps = []
     for sample in wishart_trials(n, m, trials, seed):
@@ -172,3 +174,16 @@ def test_a_mean_gap_run_steps_its_trials_together(calls):
         "dtrsm": 2 * sum(steps),
         "eigh": 2 * k - 1,
     }
+
+
+@pytest.mark.parametrize("dims", [[M] * 7, [1, 3, 2, 3, 1]], ids=["one-dimension", "mixed"])
+def test_a_fixture_load_factors_each_block_once(tmp_path, rng, calls, dims):
+    path = tmp_path / "fixture.txt"
+    dump_matrices([_inputs(rng, m)[0] for m in dims], path)
+    calls.clear()
+    loaded = tri.load_matrices(path)
+    assert dict(calls) == {"dpotrf": len(dims)}
+    if len(set(dims)) == 1:
+        calls.clear()
+        get_metric("log-cholesky").mean(loaded)
+        assert dict(calls) == {}

@@ -23,12 +23,13 @@ A kernel module symmetrizes only a result it is typing, as
 ``SymMatrix._of(_sym(...))``: an eigensolver's input is not symmetrized,
 since ``tri._eigh`` reads one triangle.
 
-Outside data takes every check once.  Where it enters (``from_dense``, the
-fixture reader, ``sampling``, ``experiments``, ``report`` and ``cli``),
-``_Square._of``, the path for kernel results, which checks finiteness and
-the type's hook alone, types only the array that ``_symmetrized`` returned
-in the same function: that array has passed every check of the
-constructors, and no caller holds it.  Any other value there goes through a
+Outside data takes every check once.  Where it enters (``from_dense``, its
+stacked twin ``SpdMatrix._from_stack``, the fixture reader, ``sampling``,
+``experiments``, ``report`` and ``cli``), ``_Square._of``, the path for
+kernel results, which checks finiteness and the type's hook alone, types
+only the array that ``_symmetrized`` returned in the same function, or one
+matrix of that stack, taken by a ``for`` loop over it: that array has passed
+every check of the constructors, and no caller holds it.  Any other value there goes through a
 constructor or ``from_dense``.  The kernel modules (``chol_map``,
 ``chol_manifold``, ``spd_manifold`` and ``baselines``) take only ``_of``:
 none of them calls a public constructor.  Kernels write diagonals through
@@ -102,7 +103,7 @@ FACTOR_ARGS = {"_karcher_means": "mean", "_karcher_alone": "mean"}
 
 # Where outside data enters: whole modules (None), or the named functions of one.
 OUTSIDE_DATA = {
-    "tri.py": ("from_dense", "parse_matrix_text", "load_matrices"),
+    "tri.py": ("from_dense", "_from_stack", "parse_matrix_text", "load_matrices"),
     "sampling.py": None,
     "experiments.py": None,
     "report.py": None,
@@ -320,13 +321,21 @@ def _is_symmetrized(node: ast.expr) -> bool:
 
 
 def _bound_to_symmetrized(fn: ast.FunctionDef) -> set[str]:
-    """The names ``fn`` binds, every time, by a plain assignment of ``_symmetrized(...)``."""
-    plain = {id(n.targets[0]): _is_symmetrized(n.value) for n in ast.walk(fn)
-             if isinstance(n, ast.Assign) and len(n.targets) == 1}
-    binds = [(n.id, plain.get(id(n), False)) for n in ast.walk(fn)
-             if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)]
-    binds += [(a.arg, False) for a in ast.walk(fn.args) if isinstance(a, ast.arg)]
-    return {name for name, _ in binds} - {name for name, ok in binds if not ok}
+    """The names ``fn`` binds, every time, by a plain assignment of
+    ``_symmetrized(...)``, or as the target of a ``for`` loop over a name
+    bound so: one matrix of the stack it returned."""
+    def bound(ok: dict[int, bool]) -> set[str]:
+        binds = [(n.id, ok.get(id(n), False)) for n in ast.walk(fn)
+                 if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)]
+        binds += [(a.arg, False) for a in ast.walk(fn.args) if isinstance(a, ast.arg)]
+        return {name for name, _ in binds} - {name for name, good in binds if not good}
+
+    ok = {id(n.targets[0]): _is_symmetrized(n.value) for n in ast.walk(fn)
+          if isinstance(n, ast.Assign) and len(n.targets) == 1}
+    stacks = bound(ok)
+    ok.update((id(n.target), isinstance(n.iter, ast.Name) and n.iter.id in stacks)
+              for n in ast.walk(fn) if isinstance(n, ast.For))
+    return bound(ok)
 
 
 def _of_symmetrized(scope: ast.AST) -> set[int]:
@@ -369,10 +378,11 @@ def test_outside_data_is_never_typed_as_a_kernel_result():
                 if ref == "_of":
                     (typed if id(node) in allowed else strays).append(f"{name}:{node.lineno}")
     assert not strays, f"outside data typed through _Square._of unsymmetrized: {strays}"
-    # The guard sees every scope it polices, and each from_dense typing its
-    # symmetrized array, and the kernels' use of the path it restricts.
-    assert sorted(OUTSIDE_DATA) == sorted(scopes) and len(scopes["tri.py"]) == 4
-    assert len(typed) == 2 and all(t.startswith("tri.py:") for t in typed)
+    # The guard sees every scope it polices, and each from_dense and the
+    # stacked one typing their symmetrized arrays, and the kernels' use of the
+    # path it restricts.
+    assert sorted(OUTSIDE_DATA) == sorted(scopes) and len(scopes["tri.py"]) == 5
+    assert len(typed) == 3 and all(t.startswith("tri.py:") for t in typed)
     assert any(ref == "_of" for _, ref in _references(SRC[ROOT / "src" / "logchol" / "chol_map.py"]))
 
 
@@ -476,6 +486,8 @@ def test_diagonals_are_written_through_with_diag_alone():
 # Kernel results of finite inputs whose entries overflow; each is typed by
 # _Square._of, whose finiteness check must still reject it.
 HUGE_SYM = SymMatrix(np.diag([1.7e308, 1.0]))
+# Two factors whose strict parts are the float max apart, twice over.
+STRICT_PAIR = tuple(CholeskyFactor(np.array([[1.0, 0.0], [x, 1.0]])) for x in (1.7e308, -1.7e308))
 OVERFLOWING_RESULTS = {
     "transport_spd": lambda: logchol.transport_spd(
         SpdMatrix(np.eye(2)), SpdMatrix(np.diag([1e300, 1.0])), SymMatrix(np.diag([1e300, 0.0]))
@@ -485,6 +497,12 @@ OVERFLOWING_RESULTS = {
     ),
     "diff_S": lambda: logchol.diff_S(
         CholeskyFactor(np.diag([1e200, 1.0])), LowerTriangular(np.diag([1e200, 0.0]))
+    ),
+    # The factor-space log and diff_S, whose strict-part difference and
+    # X L^T + L X^T overflow in numpy, with warnings off at the public function.
+    "log_chol": lambda: logchol.log_chol(*STRICT_PAIR),
+    "diff_S.sum": lambda: logchol.diff_S(
+        CholeskyFactor(np.diag([1e154, 1.0])), LowerTriangular(np.diag([0.9e154, 0.0]))
     ),
     # The factor-space transport and group operation, their diagonal and
     # strict parts formed with numpy's warnings off.
@@ -518,3 +536,9 @@ def test_overflowing_kernel_results_raise_domain_error(case):
         warnings.simplefilter("error")
         with pytest.raises(DomainError):
             OVERFLOWING_RESULTS[case]()
+
+
+def test_a_factor_distance_past_the_float_max_reads_inf():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert logchol.dist_chol(*STRICT_PAIR) == np.inf

@@ -542,6 +542,78 @@ def test_load_matrices_kinds(tmp_path):
             load_matrices(path)
 
 
+def _fixture_points(rng, dims):
+    """SPD blocks of the given dimensions, some asymmetric by roundoff, as
+    outside data that ``from_dense`` accepts."""
+    blocks = []
+    for m in dims:
+        a = rng.standard_normal((m, 2 * m))
+        p = a @ a.T / (2 * m) + 1e-3 * np.eye(m)
+        if m > 1 and rng.random() < 0.5:
+            p[-1, 0] *= 1 + 1e-12
+        blocks.append(p)
+    return blocks
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("dims", [[5] * 40, [1, 2, 3, 3, 1, 2, 2, 3, 1, 1, 3]],
+                         ids=["one-dimension", "mixed"])
+def test_load_matrices_has_the_bits_of_from_dense(tmp_path, rng, dims):
+    # Each dimension's blocks are checked and factored as one stack; every
+    # point is the one from_dense builds from its block, kept factor included.
+    path = tmp_path / "fixture.txt"
+    dump_matrices(_fixture_points(rng, dims), path)
+    loaded = load_matrices(path)
+    expected = [SpdMatrix.from_dense(a) for a in parse_matrix_text(path.read_text())]
+    assert len(loaded) == len(expected) == len(dims)
+    for P, R in zip(loaded, expected):
+        assert type(P) is SpdMatrix and P.dim == R.dim
+        for a, b in ((P.data, R.data), (P._kept, R._kept)):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+            assert a.flags.writeable is b.flags.writeable is False
+
+
+@pytest.mark.filterwarnings("error")
+def test_load_matrices_holds_each_block_to_its_own_tolerance(tmp_path):
+    # A stack's largest entry does not widen the tolerance of its other blocks.
+    path = tmp_path / "fixture.txt"
+    dump_matrices([1e300 * np.eye(2), np.array([[1.0, 0.5], [0.51, 1.0]])], path)
+    with pytest.raises(NotSpdError, match="^matrix is not symmetric$"):
+        load_matrices(path)
+
+
+# One block of each kind of fault, each with the error from_dense raises on it.
+FAULTS = {
+    "non-finite": (lambda m: np.diag([np.nan] + [1.0] * (m - 1)),
+                   DomainError, "matrix entries must be finite"),
+    "asymmetric": (lambda m: np.eye(m) + np.diag([0.5] * (m - 1), -1),
+                   NotSpdError, "matrix is not symmetric"),
+    "indefinite": (lambda m: np.diag([1.0] * (m - 1) + [-1.0]),
+                   NotSpdError, "Cholesky factorization failed: nonpositive pivot"),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("dims", [(3, 3), (2, 3), (3, 2)], ids=["same-dimension", "2-then-3",
+                                                                  "3-then-2"])
+@pytest.mark.parametrize("first, later", [(a, b) for a in FAULTS for b in FAULTS if a != b])
+def test_load_matrices_raises_the_first_faulty_block(tmp_path, rng, dims, first, later):
+    # Good blocks of both dimensions around two faulty ones, in different
+    # blocks: the first in file order raises what from_dense raises on it,
+    # whichever stack each is in and whichever fault the stacked check meets first.
+    d1, d2 = dims
+    good = _fixture_points(rng, [2, 3, 2, 3])
+    blocks = good[:2] + [FAULTS[first][0](d1)] + good[2:] + [FAULTS[later][0](d2)] + good[:1]
+    path = tmp_path / "fixture.txt"
+    dump_matrices(blocks, path)
+    _, cls, message = FAULTS[first]
+    with pytest.raises(cls, match=f"^{re.escape(message)}$") as got:
+        load_matrices(path)
+    assert type(got.value) is cls
+    with pytest.raises(cls, match=f"^{re.escape(message)}$"):
+        SpdMatrix.from_dense(blocks[2])
+
+
 def test_dense_is_defined_once():
     # Each alias is a class attribute of its own, which perfbench traces as
     # tri.LowerTriangular.dense and tri.SymMatrix.dense.
