@@ -21,9 +21,10 @@ Every interpolant reads its grid ``ts`` through :func:`.tri._grid`, the
 step rule, before any arithmetic, and works its endpoints once per call;
 every mean works on one ``(n, m, m)`` stack from :func:`.tri._stack`.  The
 affine-invariant mean runs the Karcher iteration on one sample's stack,
-:func:`_karcher_alone`; given a sequence of samples, it runs them as one
-``(k, n, m, m)`` stack through :func:`_karcher_means`, which steps every
-unconverged sample through one stacked logarithm per step.  Every
+:func:`_karcher_alone`; given a ``(k, n, m, m)`` array of trials, such as
+``mean-gap``'s checked draw, it runs them through :func:`_karcher_means`,
+which steps every unconverged trial through one stacked logarithm per step,
+with the bits of each trial's own call.  Every
 non-Euclidean SPD result is ``K K^T``, exactly symmetric as computed, and
 leaves the float range only by raising ``DomainError``: a triangular ``K``
 goes through ``chol_map._spd_point``, and the exponents of a spectral ``K``
@@ -48,6 +49,7 @@ from . import spd_manifold as spd
 from .chol_map import _check_exponents, _congruence, _reconstruct, _spd_point
 from .tri import (
     DomainError,
+    EmptyInputError,
     LowerTriangular,
     NoConvergenceError,
     SpdMatrix,
@@ -194,28 +196,33 @@ def affine_transport(P: SpdMatrix, Q: SpdMatrix, W: SymMatrix) -> SymMatrix:
 
 
 def affine_karcher_mean(
-    Ps: Sequence[SpdMatrix] | Sequence[Sequence[SpdMatrix]],
+    Ps: Sequence[SpdMatrix] | np.ndarray,
 ) -> SpdMatrix | list[SpdMatrix]:
-    """Frechet mean by fixed-point iteration with unit step, of one sample
-    ``Ps`` (:func:`_karcher_alone`); or, given a sequence of samples of one
-    size and dimension, the list of their means, from one stacked iteration
-    (:func:`_karcher_means`).  Each sample's mean has the bits of its
-    one-sample call.
+    """Frechet mean by fixed-point iteration with unit step, of one sample's
+    members ``Ps`` (:func:`_karcher_alone` on their stack); or, given a
+    ``(k, n, m, m)`` float array of ``k`` trials of exactly symmetric SPD
+    members, such as ``mean-gap``'s checked draw, the list of each trial's
+    mean, from one stacked iteration (:func:`_karcher_means`), each with the
+    bits of its one-sample call.
 
     Raises
     ------
     NoConvergenceError
-        If a sample's ``|g|_F`` has not dropped to ``KARCHER_TOL`` within
+        If a trial's ``|g|_F`` has not dropped to ``KARCHER_TOL`` within
         ``KARCHER_MAX_ITER`` iterations; the message gives the largest last value.
     DomainError
-        If the samples differ in size or dimension.
+        If the members differ in dimension, or the array is not a stack of
+        trials of square matrices.
+    EmptyInputError
+        If there is no member, or no trial.
     """
-    if Ps and not isinstance(Ps[0], SpdMatrix):
-        ps = _stack(P.data for sample in Ps for P in sample)
-        if len(sizes := {len(sample) for sample in Ps}) > 1:
-            raise DomainError(f"samples of different sizes: {sorted(sizes)}")
-        return _karcher_means(ps.reshape(len(Ps), -1, *ps.shape[1:]))
-    return _karcher_alone(_stack(P.data for P in Ps))
+    if not isinstance(Ps, np.ndarray):
+        return _karcher_alone(_stack(P.data for P in Ps))
+    if Ps.ndim != 4 or Ps.shape[2] != Ps.shape[3] or not Ps.shape[2]:
+        raise DomainError(f"not a (k, n, m, m) stack of trials: shape {Ps.shape}")
+    if not Ps.shape[0] * Ps.shape[1]:
+        raise EmptyInputError("a mean requires at least one matrix")
+    return _karcher_means(Ps)
 
 
 @np.errstate(over="ignore", invalid="ignore")  # overflow reads inf or nan: rejected
@@ -245,12 +252,14 @@ def _karcher_alone(ps: np.ndarray) -> SpdMatrix:
 
 @np.errstate(over="ignore", invalid="ignore")  # overflow reads inf or nan: rejected
 def _karcher_means(ps: np.ndarray) -> list[SpdMatrix]:
-    """The Karcher mean of each trial of a ``(k, n, m, m)`` stack: the steps
-    of :func:`_karcher_alone`, each trial to its own stop, each step with the
-    logarithms of the unconverged trials' members in one stacked call and the
-    exponentials of the trials that step on in another.  Each trial's mean
-    has the bits :func:`_karcher_alone` gives it; the work grows with the
-    slowest trial's steps, the memory with ``k n m^2``."""
+    """The Karcher mean of each trial of a ``(k, n, m, m)`` stack of SPD
+    members: the steps of :func:`_karcher_alone`, each trial to its own stop,
+    each step with the logarithms of the unconverged trials' members in one
+    stacked call and the exponentials of the trials that step on in another.
+    Each trial's mean has the bits :func:`_karcher_alone` gives it; the work
+    grows with the slowest trial's steps, the memory with ``k n m^2``.  A
+    trial that has not stopped within ``KARCHER_MAX_ITER`` steps raises
+    ``NoConvergenceError`` with the largest last gradient norm."""
     n, m = ps.shape[1:3]
     members = list(ps)  # each trial's members, as one view
     going = list(range(len(ps)))  # the unconverged trials, in order

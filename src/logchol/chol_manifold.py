@@ -144,8 +144,11 @@ def transport_chol(
 
 
 def _frechet_mean(ls: np.ndarray) -> np.ndarray:
-    # ls stacks n factors along its first axis.
-    return _with_diag(_mean(ls), np.exp(_mean(np.log(ls.diagonal(axis1=1, axis2=2)))))
+    # ls stacks n factors along its first axis, or is a (k, n, m, m) stack of
+    # k trials of n factors, whose k means it returns as one stack.
+    axis = ls.ndim - 3  # the members'
+    logs = np.log(ls.diagonal(axis1=-2, axis2=-1))
+    return _with_diag(_mean(ls, axis), np.exp(_mean(logs, axis)))
 
 
 def frechet_mean_chol(Ls: Sequence[CholeskyFactor]) -> CholeskyFactor:

@@ -11,10 +11,13 @@ fixture, through :func:`~logchol.tri.load_matrices`, which checks and
 factors each dimension's blocks as one stack, and check how many matrices
 it holds: exactly two for ``run_interpolate``, at least one for
 ``run_mean``.  The report's ``inputs`` name what the experiment read or drew.
-``run_mean_gap`` draws its trials as one ``(trials, n, m, m)`` stack, builds
-its members from it by ``SpdMatrix._from_stack``, so that each keeps its
-factor for the Log-Cholesky means, and takes their affine-invariant means in
-one stacked Karcher iteration; its memory grows with ``trials n m^2``.
+``run_mean``'s random members are one drawn stack, typed by
+``SpdMatrix._from_stack``, so that each keeps its factor for the mean.
+``run_mean_gap`` works on arrays from draw to gap: it draws its trials as
+one ``(trials, n, m, m)`` stack, checks and factors it as one stack, takes
+every trial's Log-Cholesky mean in one ``_frechet_mean`` of the factor
+stack and their affine-invariant means in one stacked Karcher iteration,
+and types only the means; its memory grows with ``trials n m^2``.
 """
 from __future__ import annotations
 
@@ -25,15 +28,17 @@ from collections.abc import Sequence
 import numpy as np
 
 from . import baselines as bl
+from .chol_manifold import _frechet_mean
+from .chol_map import _spd_point
 from .report import ExperimentReport, GlyphRecord, ResultRecord
 from .sampling import (
     random_orthogonal,
     random_spd,
+    random_spd_stack,
     random_spd_with_condition,
     random_sym,
     random_wishart_stack,
 )
-from .spd_manifold import log_cholesky_mean
 from .tri import (
     DomainError,
     LogCholError,
@@ -41,6 +46,7 @@ from .tri import (
     SpdMatrix,
     SymMatrix,
     _eigh,
+    _factors,
     _norm,
     _stack,
     load_matrices,
@@ -151,8 +157,7 @@ def run_mean(metric: str, fixture: str | None, n: int, m: int, seed: int) -> Exp
         inputs = {"fixture": fixture}
     else:
         _at_least(1, n=n, m=m)
-        rng = seeded_rng(seed)
-        mats = [random_spd(rng, m) for _ in range(n)]
+        mats = SpdMatrix._from_stack(random_spd_stack(seeded_rng(seed), (n,), m))
         inputs = {"seed": seed, "spd_law": "A A^T + 1e-3 I, A standard normal"}
     ops = bl.get_metric(metric)
     mean = ops.mean(mats)
@@ -325,25 +330,28 @@ def _mean_records(
 def run_mean_gap(n: int, m: int, trials: int, seed: int) -> ExperimentReport:
     """Average relative squared-Frobenius gap between the Log-Cholesky and
     affine-invariant means of ``n`` random SPD matrices, over ``trials``
-    draws.  The trials are one ``(trials, n, m, m)`` stack, drawn at once,
-    whose members are checked as one stack and keep their factors (each has
-    eigenvalues of at least ``1e-3``, so each factors); each trial's
-    Log-Cholesky mean is its own call, on those factors, and the affine-invariant
-    means are one stacked Karcher iteration, ``affine_karcher_mean`` on the
-    list of samples.  Only if that raises a library error does each sample
-    take its own call, whose bits are the same; a trial whose mean raises
-    one counts in ``failed_trials``.  Memory grows with ``trials n m^2``."""
+    draws.  The trials are one ``(trials, n, m, m)`` stack, drawn at once and
+    checked and factored as one stack (each member has eigenvalues of at
+    least ``1e-3``, so each factors); no member is typed.  Every trial's
+    Log-Cholesky mean comes from one ``_frechet_mean`` of the factor stack,
+    and the affine-invariant means from one stacked Karcher iteration,
+    ``affine_karcher_mean`` on the array of trials; only if that raises a
+    library error does each trial take its own ``_karcher_alone``.  Each mean has the bits of
+    ``log_cholesky_mean`` or ``affine_karcher_mean`` on the trial's members;
+    a trial whose mean raises a library error, in its typing too, counts in
+    ``failed_trials``.  Memory grows with ``trials n m^2``."""
     _at_least(1, n=n, m=m, trials=trials)
     ps = random_wishart_stack(seeded_rng(seed), (trials, n), m)
-    members = SpdMatrix._from_stack(ps.reshape(-1, m, m))
-    samples = [members[i:i + n] for i in range(0, len(members), n)]
+    s, ls = _factors(ps.reshape(-1, m, m))
+    lcs = _frechet_mean(ls.reshape(trials, n, m, m))
+    s = s.reshape(trials, n, m, m)
     try:
-        ais = bl.affine_karcher_mean(samples)
+        ais = bl.affine_karcher_mean(s)
     except LogCholError:
-        ais = [_attempt(lambda: bl.affine_karcher_mean(sample))[0] for sample in samples]
+        ais = [_attempt(lambda: bl._karcher_alone(trial))[0] for trial in s]
     gaps: list[float] = []
-    for sample, ai in zip(samples, ais):
-        lc, _ = _attempt(lambda: log_cholesky_mean(sample))
+    for k, ai in zip(lcs, ais):
+        lc, _ = _attempt(lambda: _spd_point(k))
         if lc is not None and ai is not None:
             gaps.append(float(_norm(lc.data - ai.data) ** 2 / _norm(ai.data) ** 2))
     failures = trials - len(gaps)

@@ -1,8 +1,10 @@
 """Seeded random generators for the matrices the experiments and the CLI draw.
 
-Each returns one typed matrix, except :func:`random_wishart_stack`, which
-draws the whole ``(trials, n, m, m)`` sample of ``mean-gap`` in one call and
-returns it untyped, for the experiment to build its members from."""
+Each returns one typed matrix, except the two stacks: :func:`random_spd_stack`,
+the ``(n, m, m)`` members of ``mean``'s random path, and
+:func:`random_wishart_stack`, the whole ``(trials, n, m, m)`` sample of
+``mean-gap``.  Each draws its stack in one call and returns it untyped, for
+the experiment to check and factor as one stack."""
 from __future__ import annotations
 
 import numpy as np
@@ -10,10 +12,19 @@ import numpy as np
 from .tri import SpdMatrix, SymMatrix, _sym
 
 
+def random_spd_stack(rng: np.random.Generator, shape: tuple[int, ...], dim: int) -> np.ndarray:
+    """A ``shape`` stack of random SPD matrices ``A A^T + 1e-3 I``, ``A``
+    standard normal, from one draw: the matrices that one draw per matrix, in
+    C order, would give, bit for bit, each ``A A^T`` exactly symmetric (see
+    :func:`random_wishart_stack`).  A plain array, for the caller to type."""
+    a = rng.standard_normal((*shape, dim, dim))
+    return a @ a.swapaxes(-1, -2) + 1e-3 * np.eye(dim)
+
+
 def random_spd(rng: np.random.Generator, dim: int) -> SpdMatrix:
-    """Random SPD matrix ``A A^T + 1e-3 I`` with ``A`` standard normal."""
-    a = rng.standard_normal((dim, dim))
-    return SpdMatrix(a @ a.T + 1e-3 * np.eye(dim))
+    """One matrix of :func:`random_spd_stack`'s law, typed by the constructor,
+    so that it keeps no factor: ``bench-transport`` times the factoring."""
+    return SpdMatrix(random_spd_stack(rng, (), dim))
 
 
 def random_wishart_stack(rng: np.random.Generator, shape: tuple[int, ...], dim: int) -> np.ndarray:

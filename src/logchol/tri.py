@@ -11,10 +11,12 @@ asymmetry up to a relative tolerance and returns a fresh, exactly symmetric
 array; ``SpdMatrix.from_dense`` factors it by ``_factor`` (LAPACK
 ``dpotrf`` on one matrix) and keeps the factor, read-only with ``data``.
 ``_symmetrized`` takes an ``(n, m, m)`` stack too, each matrix held to its
-own tolerance: ``SpdMatrix._from_stack`` checks a stack in one pass and
-then factors and types each matrix as ``from_dense`` does, with its bits.
-The fixture reader and ``mean-gap``'s sampled members take that path.
-That array, like a result of the package's kernels, is typed by
+own tolerance, and ``_factors`` checks a stack so and factors each of its
+matrices by ``_factor`` into one factor stack: the array half of
+``SpdMatrix._from_stack``, which then types each matrix and keeps its
+factor, with ``from_dense``'s bits.  The fixture reader and ``mean``'s drawn
+members take ``_from_stack``; ``mean-gap`` takes the two arrays alone.
+The symmetrizer's array, like a result of the package's kernels, is typed by
 ``_Square._of``: a square float array with the type's shape of zeros by
 construction, so only finiteness and the type's ``_check`` hook are tested.
 Finiteness (``_finite``) is one BLAS ``ddot``, the sum of squares, with the
@@ -26,9 +28,11 @@ built any other way.  ``_sym``, ``_factor``, the checked eigendecomposition
 average of a mean's members, and ``_with_diag``, every diagonal write of a
 kernel, live here alone, and so does the step rule: every geodesic reads its
 ``t`` through ``_step`` and every interpolant its grid ``ts`` through
-``_grid``, before any arithmetic.  ``_sym`` is needed
-only where a result can come out asymmetric: outside data, and tangents such
-as ``L f(.) L^T`` whose two triangles are computed apart; it sums halves, so
+``_grid``, before any arithmetic.  ``_mean`` and ``_with_diag`` take a
+stack of trials too, each trial with its own members and diagonals, so that
+one call serves every trial of ``mean-gap``.  ``_sym`` is needed only where
+a result can come out asymmetric: outside data, and tangents such as
+``L f(.) L^T`` whose two triangles are computed apart; it sums halves, so
 entries up to the float max stay finite.  ``_eigh`` reads the lower triangle
 alone; it sends one matrix to LAPACK ``dsyevd`` and a stack to numpy's
 batched ``eigh``, which runs ``dsyevd`` too.  ``dense()`` returns a copy.
@@ -164,27 +168,56 @@ def _sym(a: np.ndarray) -> np.ndarray:
 
 
 def _with_diag(a: np.ndarray, d) -> np.ndarray:
-    """``a`` with its diagonal set to ``d``, in place; returns ``a``.  It
-    writes through the flat stride ``a.flat[::m + 1]``, which reaches the
-    diagonal of a square array of any memory layout."""
-    a.flat[:: len(a) + 1] = d
+    """``a`` with its diagonal set to ``d``, or each matrix of a stack with
+    its own row of ``d``, in place; returns ``a``.  One matrix is written
+    through the flat stride ``a.flat[::m + 1]``, which reaches the diagonal
+    of a square array of any memory layout; a stack, through the writeable
+    view of its diagonals that ``einsum`` returns, for any layout too (the
+    flat stride alone reaches no more than the first matrix's)."""
+    # One matrix keeps the flat stride: the einsum view costs about three
+    # times as much on a small matrix, and most kernels write one per call.
+    if a.ndim == 2:
+        a.flat[:: len(a) + 1] = d
+    else:
+        np.einsum("...ii->...i", a)[...] = d
     return a
 
 
-def _factor(p: np.ndarray) -> np.ndarray:
-    """Lower Cholesky factor of one ``(m, m)`` matrix, by LAPACK ``dpotrf``.
+def _factor(p: np.ndarray, overwrite: bool = False) -> np.ndarray:
+    """Lower Cholesky factor of one ``(m, m)`` matrix, by LAPACK ``dpotrf``;
+    with ``overwrite``, written over ``p``, if it is a Fortran-ordered float
+    array, in place of a new array.
 
     Raises ``NotSpdError`` on a nonpositive pivot, and on a non-finite last
     diagonal entry: ``dpotrf`` does not flag a NaN pivot, and an overflowed
     entry of finite input makes its row's pivot NaN, which every later row
     inherits, down to ``L[-1, -1]``.
     """
-    l, info = dpotrf(p, lower=1, clean=1)
+    # lower, clean, overwrite_a: positional, since f2py's keyword parsing
+    # costs about a third of a call at m = 5.
+    l, info = dpotrf(p, 1, 1, overwrite)
     if info != 0:
         raise NotSpdError("Cholesky factorization failed: nonpositive pivot")
     if not math.isfinite(l[-1, -1]):
         raise NotSpdError("Cholesky factorization failed: non-finite pivot")
     return l
+
+
+def _factors(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """An ``(n, m, m)`` float stack checked by ``_symmetrized``, and the
+    factor ``_factor`` gives each of its matrices, as one ``(n, m, m)``
+    stack: ``(s, ls)``, the arrays ``SpdMatrix._from_stack`` types.  Each
+    factor keeps ``dpotrf``'s Fortran layout, so that a kernel that reads
+    memory in order, such as ``_norm``, gets the bits of the factor
+    ``from_dense`` keeps.  A faulty matrix raises its own class of error."""
+    s = _symmetrized(stack, NotSpdError)
+    # Each matrix is exactly symmetric, so the transposed copy holds it in
+    # Fortran order, for dpotrf to factor in place; the write back is a
+    # no-op then, and keeps the factor should dpotrf ever work on a copy.
+    ls = s.copy().swapaxes(-1, -2)
+    for l in ls:
+        l[...] = _factor(l, overwrite=True)
+    return s, ls
 
 
 def _eigh(a: np.ndarray, domain: str | None = None, vectors: bool = True):
@@ -336,18 +369,19 @@ class SpdMatrix(SymMatrix):
     @classmethod
     def _from_stack(cls, stack: np.ndarray) -> list["SpdMatrix"]:
         """``from_dense`` of each matrix of an ``(n, m, m)`` float stack, in
-        order, with the same bits: one finiteness test and one symmetrizer
-        for the whole stack, then one ``_factor`` and one ``_of`` per matrix.
-        Each point's ``data`` is a view of the symmetrized stack, which no
-        caller holds.  A faulty matrix raises its own class of error, but a
+        order, with the same bits: the stack checked and factored by
+        ``_factors``, with one finiteness test and one symmetrizer for the
+        whole stack, then one ``_of`` per matrix.  Each point's ``data`` is a view of the symmetrized
+        stack, and its kept factor one of the factor stack, which no caller
+        holds.  A faulty matrix raises its own class of error, but a
         later one's fault can be raised before an earlier one's factor is
         tried: a caller that must name the first faulty matrix retries its
         matrices one at a time through ``from_dense``."""
-        s = _symmetrized(stack, NotSpdError)
+        s, ls = _factors(stack)
+        kept = iter(ls)
         points = []
         for a in s:
-            l = _factor(a)
-            points.append(cls._of(a)._keep(l))
+            points.append(cls._of(a)._keep(next(kept)))
         return points
 
     def _keep(self, l: np.ndarray) -> "SpdMatrix":
@@ -391,12 +425,20 @@ def _stack(arrays) -> np.ndarray:
 
 
 @np.errstate(over="ignore")  # an overflowing sum is redone on ps / n
-def _mean(ps: np.ndarray) -> np.ndarray:
-    """Mean along the first axis, the one of every mean: ``np.mean``'s bits
-    while the sum is finite, else the sum of ``ps / n``, so that a mean
-    inside the float range is finite, with no warning."""
-    s = ps.sum(axis=0)
-    return s / len(ps) if np.isfinite(s).all() else (ps / len(ps)).sum(axis=0)
+def _mean(ps: np.ndarray, axis: int = 0) -> np.ndarray:
+    """Mean along the members' axis ``axis``, the first of one sample's
+    stack, the second of a stack of trials: ``np.mean``'s bits while a
+    trial's sum is finite, else the sum of its ``ps / n``, so that a mean
+    inside the float range is finite, with no warning.  Each trial takes its
+    own branch, so that one trial's overflow moves no other trial's bits."""
+    n = ps.shape[axis]
+    s = ps.sum(axis=axis)
+    out = s / n
+    if not np.isfinite(s).all():
+        # One flag per trial; indexing by it puts the trials first, the members second.
+        over = ~np.isfinite(s).all(axis=tuple(range(axis, s.ndim)))
+        out[over] = (ps[over] / n).sum(axis=1)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -423,6 +423,8 @@ CLI_RUNS = {
     "cli.stability.1e10": ["stability", "--kappa", "1e10", "--m", "3"],
     "cli.stability.1e15": ["stability", "--kappa", "1e15", "--m", "3"],
     "cli.mean-gap": ["mean-gap", "--n", "5", "--m", "3", "--trials", "5"],
+    "cli.mean-gap.m1": ["mean-gap", "--n", "3", "--m", "1", "--trials", "4"],
+    "cli.mean-gap.m4": ["mean-gap", "--n", "6", "--m", "4", "--trials", "7"],
     "cli.interpolate.fixture": ["interpolate", "--input", "pair.txt"],
     "cli.mean.fixture": ["mean", "--input", "sample.txt"],
 }

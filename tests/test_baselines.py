@@ -415,12 +415,9 @@ class TestAffineInvariant:
 
 
 class TestStackedKarcher:
-    """``affine_karcher_mean`` on a sequence of samples gives each sample the
-    bits of its own call."""
-
-    @staticmethod
-    def _stacked(ps):
-        return bl.affine_karcher_mean([[SpdMatrix(p) for p in trial] for trial in ps])
+    """``affine_karcher_mean`` on a ``(k, n, m, m)`` array of trials, such as
+    ``mean-gap``'s checked draw, gives each trial the bits of its own call on
+    the trial's members."""
 
     @staticmethod
     def _alone(ps, monkeypatch):
@@ -458,15 +455,15 @@ class TestStackedKarcher:
         alone, steps = self._alone(ps, monkeypatch)
         if m > 1:
             assert len(set(steps)) > 1, steps
-        self._assert_bits(self._stacked(ps), alone)
-        # A list of one sample: the stacked iteration runs it to its last step.
-        self._assert_bits(self._stacked(ps[:1]), alone[:1])
+        self._assert_bits(bl.affine_karcher_mean(ps), alone)
+        # A stack of one trial: the stacked iteration runs it to its last step.
+        self._assert_bits(bl.affine_karcher_mean(ps[:1]), alone[:1])
 
     @pytest.mark.parametrize("m", [1, 3])
     def test_one_member_per_trial(self, m, monkeypatch):
         ps = random_wishart_stack(np.random.default_rng(12), (4, 1), m)
         alone, _ = self._alone(ps, monkeypatch)
-        self._assert_bits(self._stacked(ps), alone)
+        self._assert_bits(bl.affine_karcher_mean(ps), alone)
 
     def test_an_overflowing_start_beside_a_finite_one(self, monkeypatch):
         # The first trial's members sum past the float max, so its start is
@@ -477,24 +474,25 @@ class TestStackedKarcher:
             assert not np.isfinite(ps[0].sum(axis=0)).all()
         assert np.isfinite(ps[1].sum(axis=0)).all()
         alone, _ = self._alone(ps, monkeypatch)
-        self._assert_bits(self._stacked(ps), alone)
-        self._assert_bits(self._stacked(ps[::-1]), alone[::-1])
+        self._assert_bits(bl.affine_karcher_mean(ps), alone)
+        self._assert_bits(bl.affine_karcher_mean(ps[::-1]), alone[::-1])
 
     def test_a_trial_out_of_budget_raises_from_the_stack(self, monkeypatch):
         ps = random_wishart_stack(np.random.default_rng(11), (9, 6), 3)
         _, steps = self._alone(ps, monkeypatch)
         monkeypatch.setattr(bl, "KARCHER_MAX_ITER", max(steps) - 1)
         with pytest.raises(NoConvergenceError):
-            self._stacked(ps)
+            bl.affine_karcher_mean(ps)
 
-    def test_samples_of_different_sizes_are_rejected(self, rng):
-        samples = [[random_spd(rng, 2)] * 2, [random_spd(rng, 2)] * 3]
-        with pytest.raises(DomainError, match="samples of different sizes"):
-            bl.affine_karcher_mean(samples)
-        with pytest.raises(DomainError, match="dimension mismatch"):
-            bl.affine_karcher_mean([[random_spd(rng, 2)], [random_spd(rng, 3)]])
-        with pytest.raises(EmptyInputError):
-            bl.affine_karcher_mean([[], []])
+    def test_an_array_that_is_not_a_stack_of_trials_is_rejected(self):
+        # An array's trials have one size and one dimension: its shape is what is checked.
+        ps = random_wishart_stack(np.random.default_rng(4), (2, 3), 2)
+        for bad in (ps[0], ps[None], ps[..., :1]):
+            with pytest.raises(DomainError, match="not a \\(k, n, m, m\\) stack of trials"):
+                bl.affine_karcher_mean(bad)
+        for empty in (ps[:0], ps[:, :0]):
+            with pytest.raises(EmptyInputError):
+                bl.affine_karcher_mean(empty)
 
 
 SCALES = (1e-13, 1e-6, 1e6, 1e12)

@@ -8,6 +8,7 @@ from oracles import descent_mean_chol, frechet_functional_chol
 from support import random_factor, random_tangent
 
 from logchol.chol_manifold import (
+    _frechet_mean,
     dist_chol,
     exp_chol,
     frechet_mean_chol,
@@ -314,6 +315,27 @@ class TestMean:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert_array_equal(frechet_mean_chol([l, l]).data, l.data)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("m", [1, 2, 4])
+    @pytest.mark.parametrize("n", [1, 2, 9])
+    def test_a_stack_of_trials_has_each_trials_bits(self, rng, n, m):
+        # One call on a (k, n, m, m) stack gives each trial the bits of its own
+        # call, a trial at the float max included: its strict parts sum past
+        # it, so its mean is the sum of L_i / n, and the other trials' are not.
+        trials = [[random_factor(rng, m).data for _ in range(n)] for _ in range(5)]
+        if m > 1:
+            l = np.eye(m)
+            l[-1, 0] = 1.7e308
+            trials[2] = [l] * n
+        for layout in (np.stack, lambda ls: np.stack([x.T for x in ls]).swapaxes(-1, -2)):
+            ls = np.stack([layout(t) for t in trials])
+            out = _frechet_mean(ls)
+            assert out.shape == (5, m, m)
+            for got, members in zip(out, ls):
+                assert got.tobytes() == _frechet_mean(members).tobytes()
+        if m > 1:  # finite, and the members' mean within rounding
+            assert_allclose(out[2], l, rtol=1e-15)
 
     def test_determinant_identity(self, rng):
         ls = [random_factor(rng, 4) for _ in range(7)]

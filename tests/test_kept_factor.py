@@ -22,7 +22,7 @@ from logchol import experiments as ex
 from logchol import spd_manifold as lc
 from logchol import tri
 from logchol.chol_map import cholesky_factor
-from logchol.sampling import random_spd, random_sym
+from logchol.sampling import random_spd, random_sym, random_wishart_stack
 from logchol.tri import NotSpdError, SpdMatrix, SymMatrix
 
 TS = (0.0, 0.3, 1.0)
@@ -50,9 +50,9 @@ def factored(monkeypatch):
     seen = []
     real = tri._factor
 
-    def counted(p):
+    def counted(p, **kwargs):
         seen.append(p.ndim)
-        return real(p)
+        return real(p, **kwargs)
 
     for name, mod in list(sys.modules.items()):
         if name.startswith("logchol") and getattr(mod, "_factor", None) is real:
@@ -132,21 +132,33 @@ def test_the_figure_endpoints_keep_their_factors():
         assert P._kept.tobytes() == tri._factor(P.data).tobytes()
 
 
-def test_mean_gap_members_keep_their_factors(monkeypatch, factored):
-    # The members are built from the drawn stack with their factors, one
-    # dpotrf each, so no Log-Cholesky mean of the run factors anything.
-    per_mean = []
+def test_mean_gap_members_keep_their_factors(monkeypatch):
+    # Each member of the drawn stack is factored once, by tri, into the factor
+    # stack that the Log-Cholesky means read, so no mean of the run factors
+    # anything; every other factorization is of a Karcher iterate.
+    n, m, trials, seed = 4, 3, 5, 0
+    factored = []  # (calling module, input bits)
+    real = tri._factor
 
-    def mean(sample):
-        before = len(factored)
-        out = lc.log_cholesky_mean(sample)
-        per_mean.append(len(factored) - before)
-        assert all(not P._kept.flags.writeable and not P.data.flags.writeable for P in sample)
-        return out
+    def counted(p, **kwargs):
+        factored.append((sys._getframe(1).f_globals["__name__"], p.tobytes()))
+        return real(p, **kwargs)
 
-    monkeypatch.setattr(ex, "log_cholesky_mean", mean)
-    ex.run_mean_gap(4, 3, 5, 0)
-    assert per_mean == [0] * 5
+    for mod in (tri, bl):
+        monkeypatch.setattr(mod, "_factor", counted)
+    in_means = []
+    for name in ("_frechet_mean", "_spd_point"):
+        def spied(*args, real=getattr(ex, name)):
+            before = len(factored)
+            out = real(*args)
+            in_means.append(len(factored) - before)
+            return out
+        monkeypatch.setattr(ex, name, spied)
+    ex.run_mean_gap(n, m, trials, seed)
+    members = random_wishart_stack(np.random.default_rng(seed), (trials, n), m).reshape(-1, m, m)
+    assert [b for who, b in factored if who == "logchol.tri"] == [a.tobytes() for a in members]
+    assert {who for who, _ in factored} == {"logchol.tri", "logchol.baselines"}
+    assert in_means == [0] * (1 + trials)
 
 
 def test_a_point_that_does_not_factor_raises_on_every_use():

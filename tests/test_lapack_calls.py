@@ -10,12 +10,13 @@ registry at m = 5 on ``from_dense`` points, which keep their factors; an
 interpolation takes a grid of three steps.  The Karcher mean's count grows
 with its iterations, so it is pinned per iteration instead, and a mean-gap
 run, whose trials share one stacked iteration, per step of its slowest
-trial.  A fixture's load factors each block once and calls nothing else, so
-a mean of its points makes no call.  A second table holds the Log-Cholesky
-operations and the ``chol_map`` differentials at
-m = 128, where the pullback splits once into two m = 64 congruences
-(``chol_map._BLOCK``).  A call added to or dropped from any operation
-changes a table."""
+trial.  A fixture's load, and the draw of ``mean --n N --m M``, factor each
+member once and call nothing else, so a mean of its points makes no call.
+A second table holds the Log-Cholesky operations and the ``chol_map``
+differentials at m = 128, where the pullback splits once into two m = 64
+congruences (``chol_map._BLOCK``).  A call added to or dropped from any
+operation changes a table."""
+import dataclasses
 from collections import Counter
 
 import numpy as np
@@ -23,6 +24,7 @@ import pytest
 
 from support import dump_matrices, wishart_trials
 
+from logchol import baselines as bl
 from logchol import chol_map, tri
 from logchol import experiments as ex
 from logchol.baselines import METRIC_NAMES, get_metric
@@ -157,8 +159,8 @@ def test_a_mean_gap_run_steps_its_trials_together(calls):
     # one for the exps of the trials that step on, the last trial left
     # included: no dsyevd.  So the eigh calls grow with the slowest trial's
     # steps, not with their sum; the factorizations and congruences stay one
-    # per trial and step.  Each member is factored once, as it is built, and
-    # the Log-Cholesky means read those factors.
+    # per trial and step.  Each member is factored once, into the factor
+    # stack that the Log-Cholesky means read.
     n, m, trials, seed = 6, 3, 8, 0
     steps = []
     for sample in wishart_trials(n, m, trials, seed):
@@ -187,3 +189,23 @@ def test_a_fixture_load_factors_each_block_once(tmp_path, rng, calls, dims):
         calls.clear()
         get_metric("log-cholesky").mean(loaded)
         assert dict(calls) == {}
+
+
+@pytest.mark.parametrize("n, m", [(7, M), (3, 1)])
+def test_a_drawn_mean_factors_each_member_once(monkeypatch, calls, n, m):
+    # mean --n N --m M draws its members as one stack and checks and factors
+    # them as one: n dpotrf calls, none of them inside the mean.
+    ops = get_metric("log-cholesky")
+    in_mean = []
+
+    def mean(members):
+        before = dict(calls)
+        out = ops.mean(members)
+        in_mean.append(dict(calls) == before)
+        return out
+
+    monkeypatch.setitem(bl._METRICS, "log-cholesky", dataclasses.replace(ops, mean=mean))
+    calls.clear()
+    ex.run_mean("log-cholesky", None, n, m, 0)
+    assert dict(calls) == {"dpotrf": n}
+    assert in_mean == [True]

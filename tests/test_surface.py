@@ -27,9 +27,10 @@ Outside data takes every check once.  Where it enters (``from_dense``, its
 stacked twin ``SpdMatrix._from_stack``, the fixture reader, ``sampling``,
 ``experiments``, ``report`` and ``cli``), ``_Square._of``, the path for
 kernel results, which checks finiteness and the type's hook alone, types
-only the array that ``_symmetrized`` returned in the same function, or one
-matrix of that stack, taken by a ``for`` loop over it: that array has passed
-every check of the constructors, and no caller holds it.  Any other value there goes through a
+only the array that ``_symmetrized`` returned in the same function, itself
+or as the first of ``tri._factors``' pair, or one matrix of that stack,
+taken by a ``for`` loop over it: that array has passed every check of the
+constructors, and no caller holds it.  Any other value there goes through a
 constructor or ``from_dense``.  The kernel modules (``chol_map``,
 ``chol_manifold``, ``spd_manifold`` and ``baselines``) take only ``_of``:
 none of them calls a public constructor.  Kernels write diagonals through
@@ -98,7 +99,7 @@ STEP_TAKERS = ("geodesic_chol", "geodesic_spd", "interpolate_spd", "interpolate"
 
 # The functions that may call _factor outside tri, and on what: the Karcher
 # iterate (the name mean), in the loop of one sample and in the stacked loop
-# of a list of samples.
+# of an array of trials.
 FACTOR_ARGS = {"_karcher_means": "mean", "_karcher_alone": "mean"}
 
 # Where outside data enters: whole modules (None), or the named functions of one.
@@ -314,16 +315,22 @@ def test_float_range_rule_has_one_home():
     assert homes == {name: ["chol_map.py"] for name in FLOAT_RANGE_RULE}
 
 
-def _is_symmetrized(node: ast.expr) -> bool:
-    return isinstance(node, ast.Call) and "_symmetrized" in (
+def _calls(node: ast.expr, name: str) -> bool:
+    return isinstance(node, ast.Call) and name in (
         getattr(node.func, "id", None), getattr(node.func, "attr", None)
     )
 
 
+def _is_symmetrized(node: ast.expr) -> bool:
+    return _calls(node, "_symmetrized")
+
+
 def _bound_to_symmetrized(fn: ast.FunctionDef) -> set[str]:
     """The names ``fn`` binds, every time, by a plain assignment of
-    ``_symmetrized(...)``, or as the target of a ``for`` loop over a name
-    bound so: one matrix of the stack it returned."""
+    ``_symmetrized(...)``, as the first name of a tuple assignment of
+    ``tri._factors(...)``, which returns ``_symmetrized``'s stack first and
+    its factors second, or as the target of a ``for`` loop over a name bound
+    so: one matrix of the stack it returned."""
     def bound(ok: dict[int, bool]) -> set[str]:
         binds = [(n.id, ok.get(id(n), False)) for n in ast.walk(fn)
                  if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)]
@@ -332,6 +339,10 @@ def _bound_to_symmetrized(fn: ast.FunctionDef) -> set[str]:
 
     ok = {id(n.targets[0]): _is_symmetrized(n.value) for n in ast.walk(fn)
           if isinstance(n, ast.Assign) and len(n.targets) == 1}
+    ok.update((id(name), i == 0 and _calls(n.value, "_factors")) for n in ast.walk(fn)
+              if isinstance(n, ast.Assign) and len(n.targets) == 1
+              and isinstance(n.targets[0], ast.Tuple)
+              for i, name in enumerate(n.targets[0].elts))
     stacks = bound(ok)
     ok.update((id(n.target), isinstance(n.iter, ast.Name) and n.iter.id in stacks)
               for n in ast.walk(fn) if isinstance(n, ast.For))

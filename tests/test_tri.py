@@ -285,6 +285,38 @@ def test_with_diag_writes_the_bits_of_the_flat_stride(layout):
     assert_array_equal(a.diagonal(), d)
 
 
+def _strided(g):
+    """``g`` as a view that skips every other matrix, row and column of its owner."""
+    owner = np.zeros((2 * len(g), *(2 * n for n in g.shape[1:])))
+    view = owner[::2, ::2, ::2]
+    view[...] = g
+    return view
+
+
+STACK_LAYOUTS = {
+    "c": np.copy,
+    # Each matrix in Fortran order, as tri._factors lays out a factor stack.
+    "fortran-per-matrix": lambda g: g.swapaxes(-1, -2).copy().swapaxes(-1, -2),
+    "strided": _strided,
+}
+
+
+@pytest.mark.parametrize("m", [1, 4])
+@pytest.mark.parametrize("layout", STACK_LAYOUTS)
+def test_with_diag_writes_each_matrix_of_a_stack_its_own_diagonal(layout, m):
+    g = np.random.default_rng(23).standard_normal((3, m, m))
+    d = np.random.default_rng(24).standard_normal((3, m))
+    a, ref = STACK_LAYOUTS[layout](g), STACK_LAYOUTS[layout](g)
+    for r, e in zip(ref, d):
+        r.flat[:: m + 1] = e
+    assert _with_diag(a, d) is a
+    assert_array_equal(a, ref)
+    assert_array_equal(a.diagonal(axis1=-2, axis2=-1), d)
+    # Nothing else of the array that owns the stack moved.
+    if a.base is not None:
+        assert a.base.tobytes() == ref.base.tobytes()
+
+
 @pytest.mark.parametrize("layout", DIAG_LAYOUTS)
 def test_finite_returns_a_finite_array_of_any_layout(layout):
     a = DIAG_LAYOUTS[layout]()
@@ -560,7 +592,8 @@ def _fixture_points(rng, dims):
                          ids=["one-dimension", "mixed"])
 def test_load_matrices_has_the_bits_of_from_dense(tmp_path, rng, dims):
     # Each dimension's blocks are checked and factored as one stack; every
-    # point is the one from_dense builds from its block, kept factor included.
+    # point is the one from_dense builds from its block, kept factor included,
+    # in the same memory layout: _norm sums a factor in memory order.
     path = tmp_path / "fixture.txt"
     dump_matrices(_fixture_points(rng, dims), path)
     loaded = load_matrices(path)
@@ -570,6 +603,7 @@ def test_load_matrices_has_the_bits_of_from_dense(tmp_path, rng, dims):
         assert type(P) is SpdMatrix and P.dim == R.dim
         for a, b in ((P.data, R.data), (P._kept, R._kept)):
             assert a.shape == b.shape and a.tobytes() == b.tobytes()
+            assert a.strides == b.strides
             assert a.flags.writeable is b.flags.writeable is False
 
 
