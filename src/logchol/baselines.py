@@ -253,22 +253,23 @@ def _karcher_alone(ps: np.ndarray) -> SpdMatrix:
 @np.errstate(over="ignore", invalid="ignore")  # overflow reads inf or nan: rejected
 def _karcher_means(ps: np.ndarray) -> list[SpdMatrix]:
     """The Karcher mean of each trial of a ``(k, n, m, m)`` stack of SPD
-    members: the steps of :func:`_karcher_alone`, each trial to its own stop,
-    each step with the logarithms of the unconverged trials' members in one
-    stacked call and the exponentials of the trials that step on in another.
+    members: the steps of :func:`_karcher_alone`, each trial to its own stop.
+    Every trial starts from one ``_mean`` along the members' axis; each step
+    takes the logarithms of the unconverged trials' members in one stacked
+    call, their gradients in one ``_mean`` along the members' axis, and the
+    exponentials of the trials that step on in one more stacked call.
     Each trial's mean has the bits :func:`_karcher_alone` gives it; the work
     grows with the slowest trial's steps, the memory with ``k n m^2``.  A
     trial that has not stopped within ``KARCHER_MAX_ITER`` steps raises
     ``NoConvergenceError`` with the largest last gradient norm."""
     n, m = ps.shape[1:3]
-    members = list(ps)  # each trial's members, as one view
     going = list(range(len(ps)))  # the unconverged trials, in order
-    iterates = [_mean(p) for p in members]  # theirs, in the same order
+    iterates = _mean(ps, 1)  # theirs, in the same order
     means = [None] * len(ps)
     for _ in range(KARCHER_MAX_ITER):
         ls = [_factor(mean) for mean in iterates]
-        logs = spd_logm(np.concatenate([_congruence(l, members[i]) for l, i in zip(ls, going)]))
-        gs = np.add.reduce(logs.reshape(-1, n, m, m), axis=1) / n  # np.mean's bits
+        logs = spd_logm(np.concatenate([_congruence(l, ps[i]) for l, i in zip(ls, going)]))
+        gs = _mean(logs.reshape(-1, n, m, m), 1)
         gnorms = [_norm(g) for g in gs]
         on = []
         for j, (i, mean, gnorm) in enumerate(zip(going, iterates, gnorms)):

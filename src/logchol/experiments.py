@@ -8,7 +8,7 @@ only nondeterministic outputs and live in the report's ``timings`` field.
 Each experiment checks its own parameters, raising :class:`ParameterError`.
 ``run_interpolate`` and ``run_mean`` also read their own ``--input``
 fixture, through :func:`~logchol.tri.load_matrices`, which checks and
-factors each dimension's blocks as one stack, and check how many matrices
+factors a fixture of one dimension as one stack, and check how many matrices
 it holds: exactly two for ``run_interpolate``, at least one for
 ``run_mean``.  The report's ``inputs`` name what the experiment read or drew.
 ``run_mean``'s random members are one drawn stack, typed by

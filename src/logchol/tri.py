@@ -14,8 +14,9 @@ array; ``SpdMatrix.from_dense`` factors it by ``_factor`` (LAPACK
 own tolerance, and ``_factors`` checks a stack so and factors each of its
 matrices by ``_factor`` into one factor stack: the array half of
 ``SpdMatrix._from_stack``, which then types each matrix and keeps its
-factor, with ``from_dense``'s bits.  The fixture reader and ``mean``'s drawn
-members take ``_from_stack``; ``mean-gap`` takes the two arrays alone.
+factor, with ``from_dense``'s bits.  A fixture of one dimension and
+``mean``'s drawn members take ``_from_stack``; ``mean-gap`` takes the two
+arrays alone.
 The symmetrizer's array, like a result of the package's kernels, is typed by
 ``_Square._of``: a square float array with the type's shape of zeros by
 construction, so only finiteness and the type's ``_check`` hook are tested.
@@ -443,8 +444,8 @@ def _mean(ps: np.ndarray, axis: int = 0) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # Matrix text format: one matrix per block, first line the dimension m, then
-# m whitespace-separated rows of the full dense matrix.  Blocks are separated
-# by blank lines.
+# m whitespace-separated rows of the full dense matrix.  Blank lines between
+# blocks are allowed, not required.
 # ---------------------------------------------------------------------------
 
 
@@ -480,29 +481,22 @@ def parse_matrix_text(text: str) -> list[np.ndarray]:
 
 
 def load_matrices(path) -> list[SpdMatrix]:
-    """Load the SPD matrices of a fixture file: ``SpdMatrix.from_dense`` of
-    each block, in file order, with the same bits and the same errors.
+    """Load the SPD matrices of a fixture file, UTF-8 text with or without a
+    byte-order mark: ``SpdMatrix.from_dense`` of each block, in file order,
+    with the same bits and the same errors.
 
-    The blocks of each dimension are checked and factored as one stack, by
-    ``SpdMatrix._from_stack``.  If any block is faulty, the blocks are read
-    again one at a time through ``from_dense``, so that the first faulty
-    block in file order raises its own error."""
-    with open(path, "r", encoding="utf-8") as fh:
+    The blocks are checked and factored as one stack, by
+    ``SpdMatrix._from_stack``.  If that fails (an empty fixture, blocks of
+    different dimensions or a faulty block), the blocks are read again one
+    at a time through ``from_dense``, so that the first faulty block in
+    file order raises its own error."""
+    with open(path, "r", encoding="utf-8-sig") as fh:
         try:
             text = fh.read()
         except UnicodeDecodeError as exc:
             raise DomainError(f"fixture is not UTF-8 text: {exc}") from None
     blocks = parse_matrix_text(text)
-    by_dim: dict[int, list[int]] = {}  # the file positions of each dimension's blocks
-    for i, a in enumerate(blocks):
-        by_dim.setdefault(len(a), []).append(i)
-    points = [None] * len(blocks)
     try:
-        for where in by_dim.values():
-            stack = np.stack([blocks[i] for i in where])
-            for i, p in zip(where, SpdMatrix._from_stack(stack)):
-                points[i] = p
+        return SpdMatrix._from_stack(_stack(blocks))
     except LogCholError:
         return [SpdMatrix.from_dense(a) for a in blocks]
-    return points
-

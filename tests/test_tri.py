@@ -591,9 +591,10 @@ def _fixture_points(rng, dims):
 @pytest.mark.parametrize("dims", [[5] * 40, [1, 2, 3, 3, 1, 2, 2, 3, 1, 1, 3]],
                          ids=["one-dimension", "mixed"])
 def test_load_matrices_has_the_bits_of_from_dense(tmp_path, rng, dims):
-    # Each dimension's blocks are checked and factored as one stack; every
-    # point is the one from_dense builds from its block, kept factor included,
-    # in the same memory layout: _norm sums a factor in memory order.
+    # A fixture of one dimension is checked and factored as one stack, a
+    # mixed one block by block; every point is the one from_dense builds from
+    # its block, kept factor included, in the same memory layout: _norm sums
+    # a factor in memory order.
     path = tmp_path / "fixture.txt"
     dump_matrices(_fixture_points(rng, dims), path)
     loaded = load_matrices(path)
@@ -605,6 +606,21 @@ def test_load_matrices_has_the_bits_of_from_dense(tmp_path, rng, dims):
             assert a.shape == b.shape and a.tobytes() == b.tobytes()
             assert a.strides == b.strides
             assert a.flags.writeable is b.flags.writeable is False
+
+
+@pytest.mark.filterwarnings("error")
+def test_load_matrices_accepts_a_byte_order_mark(tmp_path, rng):
+    # A UTF-8 byte-order mark is no part of the first block's dimension.
+    text = format_matrix_text(_fixture_points(rng, [3] * 4)).encode()
+    for body in (b"1\n1\n\n1\n2\n", text):
+        plain, marked = tmp_path / "plain.txt", tmp_path / "marked.txt"
+        plain.write_bytes(body)
+        marked.write_bytes(b"\xef\xbb\xbf" + body)
+        loaded, expected = load_matrices(marked), load_matrices(plain)
+        assert len(loaded) == len(expected) == len(parse_matrix_text(body.decode()))
+        for P, R in zip(loaded, expected):
+            for a, b in ((P.data, R.data), (P._kept, R._kept)):
+                assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 @pytest.mark.filterwarnings("error")
@@ -632,11 +648,12 @@ FAULTS = {
                                                                   "3-then-2"])
 @pytest.mark.parametrize("first, later", [(a, b) for a in FAULTS for b in FAULTS if a != b])
 def test_load_matrices_raises_the_first_faulty_block(tmp_path, rng, dims, first, later):
-    # Good blocks of both dimensions around two faulty ones, in different
-    # blocks: the first in file order raises what from_dense raises on it,
-    # whichever stack each is in and whichever fault the stacked check meets first.
+    # Good blocks around two faulty ones, in different blocks: the first in
+    # file order raises what from_dense raises on it, whether the fixture is
+    # of one dimension, and so stacked, or mixed, and whichever fault the
+    # stacked check meets first.
     d1, d2 = dims
-    good = _fixture_points(rng, [2, 3, 2, 3])
+    good = _fixture_points(rng, [d1, d1, d2, d2])
     blocks = good[:2] + [FAULTS[first][0](d1)] + good[2:] + [FAULTS[later][0](d2)] + good[:1]
     path = tmp_path / "fixture.txt"
     dump_matrices(blocks, path)
@@ -646,6 +663,37 @@ def test_load_matrices_raises_the_first_faulty_block(tmp_path, rng, dims, first,
     assert type(got.value) is cls
     with pytest.raises(cls, match=f"^{re.escape(message)}$"):
         SpdMatrix.from_dense(blocks[2])
+
+
+@pytest.mark.parametrize("dims, fault, stacked, one_by_one", [
+    ([3] * 6, None, 1, 0),
+    ([1, 2, 3, 2], None, 0, 4),
+    ([3] * 6, 3, 1, 4),
+    ([], None, 0, 0),
+], ids=["one-dimension", "mixed", "faulty", "empty"])
+def test_load_matrices_stacks_only_a_sound_fixture_of_one_dimension(
+        tmp_path, rng, monkeypatch, dims, fault, stacked, one_by_one):
+    # One _from_stack call types a fixture of one dimension; a mixed, empty or
+    # faulty one goes through from_dense block by block, up to the first fault.
+    blocks = _fixture_points(rng, dims)
+    if fault is not None:
+        blocks[fault] = FAULTS["indefinite"][0](dims[fault])
+    path = tmp_path / "fixture.txt"
+    dump_matrices(blocks, path)
+    calls = []
+    from_stack, from_dense = SpdMatrix._from_stack, SpdMatrix.from_dense
+
+    def counted(name, f):
+        return classmethod(lambda cls, a: calls.append(name) or f(a))
+
+    monkeypatch.setattr(SpdMatrix, "_from_stack", counted("stack", from_stack))
+    monkeypatch.setattr(SpdMatrix, "from_dense", counted("dense", from_dense))
+    if fault is None:
+        assert len(load_matrices(path)) == len(dims)
+    else:
+        with pytest.raises(NotSpdError):
+            load_matrices(path)
+    assert calls == ["stack"] * stacked + ["dense"] * one_by_one
 
 
 def test_dense_is_defined_once():
