@@ -9,25 +9,22 @@ registry keys each geometry by name.
 The first three are one construction, the Frobenius metric pulled back
 through a chart (``P`` itself, its Cholesky factor, ``log P``), and
 :func:`_flat` writes each of their operations once; the differential of
-``log`` is a series, :func:`dlog_spd`, and its inverse is SciPy's
-``expm_frechet``, :func:`dexp_sym`.  Only the affine-invariant geometry is
-curved.  Each of its operations whitens by the factor of its base point
-``P = L L^T``, ``SpdMatrix._chol``, forming
+``log`` is a series, :func:`dlog_spd`, and its inverse, :func:`dexp_sym`,
+the Daleckii-Krein form of the differential of ``exp``.  Only the
+affine-invariant geometry is curved.  Each of its operations whitens by the
+factor of its base point ``P = L L^T``, ``SpdMatrix._chol``, forming
 ``L^-1 X L^-T = U Lambda U^T`` with :func:`.chol_map._congruence`, and maps
 back by ``(L U) f(Lambda) (L U)^T``; since ``L = P^{1/2} V`` with ``V``
 orthogonal, that is ``P^{1/2} f(P^{-1/2} X P^{-1/2}) P^{1/2}``.
 
 Every interpolant reads its grid ``ts`` through :func:`.tri._grid`, the
 step rule, before any arithmetic, and works its endpoints once per call;
-every mean works on one ``(n, m, m)`` stack from :func:`.tri._stack`.  The
-affine-invariant mean runs the Karcher iteration on one sample's stack,
-:func:`_karcher_alone`; given a ``(k, n, m, m)`` array of trials, such as
-``mean-gap``'s checked draw, it runs them through :func:`_karcher_means`,
-which steps every unconverged trial through one stacked logarithm per step,
-with the bits of each trial's own call.  Every
-non-Euclidean SPD result is ``K K^T``, exactly symmetric as computed, and
-leaves the float range only by raising ``DomainError``: a triangular ``K``
-goes through ``chol_map._spd_point``, and the exponents of a spectral ``K``
+every mean works on one ``(n, m, m)`` stack from :func:`.tri._stack`, and
+the affine-invariant mean of a ``(k, n, m, m)`` array of trials steps them
+together, :func:`_karcher_means`.  Every non-Euclidean SPD result is
+``K K^T``, exactly symmetric as computed, and leaves the float range only
+by raising ``DomainError``: a triangular ``K`` goes through
+``chol_map._spd_point``, and the exponents of a spectral ``K``
 (``U e^{Lambda/2}``, ``L U e^{Lambda/2}``, ``L U Lambda^{t/2}``) through
 ``chol_map._check_exponents``.  Only the spectral logarithms and transports
 are symmetrized, as ``_sym(.)``; a whitened matrix is not, since its one
@@ -43,7 +40,6 @@ from dataclasses import dataclass
 from operator import attrgetter
 
 import numpy as np
-from scipy.linalg import expm_frechet
 
 from . import spd_manifold as spd
 from .chol_map import _check_exponents, _congruence, _reconstruct, _spd_point
@@ -52,6 +48,7 @@ from .tri import (
     EmptyInputError,
     LowerTriangular,
     NoConvergenceError,
+    NotSpdError,
     SpdMatrix,
     SymMatrix,
     _eigh,
@@ -60,9 +57,11 @@ from .tri import (
     _grid,
     _mean,
     _norm,
+    _real,
     _require_same_dim,
     _stack,
     _sym,
+    _symmetrized,
 )
 
 # ---------------------------------------------------------------------------
@@ -96,14 +95,13 @@ DLOG_SERIES_MAX_TERMS = 500
 
 @np.errstate(over="ignore", invalid="ignore")  # overflow reads inf or nan: rejected
 def dexp_sym(s: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """Directional derivative of the matrix exponential at ``s`` along ``h``:
-    SciPy's ``expm_frechet`` (Al-Mohy and Higham's scaling and squaring), with
-    ``DomainError`` for a non-finite ``h``, where SciPy raises ``ValueError``.
-    It is linear in ``h``, so ``h`` goes in scaled by ``2^-e``, ``e`` the
-    exponent of ``max|h|``, and the result comes out scaled by ``2^e``: exact
-    both ways, and SciPy's Pade matrices stay inside the float range."""
-    e = np.frexp(np.abs(_finite(h)).max())[1]
-    return np.ldexp(expm_frechet(s, np.ldexp(h, -e), compute_expm=False), e)
+    """Derivative of ``exp`` at symmetric ``s = U diag(a) U^T`` along ``h`` (Daleckii-Krein):
+    ``U (F o U^T h U) U^T``, ``o`` entrywise, with ``F_ij = e^max(a_i, a_j) (1 - e^-d) / d``
+    by ``expm1``, ``d = |a_i - a_j|``, and ``e^a_i`` where ``d = 0``; ``h`` must be finite."""
+    a, u = _eigh(s)
+    e, d = np.exp(a), np.abs(np.subtract.outer(a, a))
+    f = np.maximum.outer(e, e) * np.where(d > 0.0, -np.expm1(-d) / d, 1.0)
+    return u @ (f * (u.T @ _finite(h) @ u)) @ u.T
 
 
 @np.errstate(over="ignore", invalid="ignore")  # overflow reads inf or nan: rejected
@@ -199,11 +197,11 @@ def affine_karcher_mean(
     Ps: Sequence[SpdMatrix] | np.ndarray,
 ) -> SpdMatrix | list[SpdMatrix]:
     """Frechet mean by fixed-point iteration with unit step, of one sample's
-    members ``Ps`` (:func:`_karcher_alone` on their stack); or, given a
-    ``(k, n, m, m)`` float array of ``k`` trials of exactly symmetric SPD
-    members, such as ``mean-gap``'s checked draw, the list of each trial's
-    mean, from one stacked iteration (:func:`_karcher_means`), each with the
-    bits of its one-sample call.
+    members ``Ps`` (:func:`_karcher_alone` on their stack); or the list of
+    each trial's mean of a ``(k, n, m, m)`` array of SPD members, checked as
+    outside data by ``tri._symmetrized``, from one stacked iteration
+    (:func:`_karcher_means`): of exactly symmetric members, each with the bits
+    of its one-sample call.
 
     Raises
     ------
@@ -212,17 +210,20 @@ def affine_karcher_mean(
         ``KARCHER_MAX_ITER`` iterations; the message gives the largest last value.
     DomainError
         If the members differ in dimension, or the array is not a stack of
-        trials of square matrices.
+        trials of square matrices of finite real numbers.
+    NotSpdError
+        If a member of the array is not symmetric, or not positive definite.
     EmptyInputError
         If there is no member, or no trial.
     """
     if not isinstance(Ps, np.ndarray):
         return _karcher_alone(_stack(P.data for P in Ps))
-    if Ps.ndim != 4 or Ps.shape[2] != Ps.shape[3] or not Ps.shape[2]:
-        raise DomainError(f"not a (k, n, m, m) stack of trials: shape {Ps.shape}")
-    if not Ps.shape[0] * Ps.shape[1]:
+    ps = _real(Ps)
+    if ps.ndim != 4 or ps.shape[2] != ps.shape[3] or not ps.shape[2]:
+        raise DomainError(f"not a (k, n, m, m) stack of trials: shape {ps.shape}")
+    if not ps.shape[0] * ps.shape[1]:
         raise EmptyInputError("a mean requires at least one matrix")
-    return _karcher_means(Ps)
+    return _karcher_means(_symmetrized(ps, NotSpdError))
 
 
 @np.errstate(over="ignore", invalid="ignore")  # overflow reads inf or nan: rejected

@@ -342,13 +342,12 @@ def run_mean_gap(n: int, m: int, trials: int, seed: int) -> ExperimentReport:
     ``failed_trials``.  Memory grows with ``trials n m^2``."""
     _at_least(1, n=n, m=m, trials=trials)
     ps = random_wishart_stack(seeded_rng(seed), (trials, n), m)
-    s, ls = _factors(ps.reshape(-1, m, m))
+    ls = _factors(ps.reshape(-1, m, m))[1]
     lcs = _frechet_mean(ls.reshape(trials, n, m, m))
-    s = s.reshape(trials, n, m, m)
     try:
-        ais = bl.affine_karcher_mean(s)
+        ais = bl.affine_karcher_mean(ps)
     except LogCholError:
-        ais = [_attempt(lambda: bl._karcher_alone(trial))[0] for trial in s]
+        ais = [_attempt(lambda: bl._karcher_alone(trial))[0] for trial in ps]
     gaps: list[float] = []
     for k, ai in zip(lcs, ais):
         lc, _ = _attempt(lambda: _spd_point(k))

@@ -138,9 +138,9 @@ def _grid(ts) -> np.ndarray:
 
 
 def _symmetrized(a: np.ndarray, error: type[LogCholError]) -> np.ndarray:
-    """``(a + a^T) / 2`` of a square float matrix, or of each matrix of an
-    ``(n, m, m)`` stack, once ``a`` is finite and each matrix is symmetric to
-    within ``1e-8`` of its own largest entry, ``max|a|``.
+    """``(a + a^T) / 2`` of a square float matrix, or of each matrix of a
+    stack, such as ``(n, m, m)``, once ``a`` is finite and each matrix is
+    symmetric to within ``1e-8`` of its own largest entry, ``max|a|``.
 
     The tolerance is relative at every scale, so tiny matrices are held to
     the same standard as unit-sized ones, in a stack too.  The test reads how

@@ -262,6 +262,17 @@ def _daleckii_krein(lam, U, f, df, h):
                               for i in range(H.rows)]) * U.T
 
 
+def dexp_mp(s: np.ndarray, h: np.ndarray, dps: int = 40) -> np.ndarray:
+    """The derivative of ``exp`` at the symmetric ``s`` along ``h``, in extended
+    precision: the Daleckii-Krein formula on ``mpmath.eigsy(s)``, with each
+    divided difference of ``exp`` taken as a plain quotient."""
+    with mpmath.workdps(dps):
+        lam, U = mpmath.eigsy(mpmath.matrix(s.tolist()))
+        out = _daleckii_krein([lam[i] for i in range(len(s))], U, mpmath.exp, mpmath.exp,
+                              mpmath.matrix(h.tolist()))
+        return np.array(out.tolist(), dtype=float)
+
+
 def logeuclid_mp(p: np.ndarray, q: np.ndarray, w: np.ndarray, dps: int = 50):
     """Log-Euclidean distance, ``log_P Q`` and the transport of ``W`` from
     ``P`` to ``Q``, in extended precision.

@@ -5,13 +5,13 @@ import warnings
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
-from scipy.linalg import expm_frechet
 
 from oracles import (
     affine_exp_mp,
     affine_geodesic_mp,
     affine_inner,
     affine_mp,
+    dexp_mp,
     distances_mp,
     karcher_mean_per_member,
     logeuclid_mean_mp,
@@ -414,9 +414,16 @@ class TestAffineInvariant:
         assert bl.affine_dist(pc, qc) == pytest.approx(bl.affine_dist(p, q), rel=1e-9)
 
 
+def _with_member(ps, member):
+    """A copy of the trials ``ps`` with ``member`` in place of one of them."""
+    out = ps.copy()
+    out[1, 2] = member
+    return out
+
+
 class TestStackedKarcher:
     """``affine_karcher_mean`` on a ``(k, n, m, m)`` array of trials, such as
-    ``mean-gap``'s checked draw, gives each trial the bits of its own call on
+    ``mean-gap``'s draw, gives each trial the bits of its own call on
     the trial's members."""
 
     @staticmethod
@@ -493,6 +500,25 @@ class TestStackedKarcher:
         for empty in (ps[:0], ps[:, :0]):
             with pytest.raises(EmptyInputError):
                 bl.affine_karcher_mean(empty)
+
+    # Arrays of trials holding a faulty member, and the error from_dense
+    # raises on that member: the array is outside data, checked as a list is.
+    FAULTY = {
+        "asymmetric": (NotSpdError, lambda ps: _with_member(ps, [[2, 5], [0, 1]])),
+        "nan": (DomainError, lambda ps: _with_member(ps, [[np.nan, 0], [0, 1]])),
+        "strings": (DomainError, lambda ps: ps.astype(str).astype(object)),
+        "complex": (DomainError, lambda ps: ps.astype(complex)),
+    }
+
+    @pytest.mark.parametrize("case", FAULTY)
+    def test_an_array_with_a_faulty_member_raises_as_the_member_would(self, case):
+        error, fault = self.FAULTY[case]
+        bad = fault(random_wishart_stack(np.random.default_rng(4), (2, 3), 2))
+        with pytest.raises(error) as raised:
+            bl.affine_karcher_mean(bad)
+        assert type(raised.value) is error
+        with pytest.raises(error):
+            SpdMatrix.from_dense(bad[1, 2])
 
 
 SCALES = (1e-13, 1e-6, 1e6, 1e12)
@@ -717,13 +743,43 @@ def test_transport_past_an_overflowing_direction(case):
     assert_allclose(out.data, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
 
 
-def test_dexp_sym_has_the_bits_of_expm_frechet(rng):
-    # The power-of-two scalings around SciPy's call are exact.
-    for scale in (1e-200, 1e-3, 1.0, 3.0, 1e200):
-        s = rng.standard_normal((4, 4))
-        h = scale * rng.standard_normal((4, 4))
-        s, h = s + s.T, h + h.T
-        assert_array_equal(bl.dexp_sym(s, h), expm_frechet(s, h, compute_expm=False))
+def _symmetric(seed):
+    a = np.random.default_rng(seed).standard_normal((4, 4))
+    return a + a.T
+
+
+def _spectral(w):
+    """``Q diag(w) Q^T`` with ``Q`` a fixed random orthogonal matrix."""
+    q = np.linalg.qr(np.random.default_rng(5).standard_normal((len(w), len(w))))[0]
+    return (q * w) @ q.T
+
+
+# Bases of the pull-back: the divided differences of exp at their eigenvalues
+# run from plain quotients to derivatives, where a quotient would lose digits.
+DEXP_BASES = {
+    "random": lambda: _symmetric(4),
+    "repeated": lambda: _spectral(np.array([0.7, 0.7, -1.3, 2.1])),
+    "repeated-exactly": lambda: np.diag([0.7, 0.7, -1.3, 2.1]),
+    "1e-8-apart": lambda: _spectral(np.array([0.4, 0.4 + 1e-8, -0.9, 1.6])),
+    "kappa-1e15": lambda: _spectral(np.linspace(-34.5, 0.0, 4)),
+}
+
+
+@pytest.mark.parametrize("scale", [1e-200, 1.0, 1e200])
+@pytest.mark.parametrize("case", DEXP_BASES)
+def test_dexp_sym_matches_the_extended_precision_derivative(case, scale):
+    s = DEXP_BASES[case]()
+    h = scale * _symmetric(6)
+    want = dexp_mp(s, h)
+    assert_allclose(bl.dexp_sym(s, h), want, rtol=0, atol=2e-14 * np.abs(want).max())
+
+
+@pytest.mark.parametrize("case", DEXP_BASES)
+def test_dexp_sym_is_exactly_linear_under_powers_of_two(case):
+    s = DEXP_BASES[case]()
+    h = _symmetric(7)
+    for k in (-600, -1, 3, 600):
+        assert_array_equal(bl.dexp_sym(s, 2.0**k * h), 2.0**k * bl.dexp_sym(s, h))
 
 
 I2 = np.eye(2)

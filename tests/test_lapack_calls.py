@@ -44,8 +44,8 @@ CALLS = {
     "log-euclidean.interpolate": {"dsyevd": 5},
     "log-euclidean.mean": {"eigh": 1, "dsyevd": 1},
     "log-euclidean.exp": {"dsyevd": 2, "dsyevd/N": 1},
-    "log-euclidean.log": {"dsyevd": 2},
-    "log-euclidean.transport": {"dsyevd": 1, "dsyevd/N": 1},
+    "log-euclidean.log": {"dsyevd": 3},
+    "log-euclidean.transport": {"dsyevd": 2, "dsyevd/N": 1},
     "affine-invariant.distance": {"dtrsm": 2, "dsyevd/N": 1},
     "affine-invariant.interpolate": {"dtrsm": 2, "dsyevd": 1},
     "affine-invariant.exp": {"dtrsm": 2, "dsyevd": 1},

@@ -12,12 +12,15 @@ Each matrix step has one home: the Cholesky factorization (LAPACK
 the eigenvalue solvers, the symmetrizer and the Frobenius norm
 (``np.linalg.norm`` and ``np.vdot``, behind ``tri._norm``) are called or
 defined only in ``tri``, the triangular BLAS calls only in ``chol_map``,
-the QR factorization of the orthogonal sampler only in ``sampling``, the
-LU of ``slogdet`` only in ``experiments`` and the Frechet derivative of the
-matrix exponential (``expm_frechet``) only in ``baselines``.  Every name the package reaches through ``numpy.linalg``,
-``scipy.linalg``, ``lapack`` or ``blas`` has its home listed, so a new LAPACK
-call cannot land unhomed.  So does the float-range rule for computed SPD
-matrices: its bounds and its two checks are defined only in ``chol_map``.
+the QR factorization of the orthogonal sampler only in ``sampling`` and the
+LU of ``slogdet`` only in ``experiments``.  Every name the package reaches
+through ``numpy.linalg``, ``scipy.linalg``, ``lapack`` or ``blas`` has its
+home listed, so a new LAPACK call cannot land unhomed.  So does the
+float-range rule for computed SPD matrices: its bounds and its two checks
+are defined only in ``chol_map``.  SciPy is imported only as its LAPACK and
+BLAS wrappers, ``scipy.linalg.lapack`` and ``scipy.linalg.blas``: the
+matrix functions of the spectral geometries are the package's own, on
+``tri._eigh``'s decomposition.
 
 A kernel module symmetrizes only a result it is typing, as
 ``SymMatrix._of(_sym(...))``: an eigensolver's input is not symmetrized,
@@ -69,13 +72,15 @@ HOMES = {
     "LinAlgError": "tri.py",
     "dtrsm": "chol_map.py",
     "dtrmm": "chol_map.py",
-    "expm_frechet": "baselines.py",
     "qr": "sampling.py",
     "slogdet": "experiments.py",
 }
 
 # The modules whose names are LAPACK and BLAS routines.
 LINALG_MODULES = ("linalg", "lapack", "blas")
+
+# The only SciPy modules the package imports: its LAPACK and BLAS wrappers.
+SCIPY_MODULES = ("scipy.linalg.lapack", "scipy.linalg.blas")
 
 # The float-range rule: its bounds and its two checks, defined in chol_map alone.
 FLOAT_RANGE_RULE = ("_PIVOT_ROOT_MIN", "_EXP_RANGE", "_spd_point", "_check_exponents")
@@ -266,6 +271,24 @@ def test_every_lapack_routine_has_a_home():
     assert not strays, f"LAPACK or BLAS routines with no home: {strays}"
     # The guard sees both forms: an attribute of np.linalg, and an import from scipy.linalg.
     assert {"eigh", "qr", "slogdet", "dpotrf", "dsyevd", "dtrsm"} <= {name for _, _, name in reached}
+
+
+def _imported_modules(tree: ast.Module):
+    """``(line, module)`` of every module ``tree`` imports or imports from."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from ((node.lineno, a.name) for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            yield node.lineno, node.module
+
+
+def test_scipy_is_imported_only_as_lapack_and_blas():
+    imported = [(path.name, line, name) for path, tree in SRC.items()
+                for line, name in _imported_modules(tree) if name.split(".")[0] == "scipy"]
+    strays = [f"{p}:{line} {name}" for p, line, name in imported if name not in SCIPY_MODULES]
+    assert not strays, f"SciPy imported past its LAPACK and BLAS wrappers: {strays}"
+    # The guard sees both wrappers the package imports.
+    assert {name for _, _, name in imported} == set(SCIPY_MODULES)
 
 
 def test_kernels_symmetrize_only_a_result_they_type():
