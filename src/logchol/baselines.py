@@ -18,7 +18,9 @@ back by ``(L U) f(Lambda) (L U)^T``; since ``L = P^{1/2} V`` with ``V``
 orthogonal, that is ``P^{1/2} f(P^{-1/2} X P^{-1/2}) P^{1/2}``.
 
 Every interpolant reads its grid ``ts`` through :func:`.tri._grid`, the
-step rule, before any arithmetic, and works its endpoints once per call;
+step rule, before any arithmetic, works its endpoints once per call, and
+computes its whole grid as one ``(k, m, m)`` stack, typed at once through
+:func:`.tri._each`, which names the first faulty point as a loop would;
 every mean works on one ``(n, m, m)`` stack from :func:`.tri._stack`, and
 the affine-invariant mean of a ``(k, n, m, m)`` array of trials steps them
 together, :func:`_karcher_means`.  Every non-Euclidean SPD result is
@@ -51,6 +53,7 @@ from .tri import (
     NotSpdError,
     SpdMatrix,
     SymMatrix,
+    _each,
     _eigh,
     _factor,
     _finite,
@@ -152,15 +155,23 @@ def affine_dist(P: SpdMatrix, Q: SpdMatrix) -> float:
 
 @np.errstate(over="ignore", invalid="ignore")  # overflow reads inf or nan: rejected
 def affine_interpolate(P: SpdMatrix, Q: SpdMatrix, ts: Sequence[float]) -> list[SpdMatrix]:
-    """``L (L^-1 Q L^-T)^t L^T``; ``Q`` whitened by ``P`` and decomposed once, and
-    the exponents ``t log Lambda`` checked once for the grid, as in :func:`affine_exp`."""
+    """``L (L^-1 Q L^-T)^t L^T = K K^T``, ``K = L U Lambda^{t/2}``; ``Q`` whitened
+    by ``P`` and decomposed once, the exponents ``t log Lambda`` checked once for
+    the grid, as in :func:`affine_exp`, and the grid's ``K`` one stack."""
     ts = _grid(ts)
     _require_same_dim(P, Q)
     l = P._chol
     w, u = _eigh(_congruence(l, Q.data), "matrix power")
     _check_exponents(np.multiply.outer(ts, np.log(w)))
-    lu = l @ u
-    return [SpdMatrix._of(_reconstruct(lu * w ** (t / 2.0))) for t in ts]
+    s = ts / 2.0
+    powers = w ** s[:, None]
+    # numpy's ``w ** s`` of one float s takes sqrt, square and reciprocal at
+    # s = 1/2, 2 and -1, where a grid of exponents takes pow, whose last bit
+    # can differ: those rows take the float's form, so that t = 1 reaches Q by
+    # sqrt, correctly rounded, and each point has the bits of ``w ** (t/2)``.
+    for i in np.flatnonzero((s == 0.5) | (s == 2.0) | (s == -1.0)):
+        powers[i] = w ** s[i]
+    return _each(lambda k: SpdMatrix._of(_reconstruct(k)), (l @ u) * powers[:, None, :])
 
 
 @np.errstate(over="ignore", invalid="ignore")  # overflow reads inf or nan: rejected
@@ -313,8 +324,9 @@ def _flat(name: str, base, chart, point, tangent, push=None, pull=None) -> Metri
     log ``dc_P^-1 (c(Q) - c(P))`` and transport ``dc_Q^-1 dc_P W``.
 
     ``base(P)`` is ``P.data`` or ``P._chol``; ``chart`` maps one array or a
-    stack, ``None`` being the identity; ``point(a)`` types ``c^-1(a)``; and
-    ``tangent`` is the tangent type.  ``push(base(P), W)`` is ``dc_P W`` and
+    stack, ``None`` being the identity; ``point(a)`` types ``c^-1(a)`` of one
+    array, or of each of a stack as a list, which the interpolant's grid is;
+    and ``tangent`` is the tangent type.  ``push(base(P), W)`` is ``dc_P W`` and
     ``pull(c(P), v)`` its inverse.  Without them ``dc_P`` is the identity and
     the entry has no transport; a pulled tangent is symmetrized, since
     ``pull`` is not symmetric as computed."""
@@ -329,7 +341,8 @@ def _flat(name: str, base, chart, point, tangent, push=None, pull=None) -> Metri
         ts = _grid(ts)
         _require_same_dim(P, Q)
         a, b = c(P), c(Q)
-        return [point((1.0 - t) * a + t * b) for t in ts]
+        t = ts[:, None, None]
+        return _each(point, (1.0 - t) * a + t * b)
 
     def mean(Ps):
         a = _stack(base(P) for P in Ps)

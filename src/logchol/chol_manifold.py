@@ -42,9 +42,11 @@ def metric_chol(L: CholeskyFactor, X: LowerTriangular, Y: LowerTriangular) -> fl
 
 
 @np.errstate(over="ignore", invalid="ignore")  # overflow reads inf or nan: rejected
-def _geodesic(l: np.ndarray, x: np.ndarray, t: float) -> np.ndarray:
-    d = l.diagonal()
-    return _with_diag(l + t * x, d * np.exp(t * x.diagonal() / d))
+def _geodesic(l: np.ndarray, x: np.ndarray, t) -> np.ndarray:
+    # t is a float, or a (k, 1, 1) column of steps for the (k, m, m) stack of
+    # the factors at each: the diagonal reads t x_jj from t x, in both forms.
+    d, tx = l.diagonal(), t * x
+    return _with_diag(l + tx, d * np.exp(tx.diagonal(0, -2, -1) / d))
 
 
 def geodesic_chol(L: CholeskyFactor, X: LowerTriangular, t: float) -> CholeskyFactor:

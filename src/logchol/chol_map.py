@@ -36,6 +36,7 @@ from .tri import (
     LowerTriangular,
     SpdMatrix,
     SymMatrix,
+    _least_diagonal,
     _require_same_dim,
     _with_diag,
 )
@@ -54,10 +55,11 @@ def cholesky_factor(P: SpdMatrix) -> CholeskyFactor:
 
 def _reconstruct(k: np.ndarray) -> np.ndarray:
     """``K K^T`` of a square ``K``, a Cholesky or a spectral factor such as
-    ``L U e^{Lambda/2}``, as computed: numpy forms a product with its own
-    transpose by one BLAS ``syrk`` and mirrors the triangle, so it is exactly
-    symmetric, and entries up to the float max stay finite."""
-    return k @ k.T
+    ``L U e^{Lambda/2}``, or of each ``K`` of a stack, as computed: numpy
+    forms a product with its own transpose by one BLAS ``syrk`` per matrix
+    and mirrors the triangle, so it is exactly symmetric, with the same bits
+    in a stack as alone, and entries up to the float max stay finite."""
+    return k @ k.swapaxes(-1, -2)
 
 
 # The least factor diagonal whose square, and the exponents whose e^x, are normal floats.
@@ -66,10 +68,12 @@ _EXP_RANGE = (math.log(TAU_POS), math.log(np.finfo(float).max))
 
 
 @np.errstate(over="ignore", invalid="ignore")  # overflow reads inf or nan: rejected
-def _spd_point(k: np.ndarray) -> SpdMatrix:
-    """``K K^T`` of a lower triangular ``K``, typed.  Raises ``DomainError``
-    unless each pivot ``K_jj^2`` is a normal float and no entry overflows."""
-    if min(k.diagonal().tolist()) < _PIVOT_ROOT_MIN:
+def _spd_point(k: np.ndarray) -> SpdMatrix | list[SpdMatrix]:
+    """``K K^T`` of a lower triangular ``K``, typed; or of each ``K`` of a
+    ``(k, m, m)`` stack, as a list, with one test of the stack (see
+    ``tri._each``).  Raises ``DomainError`` unless each pivot ``K_jj^2`` is a
+    normal float and no entry overflows."""
+    if _least_diagonal(k) < _PIVOT_ROOT_MIN:
         raise DomainError("SPD result underflows: a pivot is not a normal float")
     return SpdMatrix._of(_reconstruct(k))
 

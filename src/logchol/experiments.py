@@ -101,7 +101,9 @@ def run_interpolate(
 ) -> tuple[ExperimentReport, list[GlyphRecord]]:
     """Geodesic interpolation study between the two matrices of ``fixture``,
     or :func:`interpolation_endpoints` without one: (log-)determinant
-    sequences, read from glyph eigenvalues, plus glyph stream."""
+    sequences, read from glyph eigenvalues, plus glyph stream.  The metric's
+    interpolant computes the whole grid as one stack, and the glyphs of the
+    grid and of both endpoints come from one stacked eigendecomposition."""
     if fixture:
         loaded = load_matrices(fixture)
         if len(loaded) != 2:
@@ -115,8 +117,8 @@ def run_interpolate(
     ops = bl.get_metric(metric)
     ts = np.linspace(0.0, 1.0, steps)
     mats = ops.interpolate(p, q, ts)
-    glyphs = [GlyphRecord.from_spd_dense(m.data, 0, i) for i, m in enumerate(mats)]
-    ends = [GlyphRecord.from_spd_dense(a.data, 0, 0) for a in (p, q)]
+    glyphs = GlyphRecord.from_spd_dense(np.stack([a.data for a in (*mats, p, q)]), 0, 0)
+    glyphs, ends = glyphs[:-2], glyphs[-2:]
     dets = [g.determinant for g in glyphs]
     report = ExperimentReport(
         experiment="interpolate",

@@ -4,8 +4,9 @@ Reports are canonical JSON (sorted keys), with all wall-clock derived
 quantities quarantined under ``timings`` so that the remaining fields are
 byte-reproducible from ``(command, config, seed)``.  Glyph records
 serialize ellipsoid data (eigenvalues, eigenvectors, determinant and its
-logarithm) for external plotting, one JSON object per line; each is
-decomposed by the checked eigendecomposition ``_eigh`` of :mod:`.tri`.
+logarithm) for external plotting, one JSON object per line; a stack of them
+is decomposed by one call of the checked eigendecomposition ``_eigh`` of
+:mod:`.tri`.
 ``to_json`` encodes a record's fields where they stand, with no copy;
 ``dataclasses.asdict`` gives a deep copy, for callers that change it.
 """
@@ -16,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .tri import _eigh
+from .tri import NotSpdError, _eigh
 
 SCHEMA_VERSION = 1
 
@@ -74,20 +75,35 @@ class GlyphRecord:
     log_determinant: float
 
     @classmethod
-    def from_spd_dense(cls, a: np.ndarray, row: int, col: int) -> "GlyphRecord":
-        w, u = _eigh(a, "glyph")
-        w, u = w[::-1], u[:, ::-1]  # eigh's ascending order, reversed
-        log_det = float(np.log(w).sum())
+    def from_spd_dense(
+        cls, a: np.ndarray, row: int, col: int
+    ) -> "GlyphRecord | list[GlyphRecord]":
+        """The glyph of the SPD matrix ``a`` at ``(row, col)``; or, of a
+        ``(k, m, m)`` stack, the list of its matrices' glyphs at ``(row, col)``,
+        ``(row, col + 1)``, ..., every field read from one stacked ``_eigh``.
+        A matrix with an eigenvalue that is not positive raises
+        ``NotSpdError``: the first such matrix of a stack, with its own
+        smallest eigenvalue, as a loop over the stack would."""
+        if a.ndim == 2:
+            return cls.from_spd_dense(a[None], row, col)[0]
+        try:
+            w, u = _eigh(a, "glyph")
+        except NotSpdError:
+            for x in a:  # the stack's message names its least eigenvalue, not its first
+                _eigh(x, "glyph")
+            raise
+        # The logarithms of each matrix's eigenvalues in descending order, as
+        # one reversed 1-D view: numpy takes a reversed view through its
+        # scalar loop, a contiguous one through a SIMD loop whose last bit
+        # can differ, so each glyph keeps the bits of its own reversed row.
+        log_dets = np.log(w.ravel()[::-1]).reshape(w.shape)[::-1].sum(-1)
         with np.errstate(over="ignore", under="ignore"):  # beyond the float range: 0 or inf
-            det = float(np.exp(log_det))
-        return cls(
-            row=row,
-            col=col,
-            eigenvalues=w.tolist(),
-            eigenvectors=u.ravel(order="C").tolist(),
-            determinant=det,
-            log_determinant=log_det,
-        )
+            dets = np.exp(log_dets)
+        w, u = w[..., ::-1], u[..., ::-1]  # eigh's ascending order, reversed
+        fields = zip(w.tolist(), u.reshape(len(u), -1).tolist(), dets.tolist(), log_dets.tolist())
+        return [cls(row=row, col=col + i, eigenvalues=ws, eigenvectors=us,
+                    determinant=det, log_determinant=log_det)
+                for i, (ws, us, det, log_det) in enumerate(fields)]
 
     def to_json(self) -> str:
         return _GLYPH_ENCODER.encode(vars(self))

@@ -17,7 +17,7 @@ from collections.abc import Sequence
 
 from . import chol_manifold as cm
 from .chol_map import _diff_S, _diff_S_inv, _spd_point
-from .tri import SpdMatrix, SymMatrix, _grid, _require_same_dim, _stack, _step
+from .tri import SpdMatrix, SymMatrix, _each, _grid, _require_same_dim, _stack, _step
 
 
 def metric_spd(P: SpdMatrix, W: SymMatrix, V: SymMatrix) -> float:
@@ -96,9 +96,11 @@ def interpolate_spd(
     """Geodesic interpolation: the points at ``ts`` of the geodesic from ``P``
     (``t = 0``) to ``Q`` (``t = 1``).  ``ts`` is a 1-D sequence or array of
     finite real numbers; anything else, a generator included, raises
-    ``DomainError``."""
+    ``DomainError``.  The grid's factors are one ``(k, m, m)`` stack, and
+    their ``K K^T`` one more, typed at once; the first point that leaves the
+    float range raises its own error (``tri._each``)."""
     ts = _grid(ts)
     _require_same_dim(P, Q)
     l = P._chol
     x = cm._log(l, Q._chol)
-    return [_spd_point(cm._geodesic(l, x, t)) for t in ts]
+    return _each(_spd_point, cm._geodesic(l, x, ts[:, None, None]))

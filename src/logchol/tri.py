@@ -13,13 +13,17 @@ array; ``SpdMatrix.from_dense`` factors it by ``_factor`` (LAPACK
 ``_symmetrized`` takes an ``(n, m, m)`` stack too, each matrix held to its
 own tolerance, and ``_factors`` checks a stack so and factors each of its
 matrices by ``_factor`` into one factor stack: the array half of
-``SpdMatrix._from_stack``, which then types each matrix and keeps its
-factor, with ``from_dense``'s bits.  A fixture of one dimension and
-``mean``'s drawn members take ``_from_stack``; ``mean-gap`` takes the two
-arrays alone.
-The symmetrizer's array, like a result of the package's kernels, is typed by
-``_Square._of``: a square float array with the type's shape of zeros by
-construction, so only finiteness and the type's ``_check`` hook are tested.
+``SpdMatrix._from_stack``, which then types the stack at once and keeps
+each matrix's factor, with ``from_dense``'s bits.  A fixture of one
+dimension and ``mean``'s drawn members take ``_from_stack``; ``mean-gap``
+takes the two arrays alone.
+A result of the package's kernels is typed by ``_Square._of``: a square
+float array with the type's shape of zeros by construction, so only
+finiteness and the type's ``_check`` hook are tested; the symmetrizer's
+array, already proved finite, by ``_Square._typed``, the hook alone.  Both
+take one matrix or a stack, whose matrices they test once, as one array.
+``_each`` types each point of a stack from one call on the whole stack,
+and names the first faulty point as a loop over the stack would.
 Finiteness (``_finite``) is one BLAS ``ddot``, the sum of squares, with the
 entrywise test only when that sum is not finite.
 Every operation that needs a point's factor, a mean included, reads it
@@ -36,7 +40,8 @@ a result can come out asymmetric: outside data, and tangents such as
 ``L f(.) L^T`` whose two triangles are computed apart; it sums halves, so
 entries up to the float max stay finite.  ``_eigh`` reads the lower triangle
 alone; it sends one matrix to LAPACK ``dsyevd`` and a stack to numpy's
-batched ``eigh``, which runs ``dsyevd`` too.  ``dense()`` returns a copy.
+batched ``eigh``, which runs ``dsyevd`` too, with the same bits.
+``dense()`` returns a copy.
 """
 from __future__ import annotations
 
@@ -266,26 +271,70 @@ def _norm(a: np.ndarray):
     return s
 
 
+def _least_diagonal(a: np.ndarray) -> float:
+    """The least diagonal entry of one matrix, or of all the matrices of a
+    stack (inf for an empty one): one ``min`` of a list for one matrix, one
+    ``np.minimum.reduce`` for a stack."""
+    if a.ndim == 2:
+        return min(a.diagonal().tolist())
+    return float(np.minimum.reduce(a.diagonal(0, -2, -1), None, initial=np.inf))
+
+
+def _each(point, stack: np.ndarray) -> list:
+    """``point`` of each matrix of a ``(k, m, m)`` stack, in order, where
+    ``point`` takes one matrix or a whole stack, which it tests as one
+    array: one call on the stack; or, if that raises a library error, one
+    call per matrix, so that the first faulty matrix raises its own class
+    and text, as a loop over the stack would."""
+    try:
+        return point(stack)
+    except LogCholError:
+        return [point(a) for a in stack]
+
+
 @dataclass(frozen=True, eq=False)
 class _Square:
     """A square float matrix held dense in ``data``; ``dim`` is its size."""
 
     data: np.ndarray
 
-    def _check(self) -> None:
-        pass
+    @staticmethod
+    def _check(a: np.ndarray) -> None:
+        """The type's own test of one matrix ``a`` or of each matrix of a stack."""
 
     @classmethod
     def _of(cls, a: np.ndarray):
-        """A kernel's result ``a``, or ``_symmetrized``'s, typed.  Either
+        """A kernel's result ``a`` typed: one ``(m, m)`` matrix, or each
+        matrix of a ``(k, m, m)`` stack, as a list in order.  A kernel
         guarantees what the constructor would test first: a square float
-        array, exactly symmetric or exactly zero above the diagonal once it is
-        finite.  So only finiteness, by ``_finite``'s one ``ddot`` on a view
-        of any layout, and the type's ``_check`` are tested."""
+        array, exactly symmetric or exactly zero above the diagonal once it
+        is finite.  So only finiteness, by ``_finite``'s one ``ddot`` on a
+        view of any layout, and the type's ``_check`` are tested.  A stack
+        is typed by ``_typed``; one matrix here, one call fewer, since most
+        kernels type one matrix per call."""
+        if a.ndim > 2:
+            return cls._typed(_finite(a))
         out = object.__new__(cls)
         object.__setattr__(out, "data", _finite(a))
-        out._check()
+        cls._check(a)
         return out
+
+    @classmethod
+    def _typed(cls, a: np.ndarray):
+        """``_of`` of an array already proved finite, such as
+        ``_symmetrized``'s: only the type's ``_check`` is tested, once for a
+        whole stack, so that a fault anywhere in it raises; which matrix is
+        at fault is the caller's to find (``_each``).  Each point of a stack
+        holds a view of it."""
+        cls._check(a)
+        if a.ndim == 2:
+            out = object.__new__(cls)
+            object.__setattr__(out, "data", a)
+            return out
+        points = [object.__new__(cls) for _ in range(len(a))]
+        for out, x in zip(points, a):
+            object.__setattr__(out, "data", x)
+        return points
 
     @property
     def dim(self) -> int:
@@ -310,7 +359,7 @@ class LowerTriangular(_Square):
         if np.triu(a, 1).any():
             raise DomainError("matrix has nonzero entries above the diagonal")
         object.__setattr__(self, "data", a)
-        self._check()
+        self._check(a)
 
     dense = _Square.dense  # anchors perfbench's span tri.LowerTriangular.dense
 
@@ -319,8 +368,9 @@ class LowerTriangular(_Square):
 class CholeskyFactor(LowerTriangular):
     """Lower triangular matrix with strictly positive diagonal."""
 
-    def _check(self) -> None:
-        if min(self.diag.tolist()) < TAU_POS:
+    @staticmethod
+    def _check(a: np.ndarray) -> None:
+        if _least_diagonal(a) < TAU_POS:
             raise DomainError("Cholesky factor diagonal must be strictly positive")
 
 
@@ -334,13 +384,13 @@ class SymMatrix(_Square):
         if not (a == a.T).all():
             raise DomainError("matrix is not exactly symmetric")
         object.__setattr__(self, "data", a)
-        self._check()
+        self._check(a)
 
     dense = _Square.dense  # anchors perfbench's span tri.SymMatrix.dense
 
     @classmethod
     def from_dense(cls, dense) -> "SymMatrix":
-        return cls._of(_symmetrized(_square(dense), DomainError))
+        return cls._typed(_symmetrized(_square(dense), DomainError))
 
 
 @dataclass(frozen=True, eq=False)
@@ -352,37 +402,39 @@ class SpdMatrix(SymMatrix):
     downstream factorization; the constructor itself performs only cheap
     checks and does not factor.  The package's own results, all of the form
     ``K K^T``, are typed through ``_of``, which keeps the finiteness and
-    positive-diagonal checks.
+    positive-diagonal checks; ``from_dense``'s symmetrized array, through
+    ``_typed``, which keeps the positive-diagonal check.
     """
 
     _kept = None  # the factor from_dense computed; not a field
 
-    def _check(self) -> None:
-        if min(self.diag.tolist()) <= 0.0:
+    @staticmethod
+    def _check(a: np.ndarray) -> None:
+        if _least_diagonal(a) <= 0.0:
             raise NotSpdError("SPD matrix must have strictly positive diagonal")
 
     @classmethod
     def from_dense(cls, dense) -> "SpdMatrix":
         a = _symmetrized(_square(dense), NotSpdError)
         l = _factor(a)
-        return cls._of(a)._keep(l)
+        return cls._typed(a)._keep(l)
 
     @classmethod
     def _from_stack(cls, stack: np.ndarray) -> list["SpdMatrix"]:
         """``from_dense`` of each matrix of an ``(n, m, m)`` float stack, in
         order, with the same bits: the stack checked and factored by
         ``_factors``, with one finiteness test and one symmetrizer for the
-        whole stack, then one ``_of`` per matrix.  Each point's ``data`` is a view of the symmetrized
-        stack, and its kept factor one of the factor stack, which no caller
-        holds.  A faulty matrix raises its own class of error, but a
-        later one's fault can be raised before an earlier one's factor is
-        tried: a caller that must name the first faulty matrix retries its
-        matrices one at a time through ``from_dense``."""
+        whole stack, then typed by one ``_typed``, one positive-diagonal
+        test.  Each point's ``data`` is a view of the symmetrized stack, and
+        its kept factor one of the factor stack, which no caller holds.  A
+        faulty matrix raises its own class of error, but a later one's fault
+        can be raised before an earlier one's factor is tried: a caller that
+        must name the first faulty matrix retries its matrices one at a time
+        through ``from_dense``."""
         s, ls = _factors(stack)
-        kept = iter(ls)
-        points = []
-        for a in s:
-            points.append(cls._of(a)._keep(next(kept)))
+        points = cls._typed(s)
+        for p, l in zip(points, ls):
+            p._keep(l)
         return points
 
     def _keep(self, l: np.ndarray) -> "SpdMatrix":

@@ -597,6 +597,18 @@ class TestSharedStructure:
             assert_array_equal(m.data, interpolate(p, q, [t])[0].data)
         assert interpolate(p, q, []) == []
 
+    def test_the_affine_invariant_grid_has_each_step_s_own_powers(self, rng):
+        # numpy's w ** s of one float s takes sqrt, square and reciprocal at
+        # s = 1/2, 2 and -1 (t = 1, 4 and -2), and pow elsewhere; each point of
+        # the grid keeps the bits of that form.
+        ts = [-2.0, -0.5, 0.0, 0.3, 1.0, 2.0, 4.0]
+        for _ in range(20):
+            p, q = random_spd(rng, 3), random_spd(rng, 3)
+            l = p._chol
+            w, u = tri._eigh(bl._congruence(l, q.data))
+            for t, point in zip(ts, bl.affine_interpolate(p, q, ts), strict=True):
+                assert_array_equal(point.data, bl._reconstruct((l @ u) * w ** (t / 2.0)))
+
     def test_registry(self):
         assert set(bl.METRIC_NAMES) == {
             "euclidean",
@@ -835,6 +847,38 @@ RESULT_OUT_OF_RANGE = {
         CholeskyFactor(I2), LowerTriangular(np.diag([1000.0, 0.0]))
     ),
 }
+
+
+# Pairs of steps whose points fail in different ways, each with the text its
+# point raises alone: a grid is computed as one stack, but raises as a loop
+# over its points would, so each order of the pair raises its first point's.
+# Between I and diag(1e-4, 1) the Log-Euclidean exponents at t = 80 and
+# t = 200 leave the float range, and the chart at t = 1e308 does; the
+# Log-Cholesky pivot at t = 100 from I to diag(1e4, 1) overflows its square,
+# and at t = -100 underflows; the Cholesky pivot 1 + t from I to 4 I
+# overflows its square at t = 1e160, and is 0 at t = -1.
+_LE_ENDS = (I2, np.diag([1e-4, 1.0]))
+_EXPONENTS_80 = r"^exponents -736\.\d+ to "
+_OVERFLOW, _UNDERFLOW = "^matrix entries must be finite$", "^SPD result underflows"
+FIRST_FAILING_POINT = {
+    "le-exponents": (LOGEUCLID.interpolate, _LE_ENDS,
+                     (80.0, _EXPONENTS_80), (200.0, r"^exponents -1842\.\d+ to ")),
+    "le-exponents-and-chart": (LOGEUCLID.interpolate, _LE_ENDS, (80.0, _EXPONENTS_80),
+                               (1e308, "^eigendecomposition input leaves the float range$")),
+    "lc-overflow-and-underflow": (lc.interpolate_spd, (I2, np.diag([1e4, 1.0])),
+                                  (100.0, _OVERFLOW), (-100.0, _UNDERFLOW)),
+    "chol-overflow-and-underflow": (CHOL.interpolate, (I2, 4.0 * I2),
+                                    (1e160, _OVERFLOW), (-1.0, _UNDERFLOW)),
+}
+
+
+@pytest.mark.parametrize("case", FIRST_FAILING_POINT)
+def test_a_grid_raises_its_first_failing_point(case):
+    interpolate, ends, (a, text_a), (b, text_b) = FIRST_FAILING_POINT[case]
+    p, q = map(spd, ends)
+    for ts, text in (([a], text_a), ([b], text_b), ([0.5, a, b], text_a), ([0.5, b, a], text_b)):
+        with pytest.raises(DomainError, match=text):
+            interpolate(p, q, ts)
 
 
 @pytest.mark.parametrize("case", RESULT_OUT_OF_RANGE)

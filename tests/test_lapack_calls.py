@@ -7,10 +7,12 @@ sends one matrix to ``dsyevd`` and a stack to numpy's batched ``eigh``; a
 values-only ``dsyevd`` is counted as ``dsyevd/N``.
 The table holds the calls of ``from_dense`` and of every operation of the
 registry at m = 5 on ``from_dense`` points, which keep their factors; an
-interpolation takes a grid of three steps.  The Karcher mean's count grows
-with its iterations, so it is pinned per iteration instead, and a mean-gap
-run, whose trials share one stacked iteration, per step of its slowest
-trial.  A fixture's load, and the draw of ``mean --n N --m M``, factor each
+interpolation takes a grid of three steps, and computes it as one stack, so
+that its calls do not grow with the grid: a whole interpolation study makes
+the same calls at 3 steps as at 101, its glyphs one stacked ``eigh``.  The
+Karcher mean's count grows with its iterations, so it is pinned per
+iteration instead, and a mean-gap run, whose trials share one stacked
+iteration, per step of its slowest trial.  A fixture's load, and the draw of ``mean --n N --m M``, factor each
 member once and call nothing else, so a mean of its points makes no call.
 A second table holds the Log-Cholesky operations and the ``chol_map``
 differentials at m = 128, where the pullback splits once into two m = 64
@@ -41,7 +43,7 @@ CALLS = {
     **{f"{g}.{op}": {} for g in ("euclidean", "cholesky")
        for op in ("distance", "interpolate", "mean", "exp", "log")},
     "log-euclidean.distance": {"dsyevd": 2},
-    "log-euclidean.interpolate": {"dsyevd": 5},
+    "log-euclidean.interpolate": {"dsyevd": 2, "eigh": 1},
     "log-euclidean.mean": {"eigh": 1, "dsyevd": 1},
     "log-euclidean.exp": {"dsyevd": 2, "dsyevd/N": 1},
     "log-euclidean.log": {"dsyevd": 3},
@@ -57,6 +59,17 @@ CALLS = {
     "log-cholesky.exp": {"dtrsm": 2, "dtrmm": 1},
     "log-cholesky.log": {"dtrmm": 1},
     "log-cholesky.transport": {"dtrsm": 2, "dtrmm": 2},
+}
+
+# A whole interpolation study on the built-in endpoints: their from_dense
+# (one dpotrf each), the interpolant's calls of CALLS at m = 3, and one
+# stacked eigh for the glyphs of the grid and of both endpoints.
+STUDY_CALLS = {
+    "euclidean": {"dpotrf": 2, "eigh": 1},
+    "cholesky": {"dpotrf": 2, "eigh": 1},
+    "log-euclidean": {"dpotrf": 2, "dsyevd": 2, "eigh": 2},
+    "affine-invariant": {"dpotrf": 2, "dtrsm": 2, "dsyevd": 1, "eigh": 1},
+    "log-cholesky": {"dpotrf": 2, "eigh": 1},
 }
 
 # One split: two leaf congruences (two dtrsm and one dtrmm each), and the
@@ -138,6 +151,24 @@ def test_the_blocked_pullback_makes_its_lapack_calls(rng, calls):
         "chol_map.diff_S": lambda: chol_map.diff_S(L, X),
     }
     assert _counted(calls, work) == BLOCKED_CALLS
+
+
+@pytest.mark.parametrize("steps", [3, 101])
+@pytest.mark.parametrize("name", METRIC_NAMES)
+def test_an_interpolation_study_makes_its_lapack_calls(monkeypatch, calls, name, steps):
+    stacks = []
+    eigh = np.linalg.eigh  # the counted one
+
+    def recorded(a, *args, **kwargs):
+        stacks.append(a.shape)
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", recorded)
+    calls.clear()
+    ex.run_interpolate(name, steps)
+    assert dict(calls) == STUDY_CALLS[name]
+    # The last eigh is the glyphs': the grid and both endpoints, in one stack.
+    assert stacks[-1] == (steps + 2, 3, 3)
 
 
 def test_each_karcher_step_makes_its_lapack_calls(rng, calls):

@@ -25,7 +25,7 @@ from logchol.baselines import METRIC_NAMES, get_metric
 from logchol.cli import main
 from logchol.report import ExperimentReport, GlyphRecord, ResultRecord
 from logchol.sampling import random_spd_with_condition
-from logchol.tri import NotSpdError, SpdMatrix, SymMatrix
+from logchol.tri import NotSpdError, SpdMatrix, SymMatrix, _eigh
 
 
 class TestReport:
@@ -124,6 +124,44 @@ class TestGlyph:
     def test_rejects_non_spd(self):
         with pytest.raises(NotSpdError):
             GlyphRecord.from_spd_dense(np.diag([1.0, -1.0]), 0, 0)
+
+    def test_a_stack_has_each_matrix_s_own_glyph(self, rng):
+        # The fields of each glyph of a stack, from one stacked eigh, have the
+        # bits of the matrix's own dsyevd, its eigenvalues reversed, and the
+        # sum of their logs.  The scales reach determinants past the float range.
+        for m in (1, 2, 3, 5, 8):
+            g = rng.standard_normal((300, m, m))
+            a = g @ g.swapaxes(-1, -2) + 1e-3 * np.eye(m)
+            a = (a + a.swapaxes(-1, -2)) / 2.0 * np.exp(rng.uniform(-300.0, 300.0, (300, 1, 1)))
+            glyphs = GlyphRecord.from_spd_dense(a, 4, 7)
+            assert [(g.row, g.col) for g in glyphs] == [(4, 7 + i) for i in range(300)]
+            for x, glyph in zip(a, glyphs, strict=True):
+                w, u = _eigh(x, "glyph")
+                w, u = w[::-1], u[:, ::-1]
+                log_det = float(np.log(w).sum())
+                with np.errstate(over="ignore", under="ignore"):
+                    det = float(np.exp(log_det))
+                assert glyph.eigenvalues == w.tolist()
+                assert glyph.eigenvectors == u.ravel().tolist()
+                assert (glyph.determinant, glyph.log_determinant) == (det, log_det)
+
+    def test_a_stack_names_its_first_matrix_that_is_not_spd(self):
+        stack = np.array([np.diag(d) for d in ([1.0, 2.0], [-1.0, 1.0], [-3.0, 1.0])])
+        with pytest.raises(NotSpdError, match=r"^glyph undefined: smallest eigenvalue -1\.0$"):
+            GlyphRecord.from_spd_dense(stack, 0, 0)
+        with pytest.raises(NotSpdError, match=r"smallest eigenvalue -3\.0$"):
+            GlyphRecord.from_spd_dense(stack[::-1], 0, 0)
+
+    def test_a_study_names_its_first_glyph_that_is_not_spd(self, monkeypatch, tmp_path):
+        # An interpolant whose points are not all positive definite: the study
+        # raises the smallest eigenvalue of the first, in grid order.
+        points = [SymMatrix(np.diag(d)) for d in ([1.0, 2.0], [-1.0, 1.0], [-3.0, 1.0])]
+        ops = get_metric("euclidean")
+        monkeypatch.setitem(ex.bl._METRICS, "euclidean",
+                            dataclasses.replace(ops, interpolate=lambda p, q, ts: points))
+        dump_matrices([np.eye(2), 2.0 * np.eye(2)], tmp_path / "pair.txt")
+        with pytest.raises(NotSpdError, match=r"smallest eigenvalue -1\.0$"):
+            ex.run_interpolate("euclidean", 3, str(tmp_path / "pair.txt"))
 
 
 class TestExperiments:

@@ -28,15 +28,16 @@ since ``tri._eigh`` reads one triangle.
 
 Outside data takes every check once.  Where it enters (``from_dense``, its
 stacked twin ``SpdMatrix._from_stack``, the fixture reader, ``sampling``,
-``experiments``, ``report`` and ``cli``), ``_Square._of``, the path for
-kernel results, which checks finiteness and the type's hook alone, types
-only the array that ``_symmetrized`` returned in the same function, itself
-or as the first of ``tri._factors``' pair, or one matrix of that stack,
-taken by a ``for`` loop over it: that array has passed every check of the
-constructors, and no caller holds it.  Any other value there goes through a
-constructor or ``from_dense``.  The kernel modules (``chol_map``,
-``chol_manifold``, ``spd_manifold`` and ``baselines``) take only ``_of``:
-none of them calls a public constructor.  Kernels write diagonals through
+``experiments``, ``report`` and ``cli``), the paths for kernel results,
+``_Square._of``, which checks finiteness and the type's hook alone, and
+``_Square._typed``, which checks the hook alone, type only the array that
+``_symmetrized`` returned in the same function, itself or as the first of
+``tri._factors``' pair, or one matrix of that stack, taken by a ``for`` loop
+over it: that array has passed every check of the constructors, and no
+caller holds it.  Any other value there goes through a constructor or
+``from_dense``.  The kernel modules (``chol_map``, ``chol_manifold``,
+``spd_manifold`` and ``baselines``) take only ``_of``: none of them calls a
+public constructor, and no module outside ``tri`` names ``_typed``.  Kernels write diagonals through
 ``tri._with_diag``, the one home of the flat stride ``a.flat[::m + 1]``, and
 never through ``np.fill_diagonal``.
 
@@ -106,6 +107,9 @@ STEP_TAKERS = ("geodesic_chol", "geodesic_spd", "interpolate_spd", "interpolate"
 # iterate (the name mean), in the loop of one sample and in the stacked loop
 # of an array of trials.
 FACTOR_ARGS = {"_karcher_means": "mean", "_karcher_alone": "mean"}
+
+# The typings of kernel results, which skip the constructors' checks.
+TYPINGS = ("_of", "_typed")
 
 # Where outside data enters: whole modules (None), or the named functions of one.
 OUTSIDE_DATA = {
@@ -373,8 +377,9 @@ def _bound_to_symmetrized(fn: ast.FunctionDef) -> set[str]:
 
 
 def _of_symmetrized(scope: ast.AST) -> set[int]:
-    """``id`` of each ``_of`` in ``scope`` called on one argument: ``_symmetrized(...)``,
-    or a name that the innermost function around the call binds to it alone."""
+    """``id`` of each typing (``TYPINGS``) in ``scope`` called on one argument:
+    ``_symmetrized(...)``, or a name that the innermost function around the
+    call binds to it alone."""
     home = {}
     for fn in ast.walk(scope):  # breadth first: an inner function overwrites its outer one
         if isinstance(fn, ast.FunctionDef):
@@ -382,7 +387,7 @@ def _of_symmetrized(scope: ast.AST) -> set[int]:
     typed = set()
     for call in ast.walk(scope):
         if not (isinstance(call, ast.Call) and isinstance(call.func, ast.Attribute)
-                and call.func.attr == "_of" and len(call.args) == 1 and not call.keywords
+                and call.func.attr in TYPINGS and len(call.args) == 1 and not call.keywords
                 and id(call) in home):
             continue
         arg = call.args[0]
@@ -394,8 +399,10 @@ def _of_symmetrized(scope: ast.AST) -> set[int]:
 
 
 def test_outside_data_is_never_typed_as_a_kernel_result():
-    """Where outside data enters, ``_of`` takes only the array ``_symmetrized``
-    built, a result of the package that has passed every constructor check."""
+    """Where outside data enters, ``_of`` and ``_typed`` take only the array
+    ``_symmetrized`` built, a result of the package that has passed every
+    constructor check; and ``_typed``, which skips the finiteness test, is
+    named nowhere outside ``tri``."""
     scopes = {}
     for path, tree in SRC.items():
         if path.name in OUTSIDE_DATA:
@@ -409,8 +416,10 @@ def test_outside_data_is_never_typed_as_a_kernel_result():
         for scope in nodes:
             allowed = _of_symmetrized(scope)
             for node, ref in _named(scope):
-                if ref == "_of":
+                if ref in TYPINGS:
                     (typed if id(node) in allowed else strays).append(f"{name}:{node.lineno}")
+    strays += [f"{path.name}:{line}" for path, tree in SRC.items() if path.name != "tri.py"
+               for line, ref in _references(tree) if ref == "_typed"]
     assert not strays, f"outside data typed through _Square._of unsymmetrized: {strays}"
     # The guard sees every scope it polices, and each from_dense and the
     # stacked one typing their symmetrized arrays, and the kernels' use of the
